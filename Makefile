@@ -85,9 +85,9 @@ smoke-objstore:
 	./scripts/objstore_smoke.sh
 
 # smoke-stream drives the streaming workload data path end to end under
-# memory pressure: a 512-VM recording swept materialized (unlimited) as
-# the reference, then streamed under a tight GOMEMLIMIT — locally and
-# through two remote workers under the same limit — with every CSV report
+# memory pressure: a 512-VM recording swept with no memory limit as the
+# reference, then again under a tight GOMEMLIMIT — locally and through two
+# remote workers under the same limit — with every CSV report
 # byte-identical to the reference and the peak-heap line logged.
 smoke-stream:
 	./scripts/stream_smoke.sh
@@ -95,7 +95,7 @@ smoke-stream:
 # bench-alloc records the allocator scaling trajectory (exact Fig.-2
 # semantics up to 2k VMs, blocked evaluation at 1k/2k/10k) plus the
 # per-phase attribution rows (matrix-update / fill-scoring /
-# placement-total, serial vs parallel) in BENCH_alloc.json. Set
+# placement-total) in BENCH_alloc.json. Set
 # ALLOC_CPUPROFILE=<path> to also capture a 2k-VM CPU profile.
 bench-alloc:
 	./scripts/bench_alloc.sh

@@ -8,7 +8,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vmmodel"
 	"repro/internal/websearch"
-	"repro/pkg/dcsim/model"
 )
 
 var printOnce sync.Map
@@ -251,93 +249,71 @@ func BenchmarkAllocatorScale(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocPhases attributes hot-path time to its phases, each in a
-// serial and a parallel (GOMAXPROCS workers) series so BENCH_alloc.json
-// records per-phase baselines and the parallel speedup on multicore
-// runners:
+// BenchmarkAllocPhases attributes hot-path time to its phases so
+// BENCH_alloc.json records per-phase baselines:
 //
 //   - matrix: one streaming CostMatrix.Add — the n(n−1)/2 pair-monitor
-//     updates of the UPDATE phase, sharded when parallel.
+//     updates of the UPDATE phase.
 //   - fill: one full exact placement over O(1) synthetic pair costs —
 //     isolates candidate scoring and the running-sum extensions.
 //   - total: one matrix-fed exact placement — the simulator's
 //     per-period ALLOCATE hot path end to end (scoring + monitor reads).
-//
-// Placements are byte-identical across the serial/parallel series (pinned
-// by core's equivalence tests); only the wall clock may differ.
 func BenchmarkAllocPhases(b *testing.B) {
 	const n = 2000
-	series := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	}
-	for _, s := range series {
-		b.Run(fmt.Sprintf("matrix/%s/vms=%d", s.name, n), func(b *testing.B) {
-			m := core.NewCostMatrix(n, 1)
-			m.SetParallel(s.workers)
-			rng := rand.New(rand.NewSource(1))
-			sample := make([]float64, n)
+	b.Run(fmt.Sprintf("matrix/serial/vms=%d", n), func(b *testing.B) {
+		m := core.NewCostMatrix(n, 1)
+		rng := rand.New(rand.NewSource(1))
+		sample := make([]float64, n)
+		for i := range sample {
+			sample[i] = rng.Float64() * 4
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Add(sample)
+		}
+	})
+	b.Run(fmt.Sprintf("fill/serial/vms=%d", n), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		reqs := make([]place.Request, n)
+		for i := range reqs {
+			reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+		}
+		cfg := core.DefaultConfig()
+		cfg.Block = 0
+		a := &core.Allocator{Config: cfg, CostFn: core.SyntheticPairCost}
+		spec := server.XeonE5410()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Place(reqs, spec, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("total/serial/vms=%d", n), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		reqs := make([]place.Request, n)
+		for i := range reqs {
+			reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+		}
+		m := core.NewCostMatrix(n, 1)
+		sample := make([]float64, n)
+		for k := 0; k < 50; k++ {
 			for i := range sample {
 				sample[i] = rng.Float64() * 4
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Add(sample)
+			m.Add(sample)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Block = 0
+		a := &core.Allocator{Config: cfg, Matrix: m}
+		spec := server.XeonE5410()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Place(reqs, spec, n); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	for _, s := range series {
-		b.Run(fmt.Sprintf("fill/%s/vms=%d", s.name, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			reqs := make([]place.Request, n)
-			for i := range reqs {
-				reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
-			}
-			cfg := core.DefaultConfig()
-			cfg.Block = 0
-			cfg.Parallel = s.workers
-			a := &core.Allocator{Config: cfg, CostFn: core.SyntheticPairCost}
-			spec := server.XeonE5410()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Place(reqs, spec, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, s := range series {
-		b.Run(fmt.Sprintf("total/%s/vms=%d", s.name, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			reqs := make([]place.Request, n)
-			for i := range reqs {
-				reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
-			}
-			m := core.NewCostMatrix(n, 1)
-			m.SetParallel(s.workers)
-			sample := make([]float64, n)
-			for k := 0; k < 50; k++ {
-				for i := range sample {
-					sample[i] = rng.Float64() * 4
-				}
-				m.Add(sample)
-			}
-			cfg := core.DefaultConfig()
-			cfg.Block = 0
-			cfg.Parallel = s.workers
-			a := &core.Allocator{Config: cfg, Matrix: m}
-			spec := server.XeonE5410()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Place(reqs, spec, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkBaselinePlacements measures the baselines at the paper's scale.
@@ -504,101 +480,4 @@ func BenchmarkDatacenterHour(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// streamIngestConfig sizes the synthetic generator for the data-path
-// benchmarks: a 2-hour day keeps the materialized baseline runnable at
-// 10k VMs (the full 24-hour day would be ~1.4 GB there and ~14 GB at
-// 100k, which is exactly what the streaming path exists to avoid).
-func streamIngestConfig(n int) synth.DatacenterConfig {
-	cfg := synth.DefaultDatacenterConfig()
-	cfg.VMs = n
-	cfg.Day = 2 * time.Hour
-	return cfg
-}
-
-// liveHeapMB returns the post-GC live heap in MiB — the resident-state
-// measure the streaming data path bounds (allocation throughput is what
-// -benchmem reports; this is what stays).
-func liveHeapMB() float64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return float64(ms.HeapAlloc) / (1 << 20)
-}
-
-// BenchmarkStreamIngest contrasts the two workload data paths feeding the
-// placement engine and records each series' live heap (live_MB) next to
-// its wall time:
-//
-//   - materialized: generate the whole Dataset, then fold it — resident
-//     state is every fine series, linear in dataset size.
-//   - streamed: fold the generator's VM stream record by record — resident
-//     state is the fold (names, scalars, one envelope bitset per VM) plus
-//     a single record in flight.
-//   - streamed/vms=100000: the headline row — a 100k-VM population
-//     ingested and placed with blocked evaluation over O(1) synthetic
-//     pair costs (the sub-quadratic mode 10k+-VM scenarios run), at a
-//     live heap far below the 10k materialized baseline.
-func BenchmarkStreamIngest(b *testing.B) {
-	measure := func(b *testing.B, base float64, live *float64, hold ...any) {
-		b.StopTimer()
-		if m := liveHeapMB() - base; m > *live {
-			*live = m
-		}
-		for _, h := range hold {
-			runtime.KeepAlive(h)
-		}
-		b.StartTimer()
-	}
-	b.Run("materialized/vms=10000", func(b *testing.B) {
-		cfg := streamIngestConfig(10000)
-		base := liveHeapMB()
-		var live float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ds := synth.Datacenter(cfg)
-			ing, err := sim.IngestReader(model.DatasetReaderOf(ds), sim.IngestConfig{Envelopes: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			measure(b, base, &live, ds, ing)
-		}
-		b.ReportMetric(live, "live_MB")
-	})
-	b.Run("streamed/vms=10000", func(b *testing.B) {
-		cfg := streamIngestConfig(10000)
-		base := liveHeapMB()
-		var live float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ing, err := sim.IngestReader(synth.NewStream(cfg), sim.IngestConfig{Envelopes: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			measure(b, base, &live, ing)
-		}
-		b.ReportMetric(live, "live_MB")
-	})
-	b.Run("streamed/vms=100000", func(b *testing.B) {
-		cfg := streamIngestConfig(100000)
-		spec := server.XeonE5410()
-		acfg := core.DefaultConfig()
-		acfg.Block = 512
-		base := liveHeapMB()
-		var live float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ing, err := sim.IngestReader(synth.NewStream(cfg), sim.IngestConfig{Envelopes: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a := &core.Allocator{Config: acfg, CostFn: core.SyntheticPairCost}
-			if _, err := a.Place(ing.Requests(), spec, cfg.VMs); err != nil {
-				b.Fatal(err)
-			}
-			measure(b, base, &live, ing)
-		}
-		b.ReportMetric(live, "live_MB")
-	})
 }

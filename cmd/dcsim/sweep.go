@@ -36,7 +36,6 @@ func sweepMain(args []string) {
 		tracedir  = fs.String("tracedir", "", "recorded trace directory for the trace-dir workload kind; implies -workload trace-dir when the base kind is unset or the default")
 		objstore  = fs.String("objstore", "", "http(s) bucket/prefix URL for the trace-obj workload kind; implies -workload trace-obj when the base kind is unset or the default")
 		verbose   = fs.Bool("v", false, "print the peak-heap and object-store fetch/cache summaries after the sweep")
-		material  = fs.Bool("materialize", false, "force the legacy whole-dataset ingest instead of the streaming data path (memory-path verification; results are byte-identical)")
 		workers   = fs.Int("workers", 0, "concurrent runs (default GOMAXPROCS, or the remote capacity with -remote; aggregates are identical at any count)")
 		outDir    = fs.String("out", ".", "directory the JSON and CSV reports are written to")
 		progress  = fs.Bool("progress", false, "print each cell's aggregate as it completes")
@@ -115,11 +114,6 @@ func sweepMain(args []string) {
 	}
 	if err := applyWorkloadOptions(&g.Base.Workload, wopts); err != nil {
 		log.Fatal("sweep: ", err)
-	}
-	if *material {
-		// The knob rides the scenario, so it reaches remote and fleet
-		// workers through CellRun exactly like any other base field.
-		g.Base.Materialize = true
 	}
 	if err := g.Validate(); err != nil {
 		log.Fatal(err)

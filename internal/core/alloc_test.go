@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,32 @@ func TestAllocatorPlacesEverythingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCostFuncFallbackMatchesCostOf pins the batch fallback's flat memo:
+// every pair, looked up in either order and again after it is cached,
+// returns exactly the CostOf value of the two windows.
+func TestCostFuncFallbackMatchesCostOf(t *testing.T) {
+	const n = 12
+	var reqs []place.Request
+	for i := 0; i < n; i++ {
+		w := phasedWindow(i%2, 60, int64(5+i))
+		reqs = append(reqs, place.Request{Ref: w.Max(), Window: w})
+	}
+	cost := NewAllocator(DefaultConfig()).costFunc(reqs)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := 1.0
+				if i != j {
+					want = CostOf(reqs[i].Window.Samples(), reqs[j].Window.Samples(), 1)
+				}
+				if got := cost(i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("pass %d: cost(%d,%d) = %v, want %v", pass, i, j, got, want)
+				}
+			}
+		}
 	}
 }
 

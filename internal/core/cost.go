@@ -6,7 +6,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/vmmodel"
 	"repro/pkg/dcsim/model"
@@ -34,12 +33,6 @@ type CostMatrix struct {
 	pctl float64
 	vm   []*vmmodel.Monitor // per-VM û
 	pair []*vmmodel.Monitor // per-pair û of the aggregated demand, upper triangle
-	// workers > 1 shards Add's pair updates over the package's worker
-	// pool (SetParallel); rowBase[i] is the triangle index of pair
-	// (i, i+1), precomputed so a shard can locate its starting row with a
-	// binary search instead of a per-call row walk.
-	workers int
-	rowBase []int
 }
 
 // CostMatrix implements the streaming contract model.CostSource.
@@ -60,24 +53,7 @@ func NewCostMatrix(n int, pctl float64) *CostMatrix {
 	for i := range m.pair {
 		m.pair[i] = vmmodel.NewMonitor(pctl)
 	}
-	m.rowBase = make([]int, n)
-	for i := range m.rowBase {
-		m.rowBase[i] = i*n - i*(i+1)/2
-	}
 	return m
-}
-
-// SetParallel shards future Add calls' pair-monitor updates over the given
-// number of workers (0 or 1 keeps updates serial; small matrices below
-// matrixParallelMin pairs stay serial regardless). The n(n−1)/2 per-sample
-// updates are independent — each pair monitor is touched by exactly one
-// shard — so the resulting statistics are bit-identical to serial feeding.
-// Add itself must still be called from one goroutine at a time.
-func (m *CostMatrix) SetParallel(workers int) {
-	if workers < 0 {
-		workers = 0
-	}
-	m.workers = workers
 }
 
 // N returns the number of VMs tracked.
@@ -92,10 +68,7 @@ func (m *CostMatrix) pairIndex(i, j int) int {
 }
 
 // Add feeds one simultaneous utilization sample per VM; len(sample) must
-// equal N(). With SetParallel(w > 1) and at least matrixParallelMin pairs,
-// the upper-triangle updates are sharded across the worker pool — the
-// streaming UPDATE phase of Fig. 2 then scales with cores while producing
-// bit-identical statistics.
+// equal N().
 func (m *CostMatrix) Add(sample []float64) {
 	if len(sample) != m.n {
 		panic("core: sample length does not match VM count")
@@ -103,29 +76,12 @@ func (m *CostMatrix) Add(sample []float64) {
 	for i, v := range sample {
 		m.vm[i].Add(v)
 	}
-	pairs := len(m.pair)
-	if m.workers > 1 && pairs >= matrixParallelMin {
-		parallelFor(m.workers, pairs, func(_, lo, hi int) {
-			m.addPairs(sample, lo, hi)
-		})
-	} else if pairs > 0 {
-		m.addPairs(sample, 0, pairs)
-	}
-}
-
-// addPairs feeds sample into the pair monitors of triangle indices
-// [lo, hi). The row holding lo is found by binary search on the
-// precomputed row bases; from there (i, j) walk the triangle in the same
-// row-major order as pairIndex.
-func (m *CostMatrix) addPairs(sample []float64, lo, hi int) {
-	i := sort.Search(m.n, func(r int) bool { return m.rowBase[r] > lo }) - 1
-	j := i + 1 + (lo - m.rowBase[i])
-	for k := lo; k < hi; k++ {
-		m.pair[k].Add(sample[i] + sample[j])
-		j++
-		if j == m.n {
-			i++
-			j = i + 1
+	// Walk the upper triangle in the same row-major order as pairIndex.
+	k := 0
+	for i := 0; i < m.n; i++ {
+		for j := i + 1; j < m.n; j++ {
+			m.pair[k].Add(sample[i] + sample[j])
+			k++
 		}
 	}
 }

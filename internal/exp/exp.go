@@ -73,11 +73,11 @@ func workload(o Options) dcsim.Workload {
 // the same façade backend every scenario run uses. The workload kind is
 // fixed, so generation cannot fail.
 func datacenterVMs(o Options) []*vmmodel.VM {
-	vms, err := dcsim.VMsFor(workload(o))
+	ds, err := dcsim.GenerateTraces(workload(o))
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
-	return vms
+	return vmmodel.FromSeries(ds.Names, ds.Fine)
 }
 
 // baseScenario maps the Setup-2 options onto a façade scenario; zero-valued

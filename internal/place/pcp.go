@@ -32,15 +32,6 @@ type PCP struct {
 	// of different clusters to be essentially disjoint, so even a small
 	// overlap merges).
 	MaxOverlap float64
-	// Envs, when non-nil and of the requests' length, are precomputed
-	// per-request envelope bitsets reused verbatim instead of
-	// re-extracting from each request's window per decision — the state
-	// a streaming ingest (sim.IngestReader) carries on the allocator
-	// across invocations. Placements are byte-identical as long as each
-	// entry is ExtractOffPeak(window, EnvelopePctl) of the matching
-	// request's window; a length mismatch falls back to extraction, so a
-	// stale slice can never be silently misaligned with the requests.
-	Envs []envelope.Envelope
 	// Cache, when set, memoizes window extraction across Place
 	// invocations by window identity (see envelope.Cache). It changes
 	// only where the bitsets come from, never their bits.
@@ -73,20 +64,17 @@ func (p PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) 
 		return nil, err
 	}
 
-	envs := p.Envs
-	if len(envs) != len(reqs) {
-		envs = make([]envelope.Envelope, len(reqs))
-		for i, r := range reqs {
-			if r.Window != nil && r.Window.Len() > 0 {
-				if p.Cache != nil {
-					envs[i] = p.Cache.ExtractOffPeak(r.Window, p.envelopePctl())
-				} else {
-					envs[i] = envelope.ExtractOffPeak(r.Window, p.envelopePctl())
-				}
+	envs := make([]envelope.Envelope, len(reqs))
+	for i, r := range reqs {
+		if r.Window != nil && r.Window.Len() > 0 {
+			if p.Cache != nil {
+				envs[i] = p.Cache.ExtractOffPeak(r.Window, p.envelopePctl())
+			} else {
+				envs[i] = envelope.ExtractOffPeak(r.Window, p.envelopePctl())
 			}
-			// Otherwise the zero Envelope: indistinguishable; lands in
-			// the first cluster.
 		}
+		// Otherwise the zero Envelope: indistinguishable; lands in the
+		// first cluster.
 	}
 	clusterOf, clusters := envelope.Cluster(envs, p.maxOverlap())
 

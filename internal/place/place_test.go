@@ -291,8 +291,7 @@ func TestFFDRespectsCapacityWhenFeasible(t *testing.T) {
 }
 
 // TestPCPEnvelopeReuseByteIdentical pins the envelope-reuse seam: PCP with
-// precomputed Envs (the state a streaming ingest carries on the allocator)
-// and PCP with an extraction cache must both place byte-identically to the
+// an extraction cache must place byte-identically to the
 // extract-per-decision baseline, across repeated invocations.
 func TestPCPEnvelopeReuseByteIdentical(t *testing.T) {
 	n := 200
@@ -312,33 +311,19 @@ func TestPCPEnvelopeReuseByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	envs := make([]envelope.Envelope, len(reqs))
-	for i, r := range reqs {
-		envs[i] = envelope.ExtractOffPeak(r.Window, 0.9)
-	}
 	cached := PCP{Cache: envelope.NewCache()}
-	variants := []struct {
-		name string
-		p    PCP
-	}{
-		{"precomputed envs", PCP{Envs: envs}},
-		{"extraction cache", cached},
-		{"stale envs fall back", PCP{Envs: envs[:3]}},
-	}
-	for _, v := range variants {
-		for round := 0; round < 3; round++ {
-			got, err := v.p.Place(reqs, spec8(), 10)
-			if err != nil {
-				t.Fatalf("%s round %d: %v", v.name, round, err)
-			}
-			if got.NumServers != want.NumServers {
-				t.Fatalf("%s round %d: %d servers, want %d", v.name, round, got.NumServers, want.NumServers)
-			}
-			for i := range want.Assign {
-				if got.Assign[i] != want.Assign[i] {
-					t.Fatalf("%s round %d: VM %d on server %d, want %d",
-						v.name, round, i, got.Assign[i], want.Assign[i])
-				}
+	for round := 0; round < 3; round++ {
+		got, err := cached.Place(reqs, spec8(), 10)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got.NumServers != want.NumServers {
+			t.Fatalf("round %d: %d servers, want %d", round, got.NumServers, want.NumServers)
+		}
+		for i := range want.Assign {
+			if got.Assign[i] != want.Assign[i] {
+				t.Fatalf("round %d: VM %d on server %d, want %d",
+					round, i, got.Assign[i], want.Assign[i])
 			}
 		}
 	}

@@ -28,12 +28,8 @@ func FromSeries(names []string, demands []*trace.Series) []*VM {
 // reference can be read at any time without storing the window — the
 // memory-saving property the paper highlights in Section IV-A.
 //
-// Concurrency contract: a Monitor is not synchronized. Add/Reset must come
-// from one goroutine at a time, but Ref and N are pure reads — safe to
-// call concurrently with each other (core's parallel placement scores
-// candidates against shared monitors this way). Callers that shard work
-// across goroutines, like core.CostMatrix's parallel Add, must ensure each
-// monitor is written by exactly one worker per batch.
+// A Monitor is not synchronized: callers sharing one across goroutines
+// must order Add/Reset against every other call.
 type Monitor struct {
 	pctl float64
 	p2   *stats.P2Quantile

@@ -143,22 +143,7 @@ func init() {
 			return nil, fmt.Errorf("dcsim: param %q must be a non-negative integer (0 = exact evaluation), got %v", "alloc_block", blk)
 		}
 		cfg.Block = int(blk)
-		// alloc_parallel fans the per-admission candidate scoring and the
-		// streaming matrix's pair updates out over that many workers
-		// (0 or 1 = serial). Placements and statistics are byte-identical
-		// to serial execution.
-		par := b.Param("alloc_parallel", 0)
-		if par != math.Trunc(par) || par < 0 {
-			return nil, fmt.Errorf("dcsim: param %q must be a non-negative integer worker count, got %v", "alloc_parallel", par)
-		}
-		cfg.Parallel = int(par)
-		matrix := b.Matrix()
-		if cfg.Parallel > 1 {
-			if sp, ok := matrix.(interface{ SetParallel(int) }); ok {
-				sp.SetParallel(cfg.Parallel)
-			}
-		}
-		return &core.Allocator{Config: cfg, Matrix: matrix}, nil
+		return &core.Allocator{Config: cfg, Matrix: b.Matrix()}, nil
 	}
 	RegisterPolicy("corr-aware", corrAware)
 	RegisterPolicy("corr", corrAware)

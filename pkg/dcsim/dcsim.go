@@ -50,22 +50,9 @@ func Run(ctx context.Context, sc Scenario, obs ...Observer) (*Result, error) {
 	if err := sc.lookupErr(); err != nil {
 		return nil, err
 	}
-	// The workload arrives through the streaming ingest: VM by VM, coarse
-	// series and chunk buffers dropped as records land, cancellable
-	// between records. Scenario.Materialize forces the legacy
-	// whole-Dataset path instead — same VMs byte for byte (the golden
-	// streamed-vs-materialized tests pin it), only the memory profile
-	// differs.
-	var vms []*VM
-	var err error
-	if sc.Materialize {
-		var ds *Dataset
-		if ds, err = GenerateTraces(sc.Workload); err == nil {
-			vms = model.VMsFromSeries(ds.Names, ds.Fine)
-		}
-	} else {
-		vms, err = vmsFor(ctx, sc.Workload)
-	}
+	// The workload arrives VM by VM, coarse series and chunk buffers
+	// dropped as records land, cancellable between records.
+	vms, err := vmsFor(ctx, sc.Workload)
 	if err != nil {
 		return nil, err
 	}

@@ -54,12 +54,6 @@ type Scenario struct {
 	CumulativeMatrix bool `json:"cumulative_matrix,omitempty"`
 	// Oracle replaces the predictor with perfect next-period knowledge.
 	Oracle bool `json:"oracle,omitempty"`
-	// Materialize forces the legacy whole-Dataset workload ingest instead
-	// of the streaming VM-by-VM path. It is a memory-path verification
-	// knob — results are byte-identical either way (the streaming
-	// contract), so the only reason to set it is to compare the two
-	// paths' residency or reproduce the pre-streaming behavior exactly.
-	Materialize bool `json:"materialize,omitempty"`
 	// Params are scenario-level component parameters, keyed by name and
 	// read by the component factories at Run time (see Build.Param):
 	// "thcost" and "alpha" tune the correlation-aware allocator,
@@ -168,10 +162,6 @@ func WithCumulativeMatrix(on bool) Option { return func(s *Scenario) { s.Cumulat
 
 // WithOracle enables perfect next-period prediction.
 func WithOracle(on bool) Option { return func(s *Scenario) { s.Oracle = on } }
-
-// WithMaterialize forces the legacy whole-Dataset workload ingest (see
-// Scenario.Materialize); results are identical to the streaming default.
-func WithMaterialize(on bool) Option { return func(s *Scenario) { s.Materialize = on } }
 
 // WithParam sets one scenario-level component parameter. The params map is
 // copied on first write, so scenarios derived from a shared base (as sweep

@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/objstore"
+	"repro/pkg/dcsim/model"
 )
 
 // recordSmallDir records an 8-VM synthetic workload as a trace directory
@@ -26,22 +30,54 @@ func recordSmallDir(t *testing.T) string {
 	return dir
 }
 
-// TestRunMaterializeByteIdentical pins the knob at the single-run level:
-// the default streamed ingest and WithMaterialize produce byte-identical
-// results.
-func TestRunMaterializeByteIdentical(t *testing.T) {
-	streamed, err := Run(context.Background(), New(smallOpts()...))
-	if err != nil {
-		t.Fatal(err)
+// TestStreamMatchesMaterialized pins the streaming data path on every
+// built-in kind: Run, which ingests the workload record by record, must
+// produce byte-identical results to RunVMs over the whole Dataset that
+// GenerateTraces materializes for the same workload.
+func TestStreamMatchesMaterialized(t *testing.T) {
+	dir := recordSmallDir(t)
+	store := httptest.NewServer(&objstore.DirServer{Dir: dir})
+	defer store.Close()
+	cases := []struct {
+		kind string
+		opts []Option
+	}{
+		{"datacenter", nil},
+		{"uncorrelated", nil},
+		{"trace-dir", []Option{WithTracePath(dir)}},
+		{"trace-obj", []Option{WithTracePath(store.URL),
+			WithWorkloadOption("cache_dir", filepath.Join(t.TempDir(), "cache"))}},
 	}
-	mat, err := Run(context.Background(), New(append(smallOpts(), WithMaterialize(true))...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, _ := json.Marshal(streamed)
-	mj, _ := json.Marshal(mat)
-	if !bytes.Equal(sj, mj) {
-		t.Fatalf("streamed run differs from materialized run:\n%s\nvs\n%s", sj, mj)
+	for _, c := range cases {
+		t.Run(c.kind, func(t *testing.T) {
+			for _, policy := range []string{"bfd", "corr-aware"} {
+				opts := append(smallOpts(), WithWorkloadKind(c.kind), WithPolicy(policy), WithRescaleEvery(12))
+				sc := New(append(opts, c.opts...)...)
+				streamed, err := Run(context.Background(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds, err := GenerateTraces(sc.Workload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mat, err := RunVMs(context.Background(), model.VMsFromSeries(ds.Names, ds.Fine), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sj, err := json.Marshal(streamed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mj, err := json.Marshal(mat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sj, mj) {
+					t.Fatalf("%s: streamed run differs from materialized run:\n%s\nvs\n%s", policy, sj, mj)
+				}
+			}
+		})
 	}
 }
 

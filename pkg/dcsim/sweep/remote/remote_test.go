@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -633,6 +635,63 @@ func TestHealthInfo(t *testing.T) {
 	}
 	if want := LocalCapabilities().Fingerprint(); hi.Capabilities != want {
 		t.Fatalf("capabilities fingerprint = %q, want %q", hi.Capabilities, want)
+	}
+}
+
+// TestRemovedKnobsRejected pins that inputs still naming the removed
+// "materialize" scenario field or "alloc_parallel" param fail loudly, with
+// the name in the error, at every entry point: scenario files, grid files,
+// a worker's /run, and a param on Run.
+func TestRemovedKnobsRejected(t *testing.T) {
+	scPath := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(scPath, []byte(`{"materialize": true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := dcsim.LoadScenario(scPath)
+
+	_, gridErr := sweep.DecodeGrid([]byte(`{"base": {"materialize": true}}`))
+
+	cells, err := tinyGrid().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(sweep.CellRun{Cell: cells[0], SeedStride: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(body, []byte(`"scenario":{`), []byte(`"scenario":{"materialize":true,`), 1)
+	srv := httptest.NewServer(&Server{})
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(srv.URL+runPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr runResponse
+	err = json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || rr.Error == nil || rr.Error.Code != CodeBadRequest {
+		t.Fatalf("worker /run with materialize: status %d, error %+v; want a %s 400", resp.StatusCode, rr.Error, CodeBadRequest)
+	}
+
+	sc := tinyGrid().Base
+	sc.SetParam("alloc_parallel", 2)
+	_, runErr := dcsim.Run(context.Background(), sc)
+
+	for _, c := range []struct {
+		surface, name string
+		err           error
+	}{
+		{"LoadScenario", "materialize", loadErr},
+		{"DecodeGrid", "materialize", gridErr},
+		{"worker /run", "materialize", rr.Error},
+		{"Run", "alloc_parallel", runErr},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.name) {
+			t.Errorf("%s: err = %v, want a rejection naming %q", c.surface, c.err, c.name)
+		}
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 	"repro/pkg/dcsim/sweep"
 )
 
-// resultCSV marshals the aggregate the streamed-vs-materialized contract
-// is pinned on. (The JSON report embeds each cell's scenario, whose
-// materialize field legitimately differs between the two paths.)
+// resultCSV marshals the aggregate the local-vs-remote contract is pinned
+// on.
 func resultCSV(t *testing.T, res *sweep.Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -21,52 +20,11 @@ func resultCSV(t *testing.T, res *sweep.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamedRemoteMatchesMaterialized pins the streaming data path
-// across the wire: the Materialize knob serializes through CellRun, so
-// remote workers running the legacy whole-Dataset ingest and remote
-// workers running the default streamed ingest both reproduce the local
-// streamed run byte for byte.
-func TestStreamedRemoteMatchesMaterialized(t *testing.T) {
-	g := tinyGrid()
-	local, err := sweep.Run(context.Background(), g, sweep.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultCSV(t, local)
-
-	// Remote, knob flipped: every worker materializes the whole Dataset.
-	m := tinyGrid()
-	m.Base.Materialize = true
-	exec, err := NewExecutor(cluster(t, 2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := remoteRun(t, m, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultCSV(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("remote materialized CSV differs from local streamed:\n%s\nvs\n%s", got, want)
-	}
-
-	// Remote, default streamed path.
-	exec, err = NewExecutor(cluster(t, 2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = remoteRun(t, g, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultCSV(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("remote streamed CSV differs from local streamed:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestStreamedRemoteTraceDir repeats the wire contract over a recorded
-// workload: remote workers streaming a trace directory chunk by chunk
-// reproduce the local materialized run byte for byte. (The httptest
-// workers run in-process, so the recording's path resolves for them.)
+// TestStreamedRemoteTraceDir pins the streaming data path across the
+// wire over a recorded workload: remote workers streaming a trace
+// directory chunk by chunk reproduce the local run byte for byte. (The
+// httptest workers run in-process, so the recording's path resolves for
+// them.)
 func TestStreamedRemoteTraceDir(t *testing.T) {
 	ds, err := dcsim.GenerateTraces(dcsim.Workload{Kind: "datacenter", VMs: 6, Groups: 2, Hours: 1, Seed: 1})
 	if err != nil {
@@ -80,7 +38,7 @@ func TestStreamedRemoteTraceDir(t *testing.T) {
 	g.Base.Workload = dcsim.Workload{Kind: "trace-dir", VMs: 6, Groups: 2, Hours: 1, Path: dir}
 	g.Replicas = 1 // recorded kinds are seed-invariant
 
-	local, err := sweep.Run(context.Background(), materializedGrid(g), sweep.Options{Workers: 1})
+	local, err := sweep.Run(context.Background(), g, sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +53,6 @@ func TestStreamedRemoteTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := resultCSV(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("remote streamed trace-dir CSV differs from local materialized:\n%s\nvs\n%s", got, want)
+		t.Fatalf("remote streamed trace-dir CSV differs from local:\n%s\nvs\n%s", got, want)
 	}
-}
-
-func materializedGrid(g sweep.Grid) sweep.Grid {
-	g.Base.Materialize = true
-	return g
 }

@@ -120,19 +120,10 @@ func OpenTraces(ctx context.Context, w Workload) (model.DatasetReader, error) {
 	return r, nil
 }
 
-// VMsFor produces the fine-grained VM population a Workload describes,
-// through the workload-kind registry. RunVMs accepts any VM population,
-// which is the seam ad-hoc trace sources plug into without registering.
-func VMsFor(w Workload) ([]*VM, error) {
-	return vmsFor(context.Background(), w)
-}
-
 // vmsFor is the engine's workload ingest: stream the records and keep only
-// what the full simulator declares it needs — the fine series (its
-// time-major per-sample accounting is the one consumer that genuinely
-// requires them resident) — dropping each record's coarse series and
-// chunk-buffer backing as it arrives. Cancelling ctx stops the ingest
-// between VM records.
+// the fine series, which the simulator's time-major per-sample accounting
+// walks, dropping each record's coarse series and chunk-buffer backing as
+// it arrives. Cancelling ctx stops the ingest between VM records.
 func vmsFor(ctx context.Context, w Workload) ([]*VM, error) {
 	r, err := OpenTraces(ctx, w)
 	if err != nil {

@@ -27,7 +27,7 @@ func TestWorkloadKindsListsBuiltins(t *testing.T) {
 }
 
 // TestGenerateTracesErrors: every bad workload description fails loudly,
-// through GenerateTraces and VMsFor alike.
+// through GenerateTraces and OpenTraces alike.
 func TestGenerateTracesErrors(t *testing.T) {
 	dir := t.TempDir() // empty: no manifest
 	cases := []struct {
@@ -49,8 +49,11 @@ func TestGenerateTracesErrors(t *testing.T) {
 		if _, err := GenerateTraces(c.w); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("GenerateTraces(%s): err = %v, want mention of %q", c.name, err, c.want)
 		}
-		if _, err := VMsFor(c.w); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("VMsFor(%s): err = %v, want mention of %q", c.name, err, c.want)
+		if r, err := OpenTraces(context.Background(), c.w); err == nil || !strings.Contains(err.Error(), c.want) {
+			if err == nil {
+				r.Close()
+			}
+			t.Errorf("OpenTraces(%s): err = %v, want mention of %q", c.name, err, c.want)
 		}
 		if err := CheckWorkload(c.w); err == nil {
 			t.Errorf("CheckWorkload(%s) accepted a description GenerateTraces rejects", c.name)

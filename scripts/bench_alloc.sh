@@ -2,10 +2,9 @@
 # bench_alloc.sh — run BenchmarkAllocatorScale (the scaling trajectory:
 # exact Fig.-2 semantics up to 2k VMs, blocked evaluation at 1k/2k/10k) and
 # BenchmarkAllocPhases (per-phase attribution: matrix-update, fill-scoring,
-# placement-total, each serial vs parallel) and record both in
-# BENCH_alloc.json, including the 1k→10k blocked scaling ratio
-# (sub-quadratic means ratio < 100 for 10× VMs) and the 2k-VM parallel
-# speedup (≈1.0 on single-core runners; the recorded gomaxprocs says which).
+# placement-total) and record both in BENCH_alloc.json, including the
+# 1k→10k blocked scaling ratio (sub-quadratic means ratio < 100 for 10×
+# VMs).
 #
 # Set ALLOC_CPUPROFILE=<path> to also capture a CPU profile of the 2k-VM
 # exact placement for offline inspection (CI uploads it as an artifact).
@@ -15,11 +14,6 @@ cd "$(dirname "$0")/.."
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 go test -run '^$' -bench 'BenchmarkAllocatorScale|BenchmarkAllocPhases' -benchtime 2x . | tee "$out"
-
-# The streaming-ingest series run once each: the 100k-VM headline row
-# (ingest + blocked placement) is wall-clock heavy, and live_MB is a
-# post-GC measurement that does not benefit from iteration averaging.
-go test -run '^$' -bench 'BenchmarkStreamIngest' -benchtime 1x . | tee -a "$out"
 
 if [ -n "${ALLOC_CPUPROFILE:-}" ]; then
 	echo "bench_alloc: recording CPU profile of the 2k-VM exact placement to $ALLOC_CPUPROFILE"
@@ -48,20 +42,12 @@ for line in open(sys.argv[1]):
                      "vms": int(m.group(3)), "ns_per_op": float(m.group(5))})
         if m.group(4):
             gomaxprocs = int(m.group(4))
-        continue
-    # BenchmarkStreamIngest/<series>/vms=<n>[-P]  iters  ns/op  live_MB
-    m = re.match(r'BenchmarkStreamIngest/(\w+)/vms=(\d+)(?:-(\d+))?\s+\d+\s+([\d.]+) ns/op\s+([\d.]+) live_MB', line)
-    if m:
-        rows.append({"phase": "ingest", "series": m.group(1), "vms": int(m.group(2)),
-                     "ns_per_op": float(m.group(4)), "live_mb": float(m.group(5))})
-        if m.group(3):
-            gomaxprocs = int(m.group(3))
 if not rows:
     sys.exit("bench_alloc: no benchmark rows parsed")
 
-def ns(series, vms, phase=None):
+def ns(series, vms):
     for r in rows:
-        if r["series"] == series and r["vms"] == vms and r.get("phase") == phase:
+        if r["series"] == series and r["vms"] == vms and "phase" not in r:
             return r["ns_per_op"]
     return None
 
@@ -71,26 +57,6 @@ lo, hi = ns("block=512", 1000), ns("block=512", 10000)
 if lo and hi:
     doc["blocked_scaling_1k_to_10k"] = round(hi / lo, 2)
     doc["sub_quadratic_1k_to_10k"] = hi / lo < 100.0
-def live(series, vms):
-    for r in rows:
-        if r.get("phase") == "ingest" and r["series"] == series and r["vms"] == vms:
-            return r.get("live_mb")
-    return None
-
-# The streaming data path's memory headline: the 100k-VM streamed ingest
-# (fold + blocked placement) must hold less live heap than the 10k-VM
-# materialized baseline — sublinear residency, 10x the VMs for less memory.
-mat10k, st100k = live("materialized", 10000), live("streamed", 100000)
-if mat10k and st100k:
-    doc["materialized_live_mb_10k"] = mat10k
-    doc["streamed_live_mb_100k"] = st100k
-    doc["stream_sublinear_100k_vs_10k_materialized"] = st100k < mat10k
-ser, par = ns("serial", 2000, "total"), ns("parallel", 2000, "total")
-if ser and par:
-    # Wall-clock ratio of the serial over the parallel 2k-VM placement
-    # (the total phase): > 1 means the fan-out wins. Meaningful only when
-    # gomaxprocs > 1 — on a single-core runner both series run serially.
-    doc["parallel_speedup_2k"] = round(ser / par, 2)
 with open("BENCH_alloc.json", "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")

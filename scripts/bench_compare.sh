@@ -69,7 +69,6 @@ if "rows" in cur:
     base_rows = {(r.get("phase", "scale"), r["series"], r["vms"]): r
                  for r in base.get("rows", [])}
     sums = {}
-    mem_sums = {}
     for r in cur["rows"]:
         key = (r.get("phase", "scale"), r["series"], r["vms"])
         br = base_rows.get(key)
@@ -84,23 +83,11 @@ if "rows" in cur:
               f"baseline {b:.4g} -> current {c:.4g} ({delta_pct:+.1f}%, informational)")
         bs, cs = sums.get(key[0], (0.0, 0.0))
         sums[key[0]] = (bs + b, cs + c)
-        # live_mb rides the same rows where recorded (the streaming-ingest
-        # series): gate summed resident memory per phase alongside wall
-        # time, so the bounded-memory ingest cannot silently regress back
-        # toward materialized residency.
-        bm, cm = br.get("live_mb"), r.get("live_mb")
-        if bm and cm and bm > 0 and cm > 0:
-            bs, cs = mem_sums.get(key[0], (0.0, 0.0))
-            mem_sums[key[0]] = (bs + bm, cs + cm)
     if sums:
         for phase in sorted(sums):
             bs, cs = sums[phase]
             if bs > 0 and cs > 0:
                 failures += gate(f"alloc phase {phase!r} wall time (summed ns/op)", bs, cs)
-        for phase in sorted(mem_sums):
-            bs, cs = mem_sums[phase]
-            if bs > 0 and cs > 0:
-                failures += gate(f"alloc phase {phase!r} live heap (summed MiB)", bs, cs)
     else:
         print("bench_compare: no comparable allocator rows; skipping")
 else:

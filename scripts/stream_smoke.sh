@@ -1,10 +1,10 @@
 #!/bin/sh
 # stream_smoke.sh — end-to-end smoke of the streaming workload data path
-# under memory pressure: record a 512-VM trace directory, sweep it with
-# the legacy materialized ingest (no memory limit) as the reference, then
-# sweep it through the default streamed ingest under a tight GOMEMLIMIT —
-# locally and through two remote workers also running under the limit —
-# and require every CSV report to be byte-identical to the reference.
+# under memory pressure: record a 512-VM trace directory, sweep it with no
+# memory limit as the reference, then sweep it again under a tight
+# GOMEMLIMIT — locally and through two remote workers also running under
+# the limit — and require every CSV report to be byte-identical to the
+# reference.
 #
 # GOMEMLIMIT is a soft GC target, not a kill switch, so the gate is
 # completion under the limit plus byte identity; the sweep's -v peak-heap
@@ -31,15 +31,15 @@ go build -o "$out/tracegen" ./cmd/tracegen
 "$out/tracegen" -dir "$out/recording" -vms 512 -groups 8 -hours 2 -per-file 32
 echo "stream_smoke: recorded 512 VMs ($(du -sh "$out/recording" | cut -f1))"
 
-# The determinism reference: the legacy whole-dataset ingest, unlimited.
+# The determinism reference: the same streamed sweep, unlimited.
 "$out/dcsim" sweep -grid examples/grids/stream-smoke.json \
-	-tracedir "$out/recording" -materialize -out "$out/ref" -quiet
+	-tracedir "$out/recording" -out "$out/ref" -quiet
 
 # The streamed path under the limit, with the peak-heap summary on.
 GOMEMLIMIT="$LIMIT" "$out/dcsim" sweep -grid examples/grids/stream-smoke.json \
 	-tracedir "$out/recording" -out "$out/stream" -quiet -v >"$out/stream.log"
 if ! cmp -s "$out/stream/stream-smoke.csv" "$out/ref/stream-smoke.csv"; then
-	echo "stream_smoke: streamed sweep CSV differs from materialized reference" >&2
+	echo "stream_smoke: streamed sweep CSV under GOMEMLIMIT differs from the unlimited reference" >&2
 	diff "$out/ref/stream-smoke.csv" "$out/stream/stream-smoke.csv" >&2 || true
 	exit 1
 fi
@@ -68,7 +68,7 @@ done
 	-remote http://127.0.0.1:18191,http://127.0.0.1:18192 \
 	-out "$out/remote" -quiet
 if ! cmp -s "$out/remote/stream-smoke.csv" "$out/ref/stream-smoke.csv"; then
-	echo "stream_smoke: remote streamed sweep CSV differs from materialized reference" >&2
+	echo "stream_smoke: remote streamed sweep CSV differs from the unlimited reference" >&2
 	diff "$out/ref/stream-smoke.csv" "$out/remote/stream-smoke.csv" >&2 || true
 	exit 1
 fi
