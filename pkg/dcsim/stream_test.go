@@ -30,6 +30,30 @@ func recordSmallDir(t *testing.T) string {
 	return dir
 }
 
+// TestRunMaterializeByteIdentical pins the default scenario at the
+// single-run level: Run's streamed ingest and RunVMs over the Dataset that
+// GenerateTraces materializes produce byte-identical results.
+func TestRunMaterializeByteIdentical(t *testing.T) {
+	sc := New(smallOpts()...)
+	streamed, err := Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := GenerateTraces(sc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := RunVMs(context.Background(), model.VMsFromSeries(ds.Names, ds.Fine), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, _ := json.Marshal(streamed)
+	mj, _ := json.Marshal(mat)
+	if !bytes.Equal(sj, mj) {
+		t.Fatalf("streamed run differs from materialized run:\n%s\nvs\n%s", sj, mj)
+	}
+}
+
 // TestStreamMatchesMaterialized pins the streaming data path on every
 // built-in kind: Run, which ingests the workload record by record, must
 // produce byte-identical results to RunVMs over the whole Dataset that
