@@ -79,34 +79,30 @@ func serveMain(args []string) {
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}
+	// -remote and -fleet both dispatch over a fleet registry.
 	var reg *fleet.Registry
 	switch {
 	case *remotes != "":
-		exec, err := remote.NewExecutor(remote.SplitURLList(*remotes),
-			remote.WithInFlight(*inflight), remote.WithLocalSlots(*local))
-		if err != nil {
+		// A fixed-member fleet, but not cfg.Fleet: there is no membership
+		// to serve on /fleet or export as dcsim_fleet_* metrics.
+		var err error
+		if reg, err = fleet.NewStaticRegistry(remote.SplitURLList(*remotes)); err != nil {
 			log.Fatal(err)
 		}
+		urls := memberURLs(reg)
 		if !*nocheck {
 			// Per-grid capability checks happen at submission time via
 			// grid validation on the service side; here just make sure
 			// the fleet is reachable before accepting jobs for it.
-			if err := exec.Preflight(context.Background()); err != nil {
+			if err := remote.Preflight(context.Background(), http.DefaultClient, urls); err != nil {
 				log.Fatal(err)
 			}
 		}
-		cfg.Executor = exec
 		if cfg.Workers == 0 {
-			cfg.Workers = exec.Capacity()
+			cfg.Workers = len(urls)**inflight + *local
 		}
 	case *useFleet:
 		reg = fleet.NewRegistry(fleet.Config{MissThreshold: *fleetMiss, Logf: log.Printf})
-		exec, err := fleet.NewExecutor(reg,
-			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Executor = exec
 		cfg.Fleet = reg
 		if cfg.Workers == 0 {
 			// The fleet's capacity is dynamic: pick a generous fan-out (the
@@ -114,6 +110,15 @@ func serveMain(args []string) {
 			// block cheaply while the fleet is smaller).
 			cfg.Workers = 32
 		}
+	}
+	if reg != nil {
+		defer reg.Close()
+		exec, err := fleet.NewExecutor(reg,
+			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.Executor = exec
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -127,7 +132,7 @@ func serveMain(args []string) {
 	}
 	log.Printf("service listening on %s (queue %d, %d concurrent job(s) × %d workers)",
 		ln.Addr(), *queueCap, cfg.Concurrency, cfg.Workers)
-	if reg != nil {
+	if cfg.Fleet != nil {
 		log.Printf("fleet coordinator mounted on /fleet — join workers with: dcsim worker -register http://<this-host>:%d",
 			ln.Addr().(*net.TCPAddr).Port)
 	}
@@ -156,9 +161,6 @@ func serveMain(args []string) {
 		mgr.Drain(drainCtx)
 		cancel()
 		mgr.Close()
-		if reg != nil {
-			reg.Close()
-		}
 		shutdownCtx, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel2()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {

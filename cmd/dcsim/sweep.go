@@ -127,23 +127,24 @@ func sweepMain(args []string) {
 	defer stop()
 
 	opts := sweep.Options{Workers: *workers}
+	// -remote and -fleet both dispatch over a fleet registry: a static
+	// worker list is a fleet whose members are fixed, with no
+	// registration or heartbeats.
+	var reg *fleet.Registry
+	members := 0
 	if *remotes != "" {
-		exec, err := remote.NewExecutor(remote.SplitURLList(*remotes),
-			remote.WithInFlight(*inflight), remote.WithLocalSlots(*local))
-		if err != nil {
+		if reg, err = fleet.NewStaticRegistry(remote.SplitURLList(*remotes)); err != nil {
 			log.Fatal(err)
 		}
+		urls := memberURLs(reg)
+		members = len(urls)
 		if !*nocheck {
 			// Health plus capabilities: every worker must resolve every
 			// component the grid selects, so registry mismatches fail
 			// here instead of mid-sweep.
-			if err := exec.PreflightGrid(ctx, g); err != nil {
+			if err := remote.PreflightGrid(ctx, http.DefaultClient, urls, g); err != nil {
 				log.Fatal(err)
 			}
-		}
-		opts.Executor = exec
-		if *workers == 0 {
-			opts.Workers = exec.Capacity()
 		}
 	}
 	if *fleetAddr != "" {
@@ -151,8 +152,7 @@ func sweepMain(args []string) {
 		// endpoints, wait for -fleet-min workers to join, and dispatch over
 		// whatever the fleet holds as the sweep runs. Workers joining later
 		// absorb queued runs; workers dying have theirs stolen back.
-		reg := fleet.NewRegistry(fleet.Config{MissThreshold: *fleetMiss, Logf: log.Printf})
-		defer reg.Close()
+		reg = fleet.NewRegistry(fleet.Config{MissThreshold: *fleetMiss, Logf: log.Printf})
 		fln, err := net.Listen("tcp", *fleetAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -165,6 +165,10 @@ func sweepMain(args []string) {
 		if err := reg.WaitForMembers(ctx, *fleetMin); err != nil {
 			log.Fatal(err)
 		}
+		members = *fleetMin
+	}
+	if reg != nil {
+		defer reg.Close()
 		exec, err := fleet.NewExecutor(reg,
 			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
 		if err != nil {
@@ -172,10 +176,11 @@ func sweepMain(args []string) {
 		}
 		opts.Executor = exec
 		if *workers == 0 {
-			// The fleet can grow mid-sweep, so size the fan-out past the
-			// initial membership; surplus dispatch slots block cheaply.
-			if opts.Workers = *fleetMin**inflight + *local; opts.Workers < runtime.GOMAXPROCS(0) {
-				opts.Workers = runtime.GOMAXPROCS(0)
+			opts.Workers = members**inflight + *local
+			if *fleetAddr != "" {
+				// The fleet can grow mid-sweep: size the fan-out past the
+				// initial membership; surplus slots block cheaply.
+				opts.Workers = max(opts.Workers, runtime.GOMAXPROCS(0))
 			}
 		}
 	}
@@ -274,6 +279,15 @@ func sweepMain(args []string) {
 	if runErr != nil {
 		os.Exit(1)
 	}
+}
+
+// memberURLs lists a registry's (normalized) member URLs in join order.
+func memberURLs(reg *fleet.Registry) []string {
+	var urls []string
+	for _, m := range reg.Members() {
+		urls = append(urls, m.URL)
+	}
+	return urls
 }
 
 // sampleHeapPeak records the high-water HeapAlloc on a short ticker until

@@ -1,5 +1,5 @@
-// Example distributed demonstrates the remote sweep executor end to end
-// inside one process: it starts three HTTP workers on loopback listeners
+// Example distributed demonstrates a distributed sweep end to end inside
+// one process: it starts three HTTP workers on loopback listeners
 // (each one exactly what "dcsim worker -listen" serves), fans a grid out
 // to them — mixed with two in-process slots — and verifies the aggregate
 // bytes are identical to a purely local run of the same grid. Across real
@@ -16,6 +16,7 @@ import (
 
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/sweep"
+	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
 
@@ -63,16 +64,21 @@ func main() {
 
 	// Remote: three workers, two requests in flight each, plus two
 	// in-process slots (the mixed mode "dcsim sweep -remote ... -local 2"
-	// wires up).
-	exec, err := remote.NewExecutor(urls, remote.WithInFlight(2), remote.WithLocalSlots(2))
+	// wires up) on a static fleet.
+	if err := remote.Preflight(context.Background(), http.DefaultClient, urls); err != nil {
+		log.Fatal(err)
+	}
+	reg, err := fleet.NewStaticRegistry(urls)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := exec.Preflight(context.Background()); err != nil {
+	defer reg.Close()
+	exec, err := fleet.NewExecutor(reg, fleet.WithInFlight(2), fleet.WithLocalSlots(2))
+	if err != nil {
 		log.Fatal(err)
 	}
 	remoteRes, err := sweep.Run(context.Background(), grid, sweep.Options{
-		Workers:  exec.Capacity(),
+		Workers:  len(urls)*2 + 2,
 		Executor: exec,
 	})
 	if err != nil {

@@ -25,6 +25,7 @@ import (
 
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/sweep"
+	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
 
@@ -97,15 +98,21 @@ func main() {
 	// the kind-aware preflight: still the same bytes.
 	url, stop := startWorker()
 	defer stop()
-	exec, err := remote.NewExecutor([]string{url}, remote.WithInFlight(4))
+	urls := []string{url}
+	if err := remote.PreflightGrid(context.Background(), http.DefaultClient, urls, recordedGrid); err != nil {
+		log.Fatal(err)
+	}
+	reg, err := fleet.NewStaticRegistry(urls)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := exec.PreflightGrid(context.Background(), recordedGrid); err != nil {
+	defer reg.Close()
+	exec, err := fleet.NewExecutor(reg, fleet.WithInFlight(4))
+	if err != nil {
 		log.Fatal(err)
 	}
 	remoteRes, err := sweep.Run(context.Background(), recordedGrid, sweep.Options{
-		Workers:  exec.Capacity(),
+		Workers:  4,
 		Executor: exec,
 	})
 	if err != nil {
@@ -128,7 +135,7 @@ func main() {
 	// naming the worker and the kind — before any cell is shipped.
 	badGrid := recordedGrid
 	badGrid.Base.Workload.Kind = "object-store"
-	if err := exec.PreflightGrid(context.Background(), badGrid); err == nil {
+	if err := remote.PreflightGrid(context.Background(), http.DefaultClient, urls, badGrid); err == nil {
 		log.Fatal("preflight accepted a workload kind no worker registered")
 	} else {
 		fmt.Printf("unregistered kind rejected in preflight, as it must be:\n  %v\n", err)

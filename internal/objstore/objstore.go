@@ -14,10 +14,10 @@
 // object and re-reads nothing, across runs and across sweep processes
 // sharing a cache directory.
 //
-// Failures follow the remote executor's taxonomy (pkg/dcsim/sweep/remote):
-// transport-level faults — connection errors, timeouts, truncated bodies,
-// 5xx — are transient and retried with bounded exponential backoff under a
-// deterministic jitter (RetryPolicy mirrors remote.RetryPolicy); anything
+// Failures follow the sweep worker protocol's taxonomy
+// (pkg/dcsim/sweep/remote): transport-level faults — connection errors,
+// timeouts, truncated bodies, 5xx — are transient and retried with the
+// repository's one bounded exponential backoff (internal/backoff); anything
 // the store asserts about the object itself — 404, other non-5xx statuses,
 // an ETag flip mid-read — is deterministic and surfaced untried, because
 // retrying it would fail identically everywhere.
@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/tracedir"
 	"repro/pkg/dcsim/model"
 )
@@ -103,82 +104,6 @@ func (e *TransientError) Error() string {
 // Unwrap exposes the final attempt's failure.
 func (e *TransientError) Unwrap() error { return e.Err }
 
-// RetryPolicy shapes the delay between a transient fetch failure and its
-// retry: bounded exponential backoff with deterministic jitter, the same
-// shape the remote executor's RetryPolicy has. Delay is a pure function of
-// (Seed, object, attempt), so retry timing is reproducible run to run
-// while distinct objects still spread out.
-type RetryPolicy struct {
-	// Base is the delay scale of the first retry; attempt k scales it by
-	// 2^k. 0 selects 50ms.
-	Base time.Duration
-	// Max caps the backoff. 0 selects 2s.
-	Max time.Duration
-	// Seed keys the jitter hash; the zero seed is valid and the default.
-	Seed int64
-}
-
-// withDefaults resolves the zero-value policy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Base <= 0 {
-		p.Base = 50 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 2 * time.Second
-	}
-	return p
-}
-
-// Delay returns the backoff before retry number attempt (0-based) of a
-// fetch of the named object: half the capped exponential step plus a
-// jittered half, hashed from (Seed, object name, attempt).
-func (p RetryPolicy) Delay(object string, attempt int) time.Duration {
-	p = p.withDefaults()
-	if attempt < 0 {
-		attempt = 0
-	}
-	d := p.Base
-	for i := 0; i < attempt && d < p.Max; i++ {
-		d *= 2
-	}
-	if d > p.Max {
-		d = p.Max
-	}
-	h := fnv1a(uint64(p.Seed), fnv1aString(object), uint64(attempt))
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + int64(h%uint64(half)))
-}
-
-// fnv1a hashes a tuple of words with 64-bit FNV-1a.
-func fnv1a(words ...uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-// fnv1aString hashes a string with 64-bit FNV-1a.
-func fnv1aString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // stats is the package's cumulative fetch/cache instrumentation, global so
 // every Fetcher a sweep constructs feeds the same counters the OpenMetrics
 // exporter and `dcsim sweep -v` read.
@@ -209,8 +134,8 @@ type Fetcher struct {
 	Client *http.Client
 	// Cache, when non-nil, holds fetched objects keyed by (URL, ETag).
 	Cache *Cache
-	// Retry shapes the transient-failure backoff.
-	Retry RetryPolicy
+	// Retry shapes the transient-failure backoff, keyed by object URL.
+	Retry backoff.Policy
 	// Attempts bounds tries per HTTP operation (0 = DefaultAttempts).
 	Attempts int
 	// PartSize bounds each range read (0 = DefaultPartSize).
@@ -332,7 +257,7 @@ func (f *Fetcher) do(ctx context.Context, method, url, rangeHdr string, check fu
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			stats.retries.Add(1)
-			if err := sleepCtx(ctx, f.Retry.Delay(url, attempt-1)); err != nil {
+			if err := backoff.Sleep(ctx, f.Retry.Delay(attempt-1, backoff.Key(url))); err != nil {
 				return nil, err
 			}
 		}
@@ -475,21 +400,6 @@ func (f *Fetcher) doRange(ctx context.Context, url string, off, end int64) (*htt
 			}
 			return nil
 		})
-}
-
-// sleepCtx waits d or until ctx ends.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // snippet bounds an HTTP body for error messages.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/tracedir"
 	"repro/pkg/dcsim/model"
 )
@@ -420,13 +421,14 @@ func TestOptionErrors(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyDeterministic pins the backoff shape: pure in its inputs,
-// bounded by Max, and non-trivial across attempts.
+// TestRetryPolicyDeterministic pins the backoff shape the fetcher uses
+// (the shared policy keyed by object name): pure in its inputs, bounded by
+// Max, and non-trivial across attempts.
 func TestRetryPolicyDeterministic(t *testing.T) {
-	p := RetryPolicy{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Seed: 7}
+	p := backoff.Policy{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Seed: 7}
 	for attempt := 0; attempt < 6; attempt++ {
-		a := p.Delay("obj", attempt)
-		b := p.Delay("obj", attempt)
+		a := p.Delay(attempt, backoff.Key("obj"))
+		b := p.Delay(attempt, backoff.Key("obj"))
 		if a != b {
 			t.Fatalf("Delay(obj, %d) not deterministic: %v vs %v", attempt, a, b)
 		}
@@ -434,7 +436,7 @@ func TestRetryPolicyDeterministic(t *testing.T) {
 			t.Fatalf("Delay(obj, %d) = %v outside (0, %v]", attempt, a, p.Max)
 		}
 	}
-	if p.Delay("obj-a", 1) == p.Delay("obj-b", 1) {
+	if p.Delay(1, backoff.Key("obj-a")) == p.Delay(1, backoff.Key("obj-b")) {
 		t.Fatal("jitter ignores the object name")
 	}
 }

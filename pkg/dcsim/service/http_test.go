@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/pkg/dcsim/sweep"
+	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
 
@@ -138,7 +139,12 @@ func TestHTTPDeterminismLocal(t *testing.T) {
 func TestHTTPDeterminismMixedRemote(t *testing.T) {
 	worker := httptest.NewServer(&remote.Server{})
 	defer worker.Close()
-	exec, err := remote.NewExecutor([]string{worker.URL}, remote.WithLocalSlots(1))
+	reg, err := fleet.NewStaticRegistry([]string{worker.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	exec, err := fleet.NewExecutor(reg, fleet.WithLocalSlots(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,12 +78,12 @@ type Config struct {
 	Concurrency int
 	// Workers is the sweep.Options.Workers value for every job: the
 	// concurrent runs within one job. 0 selects GOMAXPROCS (or, via
-	// `dcsim serve`, the remote executor's capacity).
+	// `dcsim serve -remote`, workers × in-flight + local slots).
 	Workers int
 	// Executor runs each job's cell-replicas. Nil selects the
-	// in-process LocalExecutor; a remote.Executor fans jobs out to an
-	// HTTP worker fleet instead. It is shared by all jobs and must be
-	// safe for concurrent use (both bundled executors are).
+	// in-process LocalExecutor; a fleet.Executor fans jobs out to a
+	// fixed or elastic set of HTTP workers instead. It is shared by all
+	// jobs and must be safe for concurrent use (both bundled executors are).
 	Executor sweep.Executor
 	// Fleet, when set, is the elastic-fleet membership this service
 	// coordinates: Server mounts its /fleet endpoints (registration,

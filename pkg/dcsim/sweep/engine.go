@@ -63,7 +63,7 @@ type Options struct {
 	// Observers receive per-cell completion events.
 	Observers []Observer
 	// Executor runs each cell-replica. Nil selects an in-process
-	// LocalExecutor; sweep/remote provides one that fans runs out to
+	// LocalExecutor; sweep/fleet provides one that fans runs out to
 	// HTTP workers instead.
 	Executor Executor
 	// RunObservers, when set, supplies dcsim Observers for each

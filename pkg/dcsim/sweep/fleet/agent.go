@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // AgentConfig tells an Agent who it is and where the coordinator lives.
@@ -154,7 +156,7 @@ func (a *Agent) register(ctx context.Context) (string, time.Duration, error) {
 			return resp.ID, interval, nil
 		}
 		a.logf("fleet: register with %s failed (%v), retrying", a.cfg.Coordinator, err)
-		if serr := sleepCtx(ctx, 500*time.Millisecond); serr != nil {
+		if serr := backoff.Sleep(ctx, 500*time.Millisecond); serr != nil {
 			return "", 0, fmt.Errorf("fleet: register with %s: %w (last failure: %v)", a.cfg.Coordinator, serr, err)
 		}
 	}

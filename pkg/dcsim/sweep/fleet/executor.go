@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
+	"repro/internal/backoff"
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/sweep"
 	"repro/pkg/dcsim/sweep/remote"
@@ -22,7 +22,8 @@ import (
 // collector folds them in replica order, so the aggregate bytes never
 // depend on fleet shape or churn timing.
 //
-// Use it as sweep.Options.Executor:
+// Use it as sweep.Options.Executor (over NewStaticRegistry for a fixed
+// worker list):
 //
 //	reg := fleet.NewRegistry(fleet.Config{})
 //	// ... serve fleet.NewHandler(reg) so workers can join ...
@@ -41,7 +42,7 @@ type config struct {
 	inFlight   int
 	localSlots int
 	client     *http.Client
-	retry      remote.RetryPolicy
+	retry      backoff.Policy
 }
 
 // Option configures NewExecutor.
@@ -61,8 +62,9 @@ func WithLocalSlots(n int) Option { return func(c *config) { c.localSlots = n } 
 func WithHTTPClient(client *http.Client) Option { return func(c *config) { c.client = client } }
 
 // WithRetry replaces the default retry policy (50ms base, 2s cap, seed 0)
-// shaping the backoff between a failed dispatch and its re-execution.
-func WithRetry(p remote.RetryPolicy) Option { return func(c *config) { c.retry = p } }
+// shaping the backoff between a failed dispatch and its re-execution, and
+// capping the wait a busy worker's Retry-After asks for.
+func WithRetry(p remote.RetryPolicy) Option { return func(c *config) { c.retry = backoff.Policy(p) } }
 
 // NewExecutor builds a fleet executor over the registry. The fleet may be
 // empty at construction: dispatch waits for capacity, and only an
@@ -137,12 +139,10 @@ func (e *Executor) ExecuteCell(ctx context.Context, run sweep.CellRun) (*dcsim.R
 			lastErr = fmt.Errorf("member %s (%s): draining", m.id, m.url)
 		case errors.As(err, &we) && we.Code == remote.CodeBusy:
 			// Loaded, not dead: wait out its Retry-After hint or our
-			// backoff, whichever is longer, and try again.
-			d := e.cfg.retry.Delay(run.Cell.Index, run.Replica, attempt)
-			if we.RetryAfter > d {
-				d = we.RetryAfter
-			}
-			if err := sleepCtx(ctx, d); err != nil {
+			// backoff, whichever is longer — but never past the policy's
+			// cap — and try again.
+			d := e.cfg.retry.Hinted(we.RetryAfter, attempt, uint64(run.Cell.Index), uint64(run.Replica))
+			if err := backoff.Sleep(ctx, d); err != nil {
 				return nil, err
 			}
 			attempt++
@@ -167,7 +167,7 @@ func (e *Executor) ExecuteCell(ctx context.Context, run sweep.CellRun) (*dcsim.R
 			e.reg.ReportFailure(m.id, te.Err)
 			e.reg.noteStolen()
 			lastErr = fmt.Errorf("member %s (%s): %v", m.id, m.url, te.Err)
-			if err := sleepCtx(ctx, e.cfg.retry.Delay(run.Cell.Index, run.Replica, attempt)); err != nil {
+			if err := backoff.Sleep(ctx, e.cfg.retry.Delay(attempt, uint64(run.Cell.Index), uint64(run.Replica))); err != nil {
 				return nil, err
 			}
 			attempt++
@@ -195,29 +195,17 @@ func (e *Executor) acquire(ctx context.Context) (*member, error) {
 		if m != nil {
 			return m, nil
 		}
-		if e.localTokens != nil {
-			select {
-			case <-e.localTokens:
-				return nil, nil
-			default:
-			}
-		} else if routable == 0 {
+		if e.localTokens == nil && routable == 0 {
 			return nil, fmt.Errorf("%w (cell dispatch found an empty fleet)", ErrNoWorkers)
 		}
-		if e.localTokens != nil {
-			select {
-			case <-e.localTokens:
-				return nil, nil
-			case <-ch:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		} else {
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+		// Receiving from the nil localTokens (no local slots) blocks
+		// forever, so one select serves both modes.
+		select {
+		case <-e.localTokens:
+			return nil, nil
+		case <-ch:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -234,20 +222,4 @@ func (e *Executor) runOnMember(ctx context.Context, m *member, run sweep.CellRun
 	stop := context.AfterFunc(m.ctx, cancel)
 	defer stop()
 	return remote.RunCell(rctx, e.cfg.client, m.url, run)
-}
-
-// sleepCtx waits d or until ctx ends, returning ctx's error in the latter
-// case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -1,9 +1,11 @@
-// Package fleet makes sweep execution elastic: instead of the static URL
-// list sweep/remote fans out to, a coordinator-side Registry tracks a
-// membership of workers that announce themselves and heartbeat, and a
-// fleet-aware Executor dispatches cell-replicas over the *current* member
-// set — admitting workers that join mid-sweep and stealing back the
-// unacknowledged runs of workers that die or drain.
+// Package fleet dispatches sweep execution over HTTP workers: a
+// coordinator-side Registry tracks a membership of workers that announce
+// themselves and heartbeat, and a fleet-aware Executor dispatches
+// cell-replicas over the *current* member set — admitting workers that
+// join mid-sweep and stealing back the unacknowledged runs of workers
+// that die or drain. A fixed worker list (`-remote host1,host2`) is the
+// degenerate fleet: NewStaticRegistry seeds the members, with no
+// heartbeats, and the same Executor serves it.
 //
 // The pieces, coordinator side:
 //
@@ -30,8 +32,7 @@
 //     on the interval, re-register when the coordinator forgot us, report
 //     "draining" during the drain window, deregister on the way out.
 //
-// The determinism contract is the same one sweep/remote pins, and it is
-// non-negotiable: every (cell, replica) run completes exactly once from
+// The determinism contract is non-negotiable: every (cell, replica) run completes exactly once from
 // the collector's point of view, runs are deterministic, and the collector
 // folds them in replica order — so a sweep's aggregate bytes are identical
 // to LocalExecutor's regardless of fleet shape or churn timing. Workers

@@ -23,7 +23,9 @@ const (
 //
 // Failures answer a JSON envelope {"error": {"code", "message"}}; a
 // heartbeat for an expired member is 404 "unknown_member" — the Agent's
-// cue to re-register. Mount it on the coordinator's listener (`dcsim
+// cue to re-register — and a body that does not decode, or names a status
+// other than ok/alive/draining or an out-of-range interval, is 400
+// "bad_request". Mount it on the coordinator's listener (`dcsim
 // sweep -fleet` and `dcsim serve -fleet` do).
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -53,8 +55,11 @@ func NewHandler(reg *Registry) http.Handler {
 			writeFleetError(w, http.StatusBadRequest, "bad_request", "decode heartbeat: "+err.Error())
 			return
 		}
-		if err := reg.Heartbeat(r.PathValue("id"), hb); err != nil {
+		if err := reg.Heartbeat(r.PathValue("id"), hb); errors.Is(err, ErrUnknownMember) {
 			writeFleetError(w, http.StatusNotFound, "unknown_member", err.Error())
+			return
+		} else if err != nil {
+			writeFleetError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		writeFleetJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -56,7 +57,7 @@ type member struct {
 	dispatched int   // coordinator-side: runs the executor has on it
 	gone       bool
 
-	timer  *time.Timer     // expiry watchdog, reset on every beat
+	timer  *time.Timer     // expiry watchdog, reset on every beat; nil for static members
 	ctx    context.Context // cancelled when the member is removed
 	cancel context.CancelFunc
 }
@@ -114,8 +115,41 @@ func (r *Registry) changedChan() <-chan struct{} {
 	return r.changed
 }
 
-// normalizeURL applies the worker-URL normalization the static executor
-// uses: trim, default the scheme to http, drop trailing slashes.
+// NewStaticRegistry builds the registry a fixed worker list (`-remote
+// host1,host2`) runs on: every URL is a member from the start, with no
+// heartbeat watchdog, leaving only on ReportFailure and draining only on
+// MarkDraining. Blank and duplicate URLs are rejected by name, as is an
+// empty list.
+func NewStaticRegistry(urls []string) (*Registry, error) {
+	r := NewRegistry(Config{})
+	if err := r.addStatic(urls); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// addStatic admits the fixed members of a static registry.
+func (r *Registry) addStatic(urls []string) error {
+	if len(urls) == 0 {
+		return fmt.Errorf("fleet: no worker URLs")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, raw := range urls {
+		url, err := normalizeURL(raw)
+		if err != nil {
+			return fmt.Errorf("%w: %q", err, raw)
+		}
+		if r.byURL[url] != nil {
+			return fmt.Errorf("fleet: duplicate worker URL %s", url)
+		}
+		r.addLocked(url, "", 0, false)
+	}
+	return nil
+}
+
+// normalizeURL is the one worker-URL normalization: trim, default the
+// scheme to http, drop trailing slashes.
 func normalizeURL(raw string) (string, error) {
 	u := strings.TrimRight(strings.TrimSpace(raw), "/")
 	if u == "" {
@@ -127,6 +161,21 @@ func normalizeURL(raw string) (string, error) {
 	return u, nil
 }
 
+// maxIntervalMS keeps an interval's watchdog deadline in Duration range.
+const maxIntervalMS = math.MaxInt64 / 2 / int64(time.Millisecond)
+
+// parseStatus parses a worker-reported status: "" or ok/alive is routable,
+// "draining" is not, and anything else is an error.
+func parseStatus(status string) (bool, error) {
+	switch status {
+	case "", StateAlive, "ok":
+		return false, nil
+	case StateDraining:
+		return true, nil
+	}
+	return false, fmt.Errorf("fleet: unknown status %q (want ok, alive or draining)", status)
+}
+
 // Register admits a worker into the fleet (or refreshes it: registering
 // a URL already present replaces the old record, as a restarted worker
 // does). The response names the member ID heartbeats must carry and the
@@ -135,6 +184,13 @@ func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
 	url, err := normalizeURL(req.URL)
 	if err != nil {
 		return RegisterResponse{}, err
+	}
+	drain, err := parseStatus(req.Status)
+	if err != nil {
+		return RegisterResponse{}, err
+	}
+	if req.IntervalMS > maxIntervalMS {
+		return RegisterResponse{}, fmt.Errorf("fleet: heartbeat interval %dms out of range", req.IntervalMS)
 	}
 	interval := time.Duration(req.IntervalMS) * time.Millisecond
 	if interval <= 0 {
@@ -155,25 +211,8 @@ func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
 		// and let the executor steal them onto the new member set.
 		r.removeLocked(old, "replaced by re-registration")
 	}
-	r.seq++
-	now := time.Now()
-	ctx, cancel := context.WithCancel(context.Background())
-	m := &member{
-		id:          fmt.Sprintf("w%d", r.seq),
-		url:         url,
-		fingerprint: req.Capabilities,
-		interval:    interval,
-		joined:      now,
-		lastBeat:    now,
-		draining:    req.Status == StateDraining || req.Status == "draining",
-		ctx:         ctx,
-		cancel:      cancel,
-	}
+	m := r.addLocked(url, req.Capabilities, interval, drain)
 	m.timer = time.AfterFunc(watchdog(interval), func() { r.onBeatDue(m) })
-	r.members[m.id] = m
-	r.byURL[url] = m
-	r.order = append(r.order, m)
-	r.registrations++
 	// Capability drift is worth a line the moment it appears: two members
 	// with different fingerprints cannot both serve every grid.
 	for _, other := range r.order {
@@ -194,10 +233,39 @@ func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
 	}, nil
 }
 
+// addLocked links a new member into the registry; callers hold r.mu and
+// arm the expiry watchdog themselves (static members have none).
+func (r *Registry) addLocked(url, fingerprint string, interval time.Duration, drain bool) *member {
+	r.seq++
+	now := time.Now()
+	ctx, cancel := context.WithCancel(context.Background())
+	m := &member{
+		id:          fmt.Sprintf("w%d", r.seq),
+		url:         url,
+		fingerprint: fingerprint,
+		interval:    interval,
+		joined:      now,
+		lastBeat:    now,
+		draining:    drain,
+		ctx:         ctx,
+		cancel:      cancel,
+	}
+	r.members[m.id] = m
+	r.byURL[url] = m
+	r.order = append(r.order, m)
+	r.registrations++
+	return m
+}
+
 // Heartbeat records one beat from a member: freshness, status, and the
 // worker's self-reported load. An unknown (typically expired) member gets
-// ErrUnknownMember — the cue to re-register.
+// ErrUnknownMember — the cue to re-register; a status other than
+// ok/alive/draining is rejected and changes nothing.
 func (r *Registry) Heartbeat(id string, hb HeartbeatRequest) error {
+	drain, err := parseStatus(hb.Status)
+	if err != nil {
+		return err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.members[id]
@@ -207,20 +275,17 @@ func (r *Registry) Heartbeat(id string, hb HeartbeatRequest) error {
 	m.lastBeat = time.Now()
 	m.missed = 0
 	m.inflight = hb.Inflight
-	m.timer.Reset(watchdog(m.interval))
-	switch hb.Status {
-	case "", StateAlive, "ok":
-		if m.draining {
-			m.draining = false
-			r.logf("fleet: member %s (%s) back to alive", m.id, m.url)
-			r.broadcastLocked()
-		}
-	case StateDraining:
-		if !m.draining {
-			m.draining = true
+	if m.timer != nil {
+		m.timer.Reset(watchdog(m.interval))
+	}
+	if drain != m.draining {
+		m.draining = drain
+		if drain {
 			r.logf("fleet: member %s (%s) draining — no new runs routed to it", m.id, m.url)
-			r.broadcastLocked()
+		} else {
+			r.logf("fleet: member %s (%s) back to alive", m.id, m.url)
 		}
+		r.broadcastLocked()
 	}
 	return nil
 }
@@ -305,7 +370,9 @@ func (r *Registry) expireLocked(m *member, reason string) {
 // r.mu and broadcast afterwards if the removal should wake waiters.
 func (r *Registry) removeLocked(m *member, reason string) {
 	m.gone = true
-	m.timer.Stop()
+	if m.timer != nil {
+		m.timer.Stop()
+	}
 	m.cancel()
 	delete(r.members, m.id)
 	if r.byURL[m.url] == m {

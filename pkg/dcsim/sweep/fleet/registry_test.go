@@ -369,3 +369,112 @@ func TestNormalizeURL(t *testing.T) {
 		t.Fatal("blank URL must fail")
 	}
 }
+
+// TestStaticRegistry pins the fixed-member registry a -remote worker list
+// runs on: URL normalization, blank and duplicate rejection by name, no
+// heartbeat watchdog, and removal only on ReportFailure.
+func TestStaticRegistry(t *testing.T) {
+	// Scheme-less URLs normalize to http and trailing slashes drop.
+	reg, err := NewStaticRegistry([]string{"host1:8070", "http://host2:8070/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ms := reg.Members()
+	if len(ms) != 2 || ms[0].URL != "http://host1:8070" || ms[1].URL != "http://host2:8070" ||
+		ms[0].State != StateAlive {
+		t.Fatalf("members = %+v", ms)
+	}
+
+	for _, c := range []struct {
+		urls []string
+		want string
+	}{
+		{nil, "no worker URLs"},
+		{[]string{"http://a:1", "  "}, `"  "`},
+		{[]string{"a:1", "http://a:1/"}, "duplicate worker URL http://a:1"},
+	} {
+		if _, err := NewStaticRegistry(c.urls); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("NewStaticRegistry(%q) = %v, want an error naming %s", c.urls, err, c.want)
+		}
+	}
+
+	// Static members have no watchdog: with a short default interval and
+	// a one-miss threshold, three intervals pass without a miss or an
+	// expiry.
+	short := NewRegistry(Config{DefaultInterval: 5 * time.Millisecond, MinInterval: time.Millisecond, MissThreshold: 1})
+	defer short.Close()
+	if err := short.addStatic([]string{"http://w:1", "http://w:2"}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * 5 * time.Millisecond)
+	if s := short.Stats(); s.HeartbeatMisses != 0 || s.Expirations != 0 || s.Alive != 2 {
+		t.Fatalf("static members missed beats: %+v", s)
+	}
+
+	// A transport failure still removes a static member (no timer to
+	// stop), and the rest stay routable.
+	id := short.Members()[0].ID
+	short.ReportFailure(id, errors.New("connection refused"))
+	if ms := short.Members(); len(ms) != 1 || ms[0].ID == id {
+		t.Fatalf("members after failure report = %+v", ms)
+	}
+	if s := short.Stats(); s.Expirations != 1 {
+		t.Fatalf("stats after failure report = %+v", s)
+	}
+	// A data-path drain flags it like any member.
+	short.MarkDraining(short.Members()[0].ID)
+	if s := short.Stats(); s.Draining != 1 || s.Alive != 0 {
+		t.Fatalf("stats after MarkDraining = %+v", s)
+	}
+}
+
+// TestRegisterRejectsBadBodies: an unknown status or an interval whose
+// watchdog deadline would overflow is a 400 bad_request, on register and
+// heartbeat alike, and a rejected heartbeat changes nothing.
+func TestRegisterRejectsBadBodies(t *testing.T) {
+	reg := NewRegistry(Config{DefaultInterval: time.Minute})
+	defer reg.Close()
+	ts := httptest.NewServer(NewHandler(reg))
+	defer ts.Close()
+	do := func(method, path, body string) (int, fleetError) {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var fe fleetError
+		json.NewDecoder(resp.Body).Decode(&fe)
+		return resp.StatusCode, fe
+	}
+	for _, body := range []string{
+		`{"url":"http://w:1","status":"zombie"}`,
+		`{"url":"http://w:1","heartbeat_interval_ms":9223372036854775807}`,
+		`{"url":"http://w:1","heartbeat_interval_ms":9223372036854}`,
+	} {
+		if status, fe := do(http.MethodPost, "/fleet/register", body); status != http.StatusBadRequest ||
+			fe.Error.Code != "bad_request" {
+			t.Fatalf("register %s: status %d, envelope %+v; want 400 bad_request", body, status, fe)
+		}
+	}
+	if len(reg.Members()) != 0 {
+		t.Fatalf("rejected registrations admitted members: %+v", reg.Members())
+	}
+
+	r, err := reg.Register(RegisterRequest{URL: "http://w:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, fe := do(http.MethodPut, "/fleet/members/"+r.ID, `{"status":"zombie"}`); status != http.StatusBadRequest ||
+		fe.Error.Code != "bad_request" {
+		t.Fatalf("heartbeat with unknown status: status %d, envelope %+v; want 400 bad_request", status, fe)
+	}
+	if status, fe := do(http.MethodPut, "/fleet/members/ghost", `{"status":"zombie"}`); status != http.StatusBadRequest {
+		t.Fatalf("ghost heartbeat with unknown status: status %d, envelope %+v; want 400 (the body is wrong first)", status, fe)
+	}
+	if ms := reg.Members(); len(ms) != 1 || ms[0].State != StateAlive {
+		t.Fatalf("rejected heartbeat changed the member: %+v", ms)
+	}
+}

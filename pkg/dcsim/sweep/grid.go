@@ -9,8 +9,9 @@
 // regardless of worker count, and cancelling the context returns the cells
 // that completed, in grid order. Each cell-replica executes through the
 // Executor seam — in-process via LocalExecutor by default, or across
-// machines via the sweep/remote package, which ships CellRuns to HTTP
-// workers and streams per-replica Results back into the same collector,
+// machines via the sweep/fleet executor, which ships CellRuns to HTTP
+// workers over the sweep/remote protocol and streams per-replica Results
+// back into the same collector,
 // preserving the byte-identical aggregate wherever runs execute.
 package sweep
 

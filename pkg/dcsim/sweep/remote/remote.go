@@ -1,14 +1,15 @@
-// Package remote distributes sweep execution over HTTP. It implements the
-// sweep.Executor seam twice over:
+// Package remote is the distributed-sweep worker protocol over HTTP:
 //
 //   - Server is the worker side: an http.Handler exposing health,
 //     capability listing (the worker's registry contents), and cell
 //     execution with request-context cancellation. `dcsim worker -listen`
 //     serves it.
-//   - Executor is the client side: it fans cell-replicas out to a static
-//     set of worker URLs with a bounded number of in-flight requests per
-//     worker, retries a failed cell-replica on the surviving workers, and
-//     feeds results back into sweep.Run's deterministic collector.
+//   - RunCell, FetchHealth, Health, FetchCapabilities, Preflight and
+//     PreflightGrid are the client side of the same endpoints.
+//
+// Dispatching runs over workers is sweep/fleet's job: a static `-remote`
+// worker list is a fleet.NewStaticRegistry, served by the same
+// fleet.Executor as a self-registering fleet.
 //
 // The wire unit is sweep.CellRun out and dcsim.Result back, both plain
 // JSON. Runs are deterministic and floats survive JSON round-trips bit
@@ -17,25 +18,24 @@
 // cell-replica retried after a worker death reproduces the lost run
 // exactly.
 //
-// Failure semantics: transport-level failures (connection refused, a
-// worker dying mid-cell, 5xx) mark the worker dead and the cell-replica is
-// retried on another worker; application-level failures arrive as a typed
-// *Error and abort the sweep, because they are deterministic — a scenario
-// naming a component the worker's registry lacks (CodeUnknownComponent)
-// fails the same way everywhere. When every worker is dead, ExecuteCell
-// returns ErrAllWorkersDown and sweep.Run still hands back the cells that
-// completed.
+// Failure semantics: a transport-level failure (connection refused, a
+// worker dying mid-cell, 5xx) is a *TransportError — the worker is gone
+// and the run belongs elsewhere. An application-level failure is a typed
+// *Error: CodeBusy and CodeDraining are a healthy worker declining, and
+// every other code is deterministic and never retried — a scenario naming
+// a component the worker's registry lacks (CodeUnknownComponent) fails
+// the same way everywhere.
 package remote
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/pkg/dcsim"
 )
 
@@ -88,11 +88,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("remote: %s: %s", e.Code, e.Message)
 }
 
-// ErrAllWorkersDown is returned (wrapped) by Executor.ExecuteCell when no
-// worker is left alive to run a cell-replica. sweep.Run surfaces it while
-// preserving the cells that had already completed.
-var ErrAllWorkersDown = errors.New("remote: all workers down")
-
 // TransportError marks a transport-level failure talking to a worker:
 // connection refused, a connection dropped mid-request, a 5xx, or a
 // non-protocol response. Unlike a typed *Error it says nothing
@@ -107,70 +102,26 @@ func (e *TransportError) Error() string { return e.Err.Error() }
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // RetryPolicy shapes the delay between a failed dispatch and its
-// re-execution: bounded exponential backoff with deterministic jitter.
-// Delay is a pure function of (Seed, cell, replica, attempt), so retry
-// timing is reproducible run to run — tests can pin it — while distinct
-// cell-replicas still spread out instead of thundering back in lockstep.
+// re-execution: bounded exponential backoff with deterministic jitter, a
+// pure function of (Seed, cell, replica, attempt) — the policy the
+// trace-obj fetcher retries with too.
 type RetryPolicy struct {
 	// Base is the delay scale of the first retry; attempt k scales it by
 	// 2^k. 0 selects 50ms.
 	Base time.Duration
-	// Max caps the backoff however many attempts accumulate. 0 selects 2s.
+	// Max caps the backoff however many attempts accumulate, and caps the
+	// wait a busy worker's Retry-After can ask for. 0 selects 2s.
 	Max time.Duration
 	// Seed keys the jitter hash. The zero seed is valid (and the default):
 	// determinism comes from the seed being fixed, not from its value.
 	Seed int64
 }
 
-// withDefaults resolves the zero-value policy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Base <= 0 {
-		p.Base = 50 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 2 * time.Second
-	}
-	return p
-}
-
 // Delay returns the backoff before retry number attempt (0-based) of the
 // given cell-replica: half the capped exponential step plus a jittered
 // half, the jitter hashed from (Seed, cell, replica, attempt).
 func (p RetryPolicy) Delay(cell, replica, attempt int) time.Duration {
-	p = p.withDefaults()
-	if attempt < 0 {
-		attempt = 0
-	}
-	d := p.Base
-	for i := 0; i < attempt && d < p.Max; i++ {
-		d *= 2
-	}
-	if d > p.Max {
-		d = p.Max
-	}
-	// FNV-1a over the identifying tuple: cheap, stateless, and stable.
-	h := fnv1a(uint64(p.Seed), uint64(cell), uint64(replica), uint64(attempt))
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + int64(h%uint64(half)))
-}
-
-// fnv1a hashes a tuple of words with 64-bit FNV-1a.
-func fnv1a(words ...uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
+	return backoff.Policy(p).Delay(attempt, uint64(cell), uint64(replica))
 }
 
 // Capabilities is a worker's registry listing — the component names its

@@ -1,4 +1,4 @@
-package remote
+package remote_test
 
 import (
 	"bytes"
@@ -17,6 +17,8 @@ import (
 
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/sweep"
+	"repro/pkg/dcsim/sweep/fleet"
+	"repro/pkg/dcsim/sweep/remote"
 )
 
 // tinyGrid is the same fast grid the sweep engine tests use: 4 cells x 2
@@ -59,7 +61,7 @@ func cluster(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler)
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		var h http.Handler = &Server{}
+		var h http.Handler = &remote.Server{}
 		if wrap != nil {
 			h = wrap(i, h)
 		}
@@ -70,10 +72,29 @@ func cluster(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler)
 	return urls
 }
 
-func remoteRun(t *testing.T, g sweep.Grid, exec *Executor) (*sweep.Result, error) {
+// staticExec builds the executor a fixed worker list runs on, the way
+// `dcsim sweep -remote` wires it: a static fleet registry under
+// fleet.NewExecutor.
+func staticExec(t *testing.T, urls []string, opts ...fleet.Option) *fleet.Executor {
+	t.Helper()
+	reg, err := fleet.NewStaticRegistry(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	exec, err := fleet.NewExecutor(reg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec
+}
+
+// remoteRun sweeps the grid over exec with 8 engine workers — every run of
+// the tiny grid in flight at once; surplus workers wait for a slot.
+func remoteRun(t *testing.T, g sweep.Grid, exec *fleet.Executor) (*sweep.Result, error) {
 	t.Helper()
 	return sweep.Run(context.Background(), g, sweep.Options{
-		Workers:  exec.Capacity(),
+		Workers:  8,
 		Executor: exec,
 	})
 }
@@ -100,10 +121,7 @@ func TestDeterminismLocalAndRemote(t *testing.T) {
 	}
 
 	// 3 healthy HTTP workers.
-	exec, err := NewExecutor(cluster(t, 3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, cluster(t, 3, nil))
 	res, err = remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("remote x3: %v", err)
@@ -127,10 +145,7 @@ func TestDeterminismLocalAndRemote(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	exec, err = NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec = staticExec(t, urls)
 	res, err = remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("remote with injected failure: %v", err)
@@ -148,13 +163,7 @@ func TestDeterminismLocalAndRemote(t *testing.T) {
 func TestMixedLocalRemoteDeterminism(t *testing.T) {
 	g := tinyGrid()
 	golden := localGolden(t, g)
-	exec, err := NewExecutor(cluster(t, 1, nil), WithInFlight(2), WithLocalSlots(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := exec.Capacity(); got != 4 {
-		t.Fatalf("capacity = %d, want 2 remote + 2 local", got)
-	}
+	exec := staticExec(t, cluster(t, 1, nil), fleet.WithInFlight(2), fleet.WithLocalSlots(2))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +192,7 @@ func TestWorkerKilledMidCellFailsOver(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	exec, err := NewExecutor(urls, WithInFlight(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, urls, fleet.WithInFlight(1))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("sweep should survive one worker dying: %v", err)
@@ -210,16 +216,13 @@ func TestAllWorkersDown(t *testing.T) {
 	g := tinyGrid()
 
 	// The only worker is already dead when the sweep starts.
-	closed := httptest.NewServer(&Server{})
+	closed := httptest.NewServer(&remote.Server{})
 	closedURL := closed.URL
 	closed.Close()
-	exec, err := NewExecutor([]string{closedURL})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, []string{closedURL})
 	res, err := remoteRun(t, g, exec)
-	if !errors.Is(err, ErrAllWorkersDown) {
-		t.Fatalf("err = %v, want ErrAllWorkersDown", err)
+	if !errors.Is(err, fleet.ErrNoWorkers) {
+		t.Fatalf("err = %v, want fleet.ErrNoWorkers", err)
 	}
 	if res == nil || len(res.Cells) != 0 || res.Complete {
 		t.Fatalf("result = %+v, want empty partial", res)
@@ -242,13 +245,10 @@ func TestAllWorkersDown(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	exec, err = NewExecutor(urls, WithInFlight(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec = staticExec(t, urls, fleet.WithInFlight(1))
 	res, err = sweep.Run(context.Background(), single, sweep.Options{Workers: 1, Executor: exec})
-	if !errors.Is(err, ErrAllWorkersDown) {
-		t.Fatalf("err = %v, want ErrAllWorkersDown", err)
+	if !errors.Is(err, fleet.ErrNoWorkers) {
+		t.Fatalf("err = %v, want fleet.ErrNoWorkers", err)
 	}
 	if res == nil || res.Complete {
 		t.Fatal("want a partial result")
@@ -264,13 +264,10 @@ func TestAllWorkersDown(t *testing.T) {
 func TestAllWorkersDownDegradesToLocalSlots(t *testing.T) {
 	g := tinyGrid()
 	golden := localGolden(t, g)
-	closed := httptest.NewServer(&Server{})
+	closed := httptest.NewServer(&remote.Server{})
 	closedURL := closed.URL
 	closed.Close()
-	exec, err := NewExecutor([]string{closedURL}, WithLocalSlots(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, []string{closedURL}, fleet.WithLocalSlots(2))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("mixed sweep should degrade to local: %v", err)
@@ -306,10 +303,7 @@ func TestCancellationPropagatesToWorker(t *testing.T) {
 			}
 		})
 	})
-	exec, err := NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, urls)
 	// A cell big enough that the run is still in flight when the cancel
 	// lands (hundreds of ms; the cancel takes microseconds).
 	g := sweep.Grid{
@@ -368,19 +362,16 @@ func TestUnknownComponentTypedError(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	exec, err := NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, urls)
 	// Build the cell by hand: client-side validation would reject the
 	// name too, which is exactly why the worker must also check — an
 	// out-of-tree client registers names its workers may not have.
 	sc := dcsim.New(dcsim.WithVMs(6), dcsim.WithHours(1), dcsim.WithMaxServers(5))
 	sc.Policy = "martian-packing"
 	run := sweep.CellRun{Cell: sweep.Cell{Index: 0, Scenario: sc}, SeedStride: 1}
-	_, err = exec.ExecuteCell(context.Background(), run)
-	var typed *Error
-	if !errors.As(err, &typed) || typed.Code != CodeUnknownComponent {
+	_, err := exec.ExecuteCell(context.Background(), run)
+	var typed *remote.Error
+	if !errors.As(err, &typed) || typed.Code != remote.CodeUnknownComponent {
 		t.Fatalf("err = %v, want *Error with CodeUnknownComponent", err)
 	}
 	if !strings.Contains(typed.Message, "martian-packing") {
@@ -401,14 +392,14 @@ func TestUnknownComponentTypedError(t *testing.T) {
 // public client helpers.
 func TestHealthAndCapabilities(t *testing.T) {
 	urls := cluster(t, 1, nil)
-	if err := Health(context.Background(), http.DefaultClient, urls[0]); err != nil {
+	if err := remote.Health(context.Background(), http.DefaultClient, urls[0]); err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	caps, err := FetchCapabilities(context.Background(), http.DefaultClient, urls[0])
+	caps, err := remote.FetchCapabilities(context.Background(), http.DefaultClient, urls[0])
 	if err != nil {
 		t.Fatalf("capabilities: %v", err)
 	}
-	want := LocalCapabilities()
+	want := remote.LocalCapabilities()
 	if len(caps.Policies) == 0 || len(caps.Policies) != len(want.Policies) {
 		t.Fatalf("capabilities policies = %v, want %v", caps.Policies, want.Policies)
 	}
@@ -418,21 +409,13 @@ func TestHealthAndCapabilities(t *testing.T) {
 		}
 	}
 	// Preflight succeeds against a live cluster and names a dead worker.
-	exec, err := NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Preflight(context.Background()); err != nil {
+	if err := remote.Preflight(context.Background(), http.DefaultClient, urls); err != nil {
 		t.Fatalf("preflight: %v", err)
 	}
-	closed := httptest.NewServer(&Server{})
+	closed := httptest.NewServer(&remote.Server{})
 	closedURL := closed.URL
 	closed.Close()
-	exec, err = NewExecutor([]string{urls[0], closedURL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Preflight(context.Background()); err == nil ||
+	if err := remote.Preflight(context.Background(), http.DefaultClient, []string{urls[0], closedURL}); err == nil ||
 		!strings.Contains(err.Error(), closedURL) {
 		t.Fatalf("preflight = %v, want failure naming %s", err, closedURL)
 	}
@@ -454,7 +437,7 @@ func TestPreflightGridCatchesRegistryMismatch(t *testing.T) {
 				h.ServeHTTP(w, r)
 				return
 			}
-			caps := LocalCapabilities()
+			caps := remote.LocalCapabilities()
 			var kept []string
 			for _, p := range caps.Policies {
 				if p != "corr-aware" {
@@ -468,47 +451,37 @@ func TestPreflightGridCatchesRegistryMismatch(t *testing.T) {
 			}
 		})
 	})
-	exec, err := NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = exec.PreflightGrid(context.Background(), g)
+	err := remote.PreflightGrid(context.Background(), http.DefaultClient, urls, g)
 	if err == nil || !strings.Contains(err.Error(), urls[0]) ||
 		!strings.Contains(err.Error(), "policy corr-aware") {
 		t.Fatalf("preflight = %v, want failure naming %s and policy corr-aware", err, urls[0])
 	}
 	// A fully capable cluster passes.
-	exec, err = NewExecutor(urls[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.PreflightGrid(context.Background(), g); err != nil {
+	if err := remote.PreflightGrid(context.Background(), http.DefaultClient, urls[1:], g); err != nil {
 		t.Fatalf("preflight against capable worker: %v", err)
 	}
 }
 
-// TestNewExecutorRejects pins constructor validation.
+// TestNewExecutorRejects pins the validation a -remote worker list gets
+// from the static registry and the fleet executor over it. (URL
+// normalization is pinned by fleet's TestStaticRegistry.)
 func TestNewExecutorRejects(t *testing.T) {
-	if _, err := NewExecutor(nil); err == nil {
-		t.Fatal("no workers and no local slots must fail")
+	if _, err := fleet.NewStaticRegistry(nil); err == nil {
+		t.Fatal("no workers must fail")
 	}
-	if _, err := NewExecutor([]string{"http://x"}, WithInFlight(0)); err == nil {
-		t.Fatal("zero in-flight must fail")
-	}
-	if _, err := NewExecutor([]string{"  "}); err == nil {
+	if _, err := fleet.NewStaticRegistry([]string{"  "}); err == nil {
 		t.Fatal("blank URL must fail")
 	}
-	// Scheme-less URLs normalize to http and trailing slashes drop.
-	exec, err := NewExecutor([]string{"host1:8070", "http://host2:8070/"})
+	reg, err := fleet.NewStaticRegistry([]string{"http://x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := exec.WorkerURLs()
-	want := []string{"http://host1:8070", "http://host2:8070"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("worker URLs = %v, want %v", got, want)
-		}
+	defer reg.Close()
+	if _, err := fleet.NewExecutor(reg, fleet.WithInFlight(0)); err == nil {
+		t.Fatal("zero in-flight must fail")
+	}
+	if _, err := fleet.NewExecutor(reg, fleet.WithLocalSlots(-1)); err == nil {
+		t.Fatal("negative local slots must fail")
 	}
 }
 
@@ -516,13 +489,10 @@ func TestNewExecutorRejects(t *testing.T) {
 // heavy acquire/markDead interleavings must not deadlock. Run a sweep
 // whose only worker dies immediately at high engine parallelism.
 func TestAllDownDoesNotDeadlockManyWaiters(t *testing.T) {
-	closed := httptest.NewServer(&Server{})
+	closed := httptest.NewServer(&remote.Server{})
 	closedURL := closed.URL
 	closed.Close()
-	exec, err := NewExecutor([]string{closedURL}, WithInFlight(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, []string{closedURL}, fleet.WithInFlight(1))
 	var wg sync.WaitGroup
 	g := tinyGrid()
 	cells, err := g.Cells()
@@ -535,8 +505,8 @@ func TestAllDownDoesNotDeadlockManyWaiters(t *testing.T) {
 			defer wg.Done()
 			run := sweep.CellRun{Cell: cells[0], Replica: 0, SeedStride: 1}
 			_, err := exec.ExecuteCell(context.Background(), run)
-			if !errors.Is(err, ErrAllWorkersDown) {
-				t.Errorf("err = %v, want ErrAllWorkersDown", err)
+			if !errors.Is(err, fleet.ErrNoWorkers) {
+				t.Errorf("err = %v, want fleet.ErrNoWorkers", err)
 			}
 		}()
 	}
@@ -554,19 +524,15 @@ func TestAllDownDoesNotDeadlockManyWaiters(t *testing.T) {
 // cannot source fails before any fan-out, naming the worker and the kind.
 func TestPreflightGridCatchesUnknownWorkloadKind(t *testing.T) {
 	urls := cluster(t, 1, nil)
-	exec, err := NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := tinyGrid()
 	g.Base.Workload.Kind = "object-store" // registered nowhere
-	err = exec.PreflightGrid(context.Background(), g)
+	err := remote.PreflightGrid(context.Background(), http.DefaultClient, urls, g)
 	if err == nil || !strings.Contains(err.Error(), urls[0]) ||
 		!strings.Contains(err.Error(), "workload object-store") {
 		t.Fatalf("preflight = %v, want failure naming %s and workload object-store", err, urls[0])
 	}
 	// The same cluster serves the built-in kinds.
-	if err := exec.PreflightGrid(context.Background(), tinyGrid()); err != nil {
+	if err := remote.PreflightGrid(context.Background(), http.DefaultClient, urls, tinyGrid()); err != nil {
 		t.Fatalf("preflight with built-in workload: %v", err)
 	}
 
@@ -579,7 +545,7 @@ func TestPreflightGridCatchesUnknownWorkloadKind(t *testing.T) {
 				h.ServeHTTP(w, r)
 				return
 			}
-			caps := LocalCapabilities()
+			caps := remote.LocalCapabilities()
 			caps.Workloads = nil
 			w.Header().Set("Content-Type", "application/json")
 			if err := json.NewEncoder(w).Encode(caps); err != nil {
@@ -587,11 +553,7 @@ func TestPreflightGridCatchesUnknownWorkloadKind(t *testing.T) {
 			}
 		})
 	})
-	exec, err = NewExecutor(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = exec.PreflightGrid(context.Background(), tinyGrid())
+	err = remote.PreflightGrid(context.Background(), http.DefaultClient, legacy, tinyGrid())
 	if err == nil || !strings.Contains(err.Error(), "workload datacenter") {
 		t.Fatalf("preflight against legacy listing = %v, want missing workload datacenter", err)
 	}
@@ -601,17 +563,13 @@ func TestPreflightGridCatchesUnknownWorkloadKind(t *testing.T) {
 // an unregistered workload kind as unknown_component, exactly like any
 // other registry miss — deterministic, so never retried.
 func TestUnknownWorkloadKindTypedError(t *testing.T) {
-	urls := cluster(t, 1, nil)
-	exec, err := NewExecutor(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, cluster(t, 1, nil))
 	sc := dcsim.New(dcsim.WithVMs(6), dcsim.WithHours(1), dcsim.WithMaxServers(5))
 	sc.Workload.Kind = "object-store"
 	run := sweep.CellRun{Cell: sweep.Cell{Index: 0, Scenario: sc}, SeedStride: 1}
-	_, err = exec.ExecuteCell(context.Background(), run)
-	var typed *Error
-	if !errors.As(err, &typed) || typed.Code != CodeUnknownComponent {
+	_, err := exec.ExecuteCell(context.Background(), run)
+	var typed *remote.Error
+	if !errors.As(err, &typed) || typed.Code != remote.CodeUnknownComponent {
 		t.Fatalf("err = %v, want *Error with CodeUnknownComponent", err)
 	}
 	if !strings.Contains(typed.Message, "object-store") {
@@ -623,7 +581,7 @@ func TestUnknownWorkloadKindTypedError(t *testing.T) {
 // fingerprint alongside the original status field.
 func TestHealthInfo(t *testing.T) {
 	urls := cluster(t, 1, nil)
-	hi, err := FetchHealth(context.Background(), http.DefaultClient, urls[0])
+	hi, err := remote.FetchHealth(context.Background(), http.DefaultClient, urls[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +591,7 @@ func TestHealthInfo(t *testing.T) {
 	if hi.Inflight != 0 {
 		t.Fatalf("idle worker inflight = %d", hi.Inflight)
 	}
-	if want := LocalCapabilities().Fingerprint(); hi.Capabilities != want {
+	if want := remote.LocalCapabilities().Fingerprint(); hi.Capabilities != want {
 		t.Fatalf("capabilities fingerprint = %q, want %q", hi.Capabilities, want)
 	}
 }
@@ -660,20 +618,20 @@ func TestRemovedKnobsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	body = bytes.Replace(body, []byte(`"scenario":{`), []byte(`"scenario":{"materialize":true,`), 1)
-	srv := httptest.NewServer(&Server{})
+	srv := httptest.NewServer(&remote.Server{})
 	t.Cleanup(srv.Close)
-	resp, err := http.Post(srv.URL+runPath, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rr runResponse
+	var rr struct{ Error *remote.Error }
 	err = json.NewDecoder(resp.Body).Decode(&rr)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest || rr.Error == nil || rr.Error.Code != CodeBadRequest {
-		t.Fatalf("worker /run with materialize: status %d, error %+v; want a %s 400", resp.StatusCode, rr.Error, CodeBadRequest)
+	if resp.StatusCode != http.StatusBadRequest || rr.Error == nil || rr.Error.Code != remote.CodeBadRequest {
+		t.Fatalf("worker /run with materialize: status %d, error %+v; want a %s 400", resp.StatusCode, rr.Error, remote.CodeBadRequest)
 	}
 
 	sc := tinyGrid().Base
@@ -699,21 +657,21 @@ func TestRemovedKnobsRejected(t *testing.T) {
 // independent within a group, sensitive to membership, and a name in one
 // group never collides with the same name in another.
 func TestCapabilitiesFingerprintStable(t *testing.T) {
-	a := Capabilities{Policies: []string{"p1", "p2"}, Governors: []string{"g1"}}
-	b := Capabilities{Policies: []string{"p2", "p1"}, Governors: []string{"g1"}}
+	a := remote.Capabilities{Policies: []string{"p1", "p2"}, Governors: []string{"g1"}}
+	b := remote.Capabilities{Policies: []string{"p2", "p1"}, Governors: []string{"g1"}}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("fingerprint depends on registration order")
 	}
 	if !strings.HasPrefix(a.Fingerprint(), "sha256:") {
 		t.Fatalf("fingerprint %q lacks sha256: prefix", a.Fingerprint())
 	}
-	c := Capabilities{Policies: []string{"p1"}, Governors: []string{"g1"}}
+	c := remote.Capabilities{Policies: []string{"p1"}, Governors: []string{"g1"}}
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("fingerprint ignores membership")
 	}
 	// The same name in different groups must hash differently.
-	d := Capabilities{Policies: []string{"x"}}
-	e := Capabilities{Governors: []string{"x"}}
+	d := remote.Capabilities{Policies: []string{"x"}}
+	e := remote.Capabilities{Governors: []string{"x"}}
 	if d.Fingerprint() == e.Fingerprint() {
 		t.Fatal("fingerprint collides across groups")
 	}

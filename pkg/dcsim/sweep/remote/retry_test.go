@@ -1,4 +1,4 @@
-package remote
+package remote_test
 
 import (
 	"bytes"
@@ -12,13 +12,15 @@ import (
 
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/sweep"
+	"repro/pkg/dcsim/sweep/fleet"
+	"repro/pkg/dcsim/sweep/remote"
 )
 
 // TestRetryPolicyDeterministicAndBounded: Delay is a pure function of
 // (Seed, cell, replica, attempt), grows exponentially, caps at Max, and
 // distinct cell-replicas spread out instead of retrying in lockstep.
 func TestRetryPolicyDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: 7}
+	p := remote.RetryPolicy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: 7}
 	for cell := 0; cell < 3; cell++ {
 		for replica := 0; replica < 2; replica++ {
 			for attempt := 0; attempt < 10; attempt++ {
@@ -43,7 +45,7 @@ func TestRetryPolicyDeterministicAndBounded(t *testing.T) {
 		t.Fatal("three distinct cells share one retry delay: jitter is not keyed on the run")
 	}
 	// Reseeding moves at least some delays; a fixed seed reproduces them.
-	q := RetryPolicy{Base: p.Base, Max: p.Max, Seed: 8}
+	q := remote.RetryPolicy{Base: p.Base, Max: p.Max, Seed: 8}
 	same := 0
 	for cell := 0; cell < 8; cell++ {
 		if p.Delay(cell, 0, 2) == q.Delay(cell, 0, 2) {
@@ -54,7 +56,7 @@ func TestRetryPolicyDeterministicAndBounded(t *testing.T) {
 		t.Fatal("reseeding the policy never moved a delay")
 	}
 	// The zero value is usable and stays within the documented defaults.
-	var zero RetryPolicy
+	var zero remote.RetryPolicy
 	if d := zero.Delay(0, 0, 0); d < 25*time.Millisecond || d > 50*time.Millisecond {
 		t.Fatalf("zero-value first delay = %v, want within [25ms, 50ms]", d)
 	}
@@ -67,7 +69,7 @@ func TestRetryPolicyDeterministicAndBounded(t *testing.T) {
 // the rotation — the run retries after the backoff instead of the worker
 // being marked dead — and the sweep bytes match the local run. With every
 // worker rejecting its first /run, completion itself proves no
-// dead-marking: a buried fleet would fail with ErrAllWorkersDown.
+// dead-marking: a buried fleet would fail with fleet.ErrNoWorkers.
 func TestBusyWorkerRetriedNotBuried(t *testing.T) {
 	g := tinyGrid()
 	golden := localGolden(t, g)
@@ -87,11 +89,8 @@ func TestBusyWorkerRetriedNotBuried(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	exec, err := NewExecutor(urls, WithInFlight(2),
-		WithRetry(RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, urls, fleet.WithInFlight(2),
+		fleet.WithRetry(remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("sweep against busy workers: %v", err)
@@ -113,7 +112,7 @@ func TestBusyWorkerRetriedNotBuried(t *testing.T) {
 // busy 503 carrying the 1s Retry-After hint; once the slot frees, the
 // worker serves again.
 func TestServerBusyRejectsOverCapacity(t *testing.T) {
-	srv := httptest.NewServer(&Server{MaxInflight: 1})
+	srv := httptest.NewServer(&remote.Server{MaxInflight: 1})
 	t.Cleanup(srv.Close)
 	ctx := context.Background()
 
@@ -139,12 +138,12 @@ func TestServerBusyRejectsOverCapacity(t *testing.T) {
 
 	holdDone := make(chan error, 1)
 	go func() {
-		_, err := RunCell(ctx, http.DefaultClient, srv.URL, sweep.CellRun{Cell: bigCells[0], SeedStride: 1})
+		_, err := remote.RunCell(ctx, http.DefaultClient, srv.URL, sweep.CellRun{Cell: bigCells[0], SeedStride: 1})
 		holdDone <- err
 	}()
 
 	// Probe until the held run occupies the slot and the busy answer shows.
-	var we *Error
+	var we *remote.Error
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -155,7 +154,7 @@ func TestServerBusyRejectsOverCapacity(t *testing.T) {
 			t.Fatalf("held run finished before a probe saw busy: %v", err)
 		default:
 		}
-		info, err := FetchHealth(ctx, http.DefaultClient, srv.URL)
+		info, err := remote.FetchHealth(ctx, http.DefaultClient, srv.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,9 +162,9 @@ func TestServerBusyRejectsOverCapacity(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		_, err = RunCell(ctx, http.DefaultClient, srv.URL, quick)
-		if !errors.As(err, &we) || we.Code != CodeBusy {
-			t.Fatalf("run against a full worker = %v, want typed %s", err, CodeBusy)
+		_, err = remote.RunCell(ctx, http.DefaultClient, srv.URL, quick)
+		if !errors.As(err, &we) || we.Code != remote.CodeBusy {
+			t.Fatalf("run against a full worker = %v, want typed %s", err, remote.CodeBusy)
 		}
 		if we.RetryAfter != time.Second {
 			t.Fatalf("busy Retry-After = %v, want the server's 1s hint", we.RetryAfter)
@@ -176,7 +175,7 @@ func TestServerBusyRejectsOverCapacity(t *testing.T) {
 	if err := <-holdDone; err != nil {
 		t.Fatalf("held run: %v", err)
 	}
-	if _, err := RunCell(ctx, http.DefaultClient, srv.URL, quick); err != nil {
+	if _, err := remote.RunCell(ctx, http.DefaultClient, srv.URL, quick); err != nil {
 		t.Fatalf("run after the slot freed: %v", err)
 	}
 }
@@ -185,23 +184,23 @@ func TestServerBusyRejectsOverCapacity(t *testing.T) {
 // "draining" (so clients stop routing to it) and /run declines with the
 // typed draining 503; clearing it restores service.
 func TestDrainingWorkerHealthAndDecline(t *testing.T) {
-	worker := &Server{}
+	worker := &remote.Server{}
 	srv := httptest.NewServer(worker)
 	t.Cleanup(srv.Close)
 	ctx := context.Background()
 
-	if err := Health(ctx, http.DefaultClient, srv.URL); err != nil {
+	if err := remote.Health(ctx, http.DefaultClient, srv.URL); err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
 	worker.SetDraining(true)
-	info, err := FetchHealth(ctx, http.DefaultClient, srv.URL)
+	info, err := remote.FetchHealth(ctx, http.DefaultClient, srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Status != StatusDraining {
+	if info.Status != remote.StatusDraining {
 		t.Fatalf("draining health status = %q", info.Status)
 	}
-	if err := Health(ctx, http.DefaultClient, srv.URL); err == nil {
+	if err := remote.Health(ctx, http.DefaultClient, srv.URL); err == nil {
 		t.Fatal("Health must fail for a draining worker: clients stop routing to it")
 	}
 
@@ -210,16 +209,16 @@ func TestDrainingWorkerHealthAndDecline(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := sweep.CellRun{Cell: cells[0], Replica: 0, SeedStride: 1}
-	var we *Error
-	if _, err := RunCell(ctx, http.DefaultClient, srv.URL, run); !errors.As(err, &we) || we.Code != CodeDraining {
-		t.Fatalf("run against draining worker = %v, want typed %s", err, CodeDraining)
+	var we *remote.Error
+	if _, err := remote.RunCell(ctx, http.DefaultClient, srv.URL, run); !errors.As(err, &we) || we.Code != remote.CodeDraining {
+		t.Fatalf("run against draining worker = %v, want typed %s", err, remote.CodeDraining)
 	}
 
 	worker.SetDraining(false)
-	if err := Health(ctx, http.DefaultClient, srv.URL); err != nil {
+	if err := remote.Health(ctx, http.DefaultClient, srv.URL); err != nil {
 		t.Fatalf("un-drained worker: %v", err)
 	}
-	if _, err := RunCell(ctx, http.DefaultClient, srv.URL, run); err != nil {
+	if _, err := remote.RunCell(ctx, http.DefaultClient, srv.URL, run); err != nil {
 		t.Fatalf("run after un-drain: %v", err)
 	}
 }
@@ -230,17 +229,14 @@ func TestDrainingWorkerHealthAndDecline(t *testing.T) {
 func TestDrainingWorkerRetiredWithoutDeath(t *testing.T) {
 	g := tinyGrid()
 	golden := localGolden(t, g)
-	draining := &Server{}
+	draining := &remote.Server{}
 	draining.SetDraining(true)
 	drainSrv := httptest.NewServer(draining)
 	t.Cleanup(drainSrv.Close)
-	healthySrv := httptest.NewServer(&Server{})
+	healthySrv := httptest.NewServer(&remote.Server{})
 	t.Cleanup(healthySrv.Close)
-	exec, err := NewExecutor([]string{drainSrv.URL, healthySrv.URL}, WithInFlight(2),
-		WithRetry(RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, []string{drainSrv.URL, healthySrv.URL}, fleet.WithInFlight(2),
+		fleet.WithRetry(remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("sweep with a draining worker: %v", err)
@@ -257,18 +253,40 @@ func TestDrainingWorkerRetiredWithoutDeath(t *testing.T) {
 	}
 }
 
-// TestParseRetryAfter pins the delay-seconds parsing rule.
-func TestParseRetryAfter(t *testing.T) {
-	for v, want := range map[string]time.Duration{
-		"":     0,
-		"0":    0,
-		"1":    time.Second,
-		" 3 ":  3 * time.Second,
-		"-2":   0,
-		"soon": 0,
-	} {
-		if got := parseRetryAfter(v); got != want {
-			t.Fatalf("parseRetryAfter(%q) = %v, want %v", v, got, want)
-		}
+// TestBusyRetryAfterCapped: a busy worker asking for an hour's wait
+// (Retry-After: 3600) cannot stall the sweep — the wait is capped at the
+// retry policy's Max — so the sweep completes well inside a 10s deadline.
+func TestBusyRetryAfterCapped(t *testing.T) {
+	g := tinyGrid()
+	golden := localGolden(t, g)
+	var rejected atomic.Bool
+	urls := cluster(t, 1, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/run" && rejected.CompareAndSwap(false, true) {
+				w.Header().Set("Retry-After", "3600")
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				w.Write([]byte(`{"error":{"code":"busy","message":"worker at capacity: test"}}`))
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	exec := staticExec(t, urls, fleet.WithRetry(remote.RetryPolicy{Max: 50 * time.Millisecond}))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := sweep.Run(ctx, g, sweep.Options{Workers: 4, Executor: exec})
+	if err != nil {
+		t.Fatalf("sweep behind a 1h Retry-After: %v", err)
+	}
+	if !rejected.Load() {
+		t.Fatal("busy rejection never fired")
+	}
+	data, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(golden, data) {
+		t.Fatal("capped-busy-retry bytes differ from local x1")
 	}
 }

@@ -16,8 +16,8 @@ import (
 // went away (nginx's non-standard 499; no standard code fits).
 const statusClientClosedRequest = 499
 
-// Server is the HTTP worker: it executes cell-replicas shipped by a remote
-// Executor against this process's registries. The zero value is ready to
+// Server is the HTTP worker: it executes cell-replicas shipped by a
+// fleet.Executor (or any RunCell caller) against this process's registries. The zero value is ready to
 // serve.
 //
 // Endpoints:

@@ -1,4 +1,4 @@
-package remote
+package remote_test
 
 import (
 	"bytes"
@@ -44,10 +44,7 @@ func TestStreamedRemoteTraceDir(t *testing.T) {
 	}
 	want := resultCSV(t, local)
 
-	exec, err := NewExecutor(cluster(t, 2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exec := staticExec(t, cluster(t, 2, nil))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatal(err)
