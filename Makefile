@@ -6,10 +6,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
-	bench bench-sweep bench-alloc bench-compare leakcheck smoke-service \
-	smoke-fleet smoke-objstore smoke-stream
+	bench bench-test bench-sweep bench-alloc bench-compare leakcheck \
+	smoke-service smoke-fleet smoke-objstore smoke-stream
 
-ci: lint build test race smoke-service smoke-fleet smoke-objstore smoke-stream bench-compare
+ci: lint build test race bench-test smoke-service smoke-fleet smoke-objstore smoke-stream bench-compare
 
 # lint is the static gate CI's lint job runs: formatting, go vet,
 # staticcheck, and the public-API leak check.
@@ -56,6 +56,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-test vets and tests the end-to-end benchmark module. bench/ is its
+# own Go module (replace repro => ../), so the root ./... never compiles
+# it, yet it builds against the façade's workload and build APIs. The
+# tests are the workload checker, the traced-composition parity test and
+# the -quick smoke; no timed benchmark runs.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # leakcheck fails if any exported identifier in pkg/dcsim/... references a
 # type from an internal/ package — the public API must speak only

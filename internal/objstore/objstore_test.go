@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +49,16 @@ func writeRecording(t *testing.T) string {
 	return dir
 }
 
+// materialize reads a workload through the source's Open, the one read
+// path, into a Dataset.
+func materialize(src model.WorkloadSource, w model.Workload) (*model.Dataset, error) {
+	r, err := src.Open(context.Background(), w)
+	if err != nil {
+		return nil, err
+	}
+	return model.Materialize(r)
+}
+
 // objWorkload describes the recording at an object-store URL, caching into
 // a test-private directory so runs don't share state through the default
 // cache.
@@ -90,11 +101,11 @@ func TestGoldenRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(&DirServer{Dir: dir})
 	defer srv.Close()
 
-	local, err := tracedir.Source{}.Traces(model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
+	local, err := materialize(tracedir.Source{}, model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := Source{}.Traces(objWorkload(t, srv.URL))
+	remote, err := materialize(Source{}, objWorkload(t, srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +127,14 @@ func TestTransientFaultsHealed(t *testing.T) {
 	defer srv.Close()
 
 	before := Stats().FetchRetries
-	got, err := Source{}.Traces(objWorkload(t, srv.URL, fastRetry()...))
+	got, err := materialize(Source{}, objWorkload(t, srv.URL, fastRetry()...))
 	if err != nil {
 		t.Fatalf("read through injected 503s: %v", err)
 	}
 	if d := Stats().FetchRetries - before; d < 3 {
 		t.Fatalf("FetchRetries moved by %d, want >= 3", d)
 	}
-	local, err := tracedir.Source{}.Traces(model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
+	local, err := materialize(tracedir.Source{}, model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +153,7 @@ func TestTransientExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	_, err := Source{}.Traces(objWorkload(t, srv.URL, OptRetries, "2"))
+	_, err := materialize(Source{}, objWorkload(t, srv.URL, OptRetries, "2"))
 	var te *TransientError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *TransientError", err)
@@ -160,7 +171,7 @@ func TestNotFoundDeterministic(t *testing.T) {
 	srv := httptest.NewServer(ch)
 	defer srv.Close()
 
-	_, err := Source{}.Traces(objWorkload(t, srv.URL+"/missing-prefix"))
+	_, err := materialize(Source{}, objWorkload(t, srv.URL+"/missing-prefix"))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
 		t.Fatalf("err = %v, want a 404 *StatusError", err)
@@ -259,7 +270,7 @@ func TestColdThenWarmCache(t *testing.T) {
 
 	w := objWorkload(t, srv.URL)
 	cold := Stats()
-	first, err := Source{}.Traces(w)
+	first, err := materialize(Source{}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +281,7 @@ func TestColdThenWarmCache(t *testing.T) {
 	}
 	getsAfterCold := ch.gets.Load()
 
-	second, err := Source{}.Traces(w)
+	second, err := materialize(Source{}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +312,7 @@ func TestCacheOff(t *testing.T) {
 	w.SetOption(OptCacheDir, "off")
 	before := Stats()
 	for i := 0; i < 2; i++ {
-		if _, err := (Source{}).Traces(w); err != nil {
+		if _, err := materialize(Source{}, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +334,7 @@ func TestReplacedObjectRefetched(t *testing.T) {
 	defer srv.Close()
 
 	w := objWorkload(t, srv.URL)
-	if _, err := (Source{}).Traces(w); err != nil {
+	if _, err := materialize(Source{}, w); err != nil {
 		t.Fatal(err)
 	}
 	// Replace the recording in place, re-chunked 3 VMs per file: the
@@ -343,14 +354,14 @@ func TestReplacedObjectRefetched(t *testing.T) {
 		}
 	}
 	before := Stats()
-	got, err := Source{}.Traces(w)
+	got, err := materialize(Source{}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := Stats().ChunkFetches - before.ChunkFetches; d == 0 {
 		t.Fatal("replaced recording served entirely from cache (stale read)")
 	}
-	local, err := tracedir.Source{}.Traces(model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
+	local, err := materialize(tracedir.Source{}, model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,84 +52,81 @@ type Source struct{}
 func (Source) SeedInvariant() bool { return true }
 
 // Check implements model.WorkloadSource: it validates the URL and options
-// without touching the network, so preflight stays cheap and offline.
+// without touching the network or the disk, so preflight stays cheap,
+// offline, and free of side effects.
 func (Source) Check(w model.Workload) error {
-	_, err := configure(w)
+	_, err := parseOptions(w)
 	return err
 }
 
-// Traces implements model.WorkloadSource.
-func (Source) Traces(w model.Workload) (*model.Dataset, error) {
-	f, err := configure(w)
-	if err != nil {
-		return nil, err
-	}
-	return tracedir.TracesFrom(context.Background(), f, w)
-}
-
-// Open implements model.StreamingSource: the recording streamed VM by VM,
+// Open implements model.WorkloadSource: the recording streamed VM by VM,
 // chunk fetches arriving over HTTP as records are consumed. In-flight
 // residency on the Go heap is one chunk; it is the local LRU chunk cache
 // (OptCacheDir/OptCacheMB) that holds whatever longer-lived copies exist,
 // so the cache budget — not the dataset size — bounds a diskless worker.
 func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
-	f, err := configure(w)
+	o, err := parseOptions(w)
 	if err != nil {
 		return nil, err
+	}
+	f := NewFetcher(w.Path)
+	f.Timeout, f.Attempts = o.timeout, o.attempts
+	if o.cacheDir != "off" {
+		if f.Cache, err = OpenCache(o.cacheDir, o.cacheMB<<20); err != nil {
+			return nil, err
+		}
 	}
 	return tracedir.OpenFrom(ctx, f, w)
 }
 
-// configure validates the workload and builds its Fetcher.
-func configure(w model.Workload) (*Fetcher, error) {
+// options is a validated "trace-obj" workload's fetch settings; a zero
+// timeout or attempt budget selects the Fetcher default.
+type options struct {
+	cacheDir string // "off" disables the chunk cache
+	cacheMB  int64
+	timeout  time.Duration
+	attempts int
+}
+
+// parseOptions validates the workload's URL and options. It builds nothing
+// and creates nothing: Open turns the result into a Fetcher and its cache.
+func parseOptions(w model.Workload) (options, error) {
+	o := options{cacheDir: w.Option(OptCacheDir), cacheMB: DefaultCacheMB}
 	if w.Path == "" {
-		return nil, fmt.Errorf("objstore: workload kind %q needs a path (the http(s) bucket/prefix URL of the recorded trace)", w.Kind)
+		return o, fmt.Errorf("objstore: workload kind %q needs a path (the http(s) bucket/prefix URL of the recorded trace)", w.Kind)
 	}
 	u, err := url.Parse(w.Path)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("objstore: workload kind %q needs an http(s) URL path, got %q", w.Kind, w.Path)
+		return o, fmt.Errorf("objstore: workload kind %q needs an http(s) URL path, got %q", w.Kind, w.Path)
 	}
 	if bad := w.UnknownOptions(OptCacheDir, OptCacheMB, OptFetchTimeout, OptRetries); len(bad) > 0 {
-		return nil, fmt.Errorf("objstore: workload kind %q does not read option(s) %s (known: %s)",
+		return o, fmt.Errorf("objstore: workload kind %q does not read option(s) %s (known: %s)",
 			w.Kind, strings.Join(bad, ", "),
 			strings.Join([]string{OptCacheDir, OptCacheMB, OptFetchTimeout, OptRetries}, ", "))
 	}
-
-	f := NewFetcher(w.Path)
-
-	cacheDir := w.Option(OptCacheDir)
-	if cacheDir == "" {
-		cacheDir = DefaultCacheDir()
+	if o.cacheDir == "" {
+		o.cacheDir = DefaultCacheDir()
 	}
-	cacheMB := int64(DefaultCacheMB)
 	if s := w.Option(OptCacheMB); s != "" {
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("objstore: option %q must be a non-negative integer mebibyte budget (0 = unbounded), got %q", OptCacheMB, s)
+			return o, fmt.Errorf("objstore: option %q must be a non-negative integer mebibyte budget (0 = unbounded), got %q", OptCacheMB, s)
 		}
-		cacheMB = n
+		o.cacheMB = n
 	}
-	if cacheDir != "off" {
-		cache, err := OpenCache(cacheDir, cacheMB<<20)
-		if err != nil {
-			return nil, err
-		}
-		f.Cache = cache
-	}
-
 	if s := w.Option(OptFetchTimeout); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("objstore: option %q must be a positive duration (e.g. \"10s\"), got %q", OptFetchTimeout, s)
+			return o, fmt.Errorf("objstore: option %q must be a positive duration (e.g. \"10s\"), got %q", OptFetchTimeout, s)
 		}
-		f.Timeout = d
+		o.timeout = d
 	}
 	if s := w.Option(OptRetries); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("objstore: option %q must be an attempt budget of at least 1, got %q", OptRetries, s)
+			return o, fmt.Errorf("objstore: option %q must be an attempt budget of at least 1, got %q", OptRetries, s)
 		}
-		f.Attempts = n
+		o.attempts = n
 	}
-	return f, nil
+	return o, nil
 }

@@ -29,7 +29,7 @@ func drainChunk(t *testing.T, r model.DatasetReader, n int) {
 
 // TestStreamMidStreamNotFound pins the streamed failure taxonomy: a chunk
 // that vanishes from the store after streaming has begun surfaces as the
-// same deterministic *StatusError the batch reader reports, sticky on the
+// same deterministic *StatusError a missing manifest reports, sticky on the
 // reader, with the records before it delivered intact.
 func TestStreamMidStreamNotFound(t *testing.T) {
 	dir := writeRecording(t)

@@ -255,29 +255,13 @@ func FitLinear(xs, ys []float64) Linear {
 	return Linear{A: a, B: b, R2: r2}
 }
 
-// quantileSelectMin is the window size at which Quantile switches from
-// sort-a-copy (O(n log n)) to quickselect order statistics (O(n)
-// expected). Below it the sort's constant factors win; the crossover was
-// picked from BenchmarkQuantile and errs high so small windows keep the
-// old code path exactly.
-const quantileSelectMin = 1024
-
 // Quantile returns the q-th quantile (q in [0,1]) of xs, exactly — the
-// linearly interpolated order statistic a sorted copy yields. It is the
-// counterpart used to validate the streaming P² estimator. Large windows
-// take an order-statistics quickselect path instead of sorting; the
-// result is identical (both compute the same two order statistics), only
-// the cost differs. For many quantiles of one window, build a Quantiles.
+// linearly interpolated order statistic of a sorted copy. It is the
+// counterpart used to validate the streaming P² estimator. For many
+// quantiles of one window, build a Quantiles.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
-	}
-	if len(xs) >= quantileSelectMin {
-		if v, ok := quantileSelect(xs, q); ok {
-			return v
-		}
-		// NaN in the window: fall through to the sort path, whose
-		// NaN ordering is the long-standing behavior.
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
@@ -302,102 +286,11 @@ func interpolateSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// quantileSelect computes the interpolated quantile via in-place
-// quickselect on a scratch copy. It reports ok=false when the window
-// holds a NaN (comparison-based partitioning has no total order then).
-func quantileSelect(xs []float64, q float64) (float64, bool) {
-	scratch := make([]float64, len(xs))
-	for i, x := range xs {
-		if math.IsNaN(x) {
-			return 0, false
-		}
-		scratch[i] = x
-	}
-	n := len(scratch)
-	if q <= 0 {
-		return minOf(scratch), true
-	}
-	if q >= 1 {
-		return maxOf(scratch), true
-	}
-	rank := q * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	vlo := selectKth(scratch, lo)
-	if lo == hi {
-		return vlo, true
-	}
-	// selectKth leaves scratch partitioned around lo, so the next order
-	// statistic is the minimum of the upper partition.
-	vhi := minOf(scratch[lo+1:])
-	frac := rank - float64(lo)
-	return vlo*(1-frac) + vhi*frac, true
-}
-
-// selectKth partitions a in place so a[k] holds the k-th smallest element,
-// with a[:k] <= a[k] <= a[k+1:]. Median-of-3 pivots keep it deterministic
-// (no rng) and defeat sorted/reverse-sorted inputs.
-func selectKth(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		// Median-of-3 pivot, moved to the end for Lomuto partitioning.
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		a[mid], a[hi] = a[hi], a[mid]
-		pivot := a[hi]
-		p := lo
-		for i := lo; i < hi; i++ {
-			if a[i] < pivot {
-				a[i], a[p] = a[p], a[i]
-				p++
-			}
-		}
-		a[p], a[hi] = a[hi], a[p]
-		switch {
-		case k < p:
-			hi = p - 1
-		case k > p:
-			lo = p + 1
-		default:
-			return a[k]
-		}
-	}
-	return a[k]
-}
-
-func minOf(a []float64) float64 {
-	m := a[0]
-	for _, x := range a[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(a []float64) float64 {
-	m := a[0]
-	for _, x := range a[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantiles answers many exact quantile queries over one sample window
 // from a single cached sorted copy: build once (O(n log n)), query in
 // O(1). It replaces the repeated-Quantile pattern — each call of which
-// re-sorts or re-selects the same window — wherever several percentiles
-// of one window are reported together. At agrees with Quantile exactly.
+// re-sorts the same window — wherever several percentiles of one window
+// are reported together. At agrees with Quantile exactly.
 type Quantiles struct {
 	sorted []float64
 }

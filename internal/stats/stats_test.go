@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -281,91 +279,6 @@ func TestQuantileExact(t *testing.T) {
 	}
 }
 
-// quantileSortRef is the pre-quickselect implementation, kept verbatim as
-// the cross-check oracle for the order-statistics path.
-func quantileSortRef(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := q * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// TestQuantileSelectMatchesSort cross-checks the large-window quickselect
-// path against the sort-based oracle, bit for bit, over random, sorted,
-// reversed, and heavily tied windows straddling the crossover size.
-func TestQuantileSelectMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sizes := []int{quantileSelectMin - 1, quantileSelectMin, quantileSelectMin + 1, 5000}
-	qs := []float64{0, 0.001, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
-	for _, n := range sizes {
-		shapes := map[string][]float64{}
-		random := make([]float64, n)
-		for i := range random {
-			random[i] = rng.NormFloat64() * 100
-		}
-		shapes["random"] = random
-		asc := append([]float64(nil), random...)
-		sort.Float64s(asc)
-		shapes["sorted"] = asc
-		desc := make([]float64, n)
-		for i := range desc {
-			desc[i] = asc[n-1-i]
-		}
-		shapes["reversed"] = desc
-		tied := make([]float64, n)
-		for i := range tied {
-			tied[i] = float64(i % 7)
-		}
-		shapes["tied"] = tied
-		for shape, xs := range shapes {
-			orig := append([]float64(nil), xs...)
-			for _, q := range qs {
-				got := Quantile(xs, q)
-				want := quantileSortRef(xs, q)
-				if got != want {
-					t.Fatalf("n=%d %s q=%v: Quantile=%v, sort oracle=%v", n, shape, q, got, want)
-				}
-			}
-			for i := range xs {
-				if xs[i] != orig[i] {
-					t.Fatalf("n=%d %s: Quantile mutated its input at %d", n, shape, i)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantileNaNFallsBackToSort pins the NaN escape hatch: a NaN in a
-// large window must reproduce the sort path's long-standing ordering.
-func TestQuantileNaNFallsBackToSort(t *testing.T) {
-	n := quantileSelectMin + 10
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	xs[n/2] = math.NaN()
-	for _, q := range []float64{0, 0.5, 1} {
-		if got, want := Quantile(xs, q), quantileSortRef(xs, q); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("q=%v: %v, want sort-path %v", q, got, want)
-		}
-	}
-}
-
 // TestQuantilesMatchesQuantile pins the cached-sorted-window form against
 // per-call Quantile.
 func TestQuantilesMatchesQuantile(t *testing.T) {
@@ -386,27 +299,5 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	var empty Quantiles
 	if empty.At(0.5) != 0 || QuantilesOf(nil).At(0.9) != 0 {
 		t.Fatal("empty Quantiles must answer 0, like Quantile")
-	}
-}
-
-// BenchmarkQuantile records the sort-vs-select crossover the
-// quantileSelectMin constant encodes.
-func BenchmarkQuantile(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{256, 1024, 8192, 65536} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64()
-		}
-		b.Run(fmt.Sprintf("select/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Quantile(xs, 0.99)
-			}
-		})
-		b.Run(fmt.Sprintf("sort/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quantileSortRef(xs, 0.99)
-			}
-		})
 	}
 }

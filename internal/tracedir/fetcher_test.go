@@ -13,8 +13,8 @@ import (
 )
 
 // TestFetcherGoldenRoundTrip pins the ChunkFetcher refactor: the dataset
-// assembled through the seam (TracesFrom over a DirFetcher) must be
-// byte-identical to the one Source.Traces returns — the "trace-dir" kind
+// assembled through the seam (OpenFrom over a DirFetcher) must be
+// byte-identical to the one Source.Open streams — the "trace-dir" kind
 // is now just the filesystem fetcher behind the shared assembly path, and
 // any divergence between the two would split the recorded-workload
 // contract in half.
@@ -26,11 +26,15 @@ func TestFetcherGoldenRoundTrip(t *testing.T) {
 	}
 	w := model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir}
 
-	direct, err := Source{}.Traces(w)
+	direct, err := materialize(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seamed, err := TracesFrom(context.Background(), DirFetcher{Dir: dir}, w)
+	r, err := OpenFrom(context.Background(), DirFetcher{Dir: dir}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seamed, err := model.Materialize(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestFetcherGoldenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(dj) != string(sj) {
-		t.Fatalf("fetcher-seam dataset differs from Source.Traces:\n%s\nvs\n%s", sj, dj)
+		t.Fatalf("fetcher-seam dataset differs from Source.Open:\n%s\nvs\n%s", sj, dj)
 	}
 	// And both reproduce the recorded dataset exactly.
 	oj, err := json.Marshal(&model.Dataset{Names: ds.Names, Group: ds.Group, Fine: ds.Fine, Coarse: ds.Coarse})
@@ -68,7 +72,7 @@ func TestDirFetcherErrorTextPinned(t *testing.T) {
 
 	t.Run("missing manifest", func(t *testing.T) {
 		empty := t.TempDir()
-		_, err := Source{}.Traces(model.Workload{Kind: "trace-dir", Path: empty})
+		_, err := materialize(model.Workload{Kind: "trace-dir", Path: empty})
 		want := fmt.Sprintf("tracedir: open %s: no such file or directory", filepath.Join(empty, ManifestName))
 		if err == nil || err.Error() != want {
 			t.Fatalf("err = %v, want %q", err, want)
@@ -78,7 +82,7 @@ func TestDirFetcherErrorTextPinned(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, "traces-001.csv")); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Source{}.Traces(w)
+		_, err := materialize(w)
 		want := fmt.Sprintf("tracedir: open %s: no such file or directory", filepath.Join(dir, "traces-001.csv"))
 		if err == nil || err.Error() != want {
 			t.Fatalf("err = %v, want %q", err, want)
@@ -93,7 +97,7 @@ func TestDirFetcherErrorTextPinned(t *testing.T) {
 		if err := os.WriteFile(path, []byte("not,a\ntrace,csv\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Source{}.Traces(model.Workload{Kind: "trace-dir", Path: dir})
+		_, err := materialize(model.Workload{Kind: "trace-dir", Path: dir})
 		wantPrefix := fmt.Sprintf("tracedir: read %s: ", path)
 		if err == nil || !strings.HasPrefix(err.Error(), wantPrefix) {
 			t.Fatalf("err = %v, want prefix %q", err, wantPrefix)

@@ -1,0 +1,107 @@
+package tracedir
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/pkg/dcsim/model"
+)
+
+// memFetcher is an in-memory ChunkFetcher: one manifest, and the same
+// chunk bytes under every file name the manifest lists.
+type memFetcher struct{ manifest, chunk []byte }
+
+func (f memFetcher) Manifest(context.Context) ([]byte, error)      { return f.manifest, nil }
+func (f memFetcher) Chunk(context.Context, string) ([]byte, error) { return f.chunk, nil }
+func (f memFetcher) Where(name string) string                      { return "mem/" + name }
+
+// FuzzManifest feeds arbitrary manifest and chunk bytes through the
+// recorded-trace read path — ReadManifestFrom, OpenFrom, Materialize. No
+// input may panic it: every rejection comes back as an error, and every
+// read that succeeds matches the manifest it was read against.
+func FuzzManifest(f *testing.F) {
+	// A valid recording small enough to mutate quickly: 2 VMs, one hour
+	// of 1-minute samples, coarse factor 6.
+	ds := &model.Dataset{}
+	for v := 0; v < 2; v++ {
+		fine := make([]float64, 60)
+		for i := range fine {
+			fine[i] = float64(v+1) + float64(i%5)/4
+		}
+		s := model.SeriesFromSamples(time.Minute, fine)
+		ds.Names = append(ds.Names, "vm"+string(rune('a'+v)))
+		ds.Group = append(ds.Group, v)
+		ds.Fine = append(ds.Fine, s)
+		ds.Coarse = append(ds.Coarse, s.Downsample(6))
+	}
+	dir := f.TempDir()
+	if err := Write(dir, ds, 0); err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	chunk, err := os.ReadFile(filepath.Join(dir, "traces-000.csv"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(manifest, chunk)
+	for _, tamper := range [][2]string{
+		{`"coarse_factor": 6`, `"coarse_factor": 9223372036854775760`}, // overflows Downsample at 60 samples
+		{`"coarse_factor": 6`, `"coarse_factor": -1`},
+		{`"samples": 60`, `"samples": 9223372036854775807`},
+	} {
+		tampered := strings.Replace(string(manifest), tamper[0], tamper[1], 1)
+		if tampered == string(manifest) {
+			f.Fatalf("seed manifest has no %s to tamper with", tamper[0])
+		}
+		f.Add([]byte(tampered), chunk)
+	}
+	f.Add([]byte(`{"version":1}`), []byte("t,vma\n0,1\n60,2\n"))
+	f.Add([]byte("{"), []byte{})
+
+	f.Fuzz(func(t *testing.T, manifest, chunk []byte) {
+		ctx := context.Background()
+		fetch := memFetcher{manifest: manifest, chunk: chunk}
+		m, err := ReadManifestFrom(ctx, fetch)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		r, err := OpenFrom(ctx, fetch, model.Workload{Kind: "trace-dir"})
+		if err != nil {
+			t.Fatalf("OpenFrom rejected a manifest ReadManifestFrom accepted: %v", err)
+		}
+		if r.Len() != len(m.Names) {
+			t.Fatalf("stream Len %d, manifest names %d VMs", r.Len(), len(m.Names))
+		}
+		got, err := model.Materialize(r)
+		if err != nil {
+			return
+		}
+		if len(got.Fine) != len(m.Names) {
+			t.Fatalf("read %d VMs, manifest names %d", len(got.Fine), len(m.Names))
+		}
+		iv, _ := m.interval()
+		for i, s := range got.Fine {
+			if got.Names[i] != m.Names[i] || s.Len() != m.Samples || s.Interval() != iv {
+				t.Fatalf("VM %d read as %q, %d samples at %v; manifest says %q, %d at %v",
+					i, got.Names[i], s.Len(), s.Interval(), m.Names[i], m.Samples, iv)
+			}
+		}
+		if m.CoarseFactor > 1 {
+			if len(got.Coarse) != len(got.Fine) {
+				t.Fatalf("coarse factor %d derived %d coarse series for %d VMs", m.CoarseFactor, len(got.Coarse), len(got.Fine))
+			}
+			for i, s := range got.Coarse {
+				if s.Interval() != iv*time.Duration(m.CoarseFactor) || s.Interval() <= 0 {
+					t.Fatalf("VM %d coarse interval %v at factor %d", i, s.Interval(), m.CoarseFactor)
+				}
+			}
+		}
+	})
+}

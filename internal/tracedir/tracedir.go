@@ -106,9 +106,15 @@ func (m *Manifest) validate() error {
 	if err != nil {
 		return err
 	}
-	if span := time.Duration(m.Samples) * iv; span != time.Duration(m.Hours)*time.Hour {
+	// Check the product and divide the horizon out rather than multiply it
+	// in, so no overflowing count passes as a consistent span.
+	if span := time.Duration(m.Samples) * iv; span/iv != time.Duration(m.Samples) ||
+		span%time.Hour != 0 || span/time.Hour != time.Duration(m.Hours) {
 		return fmt.Errorf("tracedir: %d samples at %v span %v, manifest claims %d h",
 			m.Samples, iv, span, m.Hours)
+	}
+	if m.CoarseFactor < 0 || m.CoarseFactor > m.Samples {
+		return fmt.Errorf("tracedir: coarse factor %d outside [0, %d samples]", m.CoarseFactor, m.Samples)
 	}
 	if len(m.Groups) != 0 && len(m.Groups) != len(m.Names) {
 		return fmt.Errorf("tracedir: %d group entries for %d VMs", len(m.Groups), len(m.Names))
@@ -163,7 +169,7 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 // ChunkFetcher is the transport seam of the recorded-trace stack: how the
 // manifest and the chunk CSVs named by it are brought into memory. The
 // parse/validate/assemble path above the seam (ReadManifestFrom,
-// TracesFrom) is transport-independent — DirFetcher reads a local
+// OpenFrom) is transport-independent — DirFetcher reads a local
 // directory through the OS, internal/objstore range-reads an HTTP object
 // store — so every backend reproduces the same dataset from the same
 // recorded bytes.
@@ -296,7 +302,7 @@ func Write(dir string, ds *model.Dataset, perFile int) error {
 }
 
 // Source is the "trace-dir" workload backend: Workload.Path names a
-// directory written by Write (or by cmd/tracegen -dir), and Traces streams
+// directory written by Write (or by cmd/tracegen -dir), and Open streams
 // it back chunk by chunk. The zero value is ready to use.
 type Source struct{}
 
@@ -331,18 +337,10 @@ func checkWorkloadShape(w model.Workload) error {
 	return nil
 }
 
-// Traces implements model.WorkloadSource: load the recorded fine traces
+// Open implements model.WorkloadSource: load the recorded fine traces
 // chunk by chunk, verify each chunk against the manifest, and derive the
-// coarse granularity by averaging when the manifest records a factor.
-func (Source) Traces(w model.Workload) (*model.Dataset, error) {
-	if err := checkWorkloadShape(w); err != nil {
-		return nil, err
-	}
-	return TracesFrom(context.Background(), DirFetcher{Dir: w.Path}, w)
-}
-
-// Open implements model.StreamingSource: the same recording, emitted VM by
-// VM with at most one chunk's traces resident at a time.
+// coarse granularity by averaging when the manifest records a factor —
+// emitted VM by VM with at most one chunk's traces resident at a time.
 func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
 	if err := checkWorkloadShape(w); err != nil {
 		return nil, err
@@ -350,30 +348,19 @@ func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, 
 	return OpenFrom(ctx, DirFetcher{Dir: w.Path}, w)
 }
 
-// TracesFrom assembles the recording behind the fetcher into a dataset. It
-// is the materialization of OpenFrom — the streamed and batch reads share
-// one parse/validate path, so the dataset (and every validation error past
-// the transport) is identical whether the bytes came from a local
-// directory or an object store, streamed or materialized.
-func TracesFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dataset, error) {
-	r, err := OpenFrom(ctx, f, w)
-	if err != nil {
-		return nil, err
-	}
-	return model.Materialize(r)
-}
-
 // OpenFrom opens the recording behind the fetcher as a VM stream: the
 // manifest is fetched, validated internally and against the workload up
 // front — a truncated or inconsistent manifest fails here, before any
 // trace bytes move — then chunks are fetched lazily, one at a time, as
-// records are consumed. Each chunk is verified against the manifest's
-// column order, interval, and sample count exactly as the batch reader
-// always has; its raw bytes are released once parsed, and emitted records
-// are dropped from the reader as they leave, so residency is bounded by
-// one chunk regardless of recording size. The context covers the whole
-// stream: it is threaded through every chunk fetch and checked between
-// records.
+// records are consumed. It is the one read path every recorded backend
+// shares, so the records (and every validation error past the transport)
+// are identical whether the bytes came from a local directory or an
+// object store. Each chunk is verified against the manifest's column
+// order, interval, and sample count; its raw bytes are released once
+// parsed, and emitted records are dropped from the reader as they leave,
+// so residency is bounded by one chunk regardless of recording size. The
+// context covers the whole stream: it is threaded through every chunk
+// fetch and checked between records.
 func OpenFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (model.DatasetReader, error) {
 	m, err := ReadManifestFrom(ctx, f)
 	if err != nil {
@@ -448,8 +435,7 @@ func (r *streamReader) Next() (model.VMRecord, error) {
 }
 
 // loadChunk fetches, parses, and verifies one chunk, replacing the pending
-// records. The checks (and their error text) are the batch reader's,
-// unchanged.
+// records.
 func (r *streamReader) loadChunk(entry FileEntry) error {
 	names, series, err := readChunk(r.ctx, r.f, entry.File)
 	if err != nil {

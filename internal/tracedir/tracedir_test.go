@@ -1,6 +1,7 @@
 package tracedir
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,6 +30,16 @@ func testDataset(nVMs int) *model.Dataset {
 	return ds
 }
 
+// materialize reads a workload through Source.Open, the one read path,
+// into a Dataset.
+func materialize(w model.Workload) (*model.Dataset, error) {
+	r, err := Source{}.Open(context.Background(), w)
+	if err != nil {
+		return nil, err
+	}
+	return model.Materialize(r)
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ds := testDataset(5)
@@ -48,7 +59,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err := (Source{}).Check(w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Source{}.Traces(w)
+	got, err := materialize(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +109,8 @@ func TestCheckWorkloadMismatches(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
-		if _, err := (Source{}.Traces(c.w)); err == nil {
-			t.Errorf("%s: Traces should fail the same check", c.name)
+		if _, err := materialize(c.w); err == nil {
+			t.Errorf("%s: Open should fail the same check", c.name)
 		}
 	}
 	// Zero VMs/hours mean "whatever is recorded": no mismatch to report.
@@ -125,7 +136,7 @@ func TestTamperedDirectoryRejected(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, "traces-001.csv")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (Source{}.Traces(w(dir))); err == nil {
+		if _, err := materialize(w(dir)); err == nil {
 			t.Fatal("missing chunk not detected")
 		}
 	})
@@ -141,7 +152,7 @@ func TestTamperedDirectoryRejected(t *testing.T) {
 		if err := os.WriteFile(path, short, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (Source{}.Traces(w(dir))); err == nil {
+		if _, err := materialize(w(dir)); err == nil {
 			t.Fatal("truncated chunk not detected")
 		}
 	})
@@ -156,7 +167,7 @@ func TestTamperedDirectoryRejected(t *testing.T) {
 		if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (Source{}.Traces(w(dir))); err == nil {
+		if _, err := materialize(w(dir)); err == nil {
 			t.Fatal("renamed column not detected")
 		}
 	})
@@ -174,7 +185,7 @@ func TestTamperedDirectoryRejected(t *testing.T) {
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (Source{}.Traces(w(dir))); err == nil {
+		if _, err := materialize(w(dir)); err == nil {
 			t.Fatal("negative demand sample not detected")
 		}
 	})
@@ -192,6 +203,49 @@ func TestTamperedDirectoryRejected(t *testing.T) {
 		// Samples × interval no longer spans the claimed horizon.
 		if _, err := ReadManifest(dir); err == nil {
 			t.Fatal("inconsistent manifest not detected")
+		}
+	})
+	t.Run("manifest span overflows", func(t *testing.T) {
+		dir := write(t)
+		path := filepath.Join(dir, ManifestName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 4 samples of 2^62 ns + 15 min wrap int64 to exactly one hour.
+		tampered := strings.NewReplacer(`"interval": "5s"`, `"interval": "4611686918427387904ns"`,
+			`"samples": 1440`, `"samples": 4`, `"hours": 2`, `"hours": 1`).Replace(string(data))
+		if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "manifest claims 1 h") {
+			t.Fatalf("overflowing span: err = %v, want it rejected", err)
+		}
+	})
+	t.Run("manifest coarse factor out of range", func(t *testing.T) {
+		// Past the sample count, a factor used to reach Series.Downsample:
+		// on these 1440-sample series the first overflows its slice size
+		// and panicked, the second overflowed the coarse interval silently.
+		for _, factor := range []string{"9223372036854775000", "9223372036854775407", "1441", "-1"} {
+			dir := write(t)
+			path := filepath.Join(dir, ManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := strings.Replace(string(data), `"coarse_factor": 60`, `"coarse_factor": `+factor, 1)
+			if tampered == string(data) {
+				t.Fatal("recording carries no coarse factor to tamper with")
+			}
+			if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := materialize(w(dir)); err == nil {
+				t.Fatalf("factor %s: Open accepted the manifest", factor)
+			}
+			if err := (Source{}).Check(w(dir)); err == nil || !strings.Contains(err.Error(), "coarse factor") {
+				t.Fatalf("factor %s: Check err = %v, want the coarse factor rejected", factor, err)
+			}
 		}
 	})
 	t.Run("manifest escapes the directory", func(t *testing.T) {

@@ -58,22 +58,10 @@ func (s synthSource) Check(w model.Workload) error {
 	return nil
 }
 
-// Traces implements model.WorkloadSource, deterministically in the seed.
-func (s synthSource) Traces(w model.Workload) (*model.Dataset, error) {
-	if err := s.Check(w); err != nil {
-		return nil, err
-	}
-	cfg := s.config(w)
-	if s.uncorrelated {
-		return synth.Uncorrelated(cfg), nil
-	}
-	return synth.Datacenter(cfg), nil
-}
-
-// Open implements model.StreamingSource: the generator emits VM by VM, so
-// large synthetic populations never exist as a whole Dataset — the state
-// behind the stream is the shared group profiles plus one record in
-// flight, and the records are sample-identical to Traces' output.
+// Open implements model.WorkloadSource, deterministically in the seed: the
+// generator emits VM by VM, so large synthetic populations never exist as
+// a whole Dataset — the state behind the stream is the shared group
+// profiles plus one record in flight.
 func (s synthSource) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
 	if err := s.Check(w); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ package dcsim_test
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,7 +129,7 @@ func (flatSource) Check(w model.Workload) error {
 	return nil
 }
 
-func (flatSource) Traces(w model.Workload) (*model.Dataset, error) {
+func (flatSource) Open(_ context.Context, w model.Workload) (model.DatasetReader, error) {
 	const perHour = 720 // 5-second samples
 	ds := &model.Dataset{}
 	for v := 0; v < w.VMs; v++ {
@@ -139,7 +140,7 @@ func (flatSource) Traces(w model.Workload) (*model.Dataset, error) {
 		ds.Names = append(ds.Names, fmt.Sprintf("flat%02d", v))
 		ds.Fine = append(ds.Fine, model.SeriesFromSamples(5*time.Second, samples))
 	}
-	return ds, nil
+	return model.DatasetReaderOf(ds), nil
 }
 
 // TestOutOfTreeWorkloadSourceThroughFacade: a workload backend registers
@@ -178,6 +179,61 @@ func TestOutOfTreeWorkloadSourceThroughFacade(t *testing.T) {
 	}
 	if len(res.Periods) != 2 {
 		t.Errorf("ran %d periods, want 2", len(res.Periods))
+	}
+}
+
+// countingSource is flatSource with its Check and Open calls counted, so
+// a test can see how often each façade entry point reaches the backend.
+type countingSource struct {
+	flatSource
+	checks, opens atomic.Int64
+}
+
+func (c *countingSource) Check(w model.Workload) error {
+	c.checks.Add(1)
+	return c.flatSource.Check(w)
+}
+
+func (c *countingSource) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
+	c.opens.Add(1)
+	return c.flatSource.Open(ctx, w)
+}
+
+// TestEveryIngestOpensSourceOnce: an ingest opens its source exactly once
+// and makes no separate Check (Open validates on its own), while the
+// preflight checks once and opens nothing.
+func TestEveryIngestOpensSourceOnce(t *testing.T) {
+	src := &countingSource{}
+	dcsim.RegisterWorkload("counting-test", src)
+	sc := dcsim.New(
+		dcsim.WithWorkloadKind("counting-test"),
+		dcsim.WithVMs(4),
+		dcsim.WithGroups(1),
+		dcsim.WithHours(1),
+		dcsim.WithMaxServers(4),
+		dcsim.WithPolicy("bfd"),
+	)
+	cases := []struct {
+		name          string
+		call          func() error
+		checks, opens int64
+	}{
+		{"Run", func() error { _, err := dcsim.Run(context.Background(), sc); return err }, 0, 1},
+		{"GenerateTraces", func() error { _, err := dcsim.GenerateTraces(sc.Workload); return err }, 0, 1},
+		{"CheckScenario", func() error { return dcsim.CheckScenario(sc) }, 1, 0},
+	}
+	for _, c := range cases {
+		src.checks.Store(0)
+		src.opens.Store(0)
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := src.checks.Load(); got != c.checks {
+			t.Errorf("%s made %d Check calls, want %d", c.name, got, c.checks)
+		}
+		if got := src.opens.Load(); got != c.opens {
+			t.Errorf("%s made %d Open calls, want %d", c.name, got, c.opens)
+		}
 	}
 }
 

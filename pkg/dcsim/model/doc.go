@@ -28,6 +28,12 @@
 //   - CostSource and PairCostFunc: the streaming pairwise correlation
 //     costs (Eqn 1 of the paper) shared between a correlation-aware
 //     policy and governor.
+//   - Workload and WorkloadSource: a serializable workload description
+//     and the backend that turns it into traces — Check to validate it
+//     without side effects, Open to stream it.
+//   - DatasetReader and VMRecord: that stream, one VM's traces per
+//     record in canonical order; Materialize drains one into a Dataset,
+//     and DatasetReaderOf streams a Dataset back.
 //   - VM, Dataset, Result: the workload a run consumes and the metrics it
 //     produces.
 //   - RunOptions: the serializable scale knobs of the experiment drivers

@@ -41,38 +41,10 @@ type DatasetReader interface {
 	Close() error
 }
 
-// StreamingSource is the optional WorkloadSource capability backing the
-// bounded-memory data path: a backend that can emit its traces VM by VM
-// instead of materializing the whole Dataset. Open validates the workload
-// the way Traces would and returns a reader whose drained records
-// reproduce Traces' Dataset byte for byte — streaming is a memory
-// strategy, never a different answer. The context covers the whole stream:
-// implementations observe cancellation between records (and inside chunk
-// fetches, for remote transports).
-type StreamingSource interface {
-	Open(ctx context.Context, w Workload) (DatasetReader, error)
-}
-
-// OpenSource opens a workload's VM stream: through the source's
-// StreamingSource capability when it has one, otherwise by materializing
-// Traces and wrapping the Dataset — so every consumer of the streaming
-// path works with every registered backend, and only the memory profile
-// differs.
-func OpenSource(ctx context.Context, src WorkloadSource, w Workload) (DatasetReader, error) {
-	if ss, ok := src.(StreamingSource); ok {
-		return ss.Open(ctx, w)
-	}
-	ds, err := src.Traces(w)
-	if err != nil {
-		return nil, err
-	}
-	return DatasetReaderOf(ds), nil
-}
-
 // Materialize drains a reader into the Dataset its records describe and
-// closes it. The result is identical to the source's Traces output — the
-// adapter every existing Traces caller keeps working through. A drain
-// error closes the reader and wins over any close error.
+// closes it — the whole-dataset form of a WorkloadSource's stream, for
+// consumers that index traces instead of folding them. A drain error
+// closes the reader and wins over any close error.
 func Materialize(r DatasetReader) (*Dataset, error) {
 	n := r.Len()
 	if n < 0 {
@@ -125,9 +97,9 @@ type datasetReader struct {
 }
 
 // DatasetReaderOf wraps an already-materialized Dataset as a DatasetReader
-// — the trivial adapter for sources that only implement Traces. It shares
-// the Dataset's series (no copies), so it bounds nothing; it exists so the
-// streaming path is total over all backends.
+// — how a WorkloadSource that holds its traces in memory implements Open.
+// It shares the Dataset's series (no copies), so it bounds nothing; wrap it
+// in ReaderWithContext to make a long one cancellable between records.
 func DatasetReaderOf(ds *Dataset) DatasetReader {
 	return &datasetReader{ds: ds}
 }

@@ -92,28 +92,6 @@ func TestMaterializeMidStreamErrorClosesReader(t *testing.T) {
 	}
 }
 
-func TestOpenSourceFallsBackToTraces(t *testing.T) {
-	ds := testDataset(t, 2)
-	src := tracesOnlySource{ds: ds}
-	r, err := OpenSource(context.Background(), src, Workload{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", r.Len())
-	}
-	rec, err := r.Next()
-	if err != nil || rec.Name != ds.Names[0] {
-		t.Fatalf("Next() = %v, %v; want first record %q", rec.Name, err, ds.Names[0])
-	}
-}
-
-type tracesOnlySource struct{ ds *Dataset }
-
-func (s tracesOnlySource) Check(Workload) error              { return nil }
-func (s tracesOnlySource) Traces(Workload) (*Dataset, error) { return s.ds, nil }
-
 func TestReaderWithContextCancelsBetweenRecords(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := ReaderWithContext(ctx, DatasetReaderOf(testDataset(t, 3)))

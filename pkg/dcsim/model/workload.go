@@ -1,6 +1,9 @@
 package model
 
-import "sort"
+import (
+	"context"
+	"sort"
+)
 
 // Workload is the serializable description of a VM demand-trace source —
 // the value a Scenario carries and a WorkloadSource consumes. It is the
@@ -99,10 +102,10 @@ type FetchStats struct {
 }
 
 // WorkloadSource is one workload backend: it turns a Workload description
-// into the demand traces it names. Implementations must be deterministic —
-// the same Workload always yields sample-identical traces — because sweep
-// replicas, remote retries, and cross-machine aggregation all rely on
-// reproducing a run exactly.
+// into the stream of demand traces it names. Implementations must be
+// deterministic — the same Workload always yields sample-identical records
+// — because sweep replicas, remote retries, and cross-machine aggregation
+// all rely on reproducing a run exactly.
 //
 // Register implementations under a kind name through the dcsim façade
 // (RegisterWorkload); scenario validation, sweep preflight, and the remote
@@ -112,13 +115,17 @@ type WorkloadSource interface {
 	// Check validates the description without producing traces — the
 	// fail-fast hook scenario validation and sweep preflight call. A
 	// file-backed source validates its manifest (names, interval,
-	// horizon) against the workload here.
+	// horizon) against the workload here. Check must have no side
+	// effects: preflight runs it once per sweep cell.
 	Check(w Workload) error
-	// Traces produces the dataset the description names. It must not
-	// assume Check ran first (callers may hold the source directly, and
-	// file-backed data can change between the two calls), so it
-	// revalidates whatever it depends on.
-	Traces(w Workload) (*Dataset, error)
+	// Open returns the VM stream the description names, in canonical
+	// order. It must not assume Check ran first (the façade opens without
+	// a separate Check, and file-backed data can change between the two
+	// calls), so it validates whatever it depends on. The context covers
+	// the whole stream: implementations observe cancellation between
+	// records (ReaderWithContext) and inside any fetches. A backend that
+	// already holds a Dataset returns DatasetReaderOf(ds).
+	Open(ctx context.Context, w Workload) (DatasetReader, error)
 }
 
 // SeedInvariantSource is an optional WorkloadSource capability: a source

@@ -57,7 +57,8 @@ func SeedInvariantWorkload(kind string) bool {
 // CheckWorkload validates a workload description the way GenerateTraces
 // would — kind lookup plus the backend's own fail-fast check (for
 // file-backed kinds, the manifest against the scenario) — without
-// producing any traces.
+// producing any traces. It is the preflight-only path: OpenTraces does
+// not call it, because a backend's Open validates on its own.
 func CheckWorkload(w Workload) error {
 	src, err := LookupWorkload(w.Kind)
 	if err != nil {
@@ -83,33 +84,27 @@ func GenerateTraces(w Workload) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := kindOrDefault(w.Kind)
-	if ds == nil || len(ds.Fine) == 0 {
-		return nil, fmt.Errorf("dcsim: workload kind %q produced no traces", kind)
-	}
-	if len(ds.Names) != len(ds.Fine) {
-		return nil, fmt.Errorf("dcsim: workload kind %q produced %d names for %d traces",
-			kind, len(ds.Names), len(ds.Fine))
+	// Materialize pairs every series with its record's name; only an
+	// empty stream is left to reject.
+	if len(ds.Fine) == 0 {
+		return nil, fmt.Errorf("dcsim: workload kind %q produced no traces", kindOrDefault(w.Kind))
 	}
 	return ds, nil
 }
 
 // OpenTraces opens the VM stream a Workload describes through its
-// registered backend: kind lookup, the backend's fail-fast Check, then the
-// backend's StreamingSource capability when it has one (every built-in
-// kind does) or a materialized fallback for Traces-only backends. The
-// records reproduce GenerateTraces' Dataset exactly; only the memory
-// profile differs. The caller owns the reader and must Close it.
+// registered backend: kind lookup, then the backend's Open, which
+// validates the description itself — so a source is opened once and a
+// recording's manifest read once. The records reproduce GenerateTraces'
+// Dataset exactly; only the memory profile differs. The caller owns the
+// reader and must Close it.
 func OpenTraces(ctx context.Context, w Workload) (model.DatasetReader, error) {
 	src, err := LookupWorkload(w.Kind)
 	if err != nil {
 		return nil, err
 	}
 	w.Kind = kindOrDefault(w.Kind)
-	if err := src.Check(w); err != nil {
-		return nil, err
-	}
-	r, err := model.OpenSource(ctx, src, w)
+	r, err := src.Open(ctx, w)
 	if err != nil {
 		return nil, err
 	}

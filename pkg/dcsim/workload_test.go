@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/objstore"
 	"repro/pkg/dcsim/model"
 )
 
@@ -154,6 +158,41 @@ func TestTraceDirValidatedAgainstScenario(t *testing.T) {
 		WithWorkloadKind("trace-dir"), WithTracePath(dir))
 	if err := CheckScenario(sc); err != nil {
 		t.Errorf("matching scenario rejected: %v", err)
+	}
+}
+
+// TestTraceObjCheckWritesNothing: preflight of a "trace-obj" workload is
+// offline and side-effect free — CheckWorkload creates no chunk-cache
+// directory, so a coordinator that never fetches never writes — while
+// opening the stream, which fetches, still creates it.
+func TestTraceObjCheckWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := GenerateTraces(Workload{VMs: 4, Groups: 2, Hours: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTraceDir(dir, ds, 0); err != nil {
+		t.Fatal(err)
+	}
+	store := httptest.NewServer(&objstore.DirServer{Dir: dir})
+	defer store.Close()
+
+	cache := filepath.Join(t.TempDir(), "nested", "cache")
+	w := Workload{Kind: "trace-obj", Path: store.URL, VMs: 4, Hours: 1}
+	w.SetOption(objstore.OptCacheDir, cache)
+	if err := CheckWorkload(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(cache); !os.IsNotExist(err) {
+		t.Fatalf("CheckWorkload touched the chunk-cache directory (stat err = %v)", err)
+	}
+	r, err := OpenTraces(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if _, err := os.Stat(cache); err != nil {
+		t.Fatalf("Open did not create the chunk cache: %v", err)
 	}
 }
 
