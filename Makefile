@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
-	bench bench-test bench-sweep bench-alloc bench-compare leakcheck \
+	bench bench-test bench-alloc bench-compare leakcheck \
 	smoke-service smoke-fleet smoke-objstore smoke-stream
 
 ci: lint build test race bench-test smoke-service smoke-fleet smoke-objstore smoke-stream bench-compare
@@ -108,19 +108,11 @@ smoke-stream:
 bench-alloc:
 	./scripts/bench_alloc.sh
 
-# bench-sweep is the perf-trajectory smoke: a tiny grid through the sweep
-# engine, timing recorded in BENCH_sweep.json (reports go to a scratch
-# dir). The script runs under set -eu, so a failing `go run` fails the
-# target loudly instead of being masked by the cleanup chain.
-bench-sweep:
-	./scripts/bench_sweep.sh
-
-# bench-compare fails when the freshly recorded BENCH_sweep.json or
-# BENCH_alloc.json regresses more than BENCH_REGRESS_PCT percent (default
-# 100) against the committed baselines, printing the deltas either way.
-# Allocator rows are gated per phase (scale / matrix / fill / total), so
-# one phase cannot silently regress behind another's improvement. Depends
-# on both recorders so the comparison always reads fresh records, even
-# under `make -j`.
-bench-compare: bench-sweep bench-alloc
+# bench-compare fails when the freshly recorded BENCH_alloc.json regresses
+# more than BENCH_REGRESS_PCT percent (default 100) against the committed
+# baseline, printing the deltas either way. Allocator rows are gated per
+# phase (scale / matrix / fill / total), so one phase cannot silently
+# regress behind another's improvement. Depends on the recorder so the
+# comparison always reads a fresh record, even under `make -j`.
+bench-compare: bench-alloc
 	./scripts/bench_compare.sh

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -40,7 +39,6 @@ func sweepMain(args []string) {
 		outDir    = fs.String("out", ".", "directory the JSON and CSV reports are written to")
 		progress  = fs.Bool("progress", false, "print each cell's aggregate as it completes")
 		quiet     = fs.Bool("quiet", false, "suppress the summary table on stdout")
-		bench     = fs.String("bench", "", "also write a timing record (runs, seconds, runs/s) to this file")
 		remotes   = fs.String("remote", "", "comma-separated worker base URLs (\"dcsim worker\" instances) to fan cells out to")
 		fleetAddr = fs.String("fleet", "", "address to serve the elastic-fleet coordinator on; workers join with \"dcsim worker -register\"")
 		fleetMin  = fs.Int("fleet-min", 1, "with -fleet: wait for this many registered workers before sweeping")
@@ -252,25 +250,6 @@ func sweepMain(args []string) {
 			st.ChunkFetches, st.CacheHits, st.CacheEvictions, st.FetchRetries)
 		fmt.Printf("peak heap: %.1f MiB (sampled; streamed ingest bounds this by the in-flight cells, not the dataset)\n",
 			float64(peakHeap)/(1<<20))
-	}
-
-	if *bench != "" {
-		rec := struct {
-			Grid      string  `json:"grid"`
-			Cells     int     `json:"cells"`
-			Runs      int     `json:"runs"`
-			Workers   int     `json:"workers"`
-			Seconds   float64 `json:"seconds"`
-			RunsPerS  float64 `json:"runs_per_s"`
-			Completed int     `json:"completed_cells"`
-		}{name, res.TotalCells, runs, opts.Workers, elapsed.Seconds(), float64(runs) / elapsed.Seconds(), len(res.Cells)}
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*bench, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	// Reports for a stopped sweep are written above so the completed

@@ -56,9 +56,9 @@ func DefaultConfig() Config {
 // the UPDATE phase of Fig. 2); otherwise they are computed batch-style from
 // each request's Window, so the allocator also works standalone.
 //
-// An Allocator reuses per-placement scratch across Place calls, so a single
-// instance must not run concurrent placements; concurrent callers need one
-// Allocator each.
+// Place works from its arguments alone, as Fig. 2 does every tperiod, and
+// keeps nothing between calls: the caller-fed Matrix is the only state an
+// Allocator holds.
 type Allocator struct {
 	Config
 	Matrix model.CostSource
@@ -66,21 +66,6 @@ type Allocator struct {
 	// The Pearson-affinity ablation (A4 in DESIGN.md) uses this to swap
 	// Eqn 1 for a rescaled Pearson correlation.
 	CostFn PairCostFunc
-
-	scratch placeScratch
-}
-
-// placeScratch is the per-placement working state Place reuses between
-// calls: candidate/order/affinity slices that were previously reallocated
-// every call (the order slice every relaxation round).
-type placeScratch struct {
-	refs      []float64
-	rem       []float64
-	unalloc   []int
-	order     []int
-	cand      []int
-	affNum    []float64
-	allocated []bool
 }
 
 // NewAllocator returns an allocator with the given config and no matrix.
@@ -149,22 +134,6 @@ func EstimateServers(refs []float64, cores int) int {
 	return n
 }
 
-// growInts returns s resized to n, reusing capacity.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growFloats returns s resized to n, reusing capacity.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
 // Place implements model.Policy with the two-phase algorithm of Fig. 2.
 // The UPDATE phase (prediction, sorting, cost refresh, Eqn-3 server count)
 // is distributed between the caller (who predicts û into Request.Ref and
@@ -195,12 +164,10 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 		return nil, err
 	}
 	cost := a.costFunc(reqs)
-	sc := &a.scratch
-	refs := growFloats(sc.refs, len(reqs))
+	refs := make([]float64, len(reqs))
 	for i, r := range reqs {
 		refs[i] = r.Ref
 	}
-	sc.refs = refs
 
 	// Eqn 3: start with the estimated minimal active server count.
 	nServers := EstimateServers(refs, spec.Cores)
@@ -208,7 +175,7 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 		nServers = maxServers
 	}
 	cap := spec.Capacity()
-	rem := growFloats(sc.rem, nServers)
+	rem := make([]float64, nServers)
 	for i := range rem {
 		rem[i] = cap
 	}
@@ -219,22 +186,13 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 	// linear scan per removal made removals alone O(n²) at 1k+ VMs);
 	// scans skip marked entries, and the slice is compacted — order
 	// preserved, so placements are byte-identical — once half is dead.
-	unalloc := growInts(sc.unalloc, len(reqs))
+	unalloc := make([]int, len(reqs))
 	for i := range unalloc {
 		unalloc[i] = i
 	}
 	sort.SliceStable(unalloc, func(x, y int) bool { return refs[unalloc[x]] > refs[unalloc[y]] })
 
-	allocated := sc.allocated
-	if len(reqs) > len(allocated) {
-		allocated = make([]bool, len(reqs))
-	} else {
-		allocated = allocated[:len(reqs)]
-		for i := range allocated {
-			allocated[i] = false
-		}
-	}
-	sc.allocated = allocated
+	allocated := make([]bool, len(reqs))
 	nUnalloc := len(reqs)
 	remove := func(v int) {
 		allocated[v] = true
@@ -255,8 +213,8 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 	// so affinity(cand[i]) = affNum[i]/affDen. Admitting a member extends
 	// every candidate's running sum by one term instead of recomputing the
 	// whole inner product.
-	affNum := growFloats(sc.affNum, len(reqs))
-	cand := growInts(sc.cand, len(reqs))[:0]
+	affNum := make([]float64, len(reqs))
+	cand := make([]int, 0, len(reqs))
 
 	th := a.THCost
 	alpha := a.Alpha
@@ -264,14 +222,14 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 		alpha = 0.9
 	}
 	// Servers in decreasing remaining-capacity order (lines 10, 18),
-	// re-sorted every relaxation round; the slice itself is hoisted out of
-	// the loop and reused (it was reallocated every round).
-	order := growInts(sc.order, len(rem))
+	// re-sorted every relaxation round into one slice, which grows only
+	// when a round opened a server.
+	order := make([]int, 0, len(rem))
 	for nUnalloc > 0 {
 		progress := false
-		order = growInts(order, len(rem))
-		for i := range order {
-			order[i] = i
+		order = order[:0]
+		for i := range rem {
+			order = append(order, i)
 		}
 		sort.SliceStable(order, func(x, y int) bool { return rem[order[x]] > rem[order[y]] })
 
@@ -388,10 +346,6 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 			th = 0
 		}
 	}
-	// Hand the working slices back to the scratch for the next call
-	// (capacity is what matters; grow* resizes them on entry).
-	sc.unalloc, sc.rem, sc.order, sc.cand, sc.affNum = unalloc, rem, order, cand, affNum
-
 	assign := make([]int, len(reqs))
 	for s, ms := range members {
 		for _, v := range ms {

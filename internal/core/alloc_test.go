@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -203,15 +204,27 @@ func TestAllocatorDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := a.Place(reqs, spec8(), 10)
-	if err != nil {
-		t.Fatal(err)
+	// Place keeps no state between calls, so one Allocator serves
+	// concurrent placements, each identical to the first.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p2, err := a.Place(reqs, spec8(), 10)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range p1.Assign {
+				if p1.Assign[i] != p2.Assign[i] {
+					t.Error("allocator is not deterministic")
+					return
+				}
+			}
+		}()
 	}
-	for i := range p1.Assign {
-		if p1.Assign[i] != p2.Assign[i] {
-			t.Fatal("allocator is not deterministic")
-		}
-	}
+	wg.Wait()
 }
 
 func TestAllocatorPartitionsVMs(t *testing.T) {

@@ -156,7 +156,8 @@ func refOf(xs []float64, pctl float64) float64 {
 		}
 		return max
 	}
-	// Exact percentile for the batch form.
+	// The same P² estimator the matrix's monitors run, not an exact
+	// percentile: that is why CostOf agrees with CostMatrix for pctl < 1.
 	m := vmmodel.NewMonitor(pctl)
 	for _, v := range xs {
 		m.Add(v)

@@ -6,13 +6,23 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
+// PCP's fixed parameters. envelopePctl is the off-peak percentile above
+// which a window's samples form its envelope; maxOverlap is the Jaccard
+// overlap above which two envelopes belong to the same cluster (Verma et
+// al. require envelopes of different clusters to be essentially disjoint,
+// so even a small overlap merges).
+const (
+	envelopePctl = 0.9
+	maxOverlap   = 0.03
+)
+
 // PCP is the Peak Clustering-based Placement of Verma et al. (USENIX ATC
 // 2009) as described in the paper's related work and Section V-B:
 //
 //  1. Each VM's envelope (utilization above its own off-peak percentile)
 //     is extracted over the monitoring window.
 //  2. VMs are clustered so that envelopes in different clusters do not
-//     overlap (Jaccard overlap below MaxOverlap).
+//     overlap (Jaccard overlap below maxOverlap).
 //  3. VMs are provisioned by their off-peak demand and servers co-locate
 //     VMs from different clusters, reserving a shared peak buffer sized to
 //     the worst per-cluster sum of peak excesses among the co-located VMs
@@ -23,40 +33,13 @@ import (
 // with fast-changing, strongly synchronized scale-out workloads — PCP
 // degenerates to plain BFD on peak demand, reproducing the observation in
 // the paper's Setup 2 (22 of 24 periods formed one cluster).
-type PCP struct {
-	// EnvelopePctl is the off-peak percentile defining envelopes and
-	// provisioning (default 0.9).
-	EnvelopePctl float64
-	// MaxOverlap is the Jaccard overlap above which two envelopes belong
-	// to the same cluster (default 0.03: Verma et al. require envelopes
-	// of different clusters to be essentially disjoint, so even a small
-	// overlap merges).
-	MaxOverlap float64
-	// Cache, when set, memoizes window extraction across Place
-	// invocations by window identity (see envelope.Cache). It changes
-	// only where the bitsets come from, never their bits.
-	Cache *envelope.Cache
-}
+type PCP struct{}
 
 // Name implements model.Policy.
 func (PCP) Name() string { return "PCP" }
 
-func (p PCP) envelopePctl() float64 {
-	if p.EnvelopePctl <= 0 || p.EnvelopePctl >= 1 {
-		return 0.9
-	}
-	return p.EnvelopePctl
-}
-
-func (p PCP) maxOverlap() float64 {
-	if p.MaxOverlap <= 0 {
-		return 0.03
-	}
-	return p.MaxOverlap
-}
-
 // Place implements model.Policy.
-func (p PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
+func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
 	if maxServers < 1 {
 		return nil, model.ErrNoServers
 	}
@@ -67,16 +50,12 @@ func (p PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) 
 	envs := make([]envelope.Envelope, len(reqs))
 	for i, r := range reqs {
 		if r.Window != nil && r.Window.Len() > 0 {
-			if p.Cache != nil {
-				envs[i] = p.Cache.ExtractOffPeak(r.Window, p.envelopePctl())
-			} else {
-				envs[i] = envelope.ExtractOffPeak(r.Window, p.envelopePctl())
-			}
+			envs[i] = envelope.ExtractOffPeak(r.Window, envelopePctl)
 		}
 		// Otherwise the zero Envelope: indistinguishable; lands in the
 		// first cluster.
 	}
-	clusterOf, clusters := envelope.Cluster(envs, p.maxOverlap())
+	clusterOf, clusters := envelope.Cluster(envs, maxOverlap)
 
 	// Degenerate case: one cluster means "every VM peaks with every other
 	// VM"; the scheme has no signal and behaves exactly like BFD.

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/envelope"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -287,49 +286,5 @@ func TestFFDRespectsCapacityWhenFeasible(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPCPEnvelopeReuseByteIdentical pins the envelope-reuse seam: PCP with
-// an extraction cache must place byte-identically to the
-// extract-per-decision baseline, across repeated invocations.
-func TestPCPEnvelopeReuseByteIdentical(t *testing.T) {
-	n := 200
-	reqs := make([]Request, 8)
-	for i := range reqs {
-		w := mkWindow(i%2 == 0, n, int64(100+i))
-		reqs[i] = Request{
-			ID:      string(rune('a' + i)),
-			Ref:     w.Max(),
-			OffPeak: w.Percentile(0.9),
-			Window:  w,
-		}
-	}
-	base := PCP{}
-	want, err := base.Place(reqs, spec8(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cached := PCP{Cache: envelope.NewCache()}
-	for round := 0; round < 3; round++ {
-		got, err := cached.Place(reqs, spec8(), 10)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if got.NumServers != want.NumServers {
-			t.Fatalf("round %d: %d servers, want %d", round, got.NumServers, want.NumServers)
-		}
-		for i := range want.Assign {
-			if got.Assign[i] != want.Assign[i] {
-				t.Fatalf("round %d: VM %d on server %d, want %d",
-					round, i, got.Assign[i], want.Assign[i])
-			}
-		}
-	}
-	// Three identical invocations over the same windows: one extraction
-	// per window, not one per decision.
-	if cached.Cache.Len() != len(reqs) {
-		t.Fatalf("cache holds %d envelopes after 3 rounds over %d windows", cached.Cache.Len(), len(reqs))
 	}
 }

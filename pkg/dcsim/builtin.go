@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/envelope"
 	"repro/internal/objstore"
 	"repro/internal/place"
 	"repro/internal/power"
@@ -137,12 +136,9 @@ func init() {
 	RegisterPolicy("corr", corrAware)
 	RegisterPolicy("ffd", func(*Build) (model.Policy, error) { return place.FFD{}, nil })
 	RegisterPolicy("bfd", func(*Build) (model.Policy, error) { return place.BFD{}, nil })
-	// PCP carries an envelope-extraction cache for the run, so repeated
-	// placements over one monitoring window reuse the bitsets instead of
-	// re-extracting per decision (identical placements either way).
-	RegisterPolicy("pcp", func(*Build) (model.Policy, error) {
-		return place.PCP{Cache: envelope.NewCache()}, nil
-	})
+	// PCP extracts every envelope afresh on each Place: it keeps no state
+	// between periods, so one value serves any number of runs.
+	RegisterPolicy("pcp", func(*Build) (model.Policy, error) { return place.PCP{}, nil })
 	RegisterPolicy("jointvm", func(*Build) (model.Policy, error) { return place.JointVM{}, nil })
 
 	// Frequency governors. "corr-aware" aliases the paper's Eqn-4 governor.

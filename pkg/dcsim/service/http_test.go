@@ -353,6 +353,17 @@ func TestHTTPErrorCases(t *testing.T) {
 	if eb := readErr(resp); resp.StatusCode != http.StatusUnprocessableEntity || eb.Error.Code != "bad_grid" {
 		t.Fatalf("bad grid: %d %q", resp.StatusCode, eb.Error.Code)
 	}
+	// 422 too: small grids that expand past the run bound are rejected
+	// before anything is allocated.
+	for name, g := range oversizedGrids() {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(gridJSON(t, g)))
+		if err != nil {
+			t.Fatalf("%s grid: %v", name, err)
+		}
+		if eb := readErr(resp); resp.StatusCode != http.StatusUnprocessableEntity || eb.Error.Code != "bad_grid" {
+			t.Fatalf("%s grid: %d %q", name, resp.StatusCode, eb.Error.Code)
+		}
+	}
 
 	// 404s: unknown job everywhere.
 	for _, path := range []string{"/jobs/j99", "/jobs/j99/result", "/jobs/j99/events"} {

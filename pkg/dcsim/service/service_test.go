@@ -6,6 +6,7 @@ import (
 	"errors"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +126,24 @@ func TestJobLifecycleDeterminism(t *testing.T) {
 	}
 }
 
+// oversizedGrids are small grids that expand past the sweep package's
+// 1<<20-run bound: 20 param axes of 10 values each (10^20 cells, which
+// overflows int) and a single cell run 1<<20+1 times.
+func oversizedGrids() map[string]sweep.Grid {
+	overflow := sweep.Grid{Base: tinyGrid().Base}
+	for i := 0; i < 20; i++ {
+		vals := make([]any, 10)
+		for v := range vals {
+			vals[v] = float64(v)
+		}
+		overflow.Axes = append(overflow.Axes, sweep.Axis{Field: "param:p" + strconv.Itoa(i), Values: vals})
+	}
+	replicas := tinyGrid()
+	replicas.Axes[0].Values = []any{"bfd"}
+	replicas.Replicas = 1<<20 + 1
+	return map[string]sweep.Grid{"overflow": overflow, "replicas": replicas}
+}
+
 func TestSubmitRejectsBadGrid(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
@@ -132,6 +151,11 @@ func TestSubmitRejectsBadGrid(t *testing.T) {
 	g.Axes[0].Values = []any{"no-such-policy"}
 	if _, err := m.Submit(g); err == nil {
 		t.Fatal("submit of unknown policy succeeded")
+	}
+	for name, g := range oversizedGrids() {
+		if _, err := m.Submit(g); err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Fatalf("submit of %s grid = %v, want a size error", name, err)
+		}
 	}
 	if _, err := m.Status("j99"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("status of unknown job = %v, want ErrNotFound", err)

@@ -133,9 +133,10 @@ func (g Grid) withDefaults() Grid {
 func (g Grid) Normalized() Grid { return g.withDefaults() }
 
 // Validate reports structural problems: empty axes, bad replica counts,
-// duplicate fields, or a value no scenario field accepts. Every expanded
-// cell scenario is checked the way Run would check it (structure, registry
-// names, params), so a typo anywhere in the grid fails before any run.
+// duplicate fields, a grid too large to expand, or a value no scenario
+// field accepts. Every expanded cell scenario is checked the way Run would
+// check it (structure, registry names, params), so a typo anywhere in the
+// grid fails before any run.
 func (g Grid) Validate() error {
 	g = g.withDefaults()
 	if g.Replicas < 1 {
@@ -198,16 +199,33 @@ func replicaSeedErr(c Cell, replicas int, stride int64) error {
 	return nil
 }
 
+// maxRuns bounds a grid's expansion: both its runs (cells × replicas) and
+// its axis assignments (cells × axes, which size the expanded cells'
+// memory). Cells rejects a larger grid before it allocates anything, so a
+// small document can neither overflow the cell count nor exhaust memory;
+// the largest example grid runs 30.
+const maxRuns = 1 << 20
+
+var errTooLarge = fmt.Errorf("sweep: grid expands to more than %d runs or axis assignments", maxRuns)
+
 // Cells expands the cross-product in canonical order: the first axis varies
 // slowest, the last fastest, exactly like nested loops over the axes.
 func (g Grid) Cells() ([]Cell, error) {
 	g = g.withDefaults()
+	// Every product is checked against maxRuns before it is formed, so
+	// none can overflow.
 	total := 1
 	for _, ax := range g.Axes {
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Field)
 		}
+		if len(ax.Values) > maxRuns/total {
+			return nil, errTooLarge
+		}
 		total *= len(ax.Values)
+	}
+	if g.Replicas > maxRuns/total || len(g.Axes) > maxRuns/total {
+		return nil, errTooLarge
 	}
 	cells := make([]Cell, 0, total)
 	idx := make([]int, len(g.Axes))
@@ -418,6 +436,12 @@ func wantInt(field string, v any) (int, error) {
 	}
 	if f != math.Trunc(f) {
 		return 0, fmt.Errorf("sweep: axis %q wants an integer, got %v", field, f)
+	}
+	// NaN failed the test above and ±Inf fails this one. The upper bound
+	// is exclusive because float64(MaxInt) rounds up to -MinInt, which int
+	// cannot hold.
+	if f < math.MinInt || f >= -math.MinInt {
+		return 0, fmt.Errorf("sweep: axis %q value %v is out of range", field, f)
 	}
 	return int(f), nil
 }

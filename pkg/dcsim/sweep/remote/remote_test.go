@@ -181,13 +181,30 @@ func TestWorkerKilledMidCellFailsOver(t *testing.T) {
 	g := tinyGrid()
 	golden := localGolden(t, g)
 	var served atomic.Int32
+	second := make(chan struct{}) // closed when worker 0 gets its second /run
 	urls := cluster(t, 2, func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/run" && served.Add(1) > 1 {
-				panic(http.ErrAbortHandler) // the process is gone from now on
+			if r.URL.Path != "/run" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			if i == 0 {
+				n := served.Add(1)
+				if n == 2 {
+					close(second)
+				}
+				if n > 1 {
+					panic(http.ErrAbortHandler) // the process is gone from now on
+				}
+			} else {
+				// With one run in flight per worker, worker 1 could drain
+				// every run while worker 0's first is still running, and
+				// the fault would never fire. Hold worker 1 until it has.
+				select {
+				case <-second:
+				case <-time.After(30 * time.Second):
+					t.Error("worker 0 never received a second /run")
+				}
 			}
 			h.ServeHTTP(w, r)
 		})

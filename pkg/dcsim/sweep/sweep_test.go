@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,10 @@ func TestApplyRejects(t *testing.T) {
 		{"vms", 2.5, "wants an integer"},
 		{"oracle", 1.0, "wants a bool"},
 		{"param:", 1.0, "empty param name"},
+		// Integral but outside int: int(f) would wrap these silently.
+		{"seed", 1e19, "out of range"},
+		{"vms", 1e30, "out of range"},
+		{"hours", math.Inf(1), "out of range"},
 	}
 	for _, c := range cases {
 		err := Apply(&sc, c.field, c.v)
