@@ -23,9 +23,8 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/synth"
-	"repro/internal/trace"
-	"repro/internal/vmmodel"
 	"repro/internal/websearch"
+	"repro/pkg/dcsim/model"
 )
 
 var printOnce sync.Map
@@ -211,9 +210,9 @@ func BenchmarkAllocatorScale(b *testing.B) {
 	bench := func(n int, a *core.Allocator) func(b *testing.B) {
 		return func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
-			reqs := make([]place.Request, n)
+			reqs := make([]model.Request, n)
 			for i := range reqs {
-				reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+				reqs[i] = model.Request{Ref: 0.5 + 3*rng.Float64()}
 			}
 			if a.CostFn == nil {
 				m := core.NewCostMatrix(n, 1)
@@ -274,9 +273,9 @@ func BenchmarkAllocPhases(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("fill/serial/vms=%d", n), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(7))
-		reqs := make([]place.Request, n)
+		reqs := make([]model.Request, n)
 		for i := range reqs {
-			reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+			reqs[i] = model.Request{Ref: 0.5 + 3*rng.Float64()}
 		}
 		cfg := core.DefaultConfig()
 		cfg.Block = 0
@@ -291,9 +290,9 @@ func BenchmarkAllocPhases(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("total/serial/vms=%d", n), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(7))
-		reqs := make([]place.Request, n)
+		reqs := make([]model.Request, n)
 		for i := range reqs {
-			reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+			reqs[i] = model.Request{Ref: 0.5 + 3*rng.Float64()}
 		}
 		m := core.NewCostMatrix(n, 1)
 		sample := make([]float64, n)
@@ -320,18 +319,18 @@ func BenchmarkAllocPhases(b *testing.B) {
 func BenchmarkBaselinePlacements(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 40
-	win := make([]*trace.Series, n)
-	reqs := make([]place.Request, n)
+	win := make([]*model.Series, n)
+	reqs := make([]model.Request, n)
 	for i := range reqs {
-		s := trace.New(5*time.Second, 720)
+		s := model.NewSeries(5*time.Second, 720)
 		for k := 0; k < 720; k++ {
 			s.Append(rng.Float64() * 4)
 		}
 		win[i] = s
-		reqs[i] = place.Request{Ref: s.Max(), OffPeak: s.Percentile(0.9), Window: s}
+		reqs[i] = model.Request{Ref: s.Max(), OffPeak: s.Percentile(0.9), Window: s}
 	}
 	spec := server.XeonE5410()
-	for _, pol := range []place.Policy{place.FFD{}, place.BFD{}, place.PCP{}} {
+	for _, pol := range []model.Policy{place.FFD{}, place.BFD{}, place.PCP{}} {
 		b.Run(pol.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := pol.Place(reqs, spec, 20); err != nil {
@@ -457,7 +456,7 @@ func BenchmarkWebSearchSecond(b *testing.B) {
 // of the 40-VM Setup-2 under the proposed policy.
 func BenchmarkDatacenterHour(b *testing.B) {
 	ds := synth.Datacenter(synth.DefaultDatacenterConfig())
-	vms := vmmodel.FromSeries(ds.Names, ds.Fine)
+	vms := model.VMsFromSeries(ds.Names, ds.Fine)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := core.NewCostMatrix(len(vms), 1)
@@ -472,9 +471,9 @@ func BenchmarkDatacenterHour(b *testing.B) {
 			Predictor:     predict.LastValue{},
 			Matrix:        m,
 		}
-		short := make([]*vmmodel.VM, len(vms))
+		short := make([]*model.VM, len(vms))
 		for v := range vms {
-			short[v] = vmmodel.New(vms[v].ID, vms[v].Demand.Slice(0, 720))
+			short[v] = model.NewVM(vms[v].ID, vms[v].Demand.Slice(0, 720))
 		}
 		if _, err := sim.Run(short, cfg); err != nil {
 			b.Fatal(err)

@@ -248,7 +248,7 @@ func sweepMain(args []string) {
 		st := dcsim.WorkloadFetchStats()
 		fmt.Printf("objstore: %d chunk fetches, %d cache hits, %d evictions, %d retries\n",
 			st.ChunkFetches, st.CacheHits, st.CacheEvictions, st.FetchRetries)
-		fmt.Printf("peak heap: %.1f MiB (sampled; streamed ingest bounds this by the in-flight cells, not the dataset)\n",
+		fmt.Printf("peak heap: %.1f MiB (sampled; each in-flight cell holds its whole fine-grained workload)\n",
 			float64(peakHeap)/(1<<20))
 	}
 
@@ -271,8 +271,9 @@ func memberURLs(reg *fleet.Registry) []string {
 
 // sampleHeapPeak records the high-water HeapAlloc on a short ticker until
 // the returned stop func is called (which takes one final sample first).
-// GC timing makes the peak approximate, but it is the quantity the
-// streaming data path bounds and the smoke gate watches under GOMEMLIMIT.
+// GC timing makes the peak approximate. It grows with the number of cells
+// in flight and with each cell's dataset, since a run keeps every VM's
+// fine-grained series for its whole horizon.
 func sampleHeapPeak(peak *uint64) (stop func()) {
 	update := func() {
 		var ms runtime.MemStats

@@ -65,7 +65,7 @@ type Allocator struct {
 	// CostFn, when set, overrides the pairwise cost source entirely.
 	// The Pearson-affinity ablation (A4 in DESIGN.md) uses this to swap
 	// Eqn 1 for a rescaled Pearson correlation.
-	CostFn PairCostFunc
+	CostFn model.PairCostFunc
 }
 
 // NewAllocator returns an allocator with the given config and no matrix.
@@ -80,7 +80,7 @@ func (a *Allocator) Name() string { return "CorrAware" }
 const unsetCost = 0x7FF8_0000_DEAD_C0DE
 
 // costFunc picks the pairwise cost source for this request set.
-func (a *Allocator) costFunc(reqs []model.Request) PairCostFunc {
+func (a *Allocator) costFunc(reqs []model.Request) model.PairCostFunc {
 	if a.CostFn != nil {
 		return a.CostFn
 	}

@@ -8,18 +8,17 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/place"
 	"repro/internal/server"
-	"repro/internal/trace"
+	"repro/pkg/dcsim/model"
 )
 
-func spec8() server.Spec { return server.XeonE5410() }
+func spec8() model.ServerSpec { return server.XeonE5410() }
 
 // phasedWindow returns a demand series that is high on the given phase
 // (0 or 1) of alternating blocks.
-func phasedWindow(phase int, n int, seed int64) *trace.Series {
+func phasedWindow(phase int, n int, seed int64) *model.Series {
 	rng := rand.New(rand.NewSource(seed))
-	s := trace.New(time.Second, n)
+	s := model.NewSeries(time.Second, n)
 	block := 10
 	for i := 0; i < n; i++ {
 		hi := (i/block)%2 == phase
@@ -51,11 +50,11 @@ func TestAllocatorSeparatesCorrelatedVMs(t *testing.T) {
 	// Two anti-phased groups of two 3.5-core VMs: the allocator must pair
 	// across groups (one VM of each phase per server), never within.
 	const n = 200
-	var reqs []place.Request
+	var reqs []model.Request
 	for g := 0; g < 2; g++ {
 		for k := 0; k < 2; k++ {
 			w := phasedWindow(g, n, int64(g*10+k))
-			reqs = append(reqs, place.Request{
+			reqs = append(reqs, model.Request{
 				Ref:     w.Max(),
 				OffPeak: w.Percentile(0.9),
 				Window:  w,
@@ -81,10 +80,10 @@ func TestAllocatorSeparatesCorrelatedVMs(t *testing.T) {
 
 func TestAllocatorUsesEstimatedServerCount(t *testing.T) {
 	// Total demand ~14 cores over 8-core servers -> Eqn 3 says 2 servers.
-	var reqs []place.Request
+	var reqs []model.Request
 	for i := 0; i < 4; i++ {
 		w := phasedWindow(i%2, 100, int64(i))
-		reqs = append(reqs, place.Request{Ref: 3.5, OffPeak: 3, Window: w})
+		reqs = append(reqs, model.Request{Ref: 3.5, OffPeak: 3, Window: w})
 	}
 	a := NewAllocator(DefaultConfig())
 	p, err := a.Place(reqs, spec8(), 20)
@@ -97,9 +96,9 @@ func TestAllocatorUsesEstimatedServerCount(t *testing.T) {
 }
 
 func TestAllocatorOvercommitsWhenCapped(t *testing.T) {
-	var reqs []place.Request
+	var reqs []model.Request
 	for i := 0; i < 5; i++ {
-		reqs = append(reqs, place.Request{Ref: 6})
+		reqs = append(reqs, model.Request{Ref: 6})
 	}
 	a := NewAllocator(DefaultConfig())
 	p, err := a.Place(reqs, spec8(), 2)
@@ -134,7 +133,7 @@ func TestAllocatorWithStreamingMatrix(t *testing.T) {
 			m.Add([]float64{lo, lo, hi, hi})
 		}
 	}
-	reqs := []place.Request{{Ref: 3.5}, {Ref: 3.5}, {Ref: 3.5}, {Ref: 3.5}}
+	reqs := []model.Request{{Ref: 3.5}, {Ref: 3.5}, {Ref: 3.5}, {Ref: 3.5}}
 	a := &Allocator{Config: DefaultConfig(), Matrix: m}
 	p, err := a.Place(reqs, spec8(), 10)
 	if err != nil {
@@ -152,9 +151,9 @@ func TestAllocatorPlacesEverythingProperty(t *testing.T) {
 			rawRefs = rawRefs[:30]
 		}
 		maxServers := int(maxRaw%15) + 1
-		reqs := make([]place.Request, len(rawRefs))
+		reqs := make([]model.Request, len(rawRefs))
 		for i, r := range rawRefs {
-			reqs[i] = place.Request{Ref: float64(r)/40 + 0.05}
+			reqs[i] = model.Request{Ref: float64(r)/40 + 0.05}
 		}
 		p, err := a.Place(reqs, spec8(), maxServers)
 		if err != nil {
@@ -172,10 +171,10 @@ func TestAllocatorPlacesEverythingProperty(t *testing.T) {
 // returns exactly the CostOf value of the two windows.
 func TestCostFuncFallbackMatchesCostOf(t *testing.T) {
 	const n = 12
-	var reqs []place.Request
+	var reqs []model.Request
 	for i := 0; i < n; i++ {
 		w := phasedWindow(i%2, 60, int64(5+i))
-		reqs = append(reqs, place.Request{Ref: w.Max(), Window: w})
+		reqs = append(reqs, model.Request{Ref: w.Max(), Window: w})
 	}
 	cost := NewAllocator(DefaultConfig()).costFunc(reqs)
 	for pass := 0; pass < 2; pass++ {
@@ -194,10 +193,10 @@ func TestCostFuncFallbackMatchesCostOf(t *testing.T) {
 }
 
 func TestAllocatorDeterministic(t *testing.T) {
-	var reqs []place.Request
+	var reqs []model.Request
 	for i := 0; i < 12; i++ {
 		w := phasedWindow(i%2, 120, int64(i))
-		reqs = append(reqs, place.Request{Ref: w.Max(), Window: w})
+		reqs = append(reqs, model.Request{Ref: w.Max(), Window: w})
 	}
 	a := NewAllocator(DefaultConfig())
 	p1, err := a.Place(reqs, spec8(), 10)
@@ -234,9 +233,9 @@ func TestAllocatorPartitionsVMs(t *testing.T) {
 		if len(rawRefs) == 0 || len(rawRefs) > 25 {
 			return true
 		}
-		reqs := make([]place.Request, len(rawRefs))
+		reqs := make([]model.Request, len(rawRefs))
 		for i, r := range rawRefs {
-			reqs[i] = place.Request{Ref: float64(r)/50 + 0.1}
+			reqs[i] = model.Request{Ref: float64(r)/50 + 0.1}
 		}
 		a := NewAllocator(DefaultConfig())
 		p, err := a.Place(reqs, spec8(), 10)
@@ -270,7 +269,7 @@ func TestAllocatorThresholdRelaxation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.THCost = 50
 	a := NewAllocator(cfg)
-	reqs := []place.Request{{Ref: 4}, {Ref: 4}, {Ref: 4}, {Ref: 4}}
+	reqs := []model.Request{{Ref: 4}, {Ref: 4}, {Ref: 4}, {Ref: 4}}
 	p, err := a.Place(reqs, spec8(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +279,11 @@ func TestAllocatorThresholdRelaxation(t *testing.T) {
 	}
 }
 
-func scaleReqs(n int, seed int64) []place.Request {
+func scaleReqs(n int, seed int64) []model.Request {
 	rng := rand.New(rand.NewSource(seed))
-	reqs := make([]place.Request, n)
+	reqs := make([]model.Request, n)
 	for i := range reqs {
-		reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+		reqs[i] = model.Request{Ref: 0.5 + 3*rng.Float64()}
 	}
 	return reqs
 }

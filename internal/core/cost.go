@@ -7,12 +7,9 @@ package core
 import (
 	"math"
 
-	"repro/internal/vmmodel"
+	"repro/internal/stats"
 	"repro/pkg/dcsim/model"
 )
-
-// PairCostFunc is the pairwise-cost contract model.PairCostFunc.
-type PairCostFunc = model.PairCostFunc
 
 // CostMatrix maintains the pairwise correlation costs of Eqn (1) for a set
 // of VMs, updatable one utilization sample per VM at a time:
@@ -31,8 +28,8 @@ type PairCostFunc = model.PairCostFunc
 type CostMatrix struct {
 	n    int
 	pctl float64
-	vm   []*vmmodel.Monitor // per-VM û
-	pair []*vmmodel.Monitor // per-pair û of the aggregated demand, upper triangle
+	vm   []*monitor // per-VM û
+	pair []*monitor // per-pair û of the aggregated demand, upper triangle
 }
 
 // CostMatrix implements the streaming contract model.CostSource.
@@ -45,13 +42,13 @@ func NewCostMatrix(n int, pctl float64) *CostMatrix {
 		panic("core: negative VM count")
 	}
 	m := &CostMatrix{n: n, pctl: pctl}
-	m.vm = make([]*vmmodel.Monitor, n)
+	m.vm = make([]*monitor, n)
 	for i := range m.vm {
-		m.vm[i] = vmmodel.NewMonitor(pctl)
+		m.vm[i] = newMonitor(pctl)
 	}
-	m.pair = make([]*vmmodel.Monitor, n*(n-1)/2)
+	m.pair = make([]*monitor, n*(n-1)/2)
 	for i := range m.pair {
-		m.pair[i] = vmmodel.NewMonitor(pctl)
+		m.pair[i] = newMonitor(pctl)
 	}
 	return m
 }
@@ -158,11 +155,67 @@ func refOf(xs []float64, pctl float64) float64 {
 	}
 	// The same P² estimator the matrix's monitors run, not an exact
 	// percentile: that is why CostOf agrees with CostMatrix for pctl < 1.
-	m := vmmodel.NewMonitor(pctl)
+	m := newMonitor(pctl)
 	for _, v := range xs {
 		m.Add(v)
 	}
 	return m.Ref()
+}
+
+// monitor tracks the reference utilization of one VM (or one VM pair's
+// aggregate) on-line. It wraps a P² estimator (for percentile references)
+// and an exact running max, so the reference can be read at any time
+// without storing the window — the memory-saving property the paper
+// highlights in Section IV-A. A monitor is not synchronized.
+type monitor struct {
+	pctl float64
+	p2   *stats.P2Quantile
+	max  float64
+	n    int
+}
+
+// newMonitor returns a monitor for the given reference percentile; pctl >= 1
+// tracks the exact peak.
+func newMonitor(pctl float64) *monitor {
+	m := &monitor{pctl: pctl}
+	if pctl < 1 {
+		if pctl <= 0 {
+			panic("core: reference percentile must be positive")
+		}
+		m.p2 = stats.NewP2Quantile(pctl)
+	}
+	return m
+}
+
+// Add feeds one demand sample.
+func (m *monitor) Add(x float64) {
+	m.n++
+	if x > m.max {
+		m.max = x
+	}
+	if m.p2 != nil {
+		m.p2.Add(x)
+	}
+}
+
+// N returns the number of samples seen in the current window.
+func (m *monitor) N() int { return m.n }
+
+// Ref returns the current reference utilization û.
+func (m *monitor) Ref() float64 {
+	if m.p2 != nil {
+		return m.p2.Value()
+	}
+	return m.max
+}
+
+// Reset starts a new monitoring window.
+func (m *monitor) Reset() {
+	m.max = 0
+	m.n = 0
+	if m.p2 != nil {
+		m.p2.Reset()
+	}
 }
 
 // SyntheticPairCost is a deterministic, symmetric, O(1) stand-in pair
@@ -187,7 +240,7 @@ func SyntheticPairCost(i, j int) float64 {
 // against the other members, weighted by its share of the server's total
 // reference utilization. A server with fewer than two members has cost 1
 // (a lone VM's peak is its own peak — no co-location discount).
-func ServerCost(members []int, refs []float64, cost PairCostFunc) float64 {
+func ServerCost(members []int, refs []float64, cost model.PairCostFunc) float64 {
 	if len(members) < 2 {
 		return 1
 	}

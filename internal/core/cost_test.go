@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/pkg/dcsim/model"
 )
 
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -227,5 +230,64 @@ func TestServerCostZeroRefs(t *testing.T) {
 	cost := func(i, j int) float64 { return 2 }
 	if got := ServerCost([]int{0, 1}, refs, cost); got != 1 {
 		t.Fatalf("zero-demand server cost = %v, want 1", got)
+	}
+}
+
+func TestMonitorPeak(t *testing.T) {
+	m := newMonitor(1)
+	for _, v := range []float64{0.5, 3, 1, 2} {
+		m.Add(v)
+	}
+	if m.Ref() != 3 {
+		t.Fatalf("peak monitor ref = %v, want 3", m.Ref())
+	}
+	if m.N() != 4 {
+		t.Fatalf("n = %d, want 4", m.N())
+	}
+	m.Reset()
+	if m.Ref() != 0 || m.N() != 0 {
+		t.Fatal("reset should clear the monitor")
+	}
+}
+
+func TestMonitorPercentileTracksExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := newMonitor(0.9)
+	samples := make([]float64, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		v := math.Exp(rng.NormFloat64() * 0.4)
+		m.Add(v)
+		samples = append(samples, v)
+	}
+	exact := model.SeriesFromSamples(time.Second, samples).Percentile(0.9)
+	if rel := math.Abs(m.Ref()-exact) / exact; rel > 0.05 {
+		t.Fatalf("monitor q90 = %v, exact = %v (rel %v)", m.Ref(), exact, rel)
+	}
+}
+
+func TestMonitorPanicsOnBadPercentile(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pctl<=0 should panic")
+		}
+	}()
+	newMonitor(0)
+}
+
+func TestMonitorPeakMatchesSeriesMax(t *testing.T) {
+	f := func(raw []uint16) bool {
+		m := newMonitor(1)
+		max := 0.0
+		for _, r := range raw {
+			v := float64(r) / 100
+			m.Add(v)
+			if v > max {
+				max = v
+			}
+		}
+		return m.Ref() == max
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

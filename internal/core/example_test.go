@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/place"
 	"repro/internal/server"
+	"repro/pkg/dcsim/model"
 )
 
 // ExampleCostMatrix shows the streaming Eqn-1 cost on two anti-phased VMs.
@@ -35,7 +35,7 @@ func ExampleAllocator() {
 			m.Add([]float64{0.5, 0.5, 3.5, 3.5})
 		}
 	}
-	reqs := []place.Request{
+	reqs := []model.Request{
 		{ID: "a1", Ref: 3.5}, {ID: "a2", Ref: 3.5},
 		{ID: "b1", Ref: 3.5}, {ID: "b2", Ref: 3.5},
 	}

@@ -11,7 +11,7 @@ import "repro/pkg/dcsim/model"
 // member peaks coinciding; the 1/Cost_server factor is the discount the
 // empirical Fig.-3 lower bound licenses, because anti-correlated members'
 // actual aggregate peak is smaller than the sum of peaks by that ratio.
-func FreqRaw(members []int, refs []float64, cost PairCostFunc, spec model.ServerSpec) float64 {
+func FreqRaw(members []int, refs []float64, cost model.PairCostFunc, spec model.ServerSpec) float64 {
 	if len(members) == 0 {
 		return spec.FMin()
 	}
@@ -25,14 +25,14 @@ func FreqRaw(members []int, refs []float64, cost PairCostFunc, spec model.Server
 
 // FreqForServer snaps the Eqn-4 frequency up to the nearest available level
 // of the spec (never below fmin, never above fmax).
-func FreqForServer(members []int, refs []float64, cost PairCostFunc, spec model.ServerSpec) float64 {
+func FreqForServer(members []int, refs []float64, cost model.PairCostFunc, spec model.ServerSpec) float64 {
 	return spec.LevelFor(FreqRaw(members, refs, cost, spec))
 }
 
 // FreqPlan returns the per-server frequency levels for a whole placement,
 // the static-scaling mode of the paper's Table II(a): levels are fixed at
 // placement time from the predicted per-VM references.
-func FreqPlan(p *model.Placement, refs []float64, cost PairCostFunc, spec model.ServerSpec) []float64 {
+func FreqPlan(p *model.Placement, refs []float64, cost model.PairCostFunc, spec model.ServerSpec) []float64 {
 	out := make([]float64, p.NumServers)
 	for s := 0; s < p.NumServers; s++ {
 		out[s] = FreqForServer(p.VMsOn(s), refs, cost, spec)

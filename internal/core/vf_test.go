@@ -4,11 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/place"
 	"repro/internal/server"
+	"repro/pkg/dcsim/model"
 )
 
-func flatCost(c float64) PairCostFunc {
+func flatCost(c float64) model.PairCostFunc {
 	return func(i, j int) float64 {
 		if i == j {
 			return 1
@@ -60,7 +60,7 @@ func TestFreqForServerSnapsUp(t *testing.T) {
 
 func TestFreqPlanAndWorstCasePlan(t *testing.T) {
 	s := server.XeonE5410()
-	p := &place.Placement{NumServers: 2, Assign: []int{0, 0, 1}}
+	p := &model.Placement{NumServers: 2, Assign: []int{0, 0, 1}}
 	refs := []float64{4, 4, 2}
 	plan := FreqPlan(p, refs, flatCost(1.5), s)
 	if len(plan) != 2 {

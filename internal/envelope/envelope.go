@@ -14,7 +14,7 @@ package envelope
 import (
 	"math/bits"
 
-	"repro/internal/trace"
+	"repro/pkg/dcsim/model"
 )
 
 // Envelope is a fixed-length bitset: position i is set where the demand
@@ -68,7 +68,7 @@ func (e Envelope) Bools() []bool {
 
 // Extract returns the binary envelope of a series against a threshold:
 // set where the sample exceeds the threshold.
-func Extract(s *trace.Series, threshold float64) Envelope {
+func Extract(s *model.Series, threshold float64) Envelope {
 	env := New(s.Len())
 	for i := 0; i < s.Len(); i++ {
 		if s.At(i) > threshold {
@@ -80,7 +80,7 @@ func Extract(s *trace.Series, threshold float64) Envelope {
 
 // ExtractOffPeak extracts the envelope against the series' own pctl-th
 // percentile, the form PCP uses.
-func ExtractOffPeak(s *trace.Series, pctl float64) Envelope {
+func ExtractOffPeak(s *model.Series, pctl float64) Envelope {
 	return Extract(s, s.Percentile(pctl))
 }
 

@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/trace"
+	"repro/pkg/dcsim/model"
 )
 
 func TestExtract(t *testing.T) {
-	s := trace.NewFromSamples(time.Second, []float64{1, 5, 2, 8, 3})
+	s := model.SeriesFromSamples(time.Second, []float64{1, 5, 2, 8, 3})
 	env := Extract(s, 2.5)
 	want := []bool{false, true, false, true, true}
 	for i := range want {
@@ -23,7 +23,7 @@ func TestExtract(t *testing.T) {
 
 func TestExtractOffPeak(t *testing.T) {
 	// 10 samples 1..10; 90th percentile ~ 9.1, so only the 10 exceeds it.
-	s := trace.NewFromSamples(time.Second, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	s := model.SeriesFromSamples(time.Second, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	env := ExtractOffPeak(s, 0.9)
 	count := 0
 	for i := 0; i < env.Len(); i++ {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/place"
 	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/vmmodel"
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
@@ -62,49 +60,15 @@ func sweepRows(res *sweep.Result, baselineEnergyJ float64, label func(c sweep.Ce
 
 // proposedBase is the correlation-aware base scenario the single-axis
 // ablation grids mutate.
-func proposedBase(o Options) dcsim.Scenario {
+func proposedBase(o model.RunOptions) dcsim.Scenario {
 	sc := baseScenario(o)
 	sc.Policy = "corr-aware"
 	return sc
 }
 
-// ablate runs the proposed policy under a mutated configuration, normalized
-// against a shared BFD baseline. Only ablation A4 still assembles its run
-// by hand: a custom pair-cost function is not expressible as a Scenario,
-// so it cannot ride the sweep engine like the other studies.
-func ablate(o Options, vms []*vmmodel.VM, bfd *model.Result, label string,
-	mutate func(*sim.Config, *core.Allocator)) (AblationRow, error) {
-	m := core.NewCostMatrix(len(vms), 1)
-	alloc := &core.Allocator{Config: core.DefaultConfig(), Matrix: m}
-	cfg := sim.Config{
-		Spec:          setup2Spec(),
-		Power:         setup2Power(),
-		Policy:        alloc,
-		Governor:      sim.CorrAware{Matrix: m},
-		MaxServers:    o.MaxServers,
-		PeriodSamples: o.PeriodSamples,
-		Pctl:          1,
-		Predictor:     predict.LastValue{},
-		Matrix:        m,
-	}
-	if mutate != nil {
-		mutate(&cfg, alloc)
-	}
-	res, err := sim.Run(vms, cfg)
-	if err != nil {
-		return AblationRow{}, fmt.Errorf("exp: ablation %q: %w", label, err)
-	}
-	return AblationRow{
-		Label:           label,
-		NormalizedPower: res.NormalizedPower(bfd),
-		MaxViolationPct: res.MaxViolationPct,
-		MeanActive:      res.MeanActive,
-	}, nil
-}
-
 // AblationThreshold sweeps the initial correlation threshold THcost (A1) —
 // pure config on the sweep engine since THcost is a scenario param.
-func AblationThreshold(o Options) (*AblationResult, error) {
+func AblationThreshold(o model.RunOptions) (*AblationResult, error) {
 	bfd, err := baselineBFD(o)
 	if err != nil {
 		return nil, err
@@ -128,7 +92,7 @@ func AblationThreshold(o Options) (*AblationResult, error) {
 // AblationReference sweeps the reference percentile û (A2). The matrix and
 // the placement references move together, as in the paper's QoS knob — the
 // façade wires both from Scenario.Pctl.
-func AblationReference(o Options) (*AblationResult, error) {
+func AblationReference(o model.RunOptions) (*AblationResult, error) {
 	bfd, err := baselineBFD(o)
 	if err != nil {
 		return nil, err
@@ -154,7 +118,7 @@ func AblationReference(o Options) (*AblationResult, error) {
 
 // AblationPredictor swaps the per-period workload predictor (A3) by
 // registry name.
-func AblationPredictor(o Options) (*AblationResult, error) {
+func AblationPredictor(o model.RunOptions) (*AblationResult, error) {
 	bfd, err := baselineBFD(o)
 	if err != nil {
 		return nil, err
@@ -179,39 +143,53 @@ func AblationPredictor(o Options) (*AblationResult, error) {
 // correlation as the placement affinity (A4). Pearson is rescaled to the
 // cost range (corr -1..1 -> pseudo-cost 2..1) so the same allocator and
 // thresholds apply.
-func AblationMetric(o Options) (*AblationResult, error) {
+func AblationMetric(o model.RunOptions) (*AblationResult, error) {
 	vms := datacenterVMs(o)
 	bfd, err := runPolicy(o, vms, "bfd", 0)
 	if err != nil {
 		return nil, err
 	}
-	out := &AblationResult{Title: "Ablation A4 — placement affinity metric"}
-
-	eqn1, err := ablate(o, vms, bfd, "eqn1-cost", nil)
+	eqn1, err := runPolicy(o, vms, "corr", 0)
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = append(out.Rows, eqn1)
-
-	pearson, err := ablate(o, vms, bfd, "pearson", func(cfg *sim.Config, a *core.Allocator) {
-		// Recompute a Pearson matrix per placement from the request
-		// windows; the streaming matrix still drives Eqn 4 (the paper
-		// has no Pearson analogue for the frequency decision).
-		a.CostFn = nil
-		a.Matrix = nil
-		a.CostFn = pearsonAffinity(vms, o.PeriodSamples)
+	// The Pearson row is the one run a Scenario cannot express: the
+	// allocator scores pairs with a custom cost function, recomputed per
+	// placement, while the streaming matrix still drives Eqn 4 (the paper
+	// has no Pearson analogue for the frequency decision).
+	m := core.NewCostMatrix(len(vms), 1)
+	pearson, err := sim.Run(vms, sim.Config{
+		Spec:          setup2Spec(),
+		Power:         setup2Power(),
+		Policy:        &core.Allocator{Config: core.DefaultConfig(), CostFn: pearsonAffinity(vms)},
+		Governor:      sim.CorrAware{Matrix: m},
+		MaxServers:    o.MaxServers,
+		PeriodSamples: o.PeriodSamples,
+		Pctl:          1,
+		Predictor:     predict.LastValue{},
+		Matrix:        m,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: ablation A4 pearson: %w", err)
 	}
-	out.Rows = append(out.Rows, pearson)
-	return out, nil
+	row := func(label string, r *model.Result) AblationRow {
+		return AblationRow{
+			Label:           label,
+			NormalizedPower: r.NormalizedPower(bfd),
+			MaxViolationPct: r.MaxViolationPct,
+			MeanActive:      r.MeanActive,
+		}
+	}
+	return &AblationResult{
+		Title: "Ablation A4 — placement affinity metric",
+		Rows:  []AblationRow{row("eqn1-cost", eqn1), row("pearson", pearson)},
+	}, nil
 }
 
 // pearsonAffinity builds a pseudo-cost from full-trace Pearson correlation.
 // It is deliberately window-less (the whole point of Eqn 1 is that Pearson
 // needs the full sample history).
-func pearsonAffinity(vms []*vmmodel.VM, period int) core.PairCostFunc {
+func pearsonAffinity(vms []*model.VM) model.PairCostFunc {
 	cache := map[[2]int]float64{}
 	return func(i, j int) float64 {
 		if i == j {
@@ -233,7 +211,7 @@ func pearsonAffinity(vms []*vmmodel.VM, period int) core.PairCostFunc {
 
 // AblationMatrixWindow compares per-period matrix resets against cumulative
 // monitoring (A6 — the CumulativeMatrix switch in the simulator).
-func AblationMatrixWindow(o Options) (*AblationResult, error) {
+func AblationMatrixWindow(o model.RunOptions) (*AblationResult, error) {
 	bfd, err := baselineBFD(o)
 	if err != nil {
 		return nil, err
@@ -262,7 +240,7 @@ func AblationMatrixWindow(o Options) (*AblationResult, error) {
 // over BFD should shrink toward zero. The grid crosses the group count
 // (grouped vs one-VM-per-group) with the policy, and each structure's rows
 // normalize against the BFD cell of the same traces.
-func AblationCorrelationStructure(o Options) (*AblationResult, error) {
+func AblationCorrelationStructure(o model.RunOptions) (*AblationResult, error) {
 	w := workload(o)
 	res, err := runGrid(o, sweep.Grid{
 		Name: "a5-structure",
@@ -301,17 +279,12 @@ func AblationCorrelationStructure(o Options) (*AblationResult, error) {
 	return out, nil
 }
 
-// baselinePolicies exposes the raw policy list for the scale benchmarks.
-func BaselinePolicies() []place.Policy {
-	return []place.Policy{place.FFD{}, place.BFD{}, place.PCP{}}
-}
-
 // AblationLevels compares the two-level E5410 against a hypothetical
 // six-level part (A7): finer DVFS quantization lets Eqn 4 convert more of
 // the correlation headroom into power savings. The grid crosses the server
 // model with the policy; each hardware's row normalizes against the BFD
 // cell on the same hardware.
-func AblationLevels(o Options) (*AblationResult, error) {
+func AblationLevels(o model.RunOptions) (*AblationResult, error) {
 	res, err := runGrid(o, sweep.Grid{
 		Name: "a7-levels",
 		Base: baseScenario(o),
@@ -347,7 +320,7 @@ func AblationLevels(o Options) (*AblationResult, error) {
 // error (A8): both BFD and the proposed policy with last-value prediction
 // versus a per-period oracle, as a policy × oracle grid normalized against
 // the BFD/last-value cell.
-func AblationOracle(o Options) (*AblationResult, error) {
+func AblationOracle(o model.RunOptions) (*AblationResult, error) {
 	res, err := runGrid(o, sweep.Grid{
 		Name: "a8-oracle",
 		Base: baseScenario(o),

@@ -14,22 +14,16 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/server"
-	"repro/internal/vmmodel"
 	"repro/internal/websearch"
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/sweep"
 )
 
-// Options scales the experiments. It is the contract type model.RunOptions:
-// Full() reproduces the paper's setups; Quick() shrinks horizons so unit
-// tests stay fast while exercising the same code paths.
-type Options = model.RunOptions
-
 // Full reproduces the paper's published setups: 24 h of 40 VMs over 20
 // servers for Setup 2, 20-minute web-search runs for Setup 1.
-func Full() Options {
-	return Options{
+func Full() model.RunOptions {
+	return model.RunOptions{
 		WebSearchDuration: 1200,
 		VMs:               40,
 		Groups:            8,
@@ -44,7 +38,7 @@ func Full() Options {
 }
 
 // Quick shrinks every horizon for fast tests.
-func Quick() Options {
+func Quick() model.RunOptions {
 	o := Full()
 	o.WebSearchDuration = 240
 	o.Hours = 6
@@ -65,25 +59,25 @@ func wsSpec() model.ServerSpec      { return server.OpteronR815() }
 // façade defaults — the single source of the zero-means-default mapping,
 // so the traces, the per-artifact rngs, and the sweep axes all agree on
 // what a zero-valued RunOptions field selects.
-func workload(o Options) dcsim.Workload {
+func workload(o model.RunOptions) dcsim.Workload {
 	return baseScenario(o).Normalized().Workload
 }
 
 // datacenterVMs generates the Setup-2 traces once per call site, through
 // the same façade backend every scenario run uses. The workload kind is
 // fixed, so generation cannot fail.
-func datacenterVMs(o Options) []*vmmodel.VM {
+func datacenterVMs(o model.RunOptions) []*model.VM {
 	ds, err := dcsim.GenerateTraces(workload(o))
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
-	return vmmodel.FromSeries(ds.Names, ds.Fine)
+	return model.VMsFromSeries(ds.Names, ds.Fine)
 }
 
 // baseScenario maps the Setup-2 options onto a façade scenario; zero-valued
 // knobs resolve to the façade defaults at Run (or Normalized) time, the
 // same resolution datacenterVMs applies when synthesizing traces.
-func baseScenario(o Options) dcsim.Scenario {
+func baseScenario(o model.RunOptions) dcsim.Scenario {
 	return dcsim.Scenario{
 		Workload: dcsim.Workload{
 			Kind:   "datacenter",
@@ -101,7 +95,7 @@ func baseScenario(o Options) dcsim.Scenario {
 // runGrid executes an ablation grid on the sweep engine at the configured
 // parallelism. Aggregates are deterministic regardless of Workers, so the
 // serial (Workers <= 1) and fanned-out ablations publish identical rows.
-func runGrid(o Options, g sweep.Grid) (*sweep.Result, error) {
+func runGrid(o model.RunOptions, g sweep.Grid) (*sweep.Result, error) {
 	workers := o.Workers
 	if workers < 1 {
 		workers = 1
@@ -111,7 +105,7 @@ func runGrid(o Options, g sweep.Grid) (*sweep.Result, error) {
 
 // baselineBFD runs the shared BFD reference the ablation rows normalize
 // against, on the same synthesized traces the grid cells use.
-func baselineBFD(o Options) (*model.Result, error) {
+func baselineBFD(o model.RunOptions) (*model.Result, error) {
 	sc := baseScenario(o)
 	sc.Policy = "bfd"
 	return dcsim.Run(context.Background(), sc)
@@ -119,7 +113,7 @@ func baselineBFD(o Options) (*model.Result, error) {
 
 // runPolicy executes one Setup-2 simulation. kind selects the policy:
 // "bfd", "pcp", or "corr"; rescaleEvery > 0 enables dynamic v/f scaling.
-func runPolicy(o Options, vms []*vmmodel.VM, kind string, rescaleEvery int) (*model.Result, error) {
+func runPolicy(o model.RunOptions, vms []*model.VM, kind string, rescaleEvery int) (*model.Result, error) {
 	return runPolicyOracle(o, vms, kind, rescaleEvery, false)
 }
 
@@ -127,7 +121,7 @@ func runPolicy(o Options, vms []*vmmodel.VM, kind string, rescaleEvery int) (*mo
 // Assembly goes through the pkg/dcsim façade: the policy kind maps to
 // registry names, and the façade wires the shared cost matrix when the
 // correlation-aware pair is selected.
-func runPolicyOracle(o Options, vms []*vmmodel.VM, kind string, rescaleEvery int, oracle bool) (*model.Result, error) {
+func runPolicyOracle(o model.RunOptions, vms []*model.VM, kind string, rescaleEvery int, oracle bool) (*model.Result, error) {
 	governor := "worst-case"
 	if kind == "corr" {
 		governor = "eqn4"
@@ -144,7 +138,7 @@ func runPolicyOracle(o Options, vms []*vmmodel.VM, kind string, rescaleEvery int
 }
 
 // wsConfig returns the Setup-1 configuration at the chosen horizon.
-func wsConfig(o Options) websearch.Config {
+func wsConfig(o model.RunOptions) websearch.Config {
 	cfg := websearch.DefaultConfig()
 	cfg.Duration = o.WebSearchDuration
 	return cfg

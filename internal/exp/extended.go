@@ -3,10 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/place"
-	"repro/internal/predict"
-	"repro/internal/sim"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
 )
 
@@ -30,44 +27,18 @@ type ExtendedResult struct {
 }
 
 // TableIIExtended runs five policies on the Setup-2 traces.
-func TableIIExtended(o Options, dynamic bool) (*ExtendedResult, error) {
+func TableIIExtended(o model.RunOptions, dynamic bool) (*ExtendedResult, error) {
 	vms := datacenterVMs(o)
 	rescale := 0
 	if dynamic {
 		rescale = 12
 	}
-
-	base := sim.Config{
-		Spec:          setup2Spec(),
-		Power:         setup2Power(),
-		MaxServers:    o.MaxServers,
-		PeriodSamples: o.PeriodSamples,
-		RescaleEvery:  rescale,
-		Pctl:          1,
-		Predictor:     predict.LastValue{},
-	}
-	type entry struct {
-		name   string
-		mutate func(*sim.Config)
-	}
-	entries := []entry{
-		{"BFD", func(c *sim.Config) { c.Policy = place.BFD{}; c.Governor = sim.WorstCase{} }},
-		{"FFD", func(c *sim.Config) { c.Policy = place.FFD{}; c.Governor = sim.WorstCase{} }},
-		{"PCP", func(c *sim.Config) { c.Policy = place.PCP{}; c.Governor = sim.WorstCase{} }},
-		{"JointVM", func(c *sim.Config) { c.Policy = place.JointVM{}; c.Governor = sim.WorstCase{} }},
-		{"Proposed", func(c *sim.Config) {
-			m := core.NewCostMatrix(len(vms), 1)
-			c.Matrix = m
-			c.Policy = &core.Allocator{Config: core.DefaultConfig(), Matrix: m}
-			c.Governor = sim.CorrAware{Matrix: m}
-		}},
-	}
 	out := &ExtendedResult{Dynamic: dynamic}
-	var baseline *sim.Result
-	for _, e := range entries {
-		cfg := base
-		e.mutate(&cfg)
-		res, err := sim.Run(vms, cfg)
+	var baseline *model.Result
+	for _, e := range []struct{ name, kind string }{
+		{"BFD", "bfd"}, {"FFD", "ffd"}, {"PCP", "pcp"}, {"JointVM", "jointvm"}, {"Proposed", "corr"},
+	} {
+		res, err := runPolicy(o, vms, e.kind, rescale)
 		if err != nil {
 			return nil, fmt.Errorf("exp: extended %s: %w", e.name, err)
 		}

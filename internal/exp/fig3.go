@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/pkg/dcsim"
+	"repro/pkg/dcsim/model"
 )
 
 // Fig3Point is one scatter point of Fig. 3.
@@ -31,7 +31,7 @@ type Fig3Result struct {
 
 // Fig3 samples random VM groups from the Setup-2 traces and evaluates both
 // axes over one placement period.
-func Fig3(o Options) (*Fig3Result, error) {
+func Fig3(o model.RunOptions) (*Fig3Result, error) {
 	w := workload(o)
 	ds, err := dcsim.GenerateTraces(w)
 	if err != nil {
@@ -52,7 +52,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 		size := 2 + rng.Intn(4) // 2..5 VMs
 		perm := rng.Perm(nVM)[:size]
 		start := rng.Intn(ds.Fine[0].Len()/period) * period
-		wins := make([]*trace.Series, size)
+		wins := make([]*model.Series, size)
 		refs := make([]float64, size)
 		members := make([]int, size)
 		for i, v := range perm {
@@ -64,7 +64,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 			return core.CostOf(wins[i].Samples(), wins[j].Samples(), 1)
 		}
 		x := core.ServerCost(members, refs, cost)
-		agg, err := trace.Aggregate(wins...)
+		agg, err := model.AggregateSeries(wins...)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/websearch"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
 )
 
@@ -31,7 +32,7 @@ type GatingResult struct {
 // PowerGating compares three managers on the Shared-Corr placement:
 // full speed (no management), DVFS at the low level, and core parking at
 // full speed.
-func PowerGating(o Options) (*GatingResult, error) {
+func PowerGating(o model.RunOptions) (*GatingResult, error) {
 	cfg := wsConfig(o)
 	// Flash-crowd surges: the fast demand swings of Section III-A. DVFS
 	// keeps every core online and absorbs them; parking is one wake
@@ -44,7 +45,7 @@ func PowerGating(o Options) (*GatingResult, error) {
 
 	runs := []struct {
 		name    string
-		pl      *websearch.Placement
+		pl      *model.WebSearchPlacement
 		parking *websearch.ParkingConfig
 	}{
 		{"full speed", websearch.SharedCorr(1), nil},

@@ -6,16 +6,16 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/websearch"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
 )
 
 // Fig1Result reproduces Fig. 1: CPU utilization of two ISNs in one cluster
 // against the client wave — intra-cluster synchrony plus load imbalance.
 type Fig1Result struct {
-	Clients    *trace.Series
-	VM1, VM2   *trace.Series
+	Clients    *model.Series
+	VM1, VM2   *model.Series
 	CorrVM1    float64 // Pearson(VM1 util, clients), smoothed
 	CorrVM2    float64
 	CorrIntra  float64 // Pearson(VM1, VM2), smoothed
@@ -24,13 +24,13 @@ type Fig1Result struct {
 
 // Fig1 runs one web-search cluster segregated on dedicated cores and
 // extracts the traces of its two ISNs.
-func Fig1(o Options) (*Fig1Result, error) {
+func Fig1(o model.RunOptions) (*Fig1Result, error) {
 	cfg := wsConfig(o)
 	res, err := websearch.Run(cfg, websearch.Segregated(1))
 	if err != nil {
 		return nil, err
 	}
-	smooth := func(s *trace.Series) *trace.Series { return s.Downsample(10) }
+	smooth := func(s *model.Series) *model.Series { return s.Downsample(10) }
 	c := smooth(res.ClientTrace[0])
 	v1 := smooth(res.VMUtil[0])
 	v2 := smooth(res.VMUtil[1])
@@ -67,7 +67,7 @@ type Fig4Result struct {
 	Placements []string
 	// PoolUtil[p] holds the normalized (0..1) utilization traces of each
 	// pool under placement p.
-	PoolUtil [][]*trace.Series
+	PoolUtil [][]*model.Series
 	// SmoothedMax[p] is the maximum 30-s-smoothed server utilization
 	// under placement p — the number the paper quotes (0.88 for
 	// Shared-UnCorr vs 0.6 for Shared-Corr).
@@ -75,9 +75,9 @@ type Fig4Result struct {
 }
 
 // Fig4 runs the three placements at full frequency.
-func Fig4(o Options) (*Fig4Result, error) {
+func Fig4(o model.RunOptions) (*Fig4Result, error) {
 	cfg := wsConfig(o)
-	placements := []*websearch.Placement{
+	placements := []*model.WebSearchPlacement{
 		websearch.Segregated(1),
 		websearch.SharedUnCorr(1),
 		websearch.SharedCorr(1),
@@ -133,14 +133,14 @@ type Fig5Result struct {
 }
 
 // Fig5 runs the frequency comparison.
-func Fig5(o Options) (*Fig5Result, error) {
+func Fig5(o model.RunOptions) (*Fig5Result, error) {
 	cfg := wsConfig(o)
 	spec := wsSpec()
-	model := power.OpteronR815()
+	pm := power.OpteronR815()
 	fmax, fmin := spec.FMax(), spec.FMin()
 
 	type runSpec struct {
-		pl   *websearch.Placement
+		pl   *model.WebSearchPlacement
 		freq float64
 	}
 	runs := []runSpec{
@@ -164,7 +164,7 @@ func Fig5(o Options) (*Fig5Result, error) {
 		for _, pu := range res.PoolUtil {
 			for i := 0; i < pu.Len(); i++ {
 				u := pu.At(i) / speed
-				p, err := model.Power(u, rs.freq)
+				p, err := pm.Power(u, rs.freq)
 				if err != nil {
 					return nil, err
 				}

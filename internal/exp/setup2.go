@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
 )
 
@@ -19,18 +19,17 @@ type TableIIResult struct {
 	// proposed versus the worst baseline.
 	SavingsPct       float64
 	QoSImprovementPP float64
-	results          []*sim.Result
 }
 
 // TableII runs the three policies on the Setup-2 traces. dynamic selects
 // Table II(b): v/f rescaling every 12 samples (1 min).
-func TableII(o Options, dynamic bool) (*TableIIResult, error) {
+func TableII(o model.RunOptions, dynamic bool) (*TableIIResult, error) {
 	vms := datacenterVMs(o)
 	rescale := 0
 	if dynamic {
 		rescale = 12
 	}
-	var results []*sim.Result
+	var results []*model.Result
 	for _, kind := range []string{"bfd", "pcp", "corr"} {
 		r, err := runPolicy(o, vms, kind, rescale)
 		if err != nil {
@@ -41,16 +40,12 @@ func TableII(o Options, dynamic bool) (*TableIIResult, error) {
 	out := &TableIIResult{
 		Dynamic: dynamic,
 		Rows:    metrics.TableRows(results),
-		results: results,
 	}
 	bfd, prop := results[0], results[2]
 	out.SavingsPct = metrics.SavingsPct(prop, bfd)
 	out.QoSImprovementPP = metrics.QoSImprovementPP(prop, bfd)
 	return out, nil
 }
-
-// Results exposes the raw runs (baseline first) for follow-up analysis.
-func (r *TableIIResult) Results() []*sim.Result { return r.results }
 
 // String implements fmt.Stringer.
 func (r *TableIIResult) String() string {
@@ -83,7 +78,7 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the static Table-II(a) configuration and extracts residency.
-func Fig6(o Options) (*Fig6Result, error) {
+func Fig6(o model.RunOptions) (*Fig6Result, error) {
 	vms := datacenterVMs(o)
 	spec := setup2Spec()
 	bfd, err := runPolicy(o, vms, "bfd", 0)

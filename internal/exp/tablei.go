@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cachesim"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
 )
 
@@ -34,7 +35,7 @@ type TableIResult struct {
 
 // TableI measures the web-search stream alone and against each PARSEC-like
 // co-runner on the shared cache.
-func TableI(o Options) (*TableIResult, error) {
+func TableI(o model.RunOptions) (*TableIResult, error) {
 	alone, err := cachesim.RunAlone(cachesim.WebSearch(1), llcBytes, llcWays, o.CacheWarmKI, o.CacheMeasKI)
 	if err != nil {
 		return nil, err

@@ -6,12 +6,11 @@ package metrics
 import (
 	"fmt"
 
-	"repro/internal/server"
-	"repro/internal/sim"
+	"repro/pkg/dcsim/model"
 )
 
 // LevelShare is the fraction of active time one server spent at each
-// frequency level (indexed as in the server.Spec).
+// frequency level (indexed as in the model.ServerSpec).
 type LevelShare struct {
 	Server    int
 	Fractions []float64
@@ -20,7 +19,7 @@ type LevelShare struct {
 
 // LevelResidency extracts per-server level shares from a simulation result,
 // skipping servers that were never active.
-func LevelResidency(res *sim.Result, spec server.Spec) []LevelShare {
+func LevelResidency(res *model.Result, spec model.ServerSpec) []LevelShare {
 	var out []LevelShare
 	for s, counts := range res.FreqResidency {
 		total := 0
@@ -41,7 +40,7 @@ func LevelResidency(res *sim.Result, spec server.Spec) []LevelShare {
 
 // SavingsPct returns the percentage power saving of res versus baseline
 // (positive = res cheaper).
-func SavingsPct(res, baseline *sim.Result) float64 {
+func SavingsPct(res, baseline *model.Result) float64 {
 	if baseline.EnergyJ == 0 {
 		return 0
 	}
@@ -51,7 +50,7 @@ func SavingsPct(res, baseline *sim.Result) float64 {
 // QoSImprovementPP returns the violation reduction of res versus baseline
 // in percentage points (positive = res violates less), the paper's "QoS
 // improvement" metric.
-func QoSImprovementPP(res, baseline *sim.Result) float64 {
+func QoSImprovementPP(res, baseline *model.Result) float64 {
 	return baseline.MaxViolationPct - res.MaxViolationPct
 }
 
@@ -65,7 +64,7 @@ type Row struct {
 
 // TableRows renders the Table-II rows for a set of results against the
 // first result as the baseline.
-func TableRows(results []*sim.Result) []Row {
+func TableRows(results []*model.Result) []Row {
 	if len(results) == 0 {
 		return nil
 	}

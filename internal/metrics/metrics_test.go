@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/server"
-	"repro/internal/sim"
+	"repro/pkg/dcsim/model"
 )
 
-func fakeResult(policy string, energy float64, viol float64, residency [][]int) *sim.Result {
-	return &sim.Result{
+func fakeResult(policy string, energy float64, viol float64, residency [][]int) *model.Result {
+	return &model.Result{
 		Policy:          policy,
 		EnergyJ:         energy,
 		MaxViolationPct: viol,
@@ -63,7 +63,7 @@ func TestTableRows(t *testing.T) {
 	if TableRows(nil) != nil {
 		t.Fatal("empty input should yield nil")
 	}
-	rows := TableRows([]*sim.Result{
+	rows := TableRows([]*model.Result{
 		fakeResult("bfd", 1000, 18, nil),
 		fakeResult("corr", 860, 3, nil),
 	})

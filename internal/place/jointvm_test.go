@@ -5,13 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trace"
+	"repro/pkg/dcsim/model"
 )
 
 // antiPhasedPair returns two windows that peak on opposite halves.
-func antiPhasedPair(n int, peak, trough float64) (*trace.Series, *trace.Series) {
-	a := trace.New(time.Second, n)
-	b := trace.New(time.Second, n)
+func antiPhasedPair(n int, peak, trough float64) (*model.Series, *model.Series) {
+	a := model.NewSeries(time.Second, n)
+	b := model.NewSeries(time.Second, n)
 	for i := 0; i < n; i++ {
 		if i < n/2 {
 			a.Append(peak)
@@ -28,7 +28,7 @@ func TestJointVMPairsAntiCorrelatedVMs(t *testing.T) {
 	// Two anti-phased 5-core VMs: individually they need 10 cores of
 	// worst-case provision (two servers), jointly only 5.5 (one server).
 	a, b := antiPhasedPair(100, 5, 0.5)
-	reqs := []Request{
+	reqs := []model.Request{
 		{ID: "a", Ref: a.Max(), Window: a},
 		{ID: "b", Ref: b.Max(), Window: b},
 	}
@@ -55,11 +55,11 @@ func TestJointVMPairsAntiCorrelatedVMs(t *testing.T) {
 func TestJointVMIgnoresCorrelatedPairs(t *testing.T) {
 	// Two fully synchronized VMs have no sizing gain and must not be
 	// force-paired into an undersized super-VM.
-	w := trace.New(time.Second, 100)
+	w := model.NewSeries(time.Second, 100)
 	for i := 0; i < 100; i++ {
 		w.Append(5.0)
 	}
-	reqs := []Request{
+	reqs := []model.Request{
 		{ID: "a", Ref: 5, Window: w},
 		{ID: "b", Ref: 5, Window: w.Clone()},
 	}
@@ -93,7 +93,7 @@ func TestJointVMWithoutWindowsDegeneratesToBFD(t *testing.T) {
 func TestJointVMOddVMCount(t *testing.T) {
 	a, b := antiPhasedPair(100, 4, 0.5)
 	c, _ := antiPhasedPair(100, 3, 0.5)
-	reqs := []Request{
+	reqs := []model.Request{
 		{ID: "a", Ref: a.Max(), Window: a},
 		{ID: "b", Ref: b.Max(), Window: b},
 		{ID: "c", Ref: c.Max(), Window: c},
@@ -132,7 +132,7 @@ func TestJointVMErrors(t *testing.T) {
 
 func TestJointVMPercentileSizing(t *testing.T) {
 	a, b := antiPhasedPair(100, 5, 0.5)
-	reqs := []Request{
+	reqs := []model.Request{
 		{ID: "a", Ref: a.Percentile(0.9), Window: a},
 		{ID: "b", Ref: b.Percentile(0.9), Window: b},
 	}

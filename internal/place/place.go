@@ -13,20 +13,6 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
-// Request describes one VM to be placed for the upcoming period. It is the
-// contract type model.Request.
-type Request = model.Request
-
-// Placement maps each VM (by request index) to a server index. It is the
-// contract type model.Placement.
-type Placement = model.Placement
-
-// Policy is the placement-policy contract model.Policy.
-type Policy = model.Policy
-
-// ErrNoServers is returned when maxServers < 1.
-var ErrNoServers = model.ErrNoServers
-
 // byRefDesc returns request indices sorted by decreasing Ref (ties by
 // index for determinism).
 func byRefDesc(reqs []model.Request) []int {

@@ -8,15 +8,15 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/trace"
+	"repro/pkg/dcsim/model"
 )
 
-func spec8() server.Spec { return server.XeonE5410() }
+func spec8() model.ServerSpec { return server.XeonE5410() }
 
-func reqsFromRefs(refs ...float64) []Request {
-	out := make([]Request, len(refs))
+func reqsFromRefs(refs ...float64) []model.Request {
+	out := make([]model.Request, len(refs))
 	for i, r := range refs {
-		out[i] = Request{ID: string(rune('a' + i)), Ref: r, OffPeak: r * 0.8}
+		out[i] = model.Request{ID: string(rune('a' + i)), Ref: r, OffPeak: r * 0.8}
 	}
 	return out
 }
@@ -69,7 +69,7 @@ func TestFFDvsBFDDiffer(t *testing.T) {
 
 func TestForcedOvercommit(t *testing.T) {
 	// One server, demand exceeding capacity: everything must still land.
-	for _, pol := range []Policy{FFD{}, BFD{}} {
+	for _, pol := range []model.Policy{FFD{}, BFD{}} {
 		p, err := pol.Place(reqsFromRefs(6, 6, 6), spec8(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
@@ -88,7 +88,7 @@ func TestForcedOvercommit(t *testing.T) {
 }
 
 func TestNoServersError(t *testing.T) {
-	for _, pol := range []Policy{FFD{}, BFD{}, PCP{}} {
+	for _, pol := range []model.Policy{FFD{}, BFD{}, PCP{}} {
 		if _, err := pol.Place(reqsFromRefs(1), spec8(), 0); err == nil {
 			t.Errorf("%s should reject maxServers=0", pol.Name())
 		}
@@ -96,8 +96,8 @@ func TestNoServersError(t *testing.T) {
 }
 
 func TestInvalidSpecError(t *testing.T) {
-	bad := server.Spec{Name: "bad", Cores: 0, Freqs: []float64{1}}
-	for _, pol := range []Policy{FFD{}, BFD{}, PCP{}} {
+	bad := model.ServerSpec{Name: "bad", Cores: 0, Freqs: []float64{1}}
+	for _, pol := range []model.Policy{FFD{}, BFD{}, PCP{}} {
 		if _, err := pol.Place(reqsFromRefs(1), bad, 4); err == nil {
 			t.Errorf("%s should reject invalid spec", pol.Name())
 		}
@@ -105,7 +105,7 @@ func TestInvalidSpecError(t *testing.T) {
 }
 
 func TestEmptyRequests(t *testing.T) {
-	for _, pol := range []Policy{FFD{}, BFD{}, PCP{}} {
+	for _, pol := range []model.Policy{FFD{}, BFD{}, PCP{}} {
 		p, err := pol.Place(nil, spec8(), 4)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
@@ -117,7 +117,7 @@ func TestEmptyRequests(t *testing.T) {
 }
 
 func TestPlacementHelpers(t *testing.T) {
-	p := &Placement{NumServers: 3, Assign: []int{0, 2, 0}}
+	p := &model.Placement{NumServers: 3, Assign: []int{0, 2, 0}}
 	if got := p.VMsOn(0); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("VMsOn(0) = %v", got)
 	}
@@ -130,16 +130,16 @@ func TestPlacementHelpers(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := &Placement{NumServers: 1, Assign: []int{3}}
+	bad := &model.Placement{NumServers: 1, Assign: []int{3}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-range assignment should fail validation")
 	}
 }
 
 // mkWindow builds a demand window peaking in the given half of the series.
-func mkWindow(peakFirstHalf bool, n int, seed int64) *trace.Series {
+func mkWindow(peakFirstHalf bool, n int, seed int64) *model.Series {
 	rng := rand.New(rand.NewSource(seed))
-	s := trace.New(time.Second, n)
+	s := model.NewSeries(time.Second, n)
 	for i := 0; i < n; i++ {
 		base := 0.5 + 0.1*rng.Float64()
 		inPeak := (i < n/2) == peakFirstHalf
@@ -155,11 +155,11 @@ func TestPCPSeparatesDistinctEnvelopes(t *testing.T) {
 	// Two anti-phased groups of VMs -> two clusters -> PCP co-locates
 	// across groups.
 	n := 200
-	reqs := make([]Request, 4)
+	reqs := make([]model.Request, 4)
 	for i := range reqs {
 		first := i < 2
 		w := mkWindow(first, n, int64(i))
-		reqs[i] = Request{
+		reqs[i] = model.Request{
 			ID:      string(rune('a' + i)),
 			Ref:     w.Max(),
 			OffPeak: w.Percentile(0.9),
@@ -188,9 +188,9 @@ func TestPCPDegeneratesToBFDWithOneCluster(t *testing.T) {
 	// placement to BFD on Ref (the paper's Setup-2 observation).
 	n := 100
 	w := mkWindow(true, n, 1)
-	reqs := make([]Request, 5)
+	reqs := make([]model.Request, 5)
 	for i := range reqs {
-		reqs[i] = Request{
+		reqs[i] = model.Request{
 			ID:      string(rune('a' + i)),
 			Ref:     3 + float64(i)*0.3,
 			OffPeak: 2 + float64(i)*0.3,
@@ -226,16 +226,16 @@ func TestPCPNilWindows(t *testing.T) {
 func TestPoliciesPlaceEverything(t *testing.T) {
 	// Property: for random request sets, every policy yields a valid
 	// placement using at most maxServers servers.
-	policies := []Policy{FFD{}, BFD{}, PCP{}}
+	policies := []model.Policy{FFD{}, BFD{}, PCP{}}
 	f := func(rawRefs []uint8, maxRaw uint8) bool {
 		if len(rawRefs) > 40 {
 			rawRefs = rawRefs[:40]
 		}
 		maxServers := int(maxRaw%20) + 1
-		reqs := make([]Request, len(rawRefs))
+		reqs := make([]model.Request, len(rawRefs))
 		for i, r := range rawRefs {
 			ref := float64(r)/32 + 0.05 // 0.05 .. ~8
-			reqs[i] = Request{Ref: ref, OffPeak: ref * 0.8}
+			reqs[i] = model.Request{Ref: ref, OffPeak: ref * 0.8}
 		}
 		for _, pol := range policies {
 			p, err := pol.Place(reqs, spec8(), maxServers)
@@ -262,11 +262,11 @@ func TestPoliciesPlaceEverything(t *testing.T) {
 func TestFFDRespectsCapacityWhenFeasible(t *testing.T) {
 	// When total demand fits in maxServers, no server may exceed capacity.
 	f := func(rawRefs []uint8) bool {
-		reqs := []Request{}
+		reqs := []model.Request{}
 		total := 0.0
 		for _, r := range rawRefs {
 			ref := float64(r%64)/16 + 0.1 // 0.1 .. ~4.1 (each fits a server)
-			reqs = append(reqs, Request{Ref: ref})
+			reqs = append(reqs, model.Request{Ref: ref})
 			total += ref
 		}
 		if len(reqs) == 0 {

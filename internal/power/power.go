@@ -7,22 +7,14 @@ package power
 
 import "repro/pkg/dcsim/model"
 
-// Level is one voltage/frequency operating point. It is the contract type
-// model.PowerLevel.
-type Level = model.PowerLevel
-
-// Model computes server power as a function of utilization and level. It is
-// the contract type model.PowerModel.
-type Model = model.PowerModel
-
 // XeonE5410 returns a model calibrated for the paper's Setup-2 server:
 // two levels, 2.0 GHz / 1.10 V and 2.3 GHz / 1.20 V. Idle/busy watts follow
 // published SPECpower-era measurements for that part (~180 W idle, ~265 W
 // busy at the top level).
-func XeonE5410() Model {
-	return Model{
+func XeonE5410() model.PowerModel {
+	return model.PowerModel{
 		Name: "Intel Xeon E5410",
-		Levels: []Level{
+		Levels: []model.PowerLevel{
 			{Freq: 2.0, Volt: 1.10},
 			{Freq: 2.3, Volt: 1.20},
 		},
@@ -34,10 +26,10 @@ func XeonE5410() Model {
 
 // XeonFineGrained returns the power model for server.XeonFineGrained:
 // six levels with voltages interpolated between the E5410's endpoints.
-func XeonFineGrained() Model {
-	return Model{
+func XeonFineGrained() model.PowerModel {
+	return model.PowerModel{
 		Name: "Intel Xeon (fine-grained DVFS)",
-		Levels: []Level{
+		Levels: []model.PowerLevel{
 			{Freq: 1.6, Volt: 0.95},
 			{Freq: 1.8, Volt: 1.02},
 			{Freq: 2.0, Volt: 1.10},
@@ -53,10 +45,10 @@ func XeonFineGrained() Model {
 
 // OpteronR815 returns a model for the Setup-1 host with its 1.9 and
 // 2.1 GHz levels.
-func OpteronR815() Model {
-	return Model{
+func OpteronR815() model.PowerModel {
+	return model.PowerModel{
 		Name: "AMD Opteron 6174 (R815)",
-		Levels: []Level{
+		Levels: []model.PowerLevel{
 			{Freq: 1.9, Volt: 1.05},
 			{Freq: 2.1, Volt: 1.15},
 		},

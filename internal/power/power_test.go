@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/pkg/dcsim/model"
 )
 
 func TestValidate(t *testing.T) {
@@ -14,12 +16,12 @@ func TestValidate(t *testing.T) {
 	if err := OpteronR815().Validate(); err != nil {
 		t.Fatalf("OpteronR815: %v", err)
 	}
-	bad := []Model{
+	bad := []model.PowerModel{
 		{Name: "no-levels", IdleW: 1, BusyW: 2},
-		{Name: "neg", Levels: []Level{{Freq: -1, Volt: 1}}, IdleW: 1, BusyW: 2},
-		{Name: "unsorted", Levels: []Level{{Freq: 2, Volt: 1}, {Freq: 1, Volt: 1}}, IdleW: 1, BusyW: 2},
-		{Name: "busy<idle", Levels: []Level{{Freq: 1, Volt: 1}}, IdleW: 3, BusyW: 2},
-		{Name: "badfrac", Levels: []Level{{Freq: 1, Volt: 1}}, IdleW: 1, BusyW: 2, StaticFrac: 2},
+		{Name: "neg", Levels: []model.PowerLevel{{Freq: -1, Volt: 1}}, IdleW: 1, BusyW: 2},
+		{Name: "unsorted", Levels: []model.PowerLevel{{Freq: 2, Volt: 1}, {Freq: 1, Volt: 1}}, IdleW: 1, BusyW: 2},
+		{Name: "busy<idle", Levels: []model.PowerLevel{{Freq: 1, Volt: 1}}, IdleW: 3, BusyW: 2},
+		{Name: "badfrac", Levels: []model.PowerLevel{{Freq: 1, Volt: 1}}, IdleW: 1, BusyW: 2, StaticFrac: 2},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -48,7 +50,7 @@ func TestPowerEndpoints(t *testing.T) {
 }
 
 func TestLowerLevelDrawsLess(t *testing.T) {
-	for _, m := range []Model{XeonE5410(), OpteronR815()} {
+	for _, m := range []model.PowerModel{XeonE5410(), OpteronR815()} {
 		lo := m.Levels[0].Freq
 		hi := m.Levels[len(m.Levels)-1].Freq
 		for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {

@@ -5,16 +5,7 @@
 // violations to prediction error.
 package predict
 
-import (
-	"fmt"
-
-	"repro/pkg/dcsim/model"
-)
-
-// Predictor forecasts the next per-period reference utilization from the
-// history of past ones (oldest first). It is the contract type
-// model.Predictor.
-type Predictor = model.Predictor
+import "fmt"
 
 // LastValue predicts the previous period's value — the paper's choice.
 type LastValue struct{}

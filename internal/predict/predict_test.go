@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/pkg/dcsim/model"
 )
 
 func TestLastValue(t *testing.T) {
@@ -67,7 +69,7 @@ func TestMaxOf(t *testing.T) {
 
 func TestPredictorsBoundedByHistory(t *testing.T) {
 	// Every predictor output must lie within [min, max] of the history.
-	preds := []Predictor{LastValue{}, MovingAverage{K: 4}, EWMA{Alpha: 0.3}, MaxOf{K: 4}}
+	preds := []model.Predictor{LastValue{}, MovingAverage{K: 4}, EWMA{Alpha: 0.3}, MaxOf{K: 4}}
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -94,7 +96,7 @@ func TestPredictorsBoundedByHistory(t *testing.T) {
 
 func TestNamesDistinct(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range []Predictor{LastValue{}, MovingAverage{K: 3}, EWMA{Alpha: 0.5}, MaxOf{K: 3}} {
+	for _, p := range []model.Predictor{LastValue{}, MovingAverage{K: 3}, EWMA{Alpha: 0.5}, MaxOf{K: 3}} {
 		if names[p.Name()] {
 			t.Fatalf("duplicate predictor name %q", p.Name())
 		}

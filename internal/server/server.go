@@ -6,27 +6,23 @@ package server
 
 import "repro/pkg/dcsim/model"
 
-// Spec describes one server model. It is the contract type
-// model.ServerSpec.
-type Spec = model.ServerSpec
-
 // XeonE5410 is the paper's Setup-2 target: 8 cores, 2.0 and 2.3 GHz.
-func XeonE5410() Spec {
-	return Spec{Name: "Intel Xeon E5410", Cores: 8, Freqs: []float64{2.0, 2.3}}
+func XeonE5410() model.ServerSpec {
+	return model.ServerSpec{Name: "Intel Xeon E5410", Cores: 8, Freqs: []float64{2.0, 2.3}}
 }
 
 // OpteronR815 is the paper's Setup-1 host (DELL PowerEdge R815 with an AMD
 // Opteron 6174, used as an 8-core partition with 1.9 and 2.1 GHz levels).
-func OpteronR815() Spec {
-	return Spec{Name: "AMD Opteron 6174 (R815)", Cores: 8, Freqs: []float64{1.9, 2.1}}
+func OpteronR815() model.ServerSpec {
+	return model.ServerSpec{Name: "AMD Opteron 6174 (R815)", Cores: 8, Freqs: []float64{1.9, 2.1}}
 }
 
 // XeonFineGrained is a hypothetical variant of the Setup-2 server with six
 // DVFS levels instead of two. The paper's Eqn-4 discount is quantized by
 // level snapping; finer levels let it cash in more of the correlation
 // headroom (ablation A7).
-func XeonFineGrained() Spec {
-	return Spec{
+func XeonFineGrained() model.ServerSpec {
+	return model.ServerSpec{
 		Name:  "Intel Xeon (fine-grained DVFS)",
 		Cores: 8,
 		Freqs: []float64{1.6, 1.8, 2.0, 2.1, 2.2, 2.3},

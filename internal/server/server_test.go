@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/pkg/dcsim/model"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -14,7 +16,7 @@ func TestSpecValidate(t *testing.T) {
 	if err := OpteronR815().Validate(); err != nil {
 		t.Fatalf("OpteronR815 invalid: %v", err)
 	}
-	bad := []Spec{
+	bad := []model.ServerSpec{
 		{Name: "no-cores", Cores: 0, Freqs: []float64{1}},
 		{Name: "no-freqs", Cores: 8},
 		{Name: "unsorted", Cores: 8, Freqs: []float64{2.3, 2.0}},

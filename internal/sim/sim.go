@@ -12,13 +12,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/vmmodel"
 	"repro/pkg/dcsim/model"
 )
-
-// Governor chooses server frequency levels. It is the contract type
-// model.Governor.
-type Governor = model.Governor
 
 // WorstCase is the correlation-oblivious governor the BFD and PCP baselines
 // use. Statically it runs each server at the lowest level whose capacity
@@ -106,10 +101,10 @@ type Config struct {
 	// instant's aggregate stats — the streaming hook pkg/dcsim observers
 	// attach to. It runs on the simulation goroutine; slow callbacks slow
 	// the run.
-	OnSample func(SampleStats)
+	OnSample func(model.SampleStats)
 	// OnPeriod, when set, is invoked at each period boundary with the
 	// finished period's stats.
-	OnPeriod func(PeriodStats)
+	OnPeriod func(model.PeriodStats)
 }
 
 func (c *Config) validate(nVMs int) error {
@@ -152,20 +147,9 @@ func (c *Config) validate(nVMs int) error {
 	return nil
 }
 
-// SampleStats is the per-sample snapshot streamed to Config.OnSample. It
-// is the contract type model.SampleStats.
-type SampleStats = model.SampleStats
-
-// PeriodStats summarizes one placement period. It is the contract type
-// model.PeriodStats.
-type PeriodStats = model.PeriodStats
-
-// Result aggregates a full run. It is the contract type model.Result.
-type Result = model.Result
-
 // Run simulates the given VMs under cfg. All VM demand traces must share
 // interval and length; the horizon is truncated to whole periods.
-func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
+func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	if len(vms) == 0 {
 		return nil, errors.New("sim: no VMs")
 	}
@@ -194,7 +178,7 @@ func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
 		offPctl = 0.9
 	}
 
-	res := &Result{
+	res := &model.Result{
 		Policy:        cfg.Policy.Name(),
 		Governor:      cfg.Governor.Name(),
 		Dynamic:       cfg.RescaleEvery > 0,
@@ -279,6 +263,18 @@ func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
 		}
 		if err := placement.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: period %d: %w", p, err)
+		}
+		// Validate checks entries only against the placement's own
+		// NumServers; the shape must also match the run, or VMs go
+		// unplaced (and uncharged), indexing runs past the VM list, or
+		// servers escape the MaxServers-row residency table.
+		if len(placement.Assign) != len(vms) {
+			return nil, fmt.Errorf("sim: period %d: policy %q assigned %d VMs, run has %d",
+				p, cfg.Policy.Name(), len(placement.Assign), len(vms))
+		}
+		if placement.NumServers > cfg.MaxServers {
+			return nil, fmt.Errorf("sim: period %d: policy %q opened %d servers, MaxServers is %d",
+				p, cfg.Policy.Name(), placement.NumServers, cfg.MaxServers)
 		}
 		freqs := cfg.Governor.PlanStatic(placement, refs, cfg.Spec)
 		// Reset the monitoring window per period; in cumulative mode only
@@ -372,7 +368,7 @@ func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
 					return nil, fmt.Errorf("sim: period %d server %d: %w", p, s, err)
 				}
 				samplePower += pw
-				if li := cfg.Spec.LevelIndex(freqs[s]); li >= 0 && s < len(periodResidency) {
+				if li := cfg.Spec.LevelIndex(freqs[s]); li >= 0 {
 					periodResidency[s][li]++
 				}
 			}
@@ -381,7 +377,7 @@ func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
 				cfg.Matrix.Add(sample)
 			}
 			if cfg.OnSample != nil {
-				cfg.OnSample(SampleStats{
+				cfg.OnSample(model.SampleStats{
 					K:             k,
 					Period:        p,
 					ActiveServers: active,
@@ -406,7 +402,7 @@ func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
 				maxViol = v
 			}
 		}
-		ps := PeriodStats{
+		ps := model.PeriodStats{
 			Period:          p,
 			ActiveServers:   active,
 			EnergyJ:         periodEnergy,
@@ -439,7 +435,7 @@ func Run(vms []*vmmodel.VM, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func feedMatrix(m model.CostSource, vms []*vmmodel.VM, scratch []float64, from, to int) {
+func feedMatrix(m model.CostSource, vms []*model.VM, scratch []float64, from, to int) {
 	for k := from; k < to; k++ {
 		for i, v := range vms {
 			scratch[i] = v.Demand.At(k)

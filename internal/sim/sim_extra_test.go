@@ -8,8 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/place"
 	"repro/internal/synth"
-	"repro/internal/trace"
-	"repro/internal/vmmodel"
+	"repro/pkg/dcsim/model"
 )
 
 func TestMigrationAccounting(t *testing.T) {
@@ -30,7 +29,7 @@ func TestMigrationAccounting(t *testing.T) {
 	// Flip: vm0 is large in even periods, vm1 in odd ones; with two
 	// servers the pair separates and the big one anchors server 0 —
 	// so the labels swap across periods and migrations are counted.
-	mk := func(phase int) *vmmodel.VM {
+	mk := func(phase int) *model.VM {
 		data := make([]float64, 300)
 		for k := range data {
 			if (k/100)%2 == phase {
@@ -39,9 +38,9 @@ func TestMigrationAccounting(t *testing.T) {
 				data[k] = 3
 			}
 		}
-		return vmmodel.New(string(rune('a'+phase)), trace.NewFromSamples(5*time.Second, data))
+		return model.NewVM(string(rune('a'+phase)), model.SeriesFromSamples(5*time.Second, data))
 	}
-	flip := []*vmmodel.VM{mk(0), mk(1)}
+	flip := []*model.VM{mk(0), mk(1)}
 	res, err = Run(flip, baseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +63,9 @@ func TestOracleModeReducesViolations(t *testing.T) {
 	cfg.Groups = 4
 	cfg.Day = 8 * time.Hour
 	ds := synth.Datacenter(cfg)
-	vms := vmmodel.FromSeries(ds.Names, ds.Fine)
+	vms := model.VMsFromSeries(ds.Names, ds.Fine)
 
-	run := func(oracle bool) *Result {
+	run := func(oracle bool) *model.Result {
 		c := baseConfig()
 		c.PeriodSamples = 720
 		c.MaxServers = 10
@@ -93,7 +92,7 @@ func TestJointVMInsideSimulator(t *testing.T) {
 	cfg.Groups = 4
 	cfg.Day = 4 * time.Hour
 	ds := synth.Datacenter(cfg)
-	vms := vmmodel.FromSeries(ds.Names, ds.Fine)
+	vms := model.VMsFromSeries(ds.Names, ds.Fine)
 	c := baseConfig()
 	c.PeriodSamples = 720
 	c.MaxServers = 10

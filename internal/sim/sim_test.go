@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,20 +12,18 @@ import (
 	"repro/internal/predict"
 	"repro/internal/server"
 	"repro/internal/synth"
-	"repro/internal/trace"
-	"repro/internal/vmmodel"
 	"repro/pkg/dcsim/model"
 )
 
 // flatVMs builds n VMs with constant demand level over samples samples.
-func flatVMs(n int, level float64, samples int) []*vmmodel.VM {
-	vms := make([]*vmmodel.VM, n)
+func flatVMs(n int, level float64, samples int) []*model.VM {
+	vms := make([]*model.VM, n)
 	for i := range vms {
 		data := make([]float64, samples)
 		for k := range data {
 			data[k] = level
 		}
-		vms[i] = vmmodel.New(string(rune('a'+i)), trace.NewFromSamples(5*time.Second, data))
+		vms[i] = model.NewVM(string(rune('a'+i)), model.SeriesFromSamples(5*time.Second, data))
 	}
 	return vms
 }
@@ -51,10 +50,10 @@ func TestRunValidation(t *testing.T) {
 		func(c *Config) { c.PeriodSamples = 0 },
 		func(c *Config) { c.RescaleEvery = -1 },
 		func(c *Config) { c.Predictor = nil },
-		func(c *Config) { c.Spec = server.Spec{} },
-		func(c *Config) { c.Power = power.Model{} },
+		func(c *Config) { c.Spec = model.ServerSpec{} },
+		func(c *Config) { c.Power = model.PowerModel{} },
 		func(c *Config) { c.Matrix = core.NewCostMatrix(7, 1) },
-		func(c *Config) { c.Spec = server.Spec{Name: "odd", Cores: 8, Freqs: []float64{1.0}} },
+		func(c *Config) { c.Spec = model.ServerSpec{Name: "odd", Cores: 8, Freqs: []float64{1.0}} },
 	}
 	for i, mutate := range cases {
 		cfg := baseConfig()
@@ -69,6 +68,63 @@ func TestRunValidation(t *testing.T) {
 	short := flatVMs(2, 1, 10)
 	if _, err := Run(short, baseConfig()); err == nil {
 		t.Error("horizon shorter than a period should error")
+	}
+}
+
+// fixedPolicy returns the same placement every period, whatever the
+// requests — the shape an out-of-tree policy is free to produce.
+type fixedPolicy struct{ p model.Placement }
+
+func (fixedPolicy) Name() string { return "fixed" }
+
+func (f fixedPolicy) Place([]model.Request, model.ServerSpec, int) (*model.Placement, error) {
+	p := f.p
+	p.Assign = append([]int(nil), f.p.Assign...)
+	return &p, nil
+}
+
+// TestRunRejectsMisshapenPlacement: Run checks a placement's shape against
+// the run, not only each entry against the placement's own NumServers. A
+// short Assign would leave VMs unplaced and uncharged, a long one indexes
+// past the VM list, and servers beyond MaxServers escape the residency
+// table while still drawing power.
+func TestRunRejectsMisshapenPlacement(t *testing.T) {
+	vms := flatVMs(4, 1, 24)
+	cases := []struct {
+		name    string
+		p       model.Placement
+		wantErr string // empty: the run must succeed
+	}{
+		{"valid", model.Placement{NumServers: 2, Assign: []int{0, 0, 1, 1}}, ""},
+		{"short assign", model.Placement{NumServers: 2, Assign: []int{0, 1}}, "assigned 2 VMs, run has 4"},
+		{"long assign", model.Placement{NumServers: 2, Assign: []int{0, 0, 1, 1, 0}}, "assigned 5 VMs, run has 4"},
+		{"too many servers", model.Placement{NumServers: 4, Assign: []int{0, 1, 2, 3}}, "opened 4 servers, MaxServers is 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.Policy = fixedPolicy{c.p}
+			cfg.MaxServers = 2
+			cfg.PeriodSamples = 12
+			res, err := Run(vms, cfg)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Periods) != 2 || res.MeanActive != 2 {
+					t.Fatalf("periods = %d, mean active = %v; want 2 and 2", len(res.Periods), res.MeanActive)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("placement %+v accepted; want error %q", c.p, c.wantErr)
+			}
+			for _, want := range []string{"sim: period 0", `policy "fixed"`, c.wantErr} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want it to contain %q", err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -111,7 +167,7 @@ func TestRunOverloadProducesViolations(t *testing.T) {
 func TestWorstCaseGovernorPicksCoveringLevel(t *testing.T) {
 	spec := server.XeonE5410()
 	g := WorstCase{}
-	p := &place.Placement{NumServers: 1, Assign: []int{0, 0}}
+	p := &model.Placement{NumServers: 1, Assign: []int{0, 0}}
 	// 5 cores of predicted peaks: 2.0 GHz gives 6.96 cores, enough.
 	fs := g.PlanStatic(p, []float64{2.5, 2.5}, spec)
 	if fs[0] != 2.0 {
@@ -139,7 +195,7 @@ func TestCorrAwareGovernorDiscountsFrequency(t *testing.T) {
 		}
 	}
 	g := CorrAware{Matrix: m}
-	p := &place.Placement{NumServers: 1, Assign: []int{0, 0}}
+	p := &model.Placement{NumServers: 1, Assign: []int{0, 0}}
 	fs := g.PlanStatic(p, []float64{4, 4}, spec)
 	if fs[0] != 2.0 {
 		t.Fatalf("anti-correlated full server should run at 2.0, got %v", fs[0])
@@ -162,7 +218,7 @@ func TestDynamicRescalingTracksLoad(t *testing.T) {
 			data[k] = 7.5
 		}
 	}
-	vms := []*vmmodel.VM{vmmodel.New("vm", trace.NewFromSamples(5*time.Second, data))}
+	vms := []*model.VM{model.NewVM("vm", model.SeriesFromSamples(5*time.Second, data))}
 	cfg := baseConfig()
 	cfg.PeriodSamples = 200
 	cfg.RescaleEvery = 10
@@ -203,7 +259,7 @@ func TestNormalizedPower(t *testing.T) {
 	if got := a.NormalizedPower(a); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("self-normalized power = %v, want 1", got)
 	}
-	zero := &Result{}
+	zero := &model.Result{}
 	if got := a.NormalizedPower(zero); got != 0 {
 		t.Fatalf("normalization against zero baseline = %v, want 0", got)
 	}
@@ -218,9 +274,9 @@ func TestEndToEndPoliciesOnSyntheticTraces(t *testing.T) {
 	cfg.Groups = 4
 	cfg.Day = 6 * time.Hour
 	ds := synth.Datacenter(cfg)
-	vms := vmmodel.FromSeries(ds.Names, ds.Fine)
+	vms := model.VMsFromSeries(ds.Names, ds.Fine)
 
-	run := func(policy model.Policy, gov model.Governor, matrix model.CostSource) *Result {
+	run := func(policy model.Policy, gov model.Governor, matrix model.CostSource) *model.Result {
 		c := baseConfig()
 		c.Policy = policy
 		c.Governor = gov

@@ -1,6 +1,6 @@
 // Package stats provides the streaming statistics the consolidation stack
 // relies on: running moments (Welford), streaming Pearson correlation, the
-// P² on-line quantile estimator, histograms, and small fitting helpers.
+// P² on-line quantile estimator, and small fitting helpers.
 //
 // Everything here is updatable one sample at a time in O(1) memory, which is
 // the property the paper exploits when it argues its correlation cost is
@@ -135,14 +135,6 @@ func (p *Pearson) Corr() float64 {
 	return math.Max(-1, math.Min(1, c))
 }
 
-// Covariance returns the population covariance of the stream.
-func (p *Pearson) Covariance() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	return p.cov / float64(p.n)
-}
-
 // PearsonOf computes the Pearson correlation of two equal-length slices.
 func PearsonOf(xs, ys []float64) float64 {
 	var p Pearson
@@ -154,63 +146,6 @@ func PearsonOf(xs, ys []float64) float64 {
 		p.Add(xs[i], ys[i])
 	}
 	return p.Corr()
-}
-
-// Histogram counts observations into equal-width bins over [lo, hi].
-// Observations outside the range are clamped into the first or last bin, so
-// every Add is counted; this matches how frequency-residency histograms are
-// reported in the paper's Fig 6.
-type Histogram struct {
-	lo, hi float64
-	counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with the given bin count over [lo, hi].
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: non-positive bin count")
-	}
-	if hi <= lo {
-		panic("stats: empty histogram range")
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, bins)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.counts)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// Count returns the count in bin i.
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bin i (0 when empty).
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.counts))
-	return h.lo + (float64(i)+0.5)*w
 }
 
 // Linear is a least-squares straight-line fit y = A + B·x.

@@ -186,64 +186,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0.5, 1, 3, 9.9, -4, 15} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
-	}
-	if h.Count(0) != 3 { // 0.5, 1, and clamped -4
-		t.Fatalf("bin 0 count = %d, want 3", h.Count(0))
-	}
-	if h.Count(4) != 2 { // 9.9 and clamped 15
-		t.Fatalf("bin 4 count = %d, want 2", h.Count(4))
-	}
-	if !approx(h.Fraction(1), 1.0/6, 1e-12) {
-		t.Fatalf("fraction bin1 = %v", h.Fraction(1))
-	}
-	if !approx(h.BinCenter(0), 1, 1e-12) {
-		t.Fatalf("bin center = %v, want 1", h.BinCenter(0))
-	}
-}
-
-func TestHistogramFractionsSumToOne(t *testing.T) {
-	f := func(raw []int8) bool {
-		h := NewHistogram(-128, 128, 8)
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		if len(raw) == 0 {
-			return h.Fraction(0) == 0
-		}
-		sum := 0.0
-		for i := 0; i < h.Bins(); i++ {
-			sum += h.Fraction(i)
-		}
-		return approx(sum, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestFitLinear(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4}
 	ys := []float64{1, 3, 5, 7, 9} // y = 1 + 2x

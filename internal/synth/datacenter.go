@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/trace"
 	"repro/pkg/dcsim/model"
 )
 
@@ -51,10 +50,6 @@ func DefaultDatacenterConfig() DatacenterConfig {
 		Seed:           1,
 	}
 }
-
-// Dataset is a generated set of VM demand traces. It is the contract type
-// model.Dataset.
-type Dataset = model.Dataset
 
 // Stream generates the datacenter dataset one VM at a time: the shared
 // group state (diurnal profiles, burst episodes, size scales) is drawn up
@@ -172,7 +167,7 @@ func (s *Stream) Next() (model.VMRecord, error) {
 	scale := s.groupScale[g] * (0.95 + 0.1*s.rng.Float64())
 	// Slow idiosyncratic noise: AR(1) walk around 1.
 	noise := 0.0
-	coarse := trace.New(cfg.CoarseInterval, s.nCoarse)
+	coarse := model.NewSeries(cfg.CoarseInterval, s.nCoarse)
 	for t := 0; t < s.nCoarse; t++ {
 		noise = 0.9*noise + 0.1*s.rng.NormFloat64()
 		v := scale * s.groupProfile[g][t] * (1 + cfg.NoiseFrac*noise)
@@ -193,7 +188,7 @@ func (s *Stream) Next() (model.VMRecord, error) {
 
 // Datacenter generates a Dataset according to cfg. The same config always
 // yields the same traces. It is the materialization of NewStream.
-func Datacenter(cfg DatacenterConfig) *Dataset {
+func Datacenter(cfg DatacenterConfig) *model.Dataset {
 	ds, err := model.Materialize(NewStream(cfg))
 	if err != nil {
 		// The generator's Next never fails before io.EOF.
@@ -206,7 +201,7 @@ func Datacenter(cfg DatacenterConfig) *Dataset {
 // structure as Datacenter but no shared group profile — every VM gets its
 // own. Used by ablations to show the proposed policy's advantage shrinks
 // when there is no correlation to exploit.
-func Uncorrelated(cfg DatacenterConfig) *Dataset {
+func Uncorrelated(cfg DatacenterConfig) *model.Dataset {
 	cfg.Groups = cfg.VMs
 	return Datacenter(cfg)
 }

@@ -12,7 +12,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/trace"
+	"repro/pkg/dcsim/model"
 )
 
 // LogNormal draws samples with the given mean and shape parameter sigma
@@ -50,11 +50,11 @@ func (l *LogNormal) Sample(mean float64) float64 {
 
 // Refine expands a coarse series into a fine-grained one with factor samples
 // per coarse sample, each drawn lognormally around the coarse mean.
-func (l *LogNormal) Refine(coarse *trace.Series, factor int) *trace.Series {
+func (l *LogNormal) Refine(coarse *model.Series, factor int) *model.Series {
 	if factor <= 0 {
 		panic("synth: non-positive refinement factor")
 	}
-	out := trace.New(coarse.Interval()/time.Duration(factor), coarse.Len()*factor)
+	out := model.NewSeries(coarse.Interval()/time.Duration(factor), coarse.Len()*factor)
 	for i := 0; i < coarse.Len(); i++ {
 		mean := coarse.At(i)
 		for k := 0; k < factor; k++ {
@@ -82,8 +82,8 @@ func (w Wave) At(t time.Duration) float64 {
 }
 
 // Series samples the wave every interval for n samples.
-func (w Wave) Series(interval time.Duration, n int) *trace.Series {
-	s := trace.New(interval, n)
+func (w Wave) Series(interval time.Duration, n int) *model.Series {
+	s := model.NewSeries(interval, n)
 	for i := 0; i < n; i++ {
 		s.Append(w.At(time.Duration(i) * interval))
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/pkg/dcsim/model"
 )
 
@@ -57,7 +56,7 @@ func TestLogNormalPositivity(t *testing.T) {
 }
 
 func TestRefineShapeAndMean(t *testing.T) {
-	coarse := trace.NewFromSamples(5*time.Minute, []float64{1, 2, 3, 4})
+	coarse := model.SeriesFromSamples(5*time.Minute, []float64{1, 2, 3, 4})
 	ln := NewLogNormal(0.3, 5)
 	fine := ln.Refine(coarse, 60)
 	if fine.Len() != 240 {

@@ -1,3 +1,8 @@
+// Package trace is the CSV codec for utilization time series: the cmd/
+// tools and recorded-trace workloads read and write model.Series through
+// ReadCSV and WriteCSV. The Series type itself, and the statistics over it
+// that consolidation policies consume, live in the public contract package
+// pkg/dcsim/model.
 package trace
 
 import (
@@ -7,6 +12,8 @@ import (
 	"math"
 	"strconv"
 	"time"
+
+	"repro/pkg/dcsim/model"
 )
 
 // The CSV timestamp column carries microseconds as six decimal places, so
@@ -25,7 +32,7 @@ const maxIntervalSeconds = float64(math.MaxInt64) / float64(time.Second)
 // Samples are written in the shortest decimal form that round-trips the
 // float64 exactly, so a read-back series is sample-identical — the property
 // recorded-trace workloads rely on to reproduce a synthetic run bit for bit.
-func WriteCSV(w io.Writer, names []string, series []*Series) error {
+func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 	if len(names) != len(series) {
 		return fmt.Errorf("trace: %d names for %d series", len(names), len(series))
 	}
@@ -70,7 +77,7 @@ func WriteCSV(w io.Writer, names []string, series []*Series) error {
 // are information-theoretically indistinguishable from a genuine
 // whole-microsecond recording and parse as one). A single-row file is
 // rejected.
-func ReadCSV(r io.Reader) (names []string, series []*Series, err error) {
+func ReadCSV(r io.Reader) (names []string, series []*model.Series, err error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
 	if err != nil {
@@ -129,9 +136,9 @@ func ReadCSV(r io.Reader) (names []string, series []*Series, err error) {
 			cols[j] = append(cols[j], v)
 		}
 	}
-	series = make([]*Series, len(names))
+	series = make([]*model.Series, len(names))
 	for i := range names {
-		series[i] = NewFromSamples(iv, cols[i])
+		series[i] = model.SeriesFromSamples(iv, cols[i])
 	}
 	return names, series, nil
 }

@@ -480,7 +480,7 @@ func (r *streamReader) loadChunk(entry FileEntry) error {
 }
 
 // readChunk fetches and parses one CSV chunk.
-func readChunk(ctx context.Context, f ChunkFetcher, name string) ([]string, []*trace.Series, error) {
+func readChunk(ctx context.Context, f ChunkFetcher, name string) ([]string, []*model.Series, error) {
 	data, err := f.Chunk(ctx, name)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tracedir: %w", err)

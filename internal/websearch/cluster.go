@@ -9,7 +9,6 @@ import (
 	"repro/internal/devent"
 	"repro/internal/stats"
 	"repro/internal/synth"
-	"repro/internal/trace"
 	"repro/pkg/dcsim/model"
 )
 
@@ -87,17 +86,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// Placement maps each ISN (by index in Config.ISNs) to a pool. It is the
-// contract type model.WebSearchPlacement.
-type Placement = model.WebSearchPlacement
-
 // Standard placements of the paper's Fig. 4, for two 8-core servers and
 // four ISNs ordered as in DefaultConfig. speed is f/fmax for every pool.
 
 // Segregated gives each ISN a dedicated 4-core partition on its cluster's
 // server (Fig. 4a).
-func Segregated(speed float64) *Placement {
-	return &Placement{
+func Segregated(speed float64) *model.WebSearchPlacement {
+	return &model.WebSearchPlacement{
 		Name:      "Segregated",
 		PoolOf:    []int{0, 1, 2, 3},
 		PoolCores: []int{4, 4, 4, 4},
@@ -107,8 +102,8 @@ func Segregated(speed float64) *Placement {
 
 // SharedUnCorr shares each 8-core server between the two ISNs of the same
 // cluster (Fig. 4b) — core sharing without correlation awareness.
-func SharedUnCorr(speed float64) *Placement {
-	return &Placement{
+func SharedUnCorr(speed float64) *model.WebSearchPlacement {
+	return &model.WebSearchPlacement{
 		Name:      "Shared-UnCorr",
 		PoolOf:    []int{0, 0, 1, 1},
 		PoolCores: []int{8, 8},
@@ -118,8 +113,8 @@ func SharedUnCorr(speed float64) *Placement {
 
 // SharedCorr shares each 8-core server between ISNs of different clusters
 // (Fig. 4c) — the correlation-aware choice.
-func SharedCorr(speed float64) *Placement {
-	return &Placement{
+func SharedCorr(speed float64) *model.WebSearchPlacement {
+	return &model.WebSearchPlacement{
 		Name:      "Shared-Corr",
 		PoolOf:    []int{0, 1, 0, 1},
 		PoolCores: []int{8, 8},
@@ -127,12 +122,8 @@ func SharedCorr(speed float64) *Placement {
 	}
 }
 
-// Result holds a run's measurements. It is the contract type
-// model.WebSearchRun.
-type Result = model.WebSearchRun
-
 // Run simulates the configuration under the placement.
-func Run(cfg Config, pl *Placement) (*Result, error) {
+func Run(cfg Config, pl *model.WebSearchPlacement) (*model.WebSearchRun, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, fmt.Errorf("websearch: no clusters")
 	}
@@ -232,27 +223,27 @@ func Run(cfg Config, pl *Placement) (*Result, error) {
 
 	// Utilization sampling.
 	nSamples := int(cfg.Duration / cfg.SampleEvery)
-	res := &Result{
+	res := &model.WebSearchRun{
 		Placement:   pl.Name,
 		P90:         make([]float64, nClusters),
 		P99:         make([]float64, nClusters),
 		Mean:        make([]float64, nClusters),
 		Queries:     make([]int, nClusters),
-		VMUtil:      make([]*trace.Series, len(cfg.ISNs)),
-		PoolUtil:    make([]*trace.Series, len(pools)),
-		PoolCores:   make([]*trace.Series, len(pools)),
-		ClientTrace: make([]*trace.Series, nClusters),
+		VMUtil:      make([]*model.Series, len(cfg.ISNs)),
+		PoolUtil:    make([]*model.Series, len(pools)),
+		PoolCores:   make([]*model.Series, len(pools)),
+		ClientTrace: make([]*model.Series, nClusters),
 	}
 	iv := time.Duration(cfg.SampleEvery * float64(time.Second))
 	for i := range res.VMUtil {
-		res.VMUtil[i] = trace.New(iv, nSamples)
+		res.VMUtil[i] = model.NewSeries(iv, nSamples)
 	}
 	for i := range res.PoolUtil {
-		res.PoolUtil[i] = trace.New(iv, nSamples)
-		res.PoolCores[i] = trace.New(iv, nSamples)
+		res.PoolUtil[i] = model.NewSeries(iv, nSamples)
+		res.PoolCores[i] = model.NewSeries(iv, nSamples)
 	}
 	for c := range res.ClientTrace {
-		res.ClientTrace[c] = trace.New(iv, nSamples)
+		res.ClientTrace[c] = model.NewSeries(iv, nSamples)
 	}
 	for k := 1; k <= nSamples; k++ {
 		k := k
@@ -297,7 +288,7 @@ func Run(cfg Config, pl *Placement) (*Result, error) {
 // launchQuery fans a query out to every ISN of its cluster and records the
 // response time when the slowest sub-task finishes (the front-end gathers
 // all ISN results before replying).
-func launchQuery(sim *devent.Sim, cfg Config, pl *Placement, pools []*Pool,
+func launchQuery(sim *devent.Sim, cfg Config, pl *model.WebSearchPlacement, pools []*Pool,
 	acc []*Accumulator, isns []int, lgWork float64, rng *rand.Rand, record func(float64)) {
 	start := sim.Now()
 	remaining := len(isns)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/pkg/dcsim/model"
 )
 
 // quickConfig is a shortened run for unit tests.
@@ -185,7 +186,7 @@ func TestCustomSingleClusterRun(t *testing.T) {
 		SampleEvery:  1,
 		Seed:         7,
 	}
-	pl := &Placement{Name: "single", PoolOf: []int{0}, PoolCores: []int{2}, PoolSpeed: []float64{1}}
+	pl := &model.WebSearchPlacement{Name: "single", PoolOf: []int{0}, PoolCores: []int{2}, PoolSpeed: []float64{1}}
 	r, err := Run(cfg, pl)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -227,6 +228,30 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	if sc.Workload.Seed != DefaultScenario().Workload.Seed {
 		t.Errorf("sparse scenario seed = %d, want the default %d",
 			sc.Workload.Seed, DefaultScenario().Workload.Seed)
+	}
+}
+
+// TestMaxServersBounded: max_servers sizes the residency tables before any
+// work is done, so an untrusted scenario asking for 2e9 servers must fail
+// validation instead of running the process out of memory.
+func TestMaxServersBounded(t *testing.T) {
+	for _, n := range []int{1<<16 + 1, 2e9} {
+		data := []byte(fmt.Sprintf(`{"workload":{"vms":4,"hours":1},"max_servers":%d}`, n))
+		if _, err := ParseScenario(data); err == nil || !strings.Contains(err.Error(), "MaxServers") {
+			t.Errorf("ParseScenario(max_servers=%d) err = %v, want a MaxServers error", n, err)
+		}
+		sc := New(WithVMs(4), WithHours(1), WithMaxServers(n))
+		if err := CheckScenario(sc); err == nil || !strings.Contains(err.Error(), "MaxServers") {
+			t.Errorf("CheckScenario(MaxServers=%d) err = %v, want a MaxServers error", n, err)
+		}
+	}
+	data := []byte(fmt.Sprintf(`{"workload":{"vms":4,"hours":1},"max_servers":%d}`, 1<<16))
+	sc, err := ParseScenario(data)
+	if err != nil {
+		t.Fatalf("ParseScenario(max_servers=1<<16): %v", err)
+	}
+	if err := CheckScenario(sc); err != nil {
+		t.Fatalf("CheckScenario(MaxServers=1<<16): %v", err)
 	}
 }
 

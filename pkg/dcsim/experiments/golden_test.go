@@ -11,18 +11,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files with the current output")
 
-// TestArtifactsMatchPreRefactorGoldens pins fig1, tablei, and tableiia
-// (quick scale) to the byte-exact output captured before the model-contract
-// refactor. The contract inversion — ServerSpec, Request/Placement, the
-// component interfaces, and RunOptions moving into pkg/dcsim/model — must
-// be invisible to every artifact: same traces, same placements, same
-// arithmetic, same rendering.
+// TestArtifactsMatchPreRefactorGoldens pins fig1, tablei, tableiia,
+// extended and a4 (quick scale) to byte-exact outputs captured before a
+// refactor. fig1, tablei and tableiia predate the model-contract inversion —
+// ServerSpec, Request/Placement, the component interfaces, and RunOptions
+// moving into pkg/dcsim/model; extended and a4 predate routing their runs
+// through the façade's registry names. Neither refactor may be visible in
+// any artifact: same traces, same placements, same arithmetic, same
+// rendering.
 //
 // To regenerate after an intentional behavior change:
 //
 //	go test ./pkg/dcsim/experiments -run Golden -update
 func TestArtifactsMatchPreRefactorGoldens(t *testing.T) {
-	for _, name := range []string{"fig1", "tablei", "tableiia"} {
+	for _, name := range []string{"fig1", "tablei", "tableiia", "extended", "a4"} {
 		t.Run(name, func(t *testing.T) {
 			r, err := experiments.Run(name, true)
 			if err != nil {

@@ -126,3 +126,50 @@ func TestVMRefOver(t *testing.T) {
 		t.Fatalf("RefOver second half = %v, want 3", got)
 	}
 }
+
+func TestNewAndString(t *testing.T) {
+	s := SeriesFromSamples(5*time.Second, []float64{1, 2, 3})
+	v := NewVM("vm1", s)
+	if v.ID != "vm1" || v.Demand.Len() != 3 {
+		t.Fatalf("vm = %+v", v)
+	}
+	if v.String() == "" {
+		t.Fatal("String should be non-empty")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil demand should panic")
+		}
+	}()
+	NewVM("bad", nil)
+}
+
+func TestRefOver(t *testing.T) {
+	s := SeriesFromSamples(time.Second, []float64{1, 9, 2, 3, 4})
+	v := NewVM("vm", s)
+	if got := v.RefOver(0, 5, 1); got != 9 {
+		t.Fatalf("peak = %v, want 9", got)
+	}
+	if got := v.RefOver(2, 5, 1); got != 4 {
+		t.Fatalf("windowed peak = %v, want 4", got)
+	}
+	p := v.RefOver(0, 5, 0.5)
+	if p != s.Percentile(0.5) {
+		t.Fatalf("percentile ref = %v, want %v", p, s.Percentile(0.5))
+	}
+}
+
+func TestFromSeries(t *testing.T) {
+	a := SeriesFromSamples(time.Second, []float64{1})
+	b := SeriesFromSamples(time.Second, []float64{2})
+	vms := VMsFromSeries([]string{"a", "b"}, []*Series{a, b})
+	if len(vms) != 2 || vms[1].ID != "b" {
+		t.Fatalf("vms = %v", vms)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched lengths should panic")
+		}
+	}()
+	VMsFromSeries([]string{"a"}, nil)
+}

@@ -232,6 +232,13 @@ func (s Scenario) withDefaults() Scenario {
 // the effective parameters of a sparse scenario.
 func (s Scenario) Normalized() Scenario { return s.withDefaults() }
 
+// maxServersLimit bounds Scenario.MaxServers. The pool size sizes the
+// run's per-server residency tables before any work is done, so an
+// unchecked value from an untrusted scenario (a job grid, a worker's /run
+// body) could demand gigabytes up front. At 1<<16 servers the tables stay
+// under ~10 MB; the repository's largest scenario uses 1,000.
+const maxServersLimit = 1 << 16
+
 // Validate reports structural problems a registry lookup would not catch.
 func (s Scenario) Validate() error {
 	if s.Workload.VMs < 1 {
@@ -245,6 +252,9 @@ func (s Scenario) Validate() error {
 	}
 	if s.MaxServers < 1 {
 		return errors.New("dcsim: MaxServers must be at least 1")
+	}
+	if s.MaxServers > maxServersLimit {
+		return fmt.Errorf("dcsim: MaxServers %d exceeds the limit of %d", s.MaxServers, maxServersLimit)
 	}
 	if s.PeriodSamples < 1 {
 		return errors.New("dcsim: PeriodSamples must be at least 1")

@@ -1,6 +1,7 @@
 #!/bin/sh
 # leakcheck.sh — fail if any exported identifier in pkg/dcsim/... references
-# a type from an internal/ package.
+# a type from an internal/ package, or if an internal/ package re-exports a
+# contract type under a second name.
 #
 # The public packages under pkg/dcsim must speak only pkg/dcsim/model (and
 # each other): an exported signature naming an internal type cannot be
@@ -8,6 +9,11 @@
 # aliasing bug this check guards against regressing. The check renders each
 # public package's exported API with `go doc -all` and greps it for
 # selector references to any package under internal/.
+#
+# In the other direction, every internal package names contract types only
+# as model.X: an alias such as `type Result = model.Result` under internal/
+# spells one type two ways, so it fails the check too. The public
+# re-exports in the pkg/dcsim façade are the one set of aliases allowed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,5 +32,14 @@ for pkg in $(go list ./pkg/...); do
 		status=1
 	fi
 done
-[ "$status" -eq 0 ] && echo "leakcheck: pkg/dcsim/... exports no internal types"
+# `type X = model.Y`, alone or inside a grouped `type (...)` block, and the
+# `var X = model.Y` form of the same re-export.
+if grep -rnE --include='*.go' \
+	'^((type|var)[[:space:]]+|[[:space:]]+)[A-Z][A-Za-z0-9_]*[[:space:]]*=[[:space:]]*model\.[A-Z][A-Za-z0-9_]*[[:space:]]*$' \
+	internal/; then
+	echo "leakcheck: internal/ re-exports pkg/dcsim/model names (above); use model.X directly" >&2
+	status=1
+fi
+
+[ "$status" -eq 0 ] && echo "leakcheck: pkg/dcsim/... exports no internal types; internal/ re-exports no model types"
 exit $status
