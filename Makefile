@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
-	bench bench-test bench-alloc bench-compare leakcheck \
+	bench bench-test bench-alloc bench-compare leakcheck fuzz \
 	smoke-service smoke-fleet smoke-objstore
 
 ci: lint build test race bench-test smoke-service smoke-fleet smoke-objstore bench-compare
@@ -56,6 +56,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# fuzz runs the fuzzing engine on every Fuzz* target in the root module for
+# 10 s each; `go test ./...` runs only their seed corpora. CI's fuzz job
+# runs it.
+fuzz:
+	./scripts/fuzz.sh
 
 # bench-test vets and tests the end-to-end benchmark module. bench/ is its
 # own Go module (replace repro => ../), so the root ./... never compiles

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -163,35 +164,48 @@ func BenchmarkAblationMetric(b *testing.B) {
 
 // --- microbenchmarks on the core machinery ---
 
-// BenchmarkCostMatrixUpdate measures one streaming sample update for the
-// paper's 40-VM scale (780 pairs).
+// BenchmarkCostMatrixUpdate measures one streaming sample update: at the
+// paper's 40-VM scale (780 pairs), and at bench/'s 400-VM corr-aware and
+// the 2k-VM scale, where the n(n−1)/2 pair peaks dominate a run. ns/pair
+// is the per-pair cost of the Eqn-1 update.
 func BenchmarkCostMatrixUpdate(b *testing.B) {
-	const n = 40
-	m := core.NewCostMatrix(n, 1)
-	rng := rand.New(rand.NewSource(1))
-	sample := make([]float64, n)
-	for i := range sample {
-		sample[i] = rng.Float64() * 4
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Add(sample)
+	for _, n := range []int{40, 400, 2000} {
+		b.Run(fmt.Sprintf("vms=%d", n), func(b *testing.B) {
+			benchMatrixUpdate(b, core.NewCostMatrix(n, 1))
+		})
 	}
 }
 
 // BenchmarkCostMatrixUpdateP95 is the percentile-reference variant (P²
 // estimators instead of running maxima).
 func BenchmarkCostMatrixUpdateP95(b *testing.B) {
-	const n = 40
-	m := core.NewCostMatrix(n, 0.95)
+	benchMatrixUpdate(b, core.NewCostMatrix(40, 0.95))
+}
+
+func benchMatrixUpdate(b *testing.B, m *core.CostMatrix) {
+	n := m.N()
 	rng := rand.New(rand.NewSource(1))
 	sample := make([]float64, n)
 	for i := range sample {
 		sample[i] = rng.Float64() * 4
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		m.Add(sample)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*(n-1)/2), "ns/pair")
+}
+
+// BenchmarkSeriesPercentile measures one 0.9 percentile over a 720-sample
+// (one-hour) window, the read sim.Run makes per VM per period for the
+// off-peak history and PCP makes again for each envelope threshold.
+func BenchmarkSeriesPercentile(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	s := model.NewSeries(5*time.Second, 720)
+	for k := 0; k < 720; k++ {
+		s.Append(math.Exp(rng.NormFloat64() * 0.5))
+	}
+	for b.Loop() {
+		s.Percentile(0.9)
 	}
 }
 
@@ -251,12 +265,12 @@ func BenchmarkAllocatorScale(b *testing.B) {
 // BenchmarkAllocPhases attributes hot-path time to its phases so
 // BENCH_alloc.json records per-phase baselines:
 //
-//   - matrix: one streaming CostMatrix.Add — the n(n−1)/2 pair-monitor
+//   - matrix: one streaming CostMatrix.Add — the n(n−1)/2 pair-peak
 //     updates of the UPDATE phase.
 //   - fill: one full exact placement over O(1) synthetic pair costs —
 //     isolates candidate scoring and the running-sum extensions.
 //   - total: one matrix-fed exact placement — the simulator's
-//     per-period ALLOCATE hot path end to end (scoring + monitor reads).
+//     per-period ALLOCATE hot path end to end (scoring + matrix reads).
 func BenchmarkAllocPhases(b *testing.B) {
 	const n = 2000
 	b.Run(fmt.Sprintf("matrix/serial/vms=%d", n), func(b *testing.B) {

@@ -19,37 +19,46 @@ import (
 // where û is the reference utilization (peak, or the Nth percentile via a
 // P² estimator) over the monitoring window. Each update is O(1) per pair
 // with O(1) memory, which is the paper's argument for preferring this
-// metric over windowed Pearson correlation: the work is spread evenly over
-// the monitoring interval and no sample history is stored.
+// metric over windowed Pearson correlation (Section IV-A): the work is
+// spread evenly over the monitoring interval and no sample history is
+// stored. A CostMatrix is not synchronized.
 //
 // Cost is at least ~1 (peaks of the sum cannot exceed the sum of peaks) and
 // grows as the VMs' peaks interleave; higher cost = lower correlation =
 // better co-location candidates.
 type CostMatrix struct {
-	n    int
-	pctl float64
-	vm   []*monitor // per-VM û
-	pair []*monitor // per-pair û of the aggregated demand, upper triangle
+	n       int
+	samples int // samples fed into the current window
+	// With a peak reference (pctl >= 1) the window's û values are running
+	// maxima kept flat: the n per-VM peaks, then the n(n−1)/2 pair peaks of
+	// the aggregated demand in pairIndex order. With a percentile reference
+	// p2 holds one P² estimator per entry of the same layout instead.
+	peak []float64
+	p2   []*stats.P2Quantile
 }
 
 // CostMatrix implements the streaming contract model.CostSource.
 var _ model.CostSource = (*CostMatrix)(nil)
 
 // NewCostMatrix returns a matrix for n VMs using the given reference
-// percentile (>= 1 tracks exact peaks).
+// percentile (>= 1 tracks exact peaks). It panics when pctl <= 0.
 func NewCostMatrix(n int, pctl float64) *CostMatrix {
 	if n < 0 {
 		panic("core: negative VM count")
 	}
-	m := &CostMatrix{n: n, pctl: pctl}
-	m.vm = make([]*monitor, n)
-	for i := range m.vm {
-		m.vm[i] = newMonitor(pctl)
+	if pctl <= 0 {
+		panic("core: reference percentile must be positive")
 	}
-	m.pair = make([]*monitor, n*(n-1)/2)
-	for i := range m.pair {
-		m.pair[i] = newMonitor(pctl)
+	m := &CostMatrix{n: n}
+	entries := n + n*(n-1)/2
+	if pctl < 1 {
+		m.p2 = make([]*stats.P2Quantile, entries)
+		for k := range m.p2 {
+			m.p2[k] = stats.NewP2Quantile(pctl)
+		}
+		return m
 	}
+	m.peak = make([]float64, entries)
 	return m
 }
 
@@ -70,29 +79,52 @@ func (m *CostMatrix) Add(sample []float64) {
 	if len(sample) != m.n {
 		panic("core: sample length does not match VM count")
 	}
-	for i, v := range sample {
-		m.vm[i].Add(v)
+	m.samples++
+	if m.p2 != nil {
+		for i, v := range sample {
+			m.p2[i].Add(v)
+		}
+		k := m.n
+		for i, v := range sample {
+			for _, w := range sample[i+1:] {
+				m.p2[k].Add(v + w)
+				k++
+			}
+		}
+		return
 	}
-	// Walk the upper triangle in the same row-major order as pairIndex.
-	k := 0
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			m.pair[k].Add(sample[i] + sample[j])
-			k++
+	for i, v := range sample {
+		if v > m.peak[i] {
+			m.peak[i] = v
+		}
+	}
+	// Walk the upper triangle one row at a time, in pairIndex order.
+	rows := m.peak[m.n:]
+	for i, v := range sample {
+		rest := sample[i+1:]
+		row := rows[:len(rest)]
+		rows = rows[len(rest):]
+		for j, w := range rest {
+			if s := v + w; s > row[j] {
+				row[j] = s
+			}
 		}
 	}
 }
 
 // Samples returns how many samples have been fed into the window.
-func (m *CostMatrix) Samples() int {
-	if m.n == 0 {
-		return 0
+func (m *CostMatrix) Samples() int { return m.samples }
+
+// ref returns the current û of entry k of the flat layout.
+func (m *CostMatrix) ref(k int) float64 {
+	if m.p2 != nil {
+		return m.p2[k].Value()
 	}
-	return m.vm[0].N()
+	return m.peak[k]
 }
 
 // Ref returns the current reference utilization û of VM i.
-func (m *CostMatrix) Ref(i int) float64 { return m.vm[i].Ref() }
+func (m *CostMatrix) Ref(i int) float64 { return m.ref(i) }
 
 // Cost returns the Eqn-1 cost between VMs i and j. Before any samples, or
 // when the pair never exercises the CPU, the cost is 1 (assume perfect
@@ -101,20 +133,19 @@ func (m *CostMatrix) Cost(i, j int) float64 {
 	if i == j {
 		return 1
 	}
-	den := m.pair[m.pairIndex(i, j)].Ref()
+	den := m.ref(m.n + m.pairIndex(i, j))
 	if den <= 1e-12 {
 		return 1
 	}
-	return (m.vm[i].Ref() + m.vm[j].Ref()) / den
+	return (m.ref(i) + m.ref(j)) / den
 }
 
-// Reset starts a new monitoring window, clearing all estimators.
+// Reset starts a new monitoring window, clearing every peak or estimator.
 func (m *CostMatrix) Reset() {
-	for _, mo := range m.vm {
-		mo.Reset()
-	}
-	for _, mo := range m.pair {
-		mo.Reset()
+	m.samples = 0
+	clear(m.peak)
+	for _, q := range m.p2 {
+		q.Reset()
 	}
 }
 
@@ -144,83 +175,27 @@ func CostOf(a, b []float64, pctl float64) float64 {
 }
 
 func refOf(xs []float64, pctl float64) float64 {
-	if pctl >= 1 {
-		max := 0.0
-		for i, v := range xs {
-			if i == 0 || v > max {
-				max = v
-			}
-		}
-		return max
-	}
-	// The same P² estimator the matrix's monitors run, not an exact
-	// percentile: that is why CostOf agrees with CostMatrix for pctl < 1.
-	m := newMonitor(pctl)
-	for _, v := range xs {
-		m.Add(v)
-	}
-	return m.Ref()
-}
-
-// monitor tracks the reference utilization of one VM (or one VM pair's
-// aggregate) on-line. It wraps a P² estimator (for percentile references)
-// and an exact running max, so the reference can be read at any time
-// without storing the window — the memory-saving property the paper
-// highlights in Section IV-A. A monitor is not synchronized.
-type monitor struct {
-	pctl float64
-	p2   *stats.P2Quantile
-	max  float64
-	n    int
-}
-
-// newMonitor returns a monitor for the given reference percentile; pctl >= 1
-// tracks the exact peak.
-func newMonitor(pctl float64) *monitor {
-	m := &monitor{pctl: pctl}
 	if pctl < 1 {
-		if pctl <= 0 {
-			panic("core: reference percentile must be positive")
+		// The same P² estimator the matrix runs per entry, not an exact
+		// percentile: that is why CostOf agrees with CostMatrix for pctl < 1.
+		q := stats.NewP2Quantile(pctl)
+		for _, v := range xs {
+			q.Add(v)
 		}
-		m.p2 = stats.NewP2Quantile(pctl)
+		return q.Value()
 	}
-	return m
-}
-
-// Add feeds one demand sample.
-func (m *monitor) Add(x float64) {
-	m.n++
-	if x > m.max {
-		m.max = x
+	max := 0.0
+	for i, v := range xs {
+		if i == 0 || v > max {
+			max = v
+		}
 	}
-	if m.p2 != nil {
-		m.p2.Add(x)
-	}
-}
-
-// N returns the number of samples seen in the current window.
-func (m *monitor) N() int { return m.n }
-
-// Ref returns the current reference utilization û.
-func (m *monitor) Ref() float64 {
-	if m.p2 != nil {
-		return m.p2.Value()
-	}
-	return m.max
-}
-
-// Reset starts a new monitoring window.
-func (m *monitor) Reset() {
-	m.max = 0
-	m.n = 0
-	if m.p2 != nil {
-		m.p2.Reset()
-	}
+	return max
 }
 
 // SyntheticPairCost is a deterministic, symmetric, O(1) stand-in pair
 // cost with values in [1, 1.5) — for scale tests and benchmarks, where a
-// streaming matrix's per-pair monitors would dominate memory at 10k+ VMs.
+// streaming matrix's per-pair state would dominate memory at 10k+ VMs.
 func SyntheticPairCost(i, j int) float64 {
 	if i == j {
 		return 1

@@ -94,6 +94,10 @@ func TestCostOfSymmetric(t *testing.T) {
 	}
 }
 
+// TestCostMatrixMatchesBatch feeds the streaming matrix and the batch
+// CostOf the same windows. Both run the same reference estimator in the
+// same order — a running max at pctl 1, P² at pctl 0.9 — so every cost
+// agrees exactly.
 func TestCostMatrixMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, samples = 5, 400
@@ -104,19 +108,21 @@ func TestCostMatrixMatchesBatch(t *testing.T) {
 			series[i][k] = rng.Float64() * 4
 		}
 	}
-	m := NewCostMatrix(n, 1)
-	sample := make([]float64, n)
-	for k := 0; k < samples; k++ {
-		for i := range series {
-			sample[i] = series[i][k]
+	for _, pctl := range []float64{1, 0.9} {
+		m := NewCostMatrix(n, pctl)
+		sample := make([]float64, n)
+		for k := 0; k < samples; k++ {
+			for i := range series {
+				sample[i] = series[i][k]
+			}
+			m.Add(sample)
 		}
-		m.Add(sample)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			want := CostOf(series[i], series[j], 1)
-			if got := m.Cost(i, j); !approx(got, want, 1e-9) {
-				t.Fatalf("matrix cost(%d,%d) = %v, batch = %v", i, j, got, want)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				want := CostOf(series[i], series[j], pctl)
+				if got := m.Cost(i, j); got != want {
+					t.Fatalf("pctl %v: matrix cost(%d,%d) = %v, batch = %v", pctl, i, j, got, want)
+				}
 			}
 		}
 	}
@@ -233,59 +239,63 @@ func TestServerCostZeroRefs(t *testing.T) {
 	}
 }
 
+// The TestMonitor* tests pin one VM's reference û: a one-VM matrix holds
+// exactly the per-VM estimator of Section IV-A, with no pairs.
+
 func TestMonitorPeak(t *testing.T) {
-	m := newMonitor(1)
+	m := NewCostMatrix(1, 1)
 	for _, v := range []float64{0.5, 3, 1, 2} {
-		m.Add(v)
+		m.Add([]float64{v})
 	}
-	if m.Ref() != 3 {
-		t.Fatalf("peak monitor ref = %v, want 3", m.Ref())
+	if m.Ref(0) != 3 {
+		t.Fatalf("peak ref = %v, want 3", m.Ref(0))
 	}
-	if m.N() != 4 {
-		t.Fatalf("n = %d, want 4", m.N())
+	if m.Samples() != 4 {
+		t.Fatalf("samples = %d, want 4", m.Samples())
 	}
 	m.Reset()
-	if m.Ref() != 0 || m.N() != 0 {
-		t.Fatal("reset should clear the monitor")
+	if m.Ref(0) != 0 || m.Samples() != 0 {
+		t.Fatal("reset should clear the peak")
 	}
 }
 
 func TestMonitorPercentileTracksExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := newMonitor(0.9)
+	m := NewCostMatrix(1, 0.9)
 	samples := make([]float64, 0, 20000)
 	for i := 0; i < 20000; i++ {
 		v := math.Exp(rng.NormFloat64() * 0.4)
-		m.Add(v)
+		m.Add([]float64{v})
 		samples = append(samples, v)
 	}
 	exact := model.SeriesFromSamples(time.Second, samples).Percentile(0.9)
-	if rel := math.Abs(m.Ref()-exact) / exact; rel > 0.05 {
-		t.Fatalf("monitor q90 = %v, exact = %v (rel %v)", m.Ref(), exact, rel)
+	if rel := math.Abs(m.Ref(0)-exact) / exact; rel > 0.05 {
+		t.Fatalf("P² q90 = %v, exact = %v (rel %v)", m.Ref(0), exact, rel)
 	}
 }
 
 func TestMonitorPanicsOnBadPercentile(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("pctl<=0 should panic")
-		}
-	}()
-	newMonitor(0)
+	for _, pctl := range []float64{0, -0.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCostMatrix(1, %v) should panic", pctl)
+				}
+			}()
+			NewCostMatrix(1, pctl)
+		}()
+	}
 }
 
 func TestMonitorPeakMatchesSeriesMax(t *testing.T) {
 	f := func(raw []uint16) bool {
-		m := newMonitor(1)
-		max := 0.0
-		for _, r := range raw {
-			v := float64(r) / 100
-			m.Add(v)
-			if v > max {
-				max = v
-			}
+		m := NewCostMatrix(1, 1)
+		xs := make([]float64, len(raw))
+		for i, r := range raw {
+			xs[i] = float64(r) / 100
+			m.Add(xs[i : i+1])
 		}
-		return m.Ref() == max
+		return m.Ref(0) == model.SeriesFromSamples(time.Second, xs).Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -74,7 +74,8 @@ type Config struct {
 	// Pctl is the reference percentile for û (>= 1 = peak, the paper's
 	// Setup-2 provisioning choice).
 	Pctl float64
-	// OffPctl is the off-peak percentile PCP provisions with (0 -> 0.9).
+	// OffPctl is the off-peak percentile PCP provisions with (a value
+	// outside (0, 1), NaN included, -> 0.9).
 	OffPctl float64
 	// Predictor forecasts next-period references from per-period history
 	// (paper: last-value).
@@ -174,7 +175,7 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		return nil, fmt.Errorf("sim: horizon %d samples shorter than one period (%d)", n, cfg.PeriodSamples)
 	}
 	offPctl := cfg.OffPctl
-	if offPctl <= 0 || offPctl >= 1 {
+	if !(offPctl > 0 && offPctl < 1) { // also catches NaN
 		offPctl = 0.9
 	}
 
@@ -227,15 +228,20 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		// stay fair).
 		reqs := make([]model.Request, len(vms))
 		refs := make([]float64, len(vms))
+		measured := p == 0 || cfg.Oracle
 		for i, v := range vms {
 			var ref, off float64
 			var winFrom, winTo int
-			if p == 0 || cfg.Oracle {
+			if measured {
 				// Oracle bootstrap: measure the period itself (always
 				// done for the first period, for every policy alike).
+				// The measurement is also the period's history entry;
+				// nothing reads the history before the period ends.
 				winFrom, winTo = start, end
 				ref = v.RefOver(winFrom, winTo, cfg.Pctl)
 				off = v.RefOver(winFrom, winTo, offPctl)
+				refHist[i] = append(refHist[i], ref)
+				offHist[i] = append(offHist[i], off)
 			} else {
 				winFrom, winTo = start-cfg.PeriodSamples, start
 				ref = cfg.Predictor.Predict(refHist[i])
@@ -424,10 +430,13 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		sumActive += active
 		totalSamples += cfg.PeriodSamples
 
-		// Record measured references as history for the next period.
-		for i, v := range vms {
-			refHist[i] = append(refHist[i], v.RefOver(start, end, cfg.Pctl))
-			offHist[i] = append(offHist[i], v.RefOver(start, end, offPctl))
+		// Record measured references as history for the next period
+		// (a bootstrapped period recorded them when it measured them).
+		if !measured {
+			for i, v := range vms {
+				refHist[i] = append(refHist[i], v.RefOver(start, end, cfg.Pctl))
+				offHist[i] = append(offHist[i], v.RefOver(start, end, offPctl))
+			}
 		}
 	}
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -302,5 +303,34 @@ func TestEndToEndPoliciesOnSyntheticTraces(t *testing.T) {
 	}
 	if prop.EnergyJ > bfd.EnergyJ*1.02 {
 		t.Fatalf("proposed energy %v noticeably exceeds BFD %v", prop.EnergyJ, bfd.EnergyJ)
+	}
+}
+
+// TestRunOffPctlOutsideRangeIsDefault: an off-peak percentile outside
+// (0, 1), NaN included, runs PCP at the 0.9 default instead of reaching
+// Series.Percentile, which has no rank for NaN.
+func TestRunOffPctlOutsideRangeIsDefault(t *testing.T) {
+	cfg := synth.DefaultDatacenterConfig()
+	cfg.VMs = 8
+	cfg.Groups = 2
+	cfg.Day = 3 * time.Hour
+	ds := synth.Datacenter(cfg)
+	vms := model.VMsFromSeries(ds.Names, ds.Fine)
+	run := func(off float64) *model.Result {
+		c := baseConfig()
+		c.Policy = place.PCP{}
+		c.PeriodSamples = 720
+		c.OffPctl = off
+		res, err := Run(vms, c)
+		if err != nil {
+			t.Fatalf("OffPctl %v: %v", off, err)
+		}
+		return res
+	}
+	want := run(0.9)
+	for _, off := range []float64{0, -1, 1.5, math.NaN()} {
+		if got := run(off); !reflect.DeepEqual(got, want) {
+			t.Errorf("OffPctl %v: result differs from the 0.9 default", off)
+		}
 	}
 }

@@ -115,7 +115,7 @@ func (p *P2Quantile) Value() float64 {
 		return 0
 	}
 	if p.n < 5 {
-		return Quantile(p.initial[:p.n], p.q)
+		return QuantilesOf(p.initial[:p.n]).At(p.q)
 	}
 	return p.heights[2]
 }

@@ -59,7 +59,7 @@ func TestP2NinetiethNormal(t *testing.T) {
 		p.Add(v)
 		xs = append(xs, v)
 	}
-	exact := Quantile(xs, 0.9)
+	exact := QuantilesOf(xs).At(0.9)
 	if math.Abs(p.Value()-exact) > 0.08 {
 		t.Fatalf("P² q90 = %v, exact = %v", p.Value(), exact)
 	}
@@ -77,7 +77,7 @@ func TestP2TracksExactWithinTolerance(t *testing.T) {
 				xs[i] = math.Exp(rng.NormFloat64() * 0.5) // lognormal
 				p.Add(xs[i])
 			}
-			exact := Quantile(xs, q)
+			exact := QuantilesOf(xs).At(q)
 			if rel := math.Abs(p.Value()-exact) / exact; rel > 0.05 {
 				t.Errorf("q=%v seed=%d: P²=%v exact=%v rel=%v", q, seed, p.Value(), exact, rel)
 			}

@@ -190,48 +190,17 @@ func FitLinear(xs, ys []float64) Linear {
 	return Linear{A: a, B: b, R2: r2}
 }
 
-// Quantile returns the q-th quantile (q in [0,1]) of xs, exactly — the
-// linearly interpolated order statistic of a sorted copy. It is the
-// counterpart used to validate the streaming P² estimator. For many
-// quantiles of one window, build a Quantiles.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return interpolateSorted(sorted, q)
-}
-
-// interpolateSorted is the shared rank interpolation over a sorted window.
-func interpolateSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := q * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Quantiles answers many exact quantile queries over one sample window
 // from a single cached sorted copy: build once (O(n log n)), query in
-// O(1). It replaces the repeated-Quantile pattern — each call of which
-// re-sorts the same window — wherever several percentiles of one window
-// are reported together. At agrees with Quantile exactly.
+// O(1), wherever several percentiles of one window are reported together.
+// For p in (0, 1), At agrees bit for bit with model.Series.Percentile, the
+// single-quantile form, which selects instead of sorting.
 type Quantiles struct {
 	sorted []float64
 }
 
 // QuantilesOf sorts a copy of the window. An empty window is allowed; every
-// query on it returns 0, matching Quantile.
+// query on it returns 0.
 func QuantilesOf(xs []float64) Quantiles {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
@@ -241,10 +210,24 @@ func QuantilesOf(xs []float64) Quantiles {
 // Len reports the window size.
 func (q Quantiles) Len() int { return len(q.sorted) }
 
-// At returns the p-th quantile (p in [0,1]) of the window.
+// At returns the p-th quantile (p in [0,1]) of the window, linearly
+// interpolated between the closest ranks.
 func (q Quantiles) At(p float64) float64 {
-	if len(q.sorted) == 0 {
+	n := len(q.sorted)
+	switch {
+	case n == 0:
 		return 0
+	case p <= 0:
+		return q.sorted[0]
+	case p >= 1:
+		return q.sorted[n-1]
 	}
-	return interpolateSorted(q.sorted, p)
+	rank := p * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return q.sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return q.sorted[lo]*(1-frac) + q.sorted[hi]*frac
 }

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/pkg/dcsim/model"
 )
 
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -206,23 +209,23 @@ func TestFitLinearDegenerate(t *testing.T) {
 }
 
 func TestQuantileExact(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
-	if got := Quantile(xs, 0); got != 0 {
+	qs := QuantilesOf([]float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 0})
+	if got := qs.At(0); got != 0 {
 		t.Fatalf("q0 = %v", got)
 	}
-	if got := Quantile(xs, 1); got != 9 {
+	if got := qs.At(1); got != 9 {
 		t.Fatalf("q1 = %v", got)
 	}
-	if got := Quantile(xs, 0.5); !approx(got, 4.5, 1e-12) {
+	if got := qs.At(0.5); !approx(got, 4.5, 1e-12) {
 		t.Fatalf("median = %v, want 4.5", got)
 	}
-	if got := Quantile(nil, 0.5); got != 0 {
+	if got := QuantilesOf(nil).At(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v", got)
 	}
 }
 
 // TestQuantilesMatchesQuantile pins the cached-sorted-window form against
-// per-call Quantile.
+// the single-quantile form, model.Series.Percentile.
 func TestQuantilesMatchesQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	xs := make([]float64, 2000)
@@ -233,13 +236,14 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	if qs.Len() != len(xs) {
 		t.Fatalf("Len() = %d, want %d", qs.Len(), len(xs))
 	}
+	s := model.SeriesFromSamples(time.Second, xs)
 	for _, p := range []float64{-1, 0, 0.1, 0.5, 0.9, 0.99, 1, 2} {
-		if got, want := qs.At(p), Quantile(xs, p); got != want {
-			t.Fatalf("At(%v) = %v, Quantile = %v", p, got, want)
+		if got, want := qs.At(p), s.Percentile(p); got != want {
+			t.Fatalf("At(%v) = %v, Series.Percentile = %v", p, got, want)
 		}
 	}
 	var empty Quantiles
 	if empty.At(0.5) != 0 || QuantilesOf(nil).At(0.9) != 0 {
-		t.Fatal("empty Quantiles must answer 0, like Quantile")
+		t.Fatal("empty Quantiles must answer 0")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -252,6 +253,56 @@ func TestMaxServersBounded(t *testing.T) {
 	}
 	if err := CheckScenario(sc); err != nil {
 		t.Fatalf("CheckScenario(MaxServers=1<<16): %v", err)
+	}
+}
+
+// TestPercentileFieldsValidated: a negative or non-finite pctl or off_pctl
+// fails validation with a dcsim: error instead of panicking in the cost
+// matrix or in Series.Percentile, or silently sizing VMs by their minimum.
+func TestPercentileFieldsValidated(t *testing.T) {
+	nan := math.NaN()
+	bad := []struct {
+		name string
+		json string // parsed with ParseScenario when set
+		sc   Scenario
+	}{
+		{name: "pctl -0.5 (json)", json: `{"workload":{"vms":4,"groups":1,"hours":1},"pctl":-0.5}`},
+		{name: "pctl -0.5 bfd (json)", json: `{"workload":{"vms":4,"groups":1,"hours":1},"policy":"bfd","pctl":-0.5}`},
+		{name: "off_pctl -0.5 (json)", json: `{"workload":{"vms":4,"groups":1,"hours":1},"off_pctl":-0.5}`},
+		{name: "pctl -0.5", sc: New(WithVMs(4), WithHours(1), WithPctl(-0.5))},
+		{name: "pctl NaN", sc: New(WithVMs(4), WithHours(1), WithPctl(nan))},
+		{name: "pctl +Inf", sc: New(WithVMs(4), WithHours(1), WithPctl(math.Inf(1)))},
+		{name: "off_pctl NaN", sc: New(WithVMs(4), WithHours(1), WithOffPctl(nan))},
+		{name: "off_pctl -Inf", sc: New(WithVMs(4), WithHours(1), WithOffPctl(math.Inf(-1)))},
+	}
+	for _, c := range bad {
+		var err error
+		if c.json != "" {
+			_, err = ParseScenario([]byte(c.json))
+		} else {
+			err = CheckScenario(c.sc)
+			if err == nil {
+				t.Errorf("%s: CheckScenario accepted it", c.name)
+				continue
+			}
+			if _, runErr := Run(context.Background(), c.sc); runErr == nil {
+				t.Errorf("%s: Run accepted it", c.name)
+			}
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), "dcsim: ") || !strings.Contains(err.Error(), "Pctl") {
+			t.Errorf("%s: err = %v, want a dcsim: error naming the field", c.name, err)
+		}
+	}
+	// 0 keeps meaning "default", >= 1 is the peak, and off_pctl >= 1 still
+	// maps to 0.9 in the simulator.
+	for _, sc := range []Scenario{
+		New(WithVMs(4), WithHours(1), WithPctl(0)),
+		New(WithVMs(4), WithHours(1), WithPctl(0.9), WithOffPctl(0.95)),
+		New(WithVMs(4), WithHours(1), WithPctl(2), WithOffPctl(1.5)),
+	} {
+		if err := CheckScenario(sc); err != nil {
+			t.Errorf("pctl %v off_pctl %v: %v", sc.Pctl, sc.OffPctl, err)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ func FuzzParseScenario(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"workload":{"vms":4,"hours":1},"max_servers":2000000000}`))
+	f.Add([]byte(`{"workload":{"vms":4,"groups":1,"hours":1},"pctl":-0.5}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := ParseScenario(data)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -109,6 +110,12 @@ func (s *Series) Min() float64 {
 // Percentile returns the p-th percentile (p in [0,1]) using linear
 // interpolation between closest ranks. Percentile(1) equals Max().
 // It returns 0 for an empty series.
+//
+// The result is the interpolation of a fully sorted copy, but only the
+// two order statistics it needs are selected: a quickselect puts the
+// lower rank in place and the upper one is the minimum above it. A
+// window holding NaN or −0 is sorted instead, because those are the only
+// values whose bits at a rank depend on how the sort breaks ties.
 func (s *Series) Percentile(p float64) float64 {
 	n := len(s.samples)
 	if n == 0 {
@@ -120,17 +127,105 @@ func (s *Series) Percentile(p float64) float64 {
 	if p >= 1 {
 		return s.Max()
 	}
-	sorted := make([]float64, n)
-	copy(sorted, s.samples)
-	sort.Float64s(sorted)
+	// The copy is fresh per call. A window up to stackWindow samples (a
+	// period at the default 5-s sampling is 720) copies onto the stack, so
+	// the per-VM, per-period reads allocate nothing.
+	var stack [stackWindow]float64
+	buf := stack[:0]
+	if n > len(stack) {
+		buf = make([]float64, 0, n)
+	}
+	buf = append(buf, s.samples...)
+	mustSort := false
+	for _, v := range buf {
+		// −0 is the sign bit alone; a NaN has every exponent bit set and a
+		// non-zero mantissa, whatever its sign.
+		if b := math.Float64bits(v); b == 1<<63 || b&^(1<<63) > 0x7FF0_0000_0000_0000 {
+			mustSort = true
+			break
+		}
+	}
 	rank := p * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	var vlo, vhi float64
+	if !mustSort && selectRank(buf, lo) {
+		vlo, vhi = buf[lo], buf[lo]
+		if hi != lo {
+			vhi = minOf(buf[hi:])
+		}
+	} else {
+		sort.Float64s(buf)
+		vlo, vhi = buf[lo], buf[hi]
+	}
 	if lo == hi {
-		return sorted[lo]
+		return vlo
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return vlo*(1-frac) + vhi*frac
+}
+
+// stackWindow is the longest window Percentile copies onto the stack.
+const stackWindow = 1024
+
+// selectRank reorders a so that a[k] holds the value a sort would put
+// there, with nothing larger before it and nothing smaller after it. It
+// runs Hoare partitions around a median-of-three pivot and reports false,
+// leaving a permuted but unsettled, when the rank is still open after
+// 2·bits.Len(len(a))+4 rounds, so adversarial input costs a bounded number
+// of partitions before the caller sorts. Random windows settle in about two
+// passes' worth of partitioning. a must not hold NaN.
+func selectRank(a []float64, k int) bool {
+	lo, hi := 0, len(a)-1
+	for rounds := 2*bits.Len(uint(len(a))) + 4; lo < hi; rounds-- {
+		if rounds == 0 {
+			return false
+		}
+		// The three candidates sit at the quartiles rather than the ends,
+		// so sorted, reversed and organ-pipe windows split near the middle.
+		q := (hi - lo) / 4
+		m1, mid, m3 := lo+q, lo+(hi-lo)/2, hi-q
+		if a[mid] < a[m1] {
+			a[mid], a[m1] = a[m1], a[mid]
+		}
+		if a[m3] < a[mid] {
+			a[m3], a[mid] = a[mid], a[m3]
+			if a[mid] < a[m1] {
+				a[mid], a[m1] = a[m1], a[mid]
+			}
+		}
+		pivot := a[mid]
+		// Afterwards a[lo..j] <= pivot <= a[j+1..hi], with lo <= j < hi
+		// because the pivot sits at mid < hi.
+		i, j := lo-1, hi+1
+		for {
+			for i++; a[i] < pivot; i++ {
+			}
+			for j--; a[j] > pivot; j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return true
+}
+
+// minOf returns the smallest element of a non-empty slice without NaN.
+func minOf(a []float64) float64 {
+	m := a[0]
+	for _, v := range a[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
 }
 
 // Ref returns the reference utilization û used throughout the paper: the

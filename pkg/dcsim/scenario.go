@@ -48,6 +48,7 @@ type Scenario struct {
 	// Pctl is the reference percentile for û (>= 1 = peak).
 	Pctl float64 `json:"pctl"`
 	// OffPctl is the off-peak percentile PCP provisions with (0 -> 0.9).
+	// Validate rejects a negative or non-finite Pctl or OffPctl.
 	OffPctl float64 `json:"off_pctl,omitempty"`
 	// CumulativeMatrix keeps correlation statistics across period
 	// boundaries instead of resetting each monitoring window.
@@ -262,6 +263,14 @@ func (s Scenario) Validate() error {
 	if s.RescaleEvery < 0 {
 		return errors.New("dcsim: RescaleEvery must be non-negative")
 	}
+	// A negative percentile would size every VM by its window minimum, and
+	// a non-finite one has no rank; 0 keeps meaning "default".
+	if err := checkPercentile("Pctl", s.Pctl); err != nil {
+		return err
+	}
+	if err := checkPercentile("OffPctl", s.OffPctl); err != nil {
+		return err
+	}
 	for name, v := range s.Params {
 		if name == "" {
 			return errors.New("dcsim: empty param name")
@@ -276,6 +285,13 @@ func (s Scenario) Validate() error {
 		if key == "" {
 			return errors.New("dcsim: empty workload option key")
 		}
+	}
+	return nil
+}
+
+func checkPercentile(name string, v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("dcsim: %s is %v, want a finite value >= 0 (0 = default)", name, v)
 	}
 	return nil
 }
