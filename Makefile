@@ -6,10 +6,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
-	bench bench-test bench-alloc bench-compare leakcheck fuzz \
+	bench bench-test bench-alloc bench-compare leakcheck fuzz examples \
 	smoke-service smoke-fleet smoke-objstore
 
-ci: lint build test race bench-test smoke-service smoke-fleet smoke-objstore bench-compare
+ci: lint build test race bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
 
 # lint is the static gate CI's lint job runs: formatting, go vet,
 # staticcheck, and the public-API leak check.
@@ -78,6 +78,13 @@ bench-test:
 # (internal packages name contract types only as model.X).
 leakcheck:
 	./scripts/leakcheck.sh
+
+# examples builds every program under examples/ once and runs each with a
+# timeout (ablation with -quick). Each example checks its own result — for
+# instance, examples/recorded byte-compares a trace-dir sweep run locally
+# and through an HTTP worker — and exits non-zero on a mismatch.
+examples:
+	./scripts/examples.sh
 
 # smoke-service drives the real `dcsim serve` binary end to end on a
 # loopback port: submit a grid over HTTP, poll to completion, assert the

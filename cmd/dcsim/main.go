@@ -24,7 +24,7 @@
 //
 // The objserve subcommand ("dcsim objserve -dir recording") serves a
 // recorded trace directory as a minimal static object store — strong
-// ETags, range reads, optional transient-fault injection — which is the
+// ETags, HEAD and GET, optional transient-fault injection — which is the
 // protocol surface the diskless "trace-obj" workload kind consumes (see
 // cmd/dcsim/objserve.go).
 package main

@@ -15,9 +15,9 @@ import (
 )
 
 // objserveMain implements "dcsim objserve": a minimal static object store
-// over a recorded trace directory — strong ETags (content sha256), range
-// reads, HEAD — which is exactly the protocol surface the "trace-obj"
-// workload kind consumes. It exists so diskless-worker setups can be
+// over a recorded trace directory — strong ETags (content sha256), HEAD
+// and GET — which is the protocol surface the "trace-obj" workload kind
+// consumes. It exists so diskless-worker setups can be
 // exercised and smoke-tested with no external object store; it is a test
 // fixture with a listen flag, not a production file server. -fail-first
 // answers 503 to the first N requests, letting scripts prove the fetcher's

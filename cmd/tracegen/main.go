@@ -1,9 +1,10 @@
 // Command tracegen emits the synthetic datacenter utilization traces
 // (Setup 2's stand-in for the proprietary dataset) through the pkg/dcsim
-// workload API — either as one CSV at coarse (5-min) or fine (5-s)
-// granularity, or with -dir as a recorded trace directory (chunked fine
-// CSVs plus manifest.json) that the "trace-dir" workload kind streams
-// back into simulations and sweeps, sample-identical.
+// workload API — either as one CSV of 5-minute means of the 5-second
+// samples every run reads, or of the 5-second samples themselves (-fine),
+// or with -dir as a recorded trace directory (chunked fine CSVs plus
+// manifest.json) that the "trace-dir" workload kind streams back into
+// simulations and sweeps, sample-identical.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro/pkg/dcsim"
 )
@@ -59,9 +61,12 @@ func main() {
 		return
 	}
 
-	series := ds.Coarse
-	if *fine {
-		series = ds.Fine
+	series := ds.Fine
+	if !*fine {
+		series = make([]*dcsim.Series, len(ds.Fine))
+		for i, s := range ds.Fine {
+			series[i] = s.Downsample(int(5 * time.Minute / s.Interval()))
+		}
 	}
 
 	w := os.Stdout

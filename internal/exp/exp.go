@@ -113,15 +113,10 @@ func baselineBFD(o model.RunOptions) (*model.Result, error) {
 
 // runPolicy executes one Setup-2 simulation. kind selects the policy:
 // "bfd", "pcp", or "corr"; rescaleEvery > 0 enables dynamic v/f scaling.
-func runPolicy(o model.RunOptions, vms []*model.VM, kind string, rescaleEvery int) (*model.Result, error) {
-	return runPolicyOracle(o, vms, kind, rescaleEvery, false)
-}
-
-// runPolicyOracle is runPolicy with optional perfect per-period prediction.
 // Assembly goes through the pkg/dcsim façade: the policy kind maps to
 // registry names, and the façade wires the shared cost matrix when the
 // correlation-aware pair is selected.
-func runPolicyOracle(o model.RunOptions, vms []*model.VM, kind string, rescaleEvery int, oracle bool) (*model.Result, error) {
+func runPolicy(o model.RunOptions, vms []*model.VM, kind string, rescaleEvery int) (*model.Result, error) {
 	governor := "worst-case"
 	if kind == "corr" {
 		governor = "eqn4"
@@ -132,7 +127,6 @@ func runPolicyOracle(o model.RunOptions, vms []*model.VM, kind string, rescaleEv
 		dcsim.WithMaxServers(o.MaxServers),
 		dcsim.WithPeriodSamples(o.PeriodSamples),
 		dcsim.WithRescaleEvery(rescaleEvery),
-		dcsim.WithOracle(oracle),
 	)
 	return dcsim.RunVMs(context.Background(), vms, sc)
 }

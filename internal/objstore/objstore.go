@@ -5,22 +5,22 @@
 // filesystem.
 //
 // Fetcher implements tracedir.ChunkFetcher over a bucket/prefix base URL:
-// each object is identified with a HEAD request (ETag + size), then
-// streamed in bounded range reads, every part verified against the
-// identifying ETag so an object replaced mid-read fails deterministically
-// instead of silently splicing two versions. Fetched objects land in a
-// bounded, LRU-evicted local chunk cache keyed by (URL, ETag) — content
-// identity, not mtime — so a warm cache revalidates with one HEAD per
-// object and re-reads nothing, across runs and across sweep processes
-// sharing a cache directory.
+// each object is identified with a HEAD request (ETag + size), then read
+// with one GET whose ETag must match the identifying one, so an object
+// replaced between the two fails deterministically instead of returning
+// bytes of an unknown version. Fetched objects land in a bounded,
+// LRU-evicted local chunk cache keyed by (URL, ETag) — content identity,
+// not mtime — so a warm cache revalidates with one HEAD per object and
+// re-reads nothing, across runs and across sweep processes sharing a
+// cache directory.
 //
 // Failures follow the sweep worker protocol's taxonomy
 // (pkg/dcsim/sweep/remote): transport-level faults — connection errors,
 // timeouts, truncated bodies, 5xx — are transient and retried with the
 // repository's one bounded exponential backoff (internal/backoff); anything
 // the store asserts about the object itself — 404, other non-5xx statuses,
-// an ETag flip mid-read — is deterministic and surfaced untried, because
-// retrying it would fail identically everywhere.
+// an ETag flip between HEAD and GET — is deterministic and surfaced
+// untried, because retrying it would fail identically everywhere.
 package objstore
 
 import (
@@ -42,9 +42,6 @@ import (
 
 // Fetch tuning defaults.
 const (
-	// DefaultPartSize is the range-read size: objects are streamed in
-	// parts of at most this many bytes.
-	DefaultPartSize = 4 << 20
 	// DefaultAttempts bounds how often one HTTP operation is tried
 	// (first attempt + transient retries).
 	DefaultAttempts = 4
@@ -72,9 +69,8 @@ func (e *StatusError) Error() string {
 }
 
 // ChangedError reports an object whose ETag changed between the identify
-// and a range read (or between range reads) — the recording was replaced
-// mid-fetch. Deterministic: the splice can never be completed, so it is
-// surfaced untried.
+// and the read — the recording was replaced mid-fetch. Deterministic: the
+// identified version can no longer be read, so it is surfaced untried.
 type ChangedError struct {
 	URL      string
 	Had, Got string
@@ -138,8 +134,6 @@ type Fetcher struct {
 	Retry backoff.Policy
 	// Attempts bounds tries per HTTP operation (0 = DefaultAttempts).
 	Attempts int
-	// PartSize bounds each range read (0 = DefaultPartSize).
-	PartSize int64
 	// Timeout bounds each individual HTTP attempt (0 = DefaultTimeout).
 	Timeout time.Duration
 }
@@ -181,13 +175,6 @@ func (f *Fetcher) attempts() int {
 	return DefaultAttempts
 }
 
-func (f *Fetcher) partSize() int64 {
-	if f.PartSize > 0 {
-		return f.PartSize
-	}
-	return DefaultPartSize
-}
-
 func (f *Fetcher) timeout() time.Duration {
 	if f.Timeout > 0 {
 		return f.Timeout
@@ -204,7 +191,9 @@ func cacheKey(url, etag string) string {
 }
 
 // fetch retrieves one whole object: identify (HEAD), serve from cache on
-// identity match, otherwise stream range reads and cache the result.
+// identity match, otherwise read it with one GET checked against that
+// identity. Only an object with an ETag is cached: without an identity a
+// cached copy could be served stale forever.
 func (f *Fetcher) fetch(ctx context.Context, name string) ([]byte, error) {
 	url := f.url(name)
 	etag, size, err := f.identify(ctx, url)
@@ -217,41 +206,45 @@ func (f *Fetcher) fetch(ctx context.Context, name string) ([]byte, error) {
 			return data, nil
 		}
 	}
-	var data []byte
-	if etag == "" || size < 0 {
-		// No stable identity (or unknown size): a single unranged GET is
-		// the only consistent read, and caching without identity would
-		// serve stale bytes forever.
-		data, err = f.getWhole(ctx, url)
-	} else {
-		data, err = f.getRanges(ctx, url, etag, size)
-	}
+	res, err := f.do(ctx, http.MethodGet, url, func(res *httpResult) error {
+		// The identified version arriving at a size other than the one
+		// the HEAD advertised is a damaged transfer, not a new object.
+		if res.status == http.StatusOK && res.etag == etag && size >= 0 && int64(len(res.body)) != size {
+			return fmt.Errorf("body of %d bytes, object is %d", len(res.body), size)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	if res.status != http.StatusOK {
+		return nil, &StatusError{URL: url, Status: res.status, Body: snippet(res.body)}
+	}
+	if res.etag != etag {
+		return nil, &ChangedError{URL: url, Had: etag, Got: res.etag}
+	}
 	stats.fetches.Add(1)
 	if etag != "" && f.Cache != nil {
-		f.Cache.Put(cacheKey(url, etag), data)
+		f.Cache.Put(cacheKey(url, etag), res.body)
 	}
-	return data, nil
+	return res.body, nil
 }
 
 // httpResult is one completed (non-5xx) HTTP exchange.
 type httpResult struct {
-	status       int
-	etag         string
-	contentLen   int64 // -1 when absent
-	contentRange string
-	body         []byte
+	status     int
+	etag       string
+	contentLen int64 // -1 when absent
+	body       []byte
 }
 
 // do runs one HTTP operation under the retry loop: each attempt has its
 // own timeout; transport failures, 5xx answers, and responses the caller's
-// check classifies as damaged (e.g. a truncated range body) count as
+// check classifies as damaged (a body of the wrong size) count as
 // transient and back off per the policy. The first conclusive response —
 // non-5xx, check passed — is returned for the caller to interpret; check
 // may be nil to accept any conclusive response.
-func (f *Fetcher) do(ctx context.Context, method, url, rangeHdr string, check func(*httpResult) error) (*httpResult, error) {
+func (f *Fetcher) do(ctx context.Context, method, url string, check func(*httpResult) error) (*httpResult, error) {
 	attempts := f.attempts()
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -261,7 +254,7 @@ func (f *Fetcher) do(ctx context.Context, method, url, rangeHdr string, check fu
 				return nil, err
 			}
 		}
-		res, err := f.attempt(ctx, method, url, rangeHdr)
+		res, err := f.attempt(ctx, method, url)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -284,17 +277,18 @@ func (f *Fetcher) do(ctx context.Context, method, url, rangeHdr string, check fu
 	return nil, &TransientError{URL: url, Attempts: attempts, Err: lastErr}
 }
 
-// attempt performs one bounded HTTP exchange, reading the full body.
-func (f *Fetcher) attempt(ctx context.Context, method, url, rangeHdr string) (*httpResult, error) {
+// attempt performs one bounded HTTP exchange, reading the full body. It
+// asks for the identity encoding: Go's transport would otherwise request
+// gzip on every GET, and a store that compresses on the fly may answer
+// with a different or weak ETag, which would read as a changed object.
+func (f *Fetcher) attempt(ctx context.Context, method, url string) (*httpResult, error) {
 	actx, cancel := context.WithTimeout(ctx, f.timeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, method, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	if rangeHdr != "" {
-		req.Header.Set("Range", rangeHdr)
-	}
+	req.Header.Set("Accept-Encoding", "identity")
 	resp, err := f.client().Do(req)
 	if err != nil {
 		return nil, err
@@ -314,18 +308,17 @@ func (f *Fetcher) attempt(ctx context.Context, method, url, rangeHdr string) (*h
 		}
 	}
 	return &httpResult{
-		status:       resp.StatusCode,
-		etag:         resp.Header.Get("ETag"),
-		contentLen:   length,
-		contentRange: resp.Header.Get("Content-Range"),
-		body:         body,
+		status:     resp.StatusCode,
+		etag:       resp.Header.Get("ETag"),
+		contentLen: length,
+		body:       body,
 	}, nil
 }
 
 // identify resolves an object's current identity: its ETag (may be empty
 // on stores that advertise none) and size (-1 when unknown).
 func (f *Fetcher) identify(ctx context.Context, url string) (etag string, size int64, err error) {
-	res, err := f.do(ctx, http.MethodHead, url, "", nil)
+	res, err := f.do(ctx, http.MethodHead, url, nil)
 	if err != nil {
 		return "", 0, err
 	}
@@ -333,73 +326,6 @@ func (f *Fetcher) identify(ctx context.Context, url string) (etag string, size i
 		return "", 0, &StatusError{URL: url, Status: res.status, Body: snippet(res.body)}
 	}
 	return res.etag, res.contentLen, nil
-}
-
-// getWhole fetches an object in one unranged GET.
-func (f *Fetcher) getWhole(ctx context.Context, url string) ([]byte, error) {
-	res, err := f.do(ctx, http.MethodGet, url, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	if res.status != http.StatusOK {
-		return nil, &StatusError{URL: url, Status: res.status, Body: snippet(res.body)}
-	}
-	return res.body, nil
-}
-
-// getRanges streams an object of known size and identity in PartSize range
-// reads. Every part's response must carry the identifying ETag; a flip —
-// or a 416, the store telling us the object shrank — is a deterministic
-// ChangedError. A part shorter than its range is a transport fault (a
-// truncated response) and retried within the part's own attempt budget.
-func (f *Fetcher) getRanges(ctx context.Context, url, etag string, size int64) ([]byte, error) {
-	part := f.partSize()
-	data := make([]byte, 0, size)
-	for off := int64(0); off < size; off += part {
-		end := off + part
-		if end > size {
-			end = size
-		}
-		res, err := f.doRange(ctx, url, off, end)
-		if err != nil {
-			return nil, err
-		}
-		switch res.status {
-		case http.StatusPartialContent:
-			if res.etag != etag {
-				return nil, &ChangedError{URL: url, Had: etag, Got: res.etag}
-			}
-			data = append(data, res.body...)
-		case http.StatusOK:
-			// The store ignored the range and sent the whole object: fine,
-			// as long as it is still the object we identified.
-			if res.etag != etag {
-				return nil, &ChangedError{URL: url, Had: etag, Got: res.etag}
-			}
-			return res.body, nil
-		case http.StatusRequestedRangeNotSatisfiable:
-			return nil, &ChangedError{URL: url, Had: etag, Got: "(shrunk: range not satisfiable)"}
-		default:
-			return nil, &StatusError{URL: url, Status: res.status, Body: snippet(res.body)}
-		}
-	}
-	return data, nil
-}
-
-// doRange fetches bytes [off, end) with short-response retry: a 206 whose
-// body is truncated mid-transfer surfaces as a read error inside do's
-// attempt loop, and a 206 that completes with the wrong byte count is
-// classified as damaged by the check below, so do retries it the same
-// bounded way. ETag and non-206 interpretation stays with the caller —
-// those are deterministic, not transport noise.
-func (f *Fetcher) doRange(ctx context.Context, url string, off, end int64) (*httpResult, error) {
-	return f.do(ctx, http.MethodGet, url, fmt.Sprintf("bytes=%d-%d", off, end-1),
-		func(res *httpResult) error {
-			if res.status == http.StatusPartialContent && int64(len(res.body)) != end-off {
-				return fmt.Errorf("range %d-%d answered %d bytes", off, end-1, len(res.body))
-			}
-			return nil
-		})
 }
 
 // snippet bounds an HTTP body for error messages.

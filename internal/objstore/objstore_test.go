@@ -1,10 +1,13 @@
 package objstore
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,7 +23,7 @@ import (
 )
 
 // testDataset mirrors the tracedir test generator: deterministic fine
-// traces with a 60x coarse downsample, so recordings are reproducible.
+// traces, so recordings are reproducible.
 func testDataset(nVMs int) *model.Dataset {
 	const samples = 2 * 60 * 60 / 5
 	ds := &model.Dataset{}
@@ -31,9 +34,7 @@ func testDataset(nVMs int) *model.Dataset {
 		}
 		s := model.SeriesFromSamples(5*time.Second, fine)
 		ds.Names = append(ds.Names, "vm"+string(rune('a'+v)))
-		ds.Group = append(ds.Group, v%2)
 		ds.Fine = append(ds.Fine, s)
-		ds.Coarse = append(ds.Coarse, s.Downsample(60))
 	}
 	return ds
 }
@@ -75,14 +76,19 @@ func objWorkload(t *testing.T, url string, opts ...string) model.Workload {
 // fastRetry reconfigures a workload for test-speed backoff.
 func fastRetry() []string { return []string{OptFetchTimeout, "5s"} }
 
-// countingHandler wraps a handler counting requests by method.
+// countingHandler wraps a handler counting requests by method, and those
+// that ask for a byte range.
 type countingHandler struct {
-	inner http.Handler
-	heads atomic.Int64
-	gets  atomic.Int64
+	inner  http.Handler
+	heads  atomic.Int64
+	gets   atomic.Int64
+	ranged atomic.Int64
 }
 
 func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Range") != "" {
+		c.ranged.Add(1)
+	}
 	switch r.Method {
 	case http.MethodHead:
 		c.heads.Add(1)
@@ -181,9 +187,8 @@ func TestNotFoundDeterministic(t *testing.T) {
 	}
 }
 
-// TestETagFlipMidRead pins the changed-object path: a range response whose
-// ETag differs from the identify fails deterministically on the first
-// part, with no retry.
+// TestETagFlipMidRead pins the changed-object path: a GET whose ETag
+// differs from the identify fails deterministically, with no retry.
 func TestETagFlipMidRead(t *testing.T) {
 	var gets atomic.Int64
 	body := strings.Repeat("x", 64)
@@ -195,15 +200,11 @@ func TestETagFlipMidRead(t *testing.T) {
 		}
 		gets.Add(1)
 		w.Header().Set("ETag", `"v2"`)
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes 0-15/%d", len(body)))
-		w.WriteHeader(http.StatusPartialContent)
-		w.Write([]byte(body[:16]))
+		w.Write([]byte(body))
 	}))
 	defer srv.Close()
 
-	f := NewFetcher(srv.URL)
-	f.PartSize = 16
-	_, err := f.Chunk(t.Context(), "obj")
+	_, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj")
 	var ce *ChangedError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ChangedError", err)
@@ -216,46 +217,145 @@ func TestETagFlipMidRead(t *testing.T) {
 	}
 }
 
-// TestTruncatedRangeRetried pins the damaged-response path: a 206 shorter
-// than its range is transport damage, retried within the part's bounded
-// budget and healed when the store recovers.
+// TestTruncatedRangeRetried pins the damaged-response path: a GET body
+// shorter than the HEAD's Content-Length is transport damage, retried
+// within the bounded budget and healed when the store recovers — whether
+// the body is cut mid-transfer or arrives complete at the wrong size.
 func TestTruncatedRangeRetried(t *testing.T) {
 	body := strings.Repeat("y", 48)
-	var truncate atomic.Int64
-	truncate.Store(1)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("ETag", `"t1"`)
-		if r.Method == http.MethodHead {
+	for _, tc := range []struct {
+		name string
+		// short writes a damaged answer: the first half of body, under a
+		// Content-Length of its own choosing.
+		short func(w http.ResponseWriter)
+	}{
+		{"cut mid-transfer", func(w http.ResponseWriter) {
 			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
-			return
+			io.WriteString(w, body[:len(body)/2])
+		}},
+		{"complete at the wrong size", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)/2))
+			io.WriteString(w, body[:len(body)/2])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var truncate atomic.Int64
+			truncate.Store(1)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("ETag", `"t1"`)
+				if r.Method == http.MethodHead {
+					w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+					return
+				}
+				if truncate.Add(-1) >= 0 {
+					tc.short(w)
+					return
+				}
+				io.WriteString(w, body)
+			}))
+			defer srv.Close()
+
+			before := Stats().FetchRetries
+			got, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj")
+			if err != nil {
+				t.Fatalf("truncated body not healed: %v", err)
+			}
+			if string(got) != body {
+				t.Fatalf("healed read returned %d bytes, want %d", len(got), len(body))
+			}
+			if d := Stats().FetchRetries - before; d < 1 {
+				t.Fatal("truncated body healed without moving FetchRetries")
+			}
+		})
+	}
+}
+
+// TestIdentityEncoding pins the GET's Accept-Encoding: a store that
+// compresses any response whose request accepts gzip, under a different
+// ETag, must still serve the identified object — which holds only while
+// the fetcher asks for the identity encoding.
+func TestIdentityEncoding(t *testing.T) {
+	body := strings.Repeat("z", 4096)
+	var gzipped bytes.Buffer
+	zw := gzip.NewWriter(&gzipped)
+	io.WriteString(zw, body)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		data, etag := []byte(body), `"z1"`
+		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			data, etag = gzipped.Bytes(), `W/"z1-gzip"`
+			w.Header().Set("Content-Encoding", "gzip")
 		}
-		var off, end int
-		if _, err := fmt.Sscanf(r.Header.Get("Range"), "bytes=%d-%d", &off, &end); err != nil {
-			t.Errorf("unparsable range %q", r.Header.Get("Range"))
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Content-Length", fmt.Sprint(len(data)))
+		if r.Method != http.MethodHead {
+			w.Write(data)
 		}
-		part := body[off : end+1]
-		if truncate.Add(-1) >= 0 {
-			part = part[:len(part)/2] // complete response, wrong byte count
-		}
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+len(part)-1, len(body)))
-		w.Header().Set("Content-Length", fmt.Sprint(len(part)))
-		w.WriteHeader(http.StatusPartialContent)
-		w.Write([]byte(part))
 	}))
 	defer srv.Close()
 
-	before := Stats().FetchRetries
-	f := NewFetcher(srv.URL)
-	f.PartSize = 16
-	got, err := f.Chunk(t.Context(), "obj")
+	got, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj")
 	if err != nil {
-		t.Fatalf("truncated range not healed: %v", err)
+		t.Fatalf("read from a compressing store: %v", err)
 	}
 	if string(got) != body {
-		t.Fatalf("healed read assembled %d bytes, want %d", len(got), len(body))
+		t.Fatalf("read %d bytes, want the %d-byte object", len(got), len(body))
 	}
-	if d := Stats().FetchRetries - before; d < 1 {
-		t.Fatal("truncated range healed without moving FetchRetries")
+}
+
+// TestOldRecordingsRead pins lenient manifest decoding: a manifest written
+// with the "coarse_factor" and "groups" keys older recordings carry — at
+// any value, including ones earlier validation rejected or that overflowed
+// a downsample — opens through trace-dir and trace-obj and yields the same
+// names and fine series as the manifest without them.
+func TestOldRecordingsRead(t *testing.T) {
+	local := func(dir string) (*model.Dataset, error) {
+		return materialize(tracedir.Source{}, model.Workload{Kind: "trace-dir", VMs: 5, Hours: 2, Path: dir})
+	}
+	want, err := local(writeRecording(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, _ := json.Marshal(want)
+	for _, factor := range []string{"60", "9223372036854775760", "-1"} {
+		t.Run("coarse_factor="+factor, func(t *testing.T) {
+			dir := writeRecording(t)
+			path := filepath.Join(dir, tracedir.ManifestName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			m["coarse_factor"] = json.RawMessage(factor)
+			m["groups"] = json.RawMessage(`[0, 1, 0, 1, 0]`)
+			old, err := json.MarshalIndent(m, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(&DirServer{Dir: dir})
+			defer srv.Close()
+
+			for kind, read := range map[string]func() (*model.Dataset, error){
+				"trace-dir": func() (*model.Dataset, error) { return local(dir) },
+				"trace-obj": func() (*model.Dataset, error) { return materialize(Source{}, objWorkload(t, srv.URL)) },
+			} {
+				got, err := read()
+				if err != nil {
+					t.Fatalf("%s: %v", kind, err)
+				}
+				if gj, _ := json.Marshal(got); string(gj) != string(wj) {
+					t.Fatalf("%s: old manifest read differs from the manifest without its keys", kind)
+				}
+			}
+		})
 	}
 }
 
@@ -280,6 +380,9 @@ func TestColdThenWarmCache(t *testing.T) {
 		t.Fatalf("cold run fetched %d objects, want 4", d)
 	}
 	getsAfterCold := ch.gets.Load()
+	if getsAfterCold != 4 {
+		t.Fatalf("cold run issued %d GETs, want one per object (4)", getsAfterCold)
+	}
 
 	second, err := materialize(Source{}, w)
 	if err != nil {
@@ -294,6 +397,9 @@ func TestColdThenWarmCache(t *testing.T) {
 	}
 	if d := ch.gets.Load() - getsAfterCold; d != 0 {
 		t.Fatalf("warm run issued %d GETs, want 0 (HEAD revalidation only)", d)
+	}
+	if n := ch.ranged.Load(); n != 0 {
+		t.Fatalf("%d requests asked for a byte range, want 0", n)
 	}
 	fj, _ := json.Marshal(first)
 	sj, _ := json.Marshal(second)

@@ -14,8 +14,8 @@ import (
 )
 
 // DirServer is a minimal static object store over one directory: strong
-// ETags (content sha256), range reads, HEAD, and optional transient-fault
-// injection — exactly the protocol surface Fetcher consumes. It backs the
+// ETags (content sha256), HEAD, GET, and optional transient-fault
+// injection — the protocol surface Fetcher consumes. It backs the
 // "dcsim objserve" subcommand and the package's own tests; it is a flat
 // namespace (no subdirectories) and a test fixture, not a production file
 // server.

@@ -41,8 +41,8 @@ func DefaultCacheDir() string {
 
 // Source is the "trace-obj" workload backend: Workload.Path is an http(s)
 // bucket/prefix URL holding the recorded-trace manifest+chunks layout, and
-// everything past the transport — manifest validation, chunk assembly,
-// coarse-grid derivation — is the shared tracedir path, so the datasets
+// everything past the transport — manifest validation, chunk assembly —
+// is the shared tracedir path, so the datasets
 // (and therefore sweep results) are byte-identical to reading the same
 // recording from a local directory.
 type Source struct{}

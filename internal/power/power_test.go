@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/pkg/dcsim/model"
 )
@@ -105,24 +104,6 @@ func TestPowerMonotoneInUtilization(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEnergy(t *testing.T) {
-	m := XeonE5410()
-	p, err := m.Power(0.5, 2.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := m.Energy(0.5, 2.3, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e-10*p) > 1e-9 {
-		t.Fatalf("energy = %v, want %v", e, 10*p)
-	}
-	if _, err := m.Energy(0.5, 99, time.Second); err == nil {
-		t.Fatal("energy at unknown level should error")
 	}
 }
 

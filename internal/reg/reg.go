@@ -58,14 +58,6 @@ func (r *Registry[T]) Lookup(name string) (T, error) {
 	return v, nil
 }
 
-// Has reports whether name is registered.
-func (r *Registry[T]) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.m[name]
-	return ok
-}
-
 // Names lists the registered names, sorted.
 func (r *Registry[T]) Names() []string {
 	r.mu.RLock()

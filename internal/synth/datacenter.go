@@ -176,13 +176,13 @@ func (s *Stream) Next() (model.VMRecord, error) {
 		}
 		coarse.Append(v)
 	}
+	// The coarse means are only the refinement's input: the record
+	// carries the 5-second trace every run reads, and the name carries
+	// the group.
 	ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
 	return model.VMRecord{
-		Name:    fmt.Sprintf("vm%02d.g%d", i, g),
-		Group:   g,
-		Grouped: true,
-		Coarse:  coarse,
-		Fine:    ln.Refine(coarse, cfg.FineFactor),
+		Name: fmt.Sprintf("vm%02d.g%d", i, g),
+		Fine: ln.Refine(coarse, cfg.FineFactor),
 	}, nil
 }
 
@@ -197,20 +197,12 @@ func Datacenter(cfg DatacenterConfig) *model.Dataset {
 	return ds
 }
 
-// Uncorrelated generates n independent VM traces with the same marginal
-// structure as Datacenter but no shared group profile — every VM gets its
-// own. Used by ablations to show the proposed policy's advantage shrinks
-// when there is no correlation to exploit.
-func Uncorrelated(cfg DatacenterConfig) *model.Dataset {
-	cfg.Groups = cfg.VMs
-	return Datacenter(cfg)
-}
-
-// UncorrelatedStream is NewStream with the group structure shuffled away —
-// the streaming form of Uncorrelated. Note its shared state is
-// O(VMs × coarse samples) (every VM is its own group), so only the fine
-// granularity streams; the correlated Datacenter kind is the one that
-// stays small at very large VM counts.
+// UncorrelatedStream generates VM traces with the same marginal structure
+// as NewStream but no shared group profile — every VM is its own group.
+// Ablations use it to show the proposed policy's advantage shrinks when
+// there is no correlation to exploit. Its shared state is
+// O(VMs × coarse samples), so the correlated kind is the one that stays
+// small at very large VM counts.
 func UncorrelatedStream(cfg DatacenterConfig) *Stream {
 	cfg.Groups = cfg.VMs
 	return NewStream(cfg)

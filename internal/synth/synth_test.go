@@ -124,11 +124,10 @@ func TestWaveBounds(t *testing.T) {
 func TestDatacenterShape(t *testing.T) {
 	cfg := DefaultDatacenterConfig()
 	ds := Datacenter(cfg)
-	if len(ds.Fine) != 40 || len(ds.Names) != 40 || len(ds.Group) != 40 {
-		t.Fatalf("want 40 VMs, got %d/%d/%d", len(ds.Fine), len(ds.Names), len(ds.Group))
+	if len(ds.Fine) != 40 || len(ds.Names) != 40 {
+		t.Fatalf("want 40 VMs, got %d/%d", len(ds.Fine), len(ds.Names))
 	}
-	wantCoarse := int(24 * time.Hour / (5 * time.Minute))
-	wantFine := wantCoarse * 60
+	wantFine := int(24 * time.Hour / (5 * time.Second))
 	for i, s := range ds.Fine {
 		if s.Len() != wantFine {
 			t.Fatalf("vm %d fine len = %d, want %d", i, s.Len(), wantFine)
@@ -138,9 +137,6 @@ func TestDatacenterShape(t *testing.T) {
 		}
 		if s.Min() < 0 {
 			t.Fatalf("vm %d has negative demand", i)
-		}
-		if ds.Coarse[i].Len() != wantCoarse {
-			t.Fatalf("vm %d coarse len = %d, want %d", i, ds.Coarse[i].Len(), wantCoarse)
 		}
 	}
 }
@@ -169,14 +165,15 @@ func TestDatacenterDeterministic(t *testing.T) {
 
 func TestDatacenterIntraGroupCorrelation(t *testing.T) {
 	// The generator's whole purpose: VMs within a group must be strongly
-	// correlated at coarse granularity, and clearly more correlated than
-	// across groups on average.
-	ds := Datacenter(DefaultDatacenterConfig())
+	// correlated at 5-minute granularity, and clearly more correlated than
+	// across groups on average. VM i belongs to group i % Groups.
+	cfg := DefaultDatacenterConfig()
+	coarse := fiveMinute(Datacenter(cfg))
 	var intra, inter stats.Running
-	for i := 0; i < len(ds.Coarse); i++ {
-		for j := i + 1; j < len(ds.Coarse); j++ {
-			c := stats.PearsonOf(ds.Coarse[i].Samples(), ds.Coarse[j].Samples())
-			if ds.Group[i] == ds.Group[j] {
+	for i := 0; i < len(coarse); i++ {
+		for j := i + 1; j < len(coarse); j++ {
+			c := stats.PearsonOf(coarse[i].Samples(), coarse[j].Samples())
+			if i%cfg.Groups == j%cfg.Groups {
 				intra.Add(c)
 			} else {
 				inter.Add(c)
@@ -194,11 +191,15 @@ func TestDatacenterIntraGroupCorrelation(t *testing.T) {
 func TestUncorrelated(t *testing.T) {
 	cfg := DefaultDatacenterConfig()
 	cfg.VMs = 12
-	ds := Uncorrelated(cfg)
+	ds, err := model.Materialize(UncorrelatedStream(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse := fiveMinute(ds)
 	var inter stats.Running
-	for i := 0; i < len(ds.Coarse); i++ {
-		for j := i + 1; j < len(ds.Coarse); j++ {
-			inter.Add(stats.PearsonOf(ds.Coarse[i].Samples(), ds.Coarse[j].Samples()))
+	for i := 0; i < len(coarse); i++ {
+		for j := i + 1; j < len(coarse); j++ {
+			inter.Add(stats.PearsonOf(coarse[i].Samples(), coarse[j].Samples()))
 		}
 	}
 	if inter.Mean() > 0.5 {
@@ -228,8 +229,7 @@ func TestDatacenterPanics(t *testing.T) {
 
 // TestStreamMatchesDatacenter pins the streaming generator's byte-identity
 // contract: draining NewStream record by record must reproduce the batch
-// Datacenter output exactly, including group provenance and both
-// granularities.
+// Datacenter output exactly, name and fine series.
 func TestStreamMatchesDatacenter(t *testing.T) {
 	cfg := DefaultDatacenterConfig()
 	cfg.VMs, cfg.Groups, cfg.Day = 17, 5, 2*time.Hour
@@ -250,20 +250,16 @@ func TestStreamMatchesDatacenter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Name != want.Names[i] || !rec.Grouped || rec.Group != want.Group[i] {
-			t.Fatalf("record %d: %q/g%d, want %q/g%d", i, rec.Name, rec.Group, want.Names[i], want.Group[i])
+		if rec.Name != want.Names[i] {
+			t.Fatalf("record %d: %q, want %q", i, rec.Name, want.Names[i])
 		}
-		for _, pair := range []struct {
-			got, want *model.Series
-			gran      string
-		}{{rec.Coarse, want.Coarse[i], "coarse"}, {rec.Fine, want.Fine[i], "fine"}} {
-			if pair.got.Len() != pair.want.Len() || pair.got.Interval() != pair.want.Interval() {
-				t.Fatalf("record %d %s: shape mismatch", i, pair.gran)
-			}
-			for j := 0; j < pair.got.Len(); j++ {
-				if pair.got.At(j) != pair.want.At(j) {
-					t.Fatalf("record %d %s sample %d: %v != %v", i, pair.gran, j, pair.got.At(j), pair.want.At(j))
-				}
+		got, exp := rec.Fine, want.Fine[i]
+		if got.Len() != exp.Len() || got.Interval() != exp.Interval() {
+			t.Fatalf("record %d: shape mismatch", i)
+		}
+		for j := 0; j < got.Len(); j++ {
+			if got.At(j) != exp.At(j) {
+				t.Fatalf("record %d sample %d: %v != %v", i, j, got.At(j), exp.At(j))
 			}
 		}
 	}
@@ -273,11 +269,13 @@ func TestStreamMatchesDatacenter(t *testing.T) {
 }
 
 // TestUncorrelatedStreamMatches pins the same identity for the shuffled
-// variant.
+// variant: it is the datacenter generator with one group per VM.
 func TestUncorrelatedStreamMatches(t *testing.T) {
 	cfg := DefaultDatacenterConfig()
 	cfg.VMs, cfg.Day = 9, 2*time.Hour
-	want := Uncorrelated(cfg)
+	perVM := cfg
+	perVM.Groups = cfg.VMs
+	want := Datacenter(perVM)
 	got, err := model.Materialize(UncorrelatedStream(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -295,4 +293,15 @@ func TestUncorrelatedStreamMatches(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fiveMinute returns each VM's fine series averaged to the generator's
+// 5-minute granularity.
+func fiveMinute(ds *model.Dataset) []*model.Series {
+	factor := DefaultDatacenterConfig().FineFactor
+	out := make([]*model.Series, len(ds.Fine))
+	for i, s := range ds.Fine {
+		out[i] = s.Downsample(factor)
+	}
+	return out
 }

@@ -50,7 +50,7 @@ func TestFetcherGoldenRoundTrip(t *testing.T) {
 		t.Fatalf("fetcher-seam dataset differs from Source.Open:\n%s\nvs\n%s", sj, dj)
 	}
 	// And both reproduce the recorded dataset exactly.
-	oj, err := json.Marshal(&model.Dataset{Names: ds.Names, Group: ds.Group, Fine: ds.Fine, Coarse: ds.Coarse})
+	oj, err := json.Marshal(ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func (f memFetcher) Where(name string) string                      { return "mem
 // read that succeeds matches the manifest it was read against.
 func FuzzManifest(f *testing.F) {
 	// A valid recording small enough to mutate quickly: 2 VMs, one hour
-	// of 1-minute samples, coarse factor 6.
+	// of 1-minute samples.
 	ds := &model.Dataset{}
 	for v := 0; v < 2; v++ {
 		fine := make([]float64, 60)
@@ -34,9 +34,7 @@ func FuzzManifest(f *testing.F) {
 		}
 		s := model.SeriesFromSamples(time.Minute, fine)
 		ds.Names = append(ds.Names, "vm"+string(rune('a'+v)))
-		ds.Group = append(ds.Group, v)
 		ds.Fine = append(ds.Fine, s)
-		ds.Coarse = append(ds.Coarse, s.Downsample(6))
 	}
 	dir := f.TempDir()
 	if err := Write(dir, ds, 0); err != nil {
@@ -52,8 +50,10 @@ func FuzzManifest(f *testing.F) {
 	}
 	f.Add(manifest, chunk)
 	for _, tamper := range [][2]string{
-		{`"coarse_factor": 6`, `"coarse_factor": 9223372036854775760`}, // overflows Downsample at 60 samples
-		{`"coarse_factor": 6`, `"coarse_factor": -1`},
+		// Keys older recordings carry, which reads ignore, at values no
+		// downsample could take.
+		{`"hours": 1,`, `"hours": 1, "coarse_factor": 9223372036854775760, "groups": [0, 1],`},
+		{`"hours": 1,`, `"hours": 1, "coarse_factor": -1,`},
 		{`"samples": 60`, `"samples": 9223372036854775807`},
 	} {
 		tampered := strings.Replace(string(manifest), tamper[0], tamper[1], 1)
@@ -91,16 +91,6 @@ func FuzzManifest(f *testing.F) {
 			if got.Names[i] != m.Names[i] || s.Len() != m.Samples || s.Interval() != iv {
 				t.Fatalf("VM %d read as %q, %d samples at %v; manifest says %q, %d at %v",
 					i, got.Names[i], s.Len(), s.Interval(), m.Names[i], m.Samples, iv)
-			}
-		}
-		if m.CoarseFactor > 1 {
-			if len(got.Coarse) != len(got.Fine) {
-				t.Fatalf("coarse factor %d derived %d coarse series for %d VMs", m.CoarseFactor, len(got.Coarse), len(got.Fine))
-			}
-			for i, s := range got.Coarse {
-				if s.Interval() != iv*time.Duration(m.CoarseFactor) || s.Interval() <= 0 {
-					t.Fatalf("VM %d coarse interval %v at factor %d", i, s.Interval(), m.CoarseFactor)
-				}
 			}
 		}
 	})

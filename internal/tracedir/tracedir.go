@@ -9,14 +9,15 @@
 // The transport seam is ChunkFetcher: fetch the manifest, fetch a named
 // chunk, and describe where an object lives for error text. Everything
 // after the bytes arrive — manifest validation, column-order checks,
-// interval and sample-count verification, coarse-granularity derivation —
-// is ChunkFetcher-independent and runs verbatim for every backend, so a
-// recording streamed from an object store reproduces a local directory
-// read bit for bit.
+// interval and sample-count verification — is ChunkFetcher-independent
+// and runs verbatim for every backend, so a recording streamed from an
+// object store reproduces a local directory read bit for bit.
 //
 // Layout: one manifest.json naming every VM in canonical order, the
 // sampling interval, the horizon, and the CSV files (each holding a chunk
-// of VM columns in WriteCSV format). Chunks are loaded one at a time, so
+// of VM columns in WriteCSV format). Manifest decoding ignores keys it
+// does not know, so older recordings that also carry "coarse_factor" and
+// "groups" read the same fine series. Chunks are loaded one at a time, so
 // memory stays bounded by one chunk plus the assembled dataset, and a
 // sweep worker only pays for the traces a scenario actually names.
 package tracedir
@@ -62,15 +63,8 @@ type Manifest struct {
 	Samples int `json:"samples"`
 	// Hours is the trace horizon, the unit scenarios speak.
 	Hours int `json:"hours"`
-	// CoarseFactor is the number of fine samples per coarse sample when
-	// the recording carries a coarse granularity (0 = fine only).
-	CoarseFactor int `json:"coarse_factor,omitempty"`
 	// Names lists every VM in canonical dataset order.
 	Names []string `json:"names"`
-	// Groups optionally records the service-group index per VM —
-	// provenance from a synthetic recording, not validated against
-	// scenarios.
-	Groups []int `json:"groups,omitempty"`
 	// Files lists the CSV chunks; concatenating their columns in file
 	// order must reproduce Names exactly.
 	Files []FileEntry `json:"files"`
@@ -112,12 +106,6 @@ func (m *Manifest) validate() error {
 		span%time.Hour != 0 || span/time.Hour != time.Duration(m.Hours) {
 		return fmt.Errorf("tracedir: %d samples at %v span %v, manifest claims %d h",
 			m.Samples, iv, span, m.Hours)
-	}
-	if m.CoarseFactor < 0 || m.CoarseFactor > m.Samples {
-		return fmt.Errorf("tracedir: coarse factor %d outside [0, %d samples]", m.CoarseFactor, m.Samples)
-	}
-	if len(m.Groups) != 0 && len(m.Groups) != len(m.Names) {
-		return fmt.Errorf("tracedir: %d group entries for %d VMs", len(m.Groups), len(m.Names))
 	}
 	seen := make(map[string]bool, len(m.Names))
 	for _, n := range m.Names {
@@ -170,7 +158,7 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 // manifest and the chunk CSVs named by it are brought into memory. The
 // parse/validate/assemble path above the seam (ReadManifestFrom,
 // OpenFrom) is transport-independent — DirFetcher reads a local
-// directory through the OS, internal/objstore range-reads an HTTP object
+// directory through the OS, internal/objstore reads an HTTP object
 // store — so every backend reproduces the same dataset from the same
 // recorded bytes.
 //
@@ -252,22 +240,15 @@ func Write(dir string, ds *model.Dataset, perFile int) error {
 	if span <= 0 || span%time.Hour != 0 {
 		return fmt.Errorf("tracedir: horizon %v is not a whole number of hours", span)
 	}
-	coarseFactor := 0
-	if len(ds.Coarse) == len(ds.Fine) && len(ds.Coarse) > 0 && ds.Coarse[0].Interval() > iv &&
-		ds.Coarse[0].Interval()%iv == 0 {
-		coarseFactor = int(ds.Coarse[0].Interval() / iv)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("tracedir: %w", err)
 	}
 	m := &Manifest{
-		Version:      Version,
-		Interval:     iv.String(),
-		Samples:      samples,
-		Hours:        int(span / time.Hour),
-		CoarseFactor: coarseFactor,
-		Names:        ds.Names,
-		Groups:       ds.Group,
+		Version:  Version,
+		Interval: iv.String(),
+		Samples:  samples,
+		Hours:    int(span / time.Hour),
+		Names:    ds.Names,
 	}
 	for lo := 0; lo < len(ds.Fine); lo += perFile {
 		hi := lo + perFile
@@ -338,9 +319,8 @@ func checkWorkloadShape(w model.Workload) error {
 }
 
 // Open implements model.WorkloadSource: load the recorded fine traces
-// chunk by chunk, verify each chunk against the manifest, and derive the
-// coarse granularity by averaging when the manifest records a factor —
-// emitted VM by VM with at most one chunk's traces resident at a time.
+// chunk by chunk and verify each chunk against the manifest — emitted VM
+// by VM with at most one chunk's traces resident at a time.
 func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
 	if err := checkWorkloadShape(w); err != nil {
 		return nil, err
@@ -451,7 +431,6 @@ func (r *streamReader) loadChunk(entry FileEntry) error {
 				entry.File, i, n, entry.Names[i])
 		}
 	}
-	grouped := len(r.m.Groups) == len(r.m.Names)
 	recs := make([]model.VMRecord, 0, len(series))
 	for _, s := range series {
 		if s.Interval() != r.iv {
@@ -465,15 +444,8 @@ func (r *streamReader) loadChunk(entry FileEntry) error {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("tracedir: %s: %w", entry.File, err)
 		}
-		rec := model.VMRecord{Name: r.m.Names[r.vmIdx], Fine: s}
-		if grouped {
-			rec.Group, rec.Grouped = r.m.Groups[r.vmIdx], true
-		}
-		if r.m.CoarseFactor > 1 {
-			rec.Coarse = s.Downsample(r.m.CoarseFactor)
-		}
+		recs = append(recs, model.VMRecord{Name: r.m.Names[r.vmIdx], Fine: s})
 		r.vmIdx++
-		recs = append(recs, rec)
 	}
 	r.pending, r.pi = recs, 0
 	return nil

@@ -12,7 +12,7 @@ import (
 )
 
 // testDataset builds a small deterministic dataset: nVMs VMs, 2 hours of
-// 5-second samples, with a coarse granularity at factor 60.
+// 5-second samples.
 func testDataset(nVMs int) *model.Dataset {
 	const samples = 2 * 60 * 60 / 5
 	ds := &model.Dataset{}
@@ -23,9 +23,7 @@ func testDataset(nVMs int) *model.Dataset {
 		}
 		s := model.SeriesFromSamples(5*time.Second, fine)
 		ds.Names = append(ds.Names, "vm"+string(rune('a'+v)))
-		ds.Group = append(ds.Group, v%2)
 		ds.Fine = append(ds.Fine, s)
-		ds.Coarse = append(ds.Coarse, s.Downsample(60))
 	}
 	return ds
 }
@@ -70,9 +68,6 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		if got.Names[v] != ds.Names[v] {
 			t.Fatalf("VM %d name %q, want %q", v, got.Names[v], ds.Names[v])
 		}
-		if got.Group[v] != ds.Group[v] {
-			t.Fatalf("VM %d group %d, want %d", v, got.Group[v], ds.Group[v])
-		}
 		if got.Fine[v].Interval() != 5*time.Second {
 			t.Fatalf("VM %d interval %v", v, got.Fine[v].Interval())
 		}
@@ -82,10 +77,6 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 					v, i, got.Fine[v].At(i), ds.Fine[v].At(i))
 			}
 		}
-	}
-	// Coarse is derived at the manifest's factor.
-	if len(got.Coarse) != 5 || got.Coarse[0].Interval() != 5*time.Minute {
-		t.Fatalf("coarse granularity not derived: %d series", len(got.Coarse))
 	}
 }
 
@@ -220,32 +211,6 @@ func TestTamperedDirectoryRejected(t *testing.T) {
 		}
 		if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "manifest claims 1 h") {
 			t.Fatalf("overflowing span: err = %v, want it rejected", err)
-		}
-	})
-	t.Run("manifest coarse factor out of range", func(t *testing.T) {
-		// Past the sample count, a factor used to reach Series.Downsample:
-		// on these 1440-sample series the first overflows its slice size
-		// and panicked, the second overflowed the coarse interval silently.
-		for _, factor := range []string{"9223372036854775000", "9223372036854775407", "1441", "-1"} {
-			dir := write(t)
-			path := filepath.Join(dir, ManifestName)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tampered := strings.Replace(string(data), `"coarse_factor": 60`, `"coarse_factor": `+factor, 1)
-			if tampered == string(data) {
-				t.Fatal("recording carries no coarse factor to tamper with")
-			}
-			if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := materialize(w(dir)); err == nil {
-				t.Fatalf("factor %s: Open accepted the manifest", factor)
-			}
-			if err := (Source{}).Check(w(dir)); err == nil || !strings.Contains(err.Error(), "coarse factor") {
-				t.Fatalf("factor %s: Check err = %v, want the coarse factor rejected", factor, err)
-			}
 		}
 	})
 	t.Run("manifest escapes the directory", func(t *testing.T) {

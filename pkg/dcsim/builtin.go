@@ -54,6 +54,11 @@ func (s synthSource) Check(w model.Workload) error {
 		return fmt.Errorf("dcsim: workload kind %q needs non-negative vms/groups/hours (0 = default), got %d/%d/%d",
 			w.Kind, w.VMs, w.Groups, w.Hours)
 	}
+	// The generator's horizon is a time.Duration; past this it wraps.
+	if maxHours := math.MaxInt64 / int64(time.Hour); int64(w.Hours) > maxHours {
+		return fmt.Errorf("dcsim: workload kind %q needs hours at most %d (the longest time.Duration), got %d",
+			w.Kind, maxHours, w.Hours)
+	}
 	return nil
 }
 

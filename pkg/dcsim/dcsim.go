@@ -27,8 +27,8 @@ type Result = model.Result
 // contract type model.VM.
 type VM = model.VM
 
-// Dataset is a generated set of named VM demand traces at coarse and fine
-// granularity. It is the contract type model.Dataset.
+// Dataset is a generated set of named VM demand traces. It is the
+// contract type model.Dataset.
 type Dataset = model.Dataset
 
 // Series is a fixed-interval time series of utilization samples. It is the
@@ -50,8 +50,8 @@ func Run(ctx context.Context, sc Scenario, obs ...Observer) (*Result, error) {
 	if err := sc.lookupErr(); err != nil {
 		return nil, err
 	}
-	// The workload arrives VM by VM, coarse series and chunk buffers
-	// dropped as records land, cancellable between records.
+	// The workload arrives VM by VM, chunk buffers dropped as records
+	// land, cancellable between records.
 	vms, err := vmsFor(ctx, sc.Workload)
 	if err != nil {
 		return nil, err
@@ -110,9 +110,11 @@ func (s Scenario) lookupErr() error {
 }
 
 // RunVMs is Run with a caller-supplied VM population instead of the
-// scenario's synthetic workload — the hook for pre-recorded traces and
-// future remote workload backends. The scenario's Workload field is ignored
-// except as documentation of intent.
+// scenario's workload, which is ignored except as documentation of intent.
+// It is the materialized-ingest reference the streamed-ingest tests
+// compare Run against, and internal/exp uses it to run several policies
+// on one trace set. Recorded traces need no hook: they are the
+// "trace-dir" and "trace-obj" workload kinds.
 func RunVMs(ctx context.Context, vms []*VM, sc Scenario, obs ...Observer) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {

@@ -256,6 +256,42 @@ func TestMaxServersBounded(t *testing.T) {
 	}
 }
 
+// TestHoursOverflowRejected: a synthetic horizon longer than a
+// time.Duration holds used to wrap negative and panic the generator, which
+// killed `dcsim serve` from a job goroutine. Validation and Run must both
+// answer with a dcsim: error instead.
+func TestHoursOverflowRejected(t *testing.T) {
+	for _, c := range []struct {
+		kind  string
+		hours int
+	}{
+		{"datacenter", 2562048},
+		{"datacenter", 3000000},
+		{"uncorrelated", 2562048},
+	} {
+		name := fmt.Sprintf("%s/%d", c.kind, c.hours)
+		sc := New(WithVMs(4), WithHours(c.hours), WithWorkloadKind(c.kind))
+		if err := CheckScenario(sc); err == nil || !strings.HasPrefix(err.Error(), "dcsim: ") ||
+			!strings.Contains(err.Error(), "hours") {
+			t.Errorf("%s: CheckScenario err = %v, want a dcsim: error naming hours", name, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Run panicked: %v", name, r)
+				}
+			}()
+			if _, err := Run(context.Background(), sc); err == nil {
+				t.Errorf("%s: Run accepted it", name)
+			}
+		}()
+	}
+	// The longest representable horizon still validates; it is not run.
+	if err := CheckScenario(New(WithVMs(4), WithHours(2562047))); err != nil {
+		t.Errorf("hours 2562047: %v", err)
+	}
+}
+
 // TestPercentileFieldsValidated: a negative or non-finite pctl or off_pctl
 // fails validation with a dcsim: error instead of panicking in the cost
 // matrix or in Series.Percentile, or silently sizing VMs by their minimum.

@@ -3,8 +3,9 @@ package model
 // RunOptions is the serializable scale configuration of the experiment
 // drivers behind pkg/dcsim/experiments: every artifact Runner — in-tree or
 // registered by another module — receives one. The zero value of each field
-// means "use the driver's default"; FullOptions/QuickOptions in
-// pkg/dcsim/experiments build the two standard operating points.
+// means "use the artifact's default"; experiments.Full and
+// experiments.Quick in pkg/dcsim/experiments build the two standard
+// operating points.
 type RunOptions struct {
 	// WebSearchDuration is the simulated seconds per Setup-1 run.
 	WebSearchDuration float64 `json:"web_search_duration,omitempty"`

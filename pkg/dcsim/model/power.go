@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // PowerLevel is one voltage/frequency operating point of a PowerModel.
 type PowerLevel struct {
@@ -98,14 +95,4 @@ func (m PowerModel) Power(u, f float64) (float64, error) {
 	idle := idleStatic*stat + idleDynamic*dyn
 	span := (m.BusyW - m.IdleW) * dyn
 	return idle + span*u, nil
-}
-
-// Energy returns the energy in joules consumed over dt at utilization u and
-// frequency f.
-func (m PowerModel) Energy(u, f float64, dt time.Duration) (float64, error) {
-	p, err := m.Power(u, f)
-	if err != nil {
-		return 0, err
-	}
-	return p * dt.Seconds(), nil
 }

@@ -237,26 +237,6 @@ func (s *Series) Ref(pctl float64) float64 {
 	return s.Percentile(pctl)
 }
 
-// Scale multiplies every sample by k in place and returns s.
-func (s *Series) Scale(k float64) *Series {
-	for i := range s.samples {
-		s.samples[i] *= k
-	}
-	return s
-}
-
-// Clip limits every sample to [lo, hi] in place and returns s.
-func (s *Series) Clip(lo, hi float64) *Series {
-	for i, v := range s.samples {
-		if v < lo {
-			s.samples[i] = lo
-		} else if v > hi {
-			s.samples[i] = hi
-		}
-	}
-	return s
-}
-
 // AddSeries returns a new series that is the element-wise sum of s and t.
 // Both series must have the same interval and length.
 func AddSeries(s, t *Series) (*Series, error) {
@@ -315,38 +295,6 @@ func (s *Series) Downsample(factor int) *Series {
 		out = append(out, sum/float64(end-i))
 	}
 	return &Series{interval: s.interval * time.Duration(factor), samples: out}
-}
-
-// Upsample returns a new series whose interval is factor times finer, with
-// each input sample repeated factor times. Fine-grained variability, when
-// wanted, is layered on by the workload generators.
-func (s *Series) Upsample(factor int) *Series {
-	if factor <= 1 {
-		return s.Clone()
-	}
-	out := make([]float64, 0, len(s.samples)*factor)
-	for _, v := range s.samples {
-		for k := 0; k < factor; k++ {
-			out = append(out, v)
-		}
-	}
-	return &Series{interval: s.interval / time.Duration(factor), samples: out}
-}
-
-// Windows calls fn for each consecutive window of size samples (the last
-// window may be shorter). fn receives the window start index and a view of
-// the window.
-func (s *Series) Windows(size int, fn func(start int, w *Series)) {
-	if size <= 0 {
-		panic("model: non-positive window size")
-	}
-	for i := 0; i < len(s.samples); i += size {
-		end := i + size
-		if end > len(s.samples) {
-			end = len(s.samples)
-		}
-		fn(i, s.Slice(i, end))
-	}
 }
 
 // Validate reports whether every sample is finite and non-negative — the

@@ -105,21 +105,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestScaleClip(t *testing.T) {
-	s := SeriesFromSamples(time.Second, []float64{1, 2, 3})
-	s.Scale(2)
-	if s.At(2) != 6 {
-		t.Fatalf("scale: got %v, want 6", s.At(2))
-	}
-	s.Clip(3, 5)
-	want := []float64{3, 4, 5}
-	for i, w := range want {
-		if s.At(i) != w {
-			t.Fatalf("clip[%d] = %v, want %v", i, s.At(i), w)
-		}
-	}
-}
-
 func TestAddAndAggregate(t *testing.T) {
 	a := SeriesFromSamples(time.Second, []float64{1, 2})
 	b := SeriesFromSamples(time.Second, []float64{10, 20})
@@ -167,17 +152,6 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
-func TestUpsample(t *testing.T) {
-	s := SeriesFromSamples(4*time.Second, []float64{1, 2})
-	u := s.Upsample(4)
-	if u.Len() != 8 || u.Interval() != time.Second {
-		t.Fatalf("upsample shape: len=%d interval=%v", u.Len(), u.Interval())
-	}
-	if u.At(0) != 1 || u.At(3) != 1 || u.At(4) != 2 {
-		t.Fatalf("upsample values: %v", u.Samples())
-	}
-}
-
 func TestDownsamplePreservesMean(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) < 2 {
@@ -196,30 +170,6 @@ func TestDownsamplePreservesMean(t *testing.T) {
 			}
 			d := s.Downsample(factor)
 			if !approx(d.Mean(), s.Mean(), 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUpsampleDownsampleRoundTrip(t *testing.T) {
-	f := func(raw []uint8, factorRaw uint8) bool {
-		factor := int(factorRaw%7) + 2
-		samples := make([]float64, len(raw))
-		for i, r := range raw {
-			samples[i] = float64(r)
-		}
-		s := SeriesFromSamples(time.Hour, samples)
-		rt := s.Upsample(factor).Downsample(factor)
-		if rt.Len() != s.Len() {
-			return false
-		}
-		for i := range samples {
-			if !approx(rt.At(i), s.At(i), 1e-9) {
 				return false
 			}
 		}
@@ -279,24 +229,6 @@ func TestPercentileMatchesSortDefinition(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWindows(t *testing.T) {
-	s := SeriesFromSamples(time.Second, []float64{1, 2, 3, 4, 5})
-	var starts []int
-	var lens []int
-	s.Windows(2, func(start int, w *Series) {
-		starts = append(starts, start)
-		lens = append(lens, w.Len())
-	})
-	wantStarts := []int{0, 2, 4}
-	wantLens := []int{2, 2, 1}
-	for i := range wantStarts {
-		if starts[i] != wantStarts[i] || lens[i] != wantLens[i] {
-			t.Fatalf("window %d: start=%d len=%d, want start=%d len=%d",
-				i, starts[i], lens[i], wantStarts[i], wantLens[i])
-		}
 	}
 }
 

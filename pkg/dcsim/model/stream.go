@@ -6,22 +6,13 @@ import (
 	"io"
 )
 
-// VMRecord is one VM's demand traces as a streaming workload backend emits
-// them: the name, the service-group index (when the source records one),
-// and the demand at the granularities the source carries. Records arrive
-// in canonical dataset order — the same order a materialized Dataset's
+// VMRecord is one VM as a streaming workload backend emits it: the name
+// and the fine-granularity demand every run reads. Records arrive in
+// canonical dataset order — the same order a materialized Dataset's
 // parallel slices use — so folding a stream and indexing a Dataset see
 // identical VM sequences.
 type VMRecord struct {
 	Name string
-	// Group is the service-group index, meaningful only when Grouped is
-	// true (a source without group provenance leaves both zero, which
-	// materializes back to a Dataset with a nil Group slice).
-	Group   int
-	Grouped bool
-	// Coarse is the coarse-granularity demand, nil when the source
-	// records fine samples only.
-	Coarse *Series
 	// Fine is the fine-granularity demand; never nil.
 	Fine *Series
 }
@@ -69,23 +60,9 @@ func Materialize(r DatasetReader) (*Dataset, error) {
 		}
 		ds.Names = append(ds.Names, rec.Name)
 		ds.Fine = append(ds.Fine, rec.Fine)
-		if rec.Grouped {
-			ds.Group = append(ds.Group, rec.Group)
-		}
-		if rec.Coarse != nil {
-			ds.Coarse = append(ds.Coarse, rec.Coarse)
-		}
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
-	}
-	// Partial provenance is a malformed stream: either every record
-	// carries a group (coarse series), or none does.
-	if len(ds.Group) != 0 && len(ds.Group) != len(ds.Names) {
-		return nil, fmt.Errorf("model: stream grouped %d of %d records", len(ds.Group), len(ds.Names))
-	}
-	if len(ds.Coarse) != 0 && len(ds.Coarse) != len(ds.Fine) {
-		return nil, fmt.Errorf("model: stream carried coarse series for %d of %d records", len(ds.Coarse), len(ds.Fine))
 	}
 	return ds, nil
 }
@@ -115,12 +92,6 @@ func (r *datasetReader) Next() (VMRecord, error) {
 	rec := VMRecord{Fine: r.ds.Fine[i]}
 	if i < len(r.ds.Names) {
 		rec.Name = r.ds.Names[i]
-	}
-	if len(r.ds.Group) == len(r.ds.Fine) {
-		rec.Group, rec.Grouped = r.ds.Group[i], true
-	}
-	if len(r.ds.Coarse) == len(r.ds.Fine) {
-		rec.Coarse = r.ds.Coarse[i]
 	}
 	return rec, nil
 }

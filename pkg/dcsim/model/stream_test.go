@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
 
-// testDataset builds a small dataset with groups and a coarse granularity.
+// testDataset builds a small dataset of n named fine series.
 func testDataset(t *testing.T, n int) *Dataset {
 	t.Helper()
 	ds := &Dataset{}
@@ -19,9 +20,7 @@ func testDataset(t *testing.T, n int) *Dataset {
 		}
 		s := SeriesFromSamples(time.Second, fine)
 		ds.Names = append(ds.Names, string(rune('a'+i)))
-		ds.Group = append(ds.Group, i%2)
 		ds.Fine = append(ds.Fine, s)
-		ds.Coarse = append(ds.Coarse, s.Downsample(4))
 	}
 	return ds
 }
@@ -32,32 +31,33 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Names) != 4 || len(got.Group) != 4 || len(got.Coarse) != 4 || len(got.Fine) != 4 {
-		t.Fatalf("materialized shape %d/%d/%d/%d, want 4 each",
-			len(got.Names), len(got.Group), len(got.Coarse), len(got.Fine))
+	if len(got.Names) != 4 || len(got.Fine) != 4 {
+		t.Fatalf("materialized shape %d/%d, want 4 each", len(got.Names), len(got.Fine))
 	}
 	for i := range ds.Fine {
-		if got.Names[i] != ds.Names[i] || got.Group[i] != ds.Group[i] {
-			t.Fatalf("record %d: got %q/g%d, want %q/g%d", i, got.Names[i], got.Group[i], ds.Names[i], ds.Group[i])
+		if got.Names[i] != ds.Names[i] {
+			t.Fatalf("record %d: got %q, want %q", i, got.Names[i], ds.Names[i])
 		}
 		// The adapter shares series, so identity (not just equality) holds.
-		if got.Fine[i] != ds.Fine[i] || got.Coarse[i] != ds.Coarse[i] {
+		if got.Fine[i] != ds.Fine[i] {
 			t.Fatalf("record %d: series not shared through the round trip", i)
 		}
 	}
 }
 
-func TestMaterializeWithoutProvenance(t *testing.T) {
-	// A fine-only, ungrouped dataset must round-trip to nil Group/Coarse,
-	// not zero-filled slices — manifests serialize the difference.
+// TestMaterializeRejectsRecordWithoutFine pins the one record check
+// Materialize makes: a record with no fine series is a malformed stream,
+// and the reader is closed.
+func TestMaterializeRejectsRecordWithoutFine(t *testing.T) {
 	ds := testDataset(t, 3)
-	ds.Group, ds.Coarse = nil, nil
-	got, err := Materialize(DatasetReaderOf(ds))
-	if err != nil {
-		t.Fatal(err)
+	ds.Fine[1] = nil
+	r := &errReader{inner: DatasetReaderOf(ds), after: 3, err: io.EOF}
+	_, err := Materialize(r)
+	if err == nil || !strings.Contains(err.Error(), `record "b" has no fine series`) {
+		t.Fatalf("Materialize() = %v, want the fine-less record rejected", err)
 	}
-	if got.Group != nil || got.Coarse != nil {
-		t.Fatalf("materialized Group=%v Coarse=%v, want nil/nil", got.Group, got.Coarse)
+	if !r.closed {
+		t.Fatal("Materialize did not close the reader after rejecting a record")
 	}
 }
 

@@ -40,11 +40,9 @@ func VMsFromSeries(names []string, demands []*Series) []*VM {
 	return out
 }
 
-// Dataset is a generated (or recorded) set of VM demand traces at coarse
-// and fine granularity — the unit a workload backend produces.
+// Dataset is a generated (or recorded) set of named VM demand traces — the
+// unit a workload backend produces, held all at once.
 type Dataset struct {
-	Names  []string  // one per VM
-	Group  []int     // service group index per VM
-	Coarse []*Series // coarse (5-min) means per VM
-	Fine   []*Series // fine (5-s) demand per VM, in cores
+	Names []string  // one per VM
+	Fine  []*Series // fine (5-s) demand per VM, in cores
 }

@@ -16,7 +16,8 @@ type Workload struct {
 	// registry: "datacenter" (correlated service groups, the paper's
 	// Setup 2 and the default), "uncorrelated" (same marginals with the
 	// group structure shuffled away), "trace-dir" (a recorded CSV trace
-	// directory), or any registered out-of-tree kind.
+	// directory), "trace-obj" (the same recording read from an HTTP(S)
+	// object store), or any registered out-of-tree kind.
 	Kind string `json:"kind"`
 	// VMs is the number of demand traces (paper: 40). File-backed kinds
 	// validate it against their manifest instead of synthesizing.

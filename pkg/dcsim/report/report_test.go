@@ -38,15 +38,6 @@ func TestTableShortRowPadded(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tab := NewTable("x", "y")
-	tab.AddRowf("%d|%.1f", 3, 4.5)
-	out := tab.String()
-	if !strings.Contains(out, "3") || !strings.Contains(out, "4.5") {
-		t.Fatalf("AddRowf lost cells: %s", out)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := model.SeriesFromSamples(time.Second, []float64{0, 0.5, 1})
 	sl := Sparkline(s, 10, 0, 1)

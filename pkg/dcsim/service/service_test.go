@@ -162,6 +162,19 @@ func TestSubmitRejectsBadGrid(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOverflowingHours: a grid whose synthetic horizon
+// overflows a time.Duration used to be queued, and its job's generator
+// panic killed the process. Submit must reject it up front.
+func TestSubmitRejectsOverflowingHours(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	g := tinyGrid()
+	g.Base.Workload.Hours = 2562048
+	if _, err := m.Submit(g); err == nil || !strings.Contains(err.Error(), "hours") {
+		t.Fatalf("submit of hours=2562048 = %v, want an hours error", err)
+	}
+}
+
 func TestQueueFullAndSkipCancelledQueued(t *testing.T) {
 	gate := newGateExecutor()
 	m := NewManager(Config{QueueCapacity: 2, Concurrency: 1, Workers: 1, Executor: gate})

@@ -57,10 +57,6 @@ func WithInFlight(n int) Option { return func(c *config) { c.inFlight = n } }
 // with ErrNoWorkers.
 func WithLocalSlots(n int) Option { return func(c *config) { c.localSlots = n } }
 
-// WithHTTPClient replaces the default HTTP client (no timeout: runs are
-// long and cancellation travels through the request context).
-func WithHTTPClient(client *http.Client) Option { return func(c *config) { c.client = client } }
-
 // WithRetry replaces the default retry policy (50ms base, 2s cap, seed 0)
 // shaping the backoff between a failed dispatch and its re-execution, and
 // capping the wait a busy worker's Retry-After asks for.

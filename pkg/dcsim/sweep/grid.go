@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -509,13 +508,4 @@ func ParseGrid(data []byte) (Grid, error) {
 		return Grid{}, err
 	}
 	return g, nil
-}
-
-// LoadGrid reads a JSON grid file via ParseGrid.
-func LoadGrid(path string) (Grid, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Grid{}, fmt.Errorf("sweep: load grid: %w", err)
-	}
-	return ParseGrid(data)
 }

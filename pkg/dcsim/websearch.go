@@ -22,12 +22,6 @@ type WebSearchScenario struct {
 	Seed int64 `json:"seed"`
 }
 
-// DefaultWebSearch is the paper's Fig. 4/5 operating point: the
-// correlation-aware shared placement at full speed for 20 minutes.
-func DefaultWebSearch() WebSearchScenario {
-	return WebSearchScenario{Placement: "shared-corr", Speed: 1, Duration: 1200, Seed: 1}
-}
-
 // WebSearchResult is the testbed's result plus the run's identifying
 // labels, so callers need no other package to render it.
 type WebSearchResult struct {

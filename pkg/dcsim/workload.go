@@ -14,7 +14,7 @@ import (
 // re-exported so registrants can name it through the façade. Implement it
 // against model types alone and register it with RegisterWorkload to add a
 // workload kind — exactly how the built-in "datacenter", "uncorrelated",
-// and "trace-dir" kinds are wired in.
+// "trace-dir" and "trace-obj" kinds are wired in.
 type WorkloadSource = model.WorkloadSource
 
 // RegisterWorkload adds a workload backend under a unique kind name; it
@@ -27,9 +27,9 @@ func RegisterWorkload(kind string, src WorkloadSource) { workloadReg.Register(ki
 // WorkloadKinds lists the registered workload kind names, sorted.
 func WorkloadKinds() []string { return workloadReg.Names() }
 
-// LookupWorkload returns the registered workload backend for a kind; the
+// lookupWorkload returns the registered workload backend for a kind; the
 // empty kind selects the default "datacenter".
-func LookupWorkload(kind string) (WorkloadSource, error) {
+func lookupWorkload(kind string) (WorkloadSource, error) {
 	return workloadReg.Lookup(kindOrDefault(kind))
 }
 
@@ -46,7 +46,7 @@ func kindOrDefault(kind string) string {
 // recorded sources like "trace-dir"). Unknown kinds report false; the
 // registry lookup that rejects them happens elsewhere.
 func SeedInvariantWorkload(kind string) bool {
-	src, err := LookupWorkload(kind)
+	src, err := lookupWorkload(kind)
 	if err != nil {
 		return false
 	}
@@ -60,7 +60,7 @@ func SeedInvariantWorkload(kind string) bool {
 // producing any traces. It is the preflight-only path: OpenTraces does
 // not call it, because a backend's Open validates on its own.
 func CheckWorkload(w Workload) error {
-	src, err := LookupWorkload(w.Kind)
+	src, err := lookupWorkload(w.Kind)
 	if err != nil {
 		return err
 	}
@@ -99,7 +99,7 @@ func GenerateTraces(w Workload) (*Dataset, error) {
 // Dataset exactly; only the memory profile differs. The caller owns the
 // reader and must Close it.
 func OpenTraces(ctx context.Context, w Workload) (model.DatasetReader, error) {
-	src, err := LookupWorkload(w.Kind)
+	src, err := lookupWorkload(w.Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -115,10 +115,10 @@ func OpenTraces(ctx context.Context, w Workload) (model.DatasetReader, error) {
 	return r, nil
 }
 
-// vmsFor is the engine's workload ingest: stream the records and keep only
-// the fine series, which the simulator's time-major per-sample accounting
-// walks, dropping each record's coarse series and chunk-buffer backing as
-// it arrives. Cancelling ctx stops the ingest between VM records.
+// vmsFor is the engine's workload ingest: stream the records into VMs over
+// their fine series, which the simulator's time-major per-sample
+// accounting walks, dropping each record's chunk-buffer backing as it
+// arrives. Cancelling ctx stops the ingest between VM records.
 func vmsFor(ctx context.Context, w Workload) ([]*VM, error) {
 	r, err := OpenTraces(ctx, w)
 	if err != nil {
