@@ -6,10 +6,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
-	bench bench-test bench-alloc bench-compare leakcheck fuzz examples \
-	smoke-service smoke-fleet smoke-objstore
+	race-ingest bench bench-test bench-alloc bench-compare leakcheck fuzz \
+	examples smoke-service smoke-fleet smoke-objstore
 
-ci: lint build test race bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
+ci: lint build test race race-ingest bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
 
 # lint is the static gate CI's lint job runs: formatting, go vet,
 # staticcheck, and the public-API leak check.
@@ -53,6 +53,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-ingest runs the workload ingest packages under the race detector at
+# one CPU, where synthetic refinement and CSV decoding start no goroutine,
+# and at four, which oversubscribes a small runner's split.
+race-ingest:
+	$(GO) test -race -cpu 1,4 ./internal/synth ./internal/trace ./internal/tracedir ./internal/objstore ./pkg/dcsim
 
 bench:
 	$(GO) test -bench=. -benchmem .

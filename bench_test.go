@@ -6,7 +6,9 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -24,6 +26,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/trace"
 	"repro/internal/websearch"
 	"repro/pkg/dcsim/model"
 )
@@ -393,6 +396,79 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal("bad dataset")
 		}
 	}
+}
+
+// ingestConfig is the population the ingest benchmarks read: the paper's
+// Setup-2 generator over vms VMs and six hours.
+func ingestConfig(vms int) synth.DatacenterConfig {
+	cfg := synth.DefaultDatacenterConfig()
+	cfg.VMs, cfg.Groups, cfg.Day = vms, 4, 6*time.Hour
+	return cfg
+}
+
+// csvChunk is one trace-dir chunk as tracegen -dir writes it: 16 VMs over
+// six hours of 5-second samples.
+func csvChunk(b *testing.B) (ds *model.Dataset, data []byte, samples int) {
+	ds = synth.Datacenter(ingestConfig(16))
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, ds.Names, ds.Fine); err != nil {
+		b.Fatal(err)
+	}
+	return ds, buf.Bytes(), len(ds.Fine) * ds.Fine[0].Len()
+}
+
+// BenchmarkReadCSV measures decoding one trace-dir chunk, the per-chunk
+// cost of every recorded-workload ingest.
+func BenchmarkReadCSV(b *testing.B) {
+	_, data, samples := csvChunk(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := trace.ReadCSV(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+// BenchmarkWriteCSV measures encoding one trace-dir chunk, the per-chunk
+// cost of tracegen -dir and of recording a workload.
+func BenchmarkWriteCSV(b *testing.B) {
+	ds, data, samples := csvChunk(b)
+	var buf bytes.Buffer
+	buf.Grow(len(data))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := trace.WriteCSV(&buf, ds.Names, ds.Fine); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+// BenchmarkDatacenterStream measures draining a synthetic datacenter
+// stream of 200 VMs over six hours: the ingest every synthetic run pays
+// before its first placement.
+func BenchmarkDatacenterStream(b *testing.B) {
+	cfg := ingestConfig(200)
+	samples := 0
+	for i := 0; i < b.N; i++ {
+		st := synth.NewStream(cfg)
+		samples = 0
+		for {
+			rec, err := st.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			samples += rec.Fine.Len()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 }
 
 // BenchmarkTableIIExtended regenerates the beyond-the-paper comparison

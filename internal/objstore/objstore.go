@@ -149,8 +149,9 @@ func (f *Fetcher) Manifest(ctx context.Context) ([]byte, error) {
 	return f.fetch(ctx, tracedir.ManifestName)
 }
 
-// Chunk implements tracedir.ChunkFetcher.
-func (f *Fetcher) Chunk(ctx context.Context, name string) ([]byte, error) {
+// Chunk implements tracedir.ChunkFetcher. It leaves buf unused: every
+// chunk arrives in a fresh slice, from the response body or the cache.
+func (f *Fetcher) Chunk(ctx context.Context, name string, _ []byte) ([]byte, error) {
 	return f.fetch(ctx, name)
 }
 

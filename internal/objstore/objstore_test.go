@@ -204,7 +204,7 @@ func TestETagFlipMidRead(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	_, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj")
+	_, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj", nil)
 	var ce *ChangedError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ChangedError", err)
@@ -256,7 +256,7 @@ func TestTruncatedRangeRetried(t *testing.T) {
 			defer srv.Close()
 
 			before := Stats().FetchRetries
-			got, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj")
+			got, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj", nil)
 			if err != nil {
 				t.Fatalf("truncated body not healed: %v", err)
 			}
@@ -296,7 +296,7 @@ func TestIdentityEncoding(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	got, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj")
+	got, err := NewFetcher(srv.URL).Chunk(t.Context(), "obj", nil)
 	if err != nil {
 		t.Fatalf("read from a compressing store: %v", err)
 	}

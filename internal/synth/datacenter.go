@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/pkg/dcsim/model"
@@ -51,20 +53,22 @@ func DefaultDatacenterConfig() DatacenterConfig {
 	}
 }
 
-// Stream generates the datacenter dataset one VM at a time: the shared
-// group state (diurnal profiles, burst episodes, size scales) is drawn up
-// front, and each Next draws exactly the per-VM randomness Datacenter
-// would at that index — so draining a Stream reproduces Datacenter's
-// Dataset byte for byte while holding only O(groups × coarse samples) of
-// state plus the one record in flight. It implements model.DatasetReader
-// for the streaming workload path.
+// Stream generates the datacenter dataset a batch of VMs at a time: the
+// shared group state (diurnal profiles, burst episodes, size scales) is
+// drawn up front, and each batch draws exactly the per-VM randomness
+// Datacenter would at those indices — so draining a Stream reproduces
+// Datacenter's Dataset byte for byte while holding only O(groups × coarse
+// samples) of state plus one batch of GOMAXPROCS records in flight. It
+// implements model.DatasetReader for the streaming workload path.
 type Stream struct {
 	cfg          DatacenterConfig
 	rng          *rand.Rand
 	nCoarse      int
 	groupProfile [][]float64
 	groupScale   []float64
-	i            int
+	i            int              // index of the next VM to draw
+	batch        []model.VMRecord // refined records not yet emitted
+	bi           int              // next batch record to emit
 }
 
 // NewStream validates cfg (panicking on degenerate values, as Datacenter
@@ -153,19 +157,65 @@ func (s *Stream) Len() int { return s.cfg.VMs }
 // Close implements model.DatasetReader; the generator holds no resources.
 func (s *Stream) Close() error { return nil }
 
-// Next generates the next VM. The per-VM draws come from the single
+// Next emits the next VM. When the current batch is spent it draws the
+// next one: the coarse series of up to GOMAXPROCS VMs come from the single
 // generator rng in strict index order — the exact sequence the batch
-// generator consumed — which is what makes streamed and materialized
-// synthesis sample-identical.
+// generator consumed, which is what makes streamed and materialized
+// synthesis sample-identical — and then each VM's refinement runs on its
+// own goroutine. A refinement draws only from its VM's own seed, so the
+// records are the same at every GOMAXPROCS, and Next waits for the whole
+// batch, so no goroutine outlives the call.
 func (s *Stream) Next() (model.VMRecord, error) {
-	if s.i >= s.cfg.VMs {
-		return model.VMRecord{}, io.EOF
+	if s.bi >= len(s.batch) {
+		if s.i >= s.cfg.VMs {
+			return model.VMRecord{}, io.EOF
+		}
+		s.fill()
 	}
-	cfg, i := s.cfg, s.i
-	s.i++
+	rec := s.batch[s.bi]
+	// Drop the emitted record so the batch holds only what is unread.
+	s.batch[s.bi] = model.VMRecord{}
+	s.bi++
+	return rec, nil
+}
+
+// fill draws and refines the next batch of VMs.
+func (s *Stream) fill() {
+	n := min(runtime.GOMAXPROCS(0), s.cfg.VMs-s.i)
+	coarse := make([]*model.Series, n)
+	s.batch, s.bi = make([]model.VMRecord, n), 0
+	for b := range coarse {
+		s.batch[b].Name, coarse[b] = s.drawCoarse(s.i + b)
+	}
+	refine := func(b int) {
+		// The coarse means are only the refinement's input: the record
+		// carries the 5-second trace every run reads.
+		ln := NewLogNormal(s.cfg.Sigma, s.cfg.Seed+int64(1000+s.i+b))
+		s.batch[b].Fine = ln.Refine(coarse[b], s.cfg.FineFactor)
+	}
+	if n == 1 {
+		refine(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for b := range n {
+			go func() {
+				defer wg.Done()
+				refine(b)
+			}()
+		}
+		wg.Wait()
+	}
+	s.i += n
+}
+
+// drawCoarse draws VM i's name and coarse series from the generator rng:
+// its scale jitter, then its slow idiosyncratic noise, an AR(1) walk
+// around 1. The name carries the group.
+func (s *Stream) drawCoarse(i int) (string, *model.Series) {
+	cfg := s.cfg
 	g := i % cfg.Groups
 	scale := s.groupScale[g] * (0.95 + 0.1*s.rng.Float64())
-	// Slow idiosyncratic noise: AR(1) walk around 1.
 	noise := 0.0
 	coarse := model.NewSeries(cfg.CoarseInterval, s.nCoarse)
 	for t := 0; t < s.nCoarse; t++ {
@@ -176,14 +226,7 @@ func (s *Stream) Next() (model.VMRecord, error) {
 		}
 		coarse.Append(v)
 	}
-	// The coarse means are only the refinement's input: the record
-	// carries the 5-second trace every run reads, and the name carries
-	// the group.
-	ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
-	return model.VMRecord{
-		Name: fmt.Sprintf("vm%02d.g%d", i, g),
-		Fine: ln.Refine(coarse, cfg.FineFactor),
-	}, nil
+	return fmt.Sprintf("vm%02d.g%d", i, g), coarse
 }
 
 // Datacenter generates a Dataset according to cfg. The same config always

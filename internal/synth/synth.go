@@ -44,24 +44,45 @@ func (l *LogNormal) Sample(mean float64) float64 {
 	if l.Sigma == 0 {
 		return mean
 	}
-	mu := math.Log(mean) - l.Sigma*l.Sigma/2
+	return l.draw(l.location(mean))
+}
+
+// location is the underlying normal's location for a positive mean.
+func (l *LogNormal) location(mean float64) float64 {
+	return math.Log(mean) - l.Sigma*l.Sigma/2
+}
+
+// draw takes one sample around the location mu: the only place the
+// generator consumes randomness.
+func (l *LogNormal) draw(mu float64) float64 {
 	return math.Exp(mu + l.Sigma*l.rng.NormFloat64())
 }
 
 // Refine expands a coarse series into a fine-grained one with factor samples
-// per coarse sample, each drawn lognormally around the coarse mean.
+// per coarse sample, each drawn lognormally around the coarse mean. The
+// location is solved once per coarse sample; the draws are exactly the
+// ones factor calls to Sample would make.
 func (l *LogNormal) Refine(coarse *model.Series, factor int) *model.Series {
 	if factor <= 0 {
 		panic("synth: non-positive refinement factor")
 	}
-	out := model.NewSeries(coarse.Interval()/time.Duration(factor), coarse.Len()*factor)
-	for i := 0; i < coarse.Len(); i++ {
-		mean := coarse.At(i)
+	out := make([]float64, 0, coarse.Len()*factor)
+	for _, mean := range coarse.Samples() {
+		if mean <= 0 || l.Sigma == 0 {
+			// Degenerate: every fine sample is Sample's constant, and
+			// none consumes randomness.
+			v := l.Sample(mean)
+			for k := 0; k < factor; k++ {
+				out = append(out, v)
+			}
+			continue
+		}
+		mu := l.location(mean)
 		for k := 0; k < factor; k++ {
-			out.Append(l.Sample(mean))
+			out = append(out, l.draw(mu))
 		}
 	}
-	return out
+	return model.SeriesFromSamples(coarse.Interval()/time.Duration(factor), out)
 }
 
 // Wave describes a sinusoidal client population, the shape the paper uses to

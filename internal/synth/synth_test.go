@@ -1,8 +1,12 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -265,6 +269,66 @@ func TestStreamMatchesDatacenter(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamBatchesAtAnyGOMAXPROCS: Next refines a batch of GOMAXPROCS
+// VMs on goroutines, so batches are uneven at some VM counts. Every VM
+// draws only from its own seed, so the records, names and sample bits,
+// are the ones a serial refinement of each VM gives, and the ones pinned
+// before batching, at every GOMAXPROCS. A batch sharing one rng fails.
+func TestStreamBatchesAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	pinned := map[int]string{ // sha256 prefix of the names and bits
+		1:  "8c9d151b3dff8746",
+		2:  "b4669b254b85dde3",
+		5:  "fc94f8db375edbe0",
+		40: "5234c7330943bc75",
+	}
+	for vms, digest := range pinned {
+		cfg := DefaultDatacenterConfig()
+		cfg.VMs, cfg.Groups, cfg.Day = vms, 3, 3*time.Hour
+		// Serial reference: each VM's coarse series in index order, each
+		// refined from the VM's own seed on this goroutine.
+		ref := NewStream(cfg)
+		want := make([]model.VMRecord, vms)
+		for i := range want {
+			name, coarse := ref.drawCoarse(i)
+			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
+			want[i] = model.VMRecord{Name: name, Fine: ln.Refine(coarse, cfg.FineFactor)}
+		}
+		for _, procs := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(procs)
+			st := NewStream(cfg)
+			h := sha256.New()
+			for i := 0; ; i++ {
+				rec, err := st.Next()
+				if err == io.EOF {
+					if i != vms {
+						t.Fatalf("%d VMs at GOMAXPROCS %d: stream ended after %d records", vms, procs, i)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Name != want[i].Name || rec.Fine.Len() != want[i].Fine.Len() {
+					t.Fatalf("%d VMs at GOMAXPROCS %d: record %d is %q with %d samples, want %q with %d",
+						vms, procs, i, rec.Name, rec.Fine.Len(), want[i].Name, want[i].Fine.Len())
+				}
+				io.WriteString(h, rec.Name)
+				for j, v := range rec.Fine.Samples() {
+					if math.Float64bits(v) != math.Float64bits(want[i].Fine.At(j)) {
+						t.Fatalf("%d VMs at GOMAXPROCS %d: record %d sample %d is %v, want %v",
+							vms, procs, i, j, v, want[i].Fine.At(j))
+					}
+					binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+				}
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != digest {
+				t.Errorf("%d VMs at GOMAXPROCS %d: digest %s, pinned %s", vms, procs, got, digest)
+			}
+		}
 	}
 }
 

@@ -6,11 +6,15 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/pkg/dcsim/model"
@@ -26,12 +30,20 @@ const timestampDecimals = 6
 // float→Duration conversion would overflow int64 nanoseconds.
 const maxIntervalSeconds = float64(math.MaxInt64) / float64(time.Second)
 
+// minRangeBytes is the smallest share of a chunk body ReadCSV decodes on
+// a goroutine of its own: below it, starting the goroutine costs more than
+// the rows it would parse.
+const minRangeBytes = 64 << 10
+
 // WriteCSV writes a set of named series sharing interval and length as CSV:
 // a header row "t,<name>,<name>,..." followed by one row per sample with the
 // elapsed time in seconds (microsecond precision) in the first column.
 // Samples are written in the shortest decimal form that round-trips the
 // float64 exactly, so a read-back series is sample-identical — the property
 // recorded-trace workloads rely on to reproduce a synthetic run bit for bit.
+// The header goes through encoding/csv, which quotes names as CSV needs;
+// a number never needs quoting, so each row is formatted straight into
+// one reused buffer.
 func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 	if len(names) != len(series) {
 		return fmt.Errorf("trace: %d names for %d series", len(names), len(series))
@@ -49,53 +61,70 @@ func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 			return fmt.Errorf("trace: series %q does not match shape of %q", names[i], names[0])
 		}
 	}
-	cw := csv.NewWriter(w)
-	header := append([]string{"t"}, names...)
-	if err := cw.Write(header); err != nil {
+	bw := bufio.NewWriter(w)
+	cw := csv.NewWriter(bw)
+	if err := cw.Write(append([]string{"t"}, names...)); err != nil {
 		return err
 	}
-	row := make([]string, len(series)+1)
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	var row []byte
 	for i := 0; i < n; i++ {
-		row[0] = strconv.FormatFloat(float64(i)*iv.Seconds(), 'f', timestampDecimals, 64)
-		for j, s := range series {
-			row[j+1] = strconv.FormatFloat(s.At(i), 'f', -1, 64)
+		row = strconv.AppendFloat(row[:0], float64(i)*iv.Seconds(), 'f', timestampDecimals, 64)
+		for _, s := range series {
+			row = append(row, ',')
+			row = strconv.AppendFloat(row, s.At(i), 'f', -1, 64)
 		}
-		if err := cw.Write(row); err != nil {
+		row = append(row, '\n')
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
-// ReadCSV reads series written by WriteCSV. The interval is recovered from
-// the first two timestamps, rounded to the nearest microsecond (the write
-// precision), and cross-checked against the last row's timestamp, so a file
-// whose true interval the format cannot represent — sub-microsecond, or a
+// ReadCSV reads series written by WriteCSV from a chunk's bytes; it keeps
+// no reference into data. The interval is recovered from the first two
+// timestamps, rounded to the nearest microsecond (the write precision),
+// and cross-checked against the last row's timestamp, so a file whose true
+// interval the format cannot represent — sub-microsecond, or a
 // non-terminating decimal like 1s/3 — is rejected once the accumulated
 // drift exceeds the timestamp quantum (a handful of rows; shorter files
 // are information-theoretically indistinguishable from a genuine
 // whole-microsecond recording and parse as one). A single-row file is
 // rejected.
-func ReadCSV(r io.Reader) (names []string, series []*model.Series, err error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
+//
+// The header is read by encoding/csv, so VM names may be quoted. Data rows
+// are bare numbers: a row ends at "\n" with one trailing "\r" dropped,
+// blank rows are skipped, and fields split at ",". A quoted data field is
+// rejected. The rows are decoded in up to GOMAXPROCS contiguous ranges of
+// at least minRangeBytes; when several rows are bad, the error names the
+// lowest one.
+func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, nil, fmt.Errorf("trace: need a header and at least two rows, got 0 records")
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("trace: header: %w", err)
 	}
-	if len(records) < 3 {
-		return nil, nil, fmt.Errorf("trace: need a header and at least two rows, got %d records", len(records))
-	}
-	header := records[0]
 	if len(header) < 2 || header[0] != "t" {
 		return nil, nil, fmt.Errorf("trace: malformed header %v", header)
 	}
 	names = header[1:]
-	t0, err := parseTimestamp(records[1][0])
+	body := data[cr.InputOffset():]
+	rows := scanRows(body, max(1, min(runtime.GOMAXPROCS(0), len(body)/minRangeBytes)))
+	if rows.n < 2 {
+		return nil, nil, fmt.Errorf("trace: need a header and at least two rows, got %d records", rows.n+1)
+	}
+	t0, err := parseTimestamp(timestamp(rows.first))
 	if err != nil {
 		return nil, nil, err
 	}
-	t1, err := parseTimestamp(records[2][0])
+	t1, err := parseTimestamp(timestamp(rows.second))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,40 +136,159 @@ func ReadCSV(r io.Reader) (names []string, series []*model.Series, err error) {
 	// put it, within the timestamp quantum. Quantization error in t1-t0
 	// is amplified by the row count here, which is exactly what exposes
 	// an interval the 6-decimal column could not represent.
-	last, err := parseTimestamp(records[len(records)-1][0])
+	last, err := parseTimestamp(timestamp(rows.last))
 	if err != nil {
 		return nil, nil, err
 	}
 	// Tolerance: the timestamp quantum (±0.5 µs on each of the two rows
 	// compared) plus float formatting noise, which scales with magnitude.
 	// Anything past that is real drift: the recovered interval is wrong.
-	wantLast := t0 + float64(len(records)-2)*iv.Seconds()
+	wantLast := t0 + float64(rows.n-1)*iv.Seconds()
 	if math.Abs(last-wantLast) > 2e-6+1e-12*math.Abs(wantLast) {
 		return nil, nil, fmt.Errorf(
 			"trace: last timestamp %v does not match %d samples at the recovered interval %v (want %v); interval not representable or timestamps inconsistent",
-			last, len(records)-1, iv, wantLast)
+			last, rows.n, iv, wantLast)
 	}
 	cols := make([][]float64, len(names))
-	for i := range cols {
-		cols[i] = make([]float64, 0, len(records)-1)
+	for j := range cols {
+		cols[j] = make([]float64, rows.n)
 	}
-	for _, rec := range records[1:] {
-		if len(rec) != len(names)+1 {
-			return nil, nil, fmt.Errorf("trace: row has %d fields, want %d", len(rec), len(names)+1)
+	// Each range fills its own rows of the shared columns. Ranges are in
+	// row order and each stops at its first bad row, so the first error
+	// in range order is the lowest bad row at any GOMAXPROCS.
+	errs := make([]error, len(rows.ranges))
+	decode := func(k int) {
+		rg := rows.ranges[k]
+		errs[k] = decodeRows(body[rg.lo:rg.hi], rg.row, cols)
+	}
+	if len(rows.ranges) == 1 {
+		decode(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(rows.ranges))
+		for k := range rows.ranges {
+			go func() {
+				defer wg.Done()
+				decode(k)
+			}()
 		}
-		for j := range names {
-			v, err := strconv.ParseFloat(rec[j+1], 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("trace: bad sample %q: %w", rec[j+1], err)
-			}
-			cols[j] = append(cols[j], v)
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	series = make([]*model.Series, len(names))
-	for i := range names {
-		series[i] = model.SeriesFromSamples(iv, cols[i])
+	for j := range names {
+		series[j] = model.SeriesFromSamples(iv, cols[j])
 	}
 	return names, series, nil
+}
+
+// rowScan is one pass over a chunk body: its row count, the three rows the
+// interval checks read, and the body cut at row starts into the ranges
+// ReadCSV decodes.
+type rowScan struct {
+	n                   int
+	first, second, last []byte
+	ranges              []rowRange
+}
+
+// rowRange is body[lo:hi]; its first row has index row in the chunk.
+type rowRange struct{ lo, hi, row int }
+
+// scanRows scans body once, cutting it into at most parts ranges of
+// roughly equal size.
+func scanRows(body []byte, parts int) rowScan {
+	s := rowScan{ranges: append(make([]rowRange, 0, parts), rowRange{})}
+	next := len(body) / parts // offset at which the next range may start
+	for rest := body; len(rest) > 0; {
+		if off := len(body) - len(rest); off >= next && len(s.ranges) < parts {
+			s.ranges[len(s.ranges)-1].hi = off
+			s.ranges = append(s.ranges, rowRange{lo: off, row: s.n})
+			next = len(body) * len(s.ranges) / parts
+		}
+		var row []byte
+		row, rest = cutRow(rest)
+		if len(row) == 0 {
+			continue
+		}
+		switch s.n {
+		case 0:
+			s.first = row
+		case 1:
+			s.second = row
+		}
+		s.last = row
+		s.n++
+	}
+	s.ranges[len(s.ranges)-1].hi = len(body)
+	return s
+}
+
+// cutRow returns b's first line, without its "\n" and one trailing "\r",
+// and the rest of b after it.
+func cutRow(b []byte) (row, rest []byte) {
+	row = b
+	if i := bytes.IndexByte(b, '\n'); i >= 0 {
+		row, rest = b[:i], b[i+1:]
+	}
+	if n := len(row); n > 0 && row[n-1] == '\r' {
+		row = row[:n-1]
+	}
+	return row, rest
+}
+
+// timestamp returns a row's first field.
+func timestamp(row []byte) string {
+	if i := bytes.IndexByte(row, ','); i >= 0 {
+		row = row[:i]
+	}
+	return string(row)
+}
+
+// decodeRows decodes the rows of part, the first of which is row r of the
+// chunk, into cols, stopping at the first bad row.
+func decodeRows(part []byte, r int, cols [][]float64) error {
+	for len(part) > 0 {
+		var row []byte
+		row, part = cutRow(part)
+		if len(row) == 0 {
+			continue
+		}
+		if err := decodeRow(row, r, cols); err != nil {
+			return err
+		}
+		r++
+	}
+	return nil
+}
+
+var comma = []byte{','}
+
+// decodeRow stores row r's samples at index r of cols. The timestamp is
+// read only by the interval checks, so here it is only checked for quotes.
+func decodeRow(line []byte, r int, cols [][]float64) error {
+	if n := 1 + bytes.Count(line, comma); n != len(cols)+1 {
+		return fmt.Errorf("trace: row %d has %d fields, want %d", r+1, n, len(cols)+1)
+	}
+	f, row, _ := bytes.Cut(line, comma)
+	if bytes.IndexByte(f, '"') >= 0 {
+		return fmt.Errorf("trace: row %d: quoted field %q; data fields are bare numbers", r+1, f)
+	}
+	for _, col := range cols {
+		f, row, _ = bytes.Cut(row, comma)
+		v, err := strconv.ParseFloat(string(f), 64)
+		if err != nil {
+			if bytes.IndexByte(f, '"') >= 0 {
+				return fmt.Errorf("trace: row %d: quoted field %q; data fields are bare numbers", r+1, f)
+			}
+			return fmt.Errorf("trace: row %d: bad sample %q: %w", r+1, f, err)
+		}
+		col[r] = v
+	}
+	return nil
 }
 
 // parseTimestamp parses one elapsed-seconds value, rejecting the

@@ -2,8 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +26,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, []string{"vm1", "vm2"}, []*model.Series{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	names, series, err := ReadCSV(&buf)
+	names, series, err := ReadCSV(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestCSVRoundTripExact(t *testing.T) {
 		if err := WriteCSV(&buf, []string{"vm"}, []*model.Series{s}); err != nil {
 			t.Fatalf("interval %v: %v", iv, err)
 		}
-		_, series, err := ReadCSV(&buf)
+		_, series, err := ReadCSV(buf.Bytes())
 		if err != nil {
 			t.Fatalf("interval %v: %v", iv, err)
 		}
@@ -99,7 +105,7 @@ func TestReadCSVDetectsIntervalDrift(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		fmt.Fprintf(&buf, "%.6f,%d\n", float64(i)/3, i)
 	}
-	if _, _, err := ReadCSV(&buf); err == nil {
+	if _, _, err := ReadCSV(buf.Bytes()); err == nil {
 		t.Fatal("drifting timestamps should be rejected")
 	} else if !strings.Contains(err.Error(), "interval") {
 		t.Fatalf("drift error should name the interval, got: %v", err)
@@ -110,7 +116,7 @@ func TestReadCSVDetectsIntervalDrift(t *testing.T) {
 // 6-decimal column (3 decimals) still parse with the exact interval.
 func TestReadCSVLegacyMillisecondTimestamps(t *testing.T) {
 	in := "t,vm1,vm2\n0.000,0.5,3\n5.000,1.25,2\n10.000,2,1\n"
-	names, series, err := ReadCSV(bytes.NewBufferString(in))
+	names, series, err := ReadCSV([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestReadCSVRejectsNonFinite(t *testing.T) {
 		"t,vm\n0.0,1\n1e300,2\n", // interval overflows time.Duration
 	}
 	for _, c := range cases {
-		if _, _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
+		if _, _, err := ReadCSV([]byte(c)); err == nil {
 			t.Errorf("ReadCSV(%q) should have failed", c)
 		}
 	}
@@ -160,8 +166,145 @@ func TestReadCSVErrors(t *testing.T) {
 		"t,vm1\n0.0,one\n1.0,2.0\n",  // bad sample
 	}
 	for _, c := range cases {
-		if _, _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
+		if _, _, err := ReadCSV([]byte(c)); err == nil {
 			t.Errorf("ReadCSV(%q) should have failed", c)
+		}
+	}
+}
+
+// TestReadCSVRangesAtAnyGOMAXPROCS: a body just above seven times the
+// split minimum decodes in up to GOMAXPROCS row ranges into the same
+// samples at every GOMAXPROCS. With a bad sample in any one range, or in
+// several at once, the error names the lowest bad row.
+func TestReadCSVRangesAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// Rows of one length, so a bad sample written in place moves no
+	// range boundary and row r starts at header + r*rowLen.
+	const header, rowLen = len("t,a,b\n"), len("0000000.000000,1.5,0.25\n")
+	var buf bytes.Buffer
+	buf.WriteString("t,a,b\n")
+	rows := 0
+	for ; buf.Len()-header <= 7*minRangeBytes; rows++ {
+		fmt.Fprintf(&buf, "%014.6f,1.5,%d.25\n", float64(rows)*5, rows%10)
+	}
+	clean := buf.Bytes()
+	// One bad row in the middle of each of the seven ranges.
+	split := scanRows(clean[header:], 7)
+	if len(split.ranges) != 7 {
+		t.Fatalf("body splits into %d ranges, want 7", len(split.ranges))
+	}
+	var bad []int
+	for k, rg := range split.ranges {
+		next := rows
+		if k+1 < len(split.ranges) {
+			next = split.ranges[k+1].row
+		}
+		bad = append(bad, (rg.row+next)/2)
+	}
+	withBad := func(rows ...int) []byte {
+		data := bytes.Clone(clean)
+		for _, r := range rows {
+			copy(data[header+r*rowLen+len("0000000.000000,"):], "1x5")
+		}
+		return data
+	}
+	cases := [][]int{bad, bad[1:], {bad[5], bad[3]}}
+	for _, r := range bad {
+		cases = append(cases, []int{r})
+	}
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		if got := len(scanRows(clean[header:], min(procs, (len(clean)-header)/minRangeBytes)).ranges); got != procs {
+			t.Fatalf("GOMAXPROCS %d: %d ranges", procs, got)
+		}
+		_, series, err := ReadCSV(clean)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		for i := 0; i < rows; i++ {
+			if a, b := series[0].At(i), series[1].At(i); a != 1.5 || b != float64(i%10)+0.25 {
+				t.Fatalf("GOMAXPROCS %d: row %d decoded as %v, %v", procs, i+1, a, b)
+			}
+		}
+		for _, c := range cases {
+			_, _, err := ReadCSV(withBad(c...))
+			want := fmt.Sprintf("trace: row %d: bad sample", slices.Min(c)+1)
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("GOMAXPROCS %d, bad rows %v: err = %v, want %q…", procs, c, err, want)
+			}
+		}
+	}
+}
+
+// referenceWriteCSV is the encoder WriteCSV replaced, kept as its
+// reference: one FormatFloat string per sample, one csv.Writer.Write per
+// row. Shape checks are WriteCSV's own and are not repeated here.
+func referenceWriteCSV(w io.Writer, names []string, series []*model.Series) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(append([]string{"t"}, names...)); err != nil {
+		return err
+	}
+	iv := series[0].Interval()
+	row := make([]string, len(series)+1)
+	for i := 0; i < series[0].Len(); i++ {
+		row[0] = strconv.FormatFloat(float64(i)*iv.Seconds(), 'f', timestampDecimals, 64)
+		for j, s := range series {
+			row[j+1] = strconv.FormatFloat(s.At(i), 'f', -1, 64)
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// TestWriteCSVMatchesCSVWriter: formatting rows into one buffer writes
+// the bytes the csv.Writer encoder wrote, for names that need quoting and
+// for every kind of float64.
+func TestWriteCSVMatchesCSVWriter(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	maxSubnormal := math.Float64frombits(1<<52 - 1)
+	rng := rand.New(rand.NewSource(1))
+	noisy := make([]float64, 500)
+	for i := range noisy {
+		noisy[i] = math.Exp(rng.NormFloat64() * 3)
+	}
+	cases := []struct {
+		name    string
+		iv      time.Duration
+		names   []string
+		samples [][]float64
+	}{
+		{"one VM", 5 * time.Second, []string{"vm00.g0"}, [][]float64{noisy}},
+		{"names needing quotes", time.Minute,
+			[]string{"a,b", `q"uote`, "new\nline"},
+			[][]float64{{1, 2, 3}, {0.5, 0.25, 0.125}, {1e-9, 1e9, 123456.789}}},
+		{"more quoting", 83 * time.Millisecond,
+			[]string{" lead", "cr\rhere", ""},
+			[][]float64{{1, 2}, {3, 4}, {5, 6}}},
+		{"special values", 500 * time.Microsecond,
+			[]string{"nan-inf", "zeros", "subnormal"},
+			[][]float64{
+				{math.NaN(), math.Inf(1), math.Inf(-1), 1},
+				{negZero, 0, -1, -0.5},
+				{math.SmallestNonzeroFloat64, maxSubnormal, -math.SmallestNonzeroFloat64, math.MaxFloat64},
+			}},
+	}
+	for _, c := range cases {
+		series := make([]*model.Series, len(c.samples))
+		for j, s := range c.samples {
+			series[j] = model.SeriesFromSamples(c.iv, s)
+		}
+		var got, want bytes.Buffer
+		if err := WriteCSV(&got, c.names, series); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := referenceWriteCSV(&want, c.names, series); err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteCSV wrote\n%q\nthe csv.Writer encoder wrote\n%q", c.name, got.Bytes(), want.Bytes())
 		}
 	}
 }

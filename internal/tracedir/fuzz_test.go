@@ -15,9 +15,9 @@ import (
 // chunk bytes under every file name the manifest lists.
 type memFetcher struct{ manifest, chunk []byte }
 
-func (f memFetcher) Manifest(context.Context) ([]byte, error)      { return f.manifest, nil }
-func (f memFetcher) Chunk(context.Context, string) ([]byte, error) { return f.chunk, nil }
-func (f memFetcher) Where(name string) string                      { return "mem/" + name }
+func (f memFetcher) Manifest(context.Context) ([]byte, error)              { return f.manifest, nil }
+func (f memFetcher) Chunk(context.Context, string, []byte) ([]byte, error) { return f.chunk, nil }
+func (f memFetcher) Where(name string) string                              { return "mem/" + name }
 
 // FuzzManifest feeds arbitrary manifest and chunk bytes through the
 // recorded-trace read path — ReadManifestFrom, OpenFrom, Materialize. No

@@ -23,13 +23,13 @@
 package tracedir
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -170,8 +170,12 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 type ChunkFetcher interface {
 	// Manifest fetches the raw manifest bytes.
 	Manifest(ctx context.Context) ([]byte, error)
-	// Chunk fetches one chunk file's raw bytes by its manifest name.
-	Chunk(ctx context.Context, name string) ([]byte, error)
+	// Chunk fetches one chunk file's raw bytes by its manifest name. It
+	// may read them into buf's storage, growing it as needed, and return
+	// that storage: a stream passes the bytes of its previous chunk back
+	// as buf, so one buffer serves every chunk. The caller only reads
+	// the returned bytes, and only until its next Chunk call.
+	Chunk(ctx context.Context, name string, buf []byte) ([]byte, error)
 	// Where describes the named object's location for error text — a
 	// joined filesystem path, a URL.
 	Where(name string) string
@@ -189,9 +193,33 @@ func (f DirFetcher) Manifest(context.Context) ([]byte, error) {
 	return os.ReadFile(filepath.Join(f.Dir, ManifestName))
 }
 
-// Chunk implements ChunkFetcher.
-func (f DirFetcher) Chunk(_ context.Context, name string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(f.Dir, name))
+// Chunk implements ChunkFetcher: the file is read into buf's storage.
+func (f DirFetcher) Chunk(_ context.Context, name string, buf []byte) ([]byte, error) {
+	file, err := os.Open(filepath.Join(f.Dir, name))
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	// Size the buffer from the file's size, plus one byte for the read
+	// that reports EOF, as os.ReadFile does.
+	size := 0
+	if info, err := file.Stat(); err == nil && int64(int(info.Size())) == info.Size() {
+		size = int(info.Size())
+	}
+	buf = slices.Grow(buf[:0], size+1)
+	for {
+		n, err := file.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 1)
+		}
+	}
 }
 
 // Where implements ChunkFetcher.
@@ -336,11 +364,12 @@ func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, 
 // shares, so the records (and every validation error past the transport)
 // are identical whether the bytes came from a local directory or an
 // object store. Each chunk is verified against the manifest's column
-// order, interval, and sample count; its raw bytes are released once
-// parsed, and emitted records are dropped from the reader as they leave,
-// so residency is bounded by one chunk regardless of recording size. The
-// context covers the whole stream: it is threaded through every chunk
-// fetch and checked between records.
+// order, interval, and sample count; the stream hands each chunk's bytes
+// back to the fetcher as the buffer for the next, and emitted records are
+// dropped from the reader as they leave, so residency is bounded by one
+// chunk regardless of recording size. The context covers the whole
+// stream: it is threaded through every chunk fetch and checked between
+// records.
 func OpenFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (model.DatasetReader, error) {
 	m, err := ReadManifestFrom(ctx, f)
 	if err != nil {
@@ -367,6 +396,7 @@ type streamReader struct {
 	iv  time.Duration
 
 	fileIdx int              // next manifest file to fetch
+	buf     []byte           // the last chunk's bytes, reused for the next
 	pending []model.VMRecord // records parsed from the current chunk
 	pi      int              // next pending record to emit
 	vmIdx   int              // canonical index of the next record
@@ -376,10 +406,11 @@ type streamReader struct {
 // Len implements model.DatasetReader: the manifest's VM count.
 func (r *streamReader) Len() int { return len(r.m.Names) }
 
-// Close implements model.DatasetReader: drop whatever chunk is resident.
-// Closing mid-stream is how a consumer abandons a recording early.
+// Close implements model.DatasetReader: drop whatever chunk is resident,
+// and the chunk buffer. Closing mid-stream is how a consumer abandons a
+// recording early.
 func (r *streamReader) Close() error {
-	r.pending, r.pi = nil, 0
+	r.buf, r.pending, r.pi = nil, nil, 0
 	if r.err == nil {
 		r.err = fmt.Errorf("tracedir: read after Close: %w", os.ErrClosed)
 	}
@@ -417,9 +448,14 @@ func (r *streamReader) Next() (model.VMRecord, error) {
 // loadChunk fetches, parses, and verifies one chunk, replacing the pending
 // records.
 func (r *streamReader) loadChunk(entry FileEntry) error {
-	names, series, err := readChunk(r.ctx, r.f, entry.File)
+	data, err := r.f.Chunk(r.ctx, entry.File, r.buf)
 	if err != nil {
-		return err
+		return fmt.Errorf("tracedir: %w", err)
+	}
+	r.buf = data
+	names, series, err := trace.ReadCSV(data)
+	if err != nil {
+		return fmt.Errorf("tracedir: read %s: %w", r.f.Where(entry.File), err)
 	}
 	if len(names) != len(entry.Names) {
 		return fmt.Errorf("tracedir: %s holds %d VMs, manifest lists %d",
@@ -449,17 +485,4 @@ func (r *streamReader) loadChunk(entry FileEntry) error {
 	}
 	r.pending, r.pi = recs, 0
 	return nil
-}
-
-// readChunk fetches and parses one CSV chunk.
-func readChunk(ctx context.Context, f ChunkFetcher, name string) ([]string, []*model.Series, error) {
-	data, err := f.Chunk(ctx, name)
-	if err != nil {
-		return nil, nil, fmt.Errorf("tracedir: %w", err)
-	}
-	names, series, err := trace.ReadCSV(bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, fmt.Errorf("tracedir: read %s: %w", f.Where(name), err)
-	}
-	return names, series, nil
 }

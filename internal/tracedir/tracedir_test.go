@@ -246,3 +246,78 @@ func TestWriteRejectsBadDatasets(t *testing.T) {
 		t.Errorf("fractional horizon: err = %v", err)
 	}
 }
+
+// bufFetcher is a DirFetcher that records the buffer each Chunk call is
+// handed and the bytes it returns.
+type bufFetcher struct {
+	DirFetcher
+	passed, returned [][]byte
+}
+
+func (f *bufFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
+	data, err := f.DirFetcher.Chunk(ctx, name, buf)
+	f.passed = append(f.passed, buf)
+	f.returned = append(f.returned, data)
+	return data, err
+}
+
+// sameStorage reports whether two non-empty slices start at one address.
+func sameStorage(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// TestStreamReusesChunkBuffer: the stream hands each chunk's bytes back
+// as the buffer for the next, and loading chunk k+1 into that storage
+// leaves every name and sample of chunk k's records unchanged. Close
+// drops the buffer.
+func TestStreamReusesChunkBuffer(t *testing.T) {
+	dir := t.TempDir()
+	ds := testDataset(6) // two chunks of equal byte size
+	if err := Write(dir, ds, 3); err != nil {
+		t.Fatal(err)
+	}
+	f := &bufFetcher{DirFetcher: DirFetcher{Dir: dir}}
+	r, err := OpenFrom(context.Background(), f, model.Workload{Kind: "trace-dir"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []model.VMRecord
+	var bits [][]float64
+	for i := 0; i < 3; i++ {
+		rec, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+		bits = append(bits, append([]float64(nil), rec.Fine.Samples()...))
+	}
+	if _, err := r.Next(); err != nil { // loads chunk 1
+		t.Fatal(err)
+	}
+	if len(f.passed) != 2 {
+		t.Fatalf("%d Chunk calls, want 2", len(f.passed))
+	}
+	if f.passed[0] != nil {
+		t.Fatalf("first Chunk call handed a %d-byte buffer, want none", len(f.passed[0]))
+	}
+	if !sameStorage(f.passed[1], f.returned[0]) || !sameStorage(f.returned[1], f.returned[0]) {
+		t.Fatal("chunk 1 was not read into chunk 0's buffer")
+	}
+	for i, rec := range recs {
+		if rec.Name != ds.Names[i] {
+			t.Errorf("record %d renamed %q after the next chunk loaded, want %q", i, rec.Name, ds.Names[i])
+		}
+		for j, v := range rec.Fine.Samples() {
+			if v != bits[i][j] || v != ds.Fine[i].At(j) {
+				t.Fatalf("record %d sample %d changed to %v after the next chunk loaded (read %v, wrote %v)",
+					i, j, v, bits[i][j], ds.Fine[i].At(j))
+			}
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf := r.(*streamReader).buf; buf != nil {
+		t.Fatalf("Close kept a %d-byte chunk buffer", len(buf))
+	}
+}

@@ -39,10 +39,19 @@ var (
 // generator defaults, mirroring Scenario.withDefaults.
 type synthSource struct{ uncorrelated bool }
 
+// maxSynthSamples bounds the float64 samples a synthetic workload makes
+// its generator and run hold: every group's coarse profile, allocated
+// before the first VM, plus every VM's fine series, which a run keeps.
+// Like maxServersLimit it keeps one small untrusted scenario from asking
+// for hundreds of gigabytes. 1<<28 samples are 2 GiB; the repository's
+// largest synthetic workload (2,000 VMs over 6 h) holds 3% of that, and
+// 10,000 VMs over 24 h hold 64%.
+const maxSynthSamples = 1 << 28
+
 // Check implements model.WorkloadSource. Synthesis needs no I/O, so the
 // only fail-fast conditions are configuration errors: a path (synthetic
-// kinds read nothing from disk) or negative counts, which would otherwise
-// silently select the defaults.
+// kinds read nothing from disk), negative counts, which would otherwise
+// silently select the defaults, and a population too large to hold.
 func (s synthSource) Check(w model.Workload) error {
 	if w.Path != "" {
 		return fmt.Errorf("dcsim: workload kind %q is synthetic and does not read a path (got %q)", w.Kind, w.Path)
@@ -59,13 +68,24 @@ func (s synthSource) Check(w model.Workload) error {
 		return fmt.Errorf("dcsim: workload kind %q needs hours at most %d (the longest time.Duration), got %d",
 			w.Kind, maxHours, w.Hours)
 	}
+	// Count in float64: the product of unchecked counts can overflow an
+	// int64, and every count below the limit is exact.
+	cfg := s.config(w)
+	if s.uncorrelated {
+		cfg.Groups = cfg.VMs
+	}
+	coarse := float64(cfg.Day / cfg.CoarseInterval)
+	if n := coarse * (float64(cfg.Groups) + float64(cfg.VMs)*float64(cfg.FineFactor)); n > maxSynthSamples {
+		return fmt.Errorf("dcsim: workload kind %q would hold %.0f samples (%d group profiles and %d VMs over %d h), more than the limit of %d",
+			w.Kind, n, cfg.Groups, cfg.VMs, cfg.Day/time.Hour, maxSynthSamples)
+	}
 	return nil
 }
 
 // Open implements model.WorkloadSource, deterministically in the seed: the
 // generator emits VM by VM, so large synthetic populations never exist as
 // a whole Dataset — the state behind the stream is the shared group
-// profiles plus one record in flight.
+// profiles plus one batch of GOMAXPROCS records in flight.
 func (s synthSource) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
 	if err := s.Check(w); err != nil {
 		return nil, err

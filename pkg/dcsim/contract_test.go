@@ -14,6 +14,16 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
+// registrations numbers this file's registrations. The registries are
+// process-global and reject duplicates, so each registering test suffixes
+// its names to run more than once per process (-count, a -cpu list).
+var registrations atomic.Int64
+
+// uniqueName returns name with a suffix no earlier registration used.
+func uniqueName(name string) string {
+	return fmt.Sprintf("%s-%d", name, registrations.Add(1))
+}
+
 // onePerServer places VM i on server i — the simplest possible external
 // policy, written against model types alone.
 type onePerServer struct{}
@@ -55,7 +65,8 @@ func TestOutOfTreeComponentsThroughFacade(t *testing.T) {
 	var _ model.Policy = onePerServer{}
 	var _ model.Predictor = meanOf{}
 
-	dcsim.RegisterPolicy("one-per-server-test", func(b *dcsim.Build) (model.Policy, error) {
+	policy, predictor := uniqueName("one-per-server-test"), uniqueName("mean-of-history-test")
+	dcsim.RegisterPolicy(policy, func(b *dcsim.Build) (model.Policy, error) {
 		// External factories get the same Build the built-ins do: the
 		// shared cost source and the params contract are available.
 		if b.NVMs < 1 {
@@ -63,7 +74,7 @@ func TestOutOfTreeComponentsThroughFacade(t *testing.T) {
 		}
 		return onePerServer{}, nil
 	})
-	dcsim.RegisterPredictor("mean-of-history-test", func(*dcsim.Build) (model.Predictor, error) {
+	dcsim.RegisterPredictor(predictor, func(*dcsim.Build) (model.Predictor, error) {
 		return meanOf{}, nil
 	})
 
@@ -72,9 +83,9 @@ func TestOutOfTreeComponentsThroughFacade(t *testing.T) {
 		dcsim.WithGroups(2),
 		dcsim.WithHours(3),
 		dcsim.WithMaxServers(8),
-		dcsim.WithPolicy("one-per-server-test"),
+		dcsim.WithPolicy(policy),
 		dcsim.WithGovernor("worst-case"),
-		dcsim.WithPredictor("mean-of-history-test"),
+		dcsim.WithPredictor(predictor),
 	)
 	res, err := dcsim.Run(context.Background(), sc)
 	if err != nil {
@@ -91,7 +102,8 @@ func TestOutOfTreeComponentsThroughFacade(t *testing.T) {
 
 func TestExternalGovernorThroughFacade(t *testing.T) {
 	// A fixed-top-level governor implemented on model types only.
-	dcsim.RegisterGovernor("always-fmax-test", func(*dcsim.Build) (model.Governor, error) {
+	governor := uniqueName("always-fmax-test")
+	dcsim.RegisterGovernor(governor, func(*dcsim.Build) (model.Governor, error) {
 		return fmaxGovernor{}, nil
 	})
 	sc := dcsim.New(
@@ -100,7 +112,7 @@ func TestExternalGovernorThroughFacade(t *testing.T) {
 		dcsim.WithHours(3),
 		dcsim.WithMaxServers(4),
 		dcsim.WithPolicy("bfd"),
-		dcsim.WithGovernor("always-fmax-test"),
+		dcsim.WithGovernor(governor),
 	)
 	res, err := dcsim.Run(context.Background(), sc)
 	if err != nil {
@@ -148,11 +160,12 @@ func (flatSource) Open(_ context.Context, w model.Workload) (model.DatasetReader
 // recorded and object-store trace sources plug into.
 func TestOutOfTreeWorkloadSourceThroughFacade(t *testing.T) {
 	var _ dcsim.WorkloadSource = flatSource{}
-	dcsim.RegisterWorkload("flat-test", flatSource{})
+	kind := uniqueName("flat-test")
+	dcsim.RegisterWorkload(kind, flatSource{})
 
 	found := false
 	for _, k := range dcsim.WorkloadKinds() {
-		if k == "flat-test" {
+		if k == kind {
 			found = true
 		}
 	}
@@ -161,7 +174,7 @@ func TestOutOfTreeWorkloadSourceThroughFacade(t *testing.T) {
 	}
 
 	sc := dcsim.New(
-		dcsim.WithWorkloadKind("flat-test"),
+		dcsim.WithWorkloadKind(kind),
 		dcsim.WithVMs(6),
 		dcsim.WithGroups(1),
 		dcsim.WithHours(2),
@@ -204,9 +217,10 @@ func (c *countingSource) Open(ctx context.Context, w model.Workload) (model.Data
 // preflight checks once and opens nothing.
 func TestEveryIngestOpensSourceOnce(t *testing.T) {
 	src := &countingSource{}
-	dcsim.RegisterWorkload("counting-test", src)
+	kind := uniqueName("counting-test")
+	dcsim.RegisterWorkload(kind, src)
 	sc := dcsim.New(
-		dcsim.WithWorkloadKind("counting-test"),
+		dcsim.WithWorkloadKind(kind),
 		dcsim.WithVMs(4),
 		dcsim.WithGroups(1),
 		dcsim.WithHours(1),

@@ -50,8 +50,7 @@ func Run(ctx context.Context, sc Scenario, obs ...Observer) (*Result, error) {
 	if err := sc.lookupErr(); err != nil {
 		return nil, err
 	}
-	// The workload arrives VM by VM, chunk buffers dropped as records
-	// land, cancellable between records.
+	// The workload arrives VM by VM, cancellable between records.
 	vms, err := vmsFor(ctx, sc.Workload)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/place"
@@ -125,10 +126,16 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 	RegisterPolicy("bfd", func(*Build) (Policy, error) { return nil, nil })
 }
 
+// customPolicies numbers TestRegisterCustomPolicy's registrations: the
+// registry is process-global and rejects duplicates, so each run of the
+// test (-count, a -cpu list) registers its own name.
+var customPolicies atomic.Int64
+
 func TestRegisterCustomPolicy(t *testing.T) {
-	RegisterPolicy("ffd-custom-test", func(*Build) (Policy, error) { return place.FFD{}, nil })
+	name := fmt.Sprintf("ffd-custom-test-%d", customPolicies.Add(1))
+	RegisterPolicy(name, func(*Build) (Policy, error) { return place.FFD{}, nil })
 	res, err := Run(context.Background(), New(append(smallOpts(),
-		WithPolicy("ffd-custom-test"), WithGovernor("worst-case"))...))
+		WithPolicy(name), WithGovernor("worst-case"))...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +144,7 @@ func TestRegisterCustomPolicy(t *testing.T) {
 	}
 	found := false
 	for _, n := range Policies() {
-		if n == "ffd-custom-test" {
+		if n == name {
 			found = true
 		}
 	}
@@ -286,9 +293,46 @@ func TestHoursOverflowRejected(t *testing.T) {
 			}
 		}()
 	}
-	// The longest representable horizon still validates; it is not run.
-	if err := CheckScenario(New(WithVMs(4), WithHours(2562047))); err != nil {
-		t.Errorf("hours 2562047: %v", err)
+	// The longest representable horizon passes the overflow check and
+	// fails only on the synthetic size bound (TestSyntheticSizeBounded).
+	if err := CheckScenario(New(WithVMs(4), WithHours(2562047))); err == nil ||
+		strings.Contains(err.Error(), "time.Duration") || !strings.Contains(err.Error(), "samples") {
+		t.Errorf("hours 2562047: %v, want only the sample bound's error", err)
+	}
+}
+
+// TestSyntheticSizeBounded: the synthetic generator holds every group's
+// coarse profile and a run every VM's fine series, so a tiny scenario
+// could ask for hundreds of gigabytes. Validation rejects a workload over
+// maxSynthSamples with a dcsim: error naming the count and the limit,
+// counted after defaults; nothing here is run, so nothing is allocated.
+func TestSyntheticSizeBounded(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		kind               string
+		vms, groups, hours int
+		samples            string
+	}{
+		{"groups", "datacenter", 4, 100000000, 24, "28800069120"},
+		{"hours", "datacenter", 40, 0, 100000, "2889600000"},
+		{"vms", "datacenter", 100000000, 0, 1, "72000000096"},
+		// uncorrelated holds one group profile per VM.
+		{"uncorrelated", "uncorrelated", 100000000, 0, 1, "73200000000"},
+	} {
+		sc := New(WithWorkloadKind(c.kind), WithVMs(c.vms), WithGroups(c.groups), WithHours(c.hours))
+		err := CheckScenario(sc)
+		if err == nil || !strings.HasPrefix(err.Error(), "dcsim: ") ||
+			!strings.Contains(err.Error(), c.samples+" samples") ||
+			!strings.Contains(err.Error(), fmt.Sprint(maxSynthSamples)) {
+			t.Errorf("%s: CheckScenario err = %v, want a dcsim: error naming %s samples and the limit", c.name, err, c.samples)
+		}
+	}
+	for _, c := range []struct{ vms, hours int }{{2000, 6}, {2000, 24}, {10000, 24}} {
+		for _, kind := range []string{"datacenter", "uncorrelated"} {
+			if err := CheckScenario(New(WithWorkloadKind(kind), WithVMs(c.vms), WithHours(c.hours))); err != nil {
+				t.Errorf("%s %d VMs × %d h: %v", kind, c.vms, c.hours, err)
+			}
+		}
 	}
 }
 

@@ -175,6 +175,27 @@ func TestSubmitRejectsOverflowingHours(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedSyntheticWorkload: one grid cell whose
+// synthetic population would hold more samples than the generator bound
+// (here 100M group profiles for 4 VMs, ~230 GB) is rejected at Submit,
+// before any job could allocate it.
+func TestSubmitRejectsOversizedSyntheticWorkload(t *testing.T) {
+	huge := dcsim.Workload{VMs: 4, Groups: 100000000, Hours: 24}
+	// Stop here where the bound is missing: a queued job would allocate.
+	if err := dcsim.CheckScenario(dcsim.Scenario{Workload: huge}); err == nil {
+		t.Fatal("CheckScenario accepted 100M group profiles")
+	}
+	// The gate is never released, so no cell of this grid runs.
+	m := NewManager(Config{Executor: newGateExecutor()})
+	defer m.Close()
+	g := tinyGrid()
+	g.Base.Workload = dcsim.Workload{VMs: huge.VMs, Hours: huge.Hours}
+	g.Axes = append(g.Axes, sweep.Axis{Field: "groups", Values: []any{2, huge.Groups}})
+	if _, err := m.Submit(g); err == nil || !strings.Contains(err.Error(), "samples") {
+		t.Fatalf("submit of a 100M-group cell = %v, want a sample-bound error", err)
+	}
+}
+
 func TestQueueFullAndSkipCancelledQueued(t *testing.T) {
 	gate := newGateExecutor()
 	m := NewManager(Config{QueueCapacity: 2, Concurrency: 1, Workers: 1, Executor: gate})

@@ -8,8 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/objstore"
 	"repro/pkg/dcsim/model"
@@ -136,6 +139,52 @@ func TestRunCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, New(smallOpts()...)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// cancelOnErr is a context cancelled by its own Err call number n: the
+// synthetic stream checks the context once per record, so this cancels a
+// datacenter ingest between two given records, mid-batch.
+type cancelOnErr struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	n      int64
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestRunCancelledDuringSyntheticIngest: cancelling while a datacenter
+// workload is being refined in batches on goroutines makes Run return the
+// context's error, and leaves no goroutine behind.
+func TestRunCancelledDuringSyntheticIngest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	start := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Batches hold four records. The sixth Err call, before record 5,
+	// cancels with the second batch (records 4-7) partly emitted.
+	cctx := &cancelOnErr{Context: ctx, cancel: cancel, n: 6}
+	sc := New(WithVMs(40), WithGroups(4), WithHours(2), WithMaxServers(20))
+	if _, err := Run(cctx, sc); !errors.Is(err, context.Canceled) || err != ctx.Err() {
+		t.Fatalf("Run cancelled mid-ingest = %v, want the context's error %v", err, ctx.Err())
+	}
+	if n := cctx.calls.Load(); n != 6 {
+		t.Fatalf("ingest checked the context %d times, want 6: the cancel did not land mid-ingest", n)
+	}
+	// A goroutine that has signalled its WaitGroup may still be exiting;
+	// wait for the count to settle rather than sample it once.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run returned, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

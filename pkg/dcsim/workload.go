@@ -117,8 +117,7 @@ func OpenTraces(ctx context.Context, w Workload) (model.DatasetReader, error) {
 
 // vmsFor is the engine's workload ingest: stream the records into VMs over
 // their fine series, which the simulator's time-major per-sample
-// accounting walks, dropping each record's chunk-buffer backing as it
-// arrives. Cancelling ctx stops the ingest between VM records.
+// accounting walks. Cancelling ctx stops the ingest between VM records.
 func vmsFor(ctx context.Context, w Workload) ([]*VM, error) {
 	r, err := OpenTraces(ctx, w)
 	if err != nil {
