@@ -31,8 +31,10 @@ const timestampDecimals = 6
 const maxIntervalSeconds = float64(math.MaxInt64) / float64(time.Second)
 
 // minRangeBytes is the smallest share of a chunk body ReadCSV decodes on
-// a goroutine of its own: below it, starting the goroutine costs more than
-// the rows it would parse.
+// a goroutine of its own, so a small chunk (a test fixture, a short
+// recording) decodes serially. It is a floor, not a measured crossover: a
+// 64 KiB range holds a few thousand samples, far more parsing than the
+// microsecond or so a goroutine costs to start and join.
 const minRangeBytes = 64 << 10
 
 // WriteCSV writes a set of named series sharing interval and length as CSV:
@@ -99,9 +101,10 @@ func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 // The header is read by encoding/csv, so VM names may be quoted. Data rows
 // are bare numbers: a row ends at "\n" with one trailing "\r" dropped,
 // blank rows are skipped, and fields split at ",". A quoted data field is
-// rejected. The rows are decoded in up to GOMAXPROCS contiguous ranges of
-// at least minRangeBytes; when several rows are bad, the error names the
-// lowest one.
+// rejected, and so is a body too short to hold its rows' fields, before
+// any column is allocated. The rows are decoded in up to GOMAXPROCS
+// contiguous ranges of at least minRangeBytes; when several rows are bad,
+// the error names the lowest one.
 func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 	cr := csv.NewReader(bytes.NewReader(data))
 	header, err := cr.Read()
@@ -148,6 +151,15 @@ func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 		return nil, nil, fmt.Errorf(
 			"trace: last timestamp %v does not match %d samples at the recovered interval %v (want %v); interval not representable or timestamps inconsistent",
 			last, rows.n, iv, wantLast)
+	}
+	// A row holds len(names)+1 fields of at least one byte each, but for
+	// a middle row's timestamp, which is never parsed and may be empty,
+	// and every row but the last ends in "\n": 2·len(names)+1 bytes. A
+	// body too short for its row count is corrupt, and is rejected here,
+	// before the columns (rows × names samples) are allocated from it.
+	if rows.n > (len(body)+1)/(2*len(names)+1) {
+		return nil, nil, fmt.Errorf("trace: %d rows of %d fields do not fit in %d bytes; rows are missing fields",
+			rows.n, len(names)+1, len(body))
 	}
 	cols := make([][]float64, len(names))
 	for j := range cols {

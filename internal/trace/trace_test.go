@@ -172,6 +172,36 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVShortRowsAllocateLittle: a wide header over as many
+// timestamp-only rows passes the interval checks, but the rows cannot hold
+// the header's fields. ReadCSV must reject it without allocating the
+// rows × names columns (128 MB here): decode memory stays linear in the
+// input.
+func TestReadCSVShortRowsAllocateLittle(t *testing.T) {
+	const width = 4000
+	var buf bytes.Buffer
+	buf.WriteString("t")
+	for j := 0; j < width; j++ {
+		fmt.Fprintf(&buf, ",v%d", j)
+	}
+	buf.WriteString("\n")
+	for i := 0; i < width; i++ {
+		fmt.Fprintf(&buf, "%d\n", i)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadCSV(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadCSV accepted rows missing their fields")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32*uint64(len(data)) {
+		t.Errorf("ReadCSV allocated %d bytes rejecting a %d-byte input (%v)", alloc, len(data), err)
+	}
+}
+
 // TestReadCSVRangesAtAnyGOMAXPROCS: a body just above seven times the
 // split minimum decodes in up to GOMAXPROCS row ranges into the same
 // samples at every GOMAXPROCS. With a bad sample in any one range, or in

@@ -23,6 +23,7 @@
 package tracedir
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -200,26 +201,15 @@ func (f DirFetcher) Chunk(_ context.Context, name string, buf []byte) ([]byte, e
 		return nil, err
 	}
 	defer file.Close()
-	// Size the buffer from the file's size, plus one byte for the read
-	// that reports EOF, as os.ReadFile does.
+	// Room for the whole file and the read that reports EOF, so a chunk
+	// that fits buf's storage is read into it without growing it.
 	size := 0
 	if info, err := file.Stat(); err == nil && int64(int(info.Size())) == info.Size() {
 		size = int(info.Size())
 	}
-	buf = slices.Grow(buf[:0], size+1)
-	for {
-		n, err := file.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, 1)
-		}
-	}
+	b := bytes.NewBuffer(slices.Grow(buf[:0], size+bytes.MinRead))
+	_, err = b.ReadFrom(file)
+	return b.Bytes(), err
 }
 
 // Where implements ChunkFetcher.
