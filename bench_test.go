@@ -167,7 +167,7 @@ func BenchmarkAblationMetric(b *testing.B) {
 
 // --- microbenchmarks on the core machinery ---
 
-// BenchmarkCostMatrixUpdate measures one streaming sample update: at the
+// BenchmarkCostMatrixUpdate measures the streaming sample update: at the
 // paper's 40-VM scale (780 pairs), and at bench/'s 400-VM corr-aware and
 // the 2k-VM scale, where the n(n−1)/2 pair peaks dominate a run. ns/pair
 // is the per-pair cost of the Eqn-1 update.
@@ -185,15 +185,29 @@ func BenchmarkCostMatrixUpdateP95(b *testing.B) {
 	benchMatrixUpdate(b, core.NewCostMatrix(40, 0.95))
 }
 
+// benchMatrixUpdate feeds m a stream: each VM has a period of 720
+// distinct lognormal samples (one hour at 5 s) from a fixed seed, and the
+// window restarts every period, so peaks keep moving as they do in a run.
+// One fixed sample would stop moving every peak after its first Add.
 func benchMatrixUpdate(b *testing.B, m *core.CostMatrix) {
+	const period = 720
 	n := m.N()
 	rng := rand.New(rand.NewSource(1))
-	sample := make([]float64, n)
-	for i := range sample {
-		sample[i] = rng.Float64() * 4
+	samples := make([][]float64, period)
+	for k := range samples {
+		samples[k] = make([]float64, n)
+		for i := range samples[k] {
+			samples[k][i] = math.Exp(rng.NormFloat64() * 0.5)
+		}
 	}
+	k := 0
 	for b.Loop() {
-		m.Add(sample)
+		if k == period {
+			k = 0
+			m.Reset()
+		}
+		m.Add(samples[k])
+		k++
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*(n-1)/2), "ns/pair")
 }

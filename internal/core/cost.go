@@ -6,6 +6,7 @@ package core
 
 import (
 	"math"
+	"unsafe"
 
 	"repro/internal/stats"
 	"repro/pkg/dcsim/model"
@@ -26,6 +27,11 @@ import (
 // Cost is at least ~1 (peaks of the sum cannot exceed the sum of peaks) and
 // grows as the VMs' peaks interleave; higher cost = lower correlation =
 // better co-location candidates.
+//
+// With a peak reference, Add updates the pair peaks one triangle row at a
+// time through peakRow: an SSE2 kernel on amd64 (peak_amd64.s, declared in
+// peak_amd64.go) and the Go loop peakRowGeneric elsewhere (peak_other.go).
+// Both leave every peak with the same bits.
 type CostMatrix struct {
 	n       int
 	samples int // samples fed into the current window
@@ -60,6 +66,19 @@ func NewCostMatrix(n int, pctl float64) *CostMatrix {
 	}
 	m.peak = make([]float64, entries)
 	return m
+}
+
+// CostMatrixBytes is the memory NewCostMatrix(n, pctl) allocates for its
+// n + n(n−1)/2 entries: a float64 peak each, or with a percentile
+// reference a pointer to a P² estimator and the estimator. It is a float64
+// so that no n overflows it.
+func CostMatrixBytes(n int, pctl float64) float64 {
+	per := float64(unsafe.Sizeof(float64(0)))
+	if pctl < 1 {
+		per = float64(unsafe.Sizeof(&stats.P2Quantile{}) + unsafe.Sizeof(stats.P2Quantile{}))
+	}
+	entries := float64(n) + float64(n)*float64(n-1)/2
+	return entries * per
 }
 
 // N returns the number of VMs tracked.
@@ -102,12 +121,20 @@ func (m *CostMatrix) Add(sample []float64) {
 	rows := m.peak[m.n:]
 	for i, v := range sample {
 		rest := sample[i+1:]
-		row := rows[:len(rest)]
+		peakRow(rows[:len(rest)], rest, v)
 		rows = rows[len(rest):]
-		for j, w := range rest {
-			if s := v + w; s > row[j] {
-				row[j] = s
-			}
+	}
+}
+
+// peakRowGeneric is the Go form of peakRow: it raises each row[j] to
+// v + rest[j] where that sum is larger, keeping row[j] on ties and NaN.
+// It is peakRow on every architecture without a kernel, and the reference
+// the amd64 kernel is tested against bit for bit.
+func peakRowGeneric(row, rest []float64, v float64) {
+	row = row[:len(rest)]
+	for j, w := range rest {
+		if s := v + w; s > row[j] {
+			row[j] = s
 		}
 	}
 }

@@ -125,6 +125,24 @@ func newCostSource(n int, pctl float64) model.CostSource {
 	return core.NewCostMatrix(n, pctl)
 }
 
+// maxMatrixBytes bounds the memory of a run's shared cost matrix, which
+// holds a peak or a P² estimator for every VM and every VM pair and is
+// allocated whole before the first sample. Like maxSynthSamples it keeps
+// one small untrusted scenario from asking for hundreds of gigabytes, and
+// it is the same 2 GiB: exact peaks for up to 23,169 VMs, or percentile
+// estimators for up to 4,378.
+const maxMatrixBytes = 2 << 30
+
+// costSourceErr reports a cost matrix for n VMs at reference percentile
+// pctl that would take more than maxMatrixBytes, without allocating it.
+func costSourceErr(n int, pctl float64) error {
+	if size := core.CostMatrixBytes(n, pctl); size > maxMatrixBytes {
+		return fmt.Errorf("dcsim: the cost matrix for %d VMs (pctl %v) would take %.0f bytes, more than the limit of %d",
+			n, pctl, size, int64(maxMatrixBytes))
+	}
+	return nil
+}
+
 func init() {
 	// Workload backends: the two synthetic generators the paper's Setup 2
 	// uses, plus the recorded-trace readers — the same manifest+chunks

@@ -86,6 +86,13 @@ func CheckScenario(sc Scenario) error {
 	if _, err := NewPredictor(sc.Predictor, b); err != nil {
 		return err
 	}
+	// The dry build's matrix is sized for 2 VMs; bound the run's by the
+	// VM count the workload declares.
+	if b.matrix != nil && sc.Workload.VMs > 0 {
+		if err := costSourceErr(sc.Workload.VMs, b.refPctl()); err != nil {
+			return err
+		}
+	}
 	return b.unusedParamErr()
 }
 
@@ -150,6 +157,9 @@ func runResolved(ctx context.Context, vms []*VM, sc Scenario, obs []Observer) (*
 	// select), not silently ignored defaults.
 	if err := b.unusedParamErr(); err != nil {
 		return nil, err
+	}
+	if b.matrixErr != nil {
+		return nil, b.matrixErr
 	}
 
 	cfg := sim.Config{

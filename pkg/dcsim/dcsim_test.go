@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/place"
+	"repro/pkg/dcsim/model"
 )
 
 // smallOpts is a fast two-period scenario shared by the tests.
@@ -333,6 +336,64 @@ func TestSyntheticSizeBounded(t *testing.T) {
 				t.Errorf("%s %d VMs × %d h: %v", kind, c.vms, c.hours, err)
 			}
 		}
+	}
+}
+
+// TestCostMatrixSizeBounded: a run's shared cost matrix holds an entry for
+// every VM and every VM pair, allocated before the first sample, so a
+// small scenario naming many VMs could ask for hundreds of gigabytes.
+// CheckScenario rejects a matrix over 2 GiB with a dcsim: error
+// naming the VM count, the bytes and the limit, whichever component asks
+// for the matrix, and passes the same count when none does. Nothing here
+// is run, so nothing is allocated.
+func TestCostMatrixSizeBounded(t *testing.T) {
+	largest := map[float64]int{
+		1: 23169, // one 8-byte peak per entry
+		// A pointer and a P² estimator per entry: 8 + 216 bytes on 64-bit
+		// hosts, 4 + 212 on 32-bit ones.
+		0.95: map[bool]int{true: 4378, false: 4458}[strconv.IntSize == 64],
+	}
+	for _, pctl := range []float64{1, 0.95} {
+		n := largest[pctl]
+		for _, c := range [][2]string{{"corr-aware", "worst-case"}, {"bfd", "eqn4"}} {
+			sc := func(vms int) Scenario {
+				return New(WithVMs(vms), WithHours(1), WithPctl(pctl), WithPolicy(c[0]), WithGovernor(c[1]))
+			}
+			if err := CheckScenario(sc(n)); err != nil {
+				t.Errorf("%s+%s, pctl %v, %d VMs: %v", c[0], c[1], pctl, n, err)
+			}
+			err := CheckScenario(sc(n + 1))
+			if err == nil || !strings.HasPrefix(err.Error(), "dcsim: ") ||
+				!strings.Contains(err.Error(), fmt.Sprintf(" %d VMs ", n+1)) ||
+				!strings.Contains(err.Error(), " bytes") ||
+				!strings.Contains(err.Error(), "limit of 2147483648") {
+				t.Errorf("%s+%s, pctl %v, %d VMs: err = %v, want a dcsim: error naming the VMs, the bytes and the limit",
+					c[0], c[1], pctl, n+1, err)
+			}
+			if pctl == 1 && (err == nil || !strings.Contains(err.Error(), "2147488280 bytes")) {
+				t.Errorf("pctl 1, %d VMs: err = %v, want 2147488280 bytes", n+1, err)
+			}
+		}
+		// No component asks for the matrix: nothing to bound.
+		if err := CheckScenario(New(WithVMs(n+1), WithHours(1), WithPctl(pctl), WithPolicy("bfd"), WithGovernor("worst-case"))); err != nil {
+			t.Errorf("bfd+worst-case, pctl %v, %d VMs: %v", pctl, n+1, err)
+		}
+	}
+}
+
+// TestRunVMsRejectsOversizedCostMatrix: a caller-supplied population is
+// bounded where the matrix would be allocated, before anything runs.
+func TestRunVMsRejectsOversizedCostMatrix(t *testing.T) {
+	const n = 23170 // one more than the largest peak matrix
+	vms := make([]*VM, n)
+	for i := range vms {
+		s := model.NewSeries(5*time.Second, 1)
+		s.Append(1)
+		vms[i] = model.NewVM(fmt.Sprint("vm", i), s)
+	}
+	res, err := RunVMs(context.Background(), vms, New(WithPolicy("corr-aware")))
+	if res != nil || err == nil || !strings.Contains(err.Error(), "dcsim: the cost matrix for 23170 VMs") {
+		t.Fatalf("RunVMs over %d VMs = %v, %v; want the cost matrix bound's error", n, res, err)
 	}
 }
 

@@ -19,6 +19,7 @@ type Build struct {
 	NVMs int
 
 	matrix     model.CostSource
+	matrixErr  error // the matrix was too large to allocate
 	usedParams map[string]bool
 }
 
@@ -69,16 +70,27 @@ func (b *Build) unusedParamErr() error {
 // Matrix returns the run's shared streaming cost source, creating it on
 // first use. Run wires it into the simulator's monitoring loop whenever any
 // component asked for it, so every component that calls Matrix reads the
-// same statistics the simulator feeds.
+// same statistics the simulator feeds. A matrix for NVMs VMs larger than
+// maxMatrixBytes is never allocated: Matrix hands out an empty one, and
+// the run fails with the bound's error before it feeds anything.
 func (b *Build) Matrix() model.CostSource {
 	if b.matrix == nil {
-		pctl := b.Scenario.Pctl
-		if pctl == 0 {
-			pctl = 1
+		n, pctl := b.NVMs, b.refPctl()
+		if b.matrixErr = costSourceErr(n, pctl); b.matrixErr != nil {
+			n = 0
 		}
-		b.matrix = newCostSource(b.NVMs, pctl)
+		b.matrix = newCostSource(n, pctl)
 	}
 	return b.matrix
+}
+
+// refPctl is the cost matrix's reference percentile: the scenario's, or
+// exact peaks when it is unset.
+func (b *Build) refPctl() float64 {
+	if b.Scenario.Pctl == 0 {
+		return 1
+	}
+	return b.Scenario.Pctl
 }
 
 // Policy is the placement-policy contract model.Policy, re-exported so

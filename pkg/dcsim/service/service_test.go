@@ -196,6 +196,26 @@ func TestSubmitRejectsOversizedSyntheticWorkload(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedCostMatrix: one corr-aware grid cell whose
+// cost matrix would pass the 2 GiB bound (100k VMs over 1 h, ~37 GiB of
+// pair peaks) is rejected at Submit, before any job could allocate it.
+func TestSubmitRejectsOversizedCostMatrix(t *testing.T) {
+	huge := dcsim.Workload{VMs: 100000, Groups: 1, Hours: 1}
+	// Stop here where the bound is missing: a queued job would allocate.
+	if err := dcsim.CheckScenario(dcsim.Scenario{Workload: huge, Policy: "corr-aware", Governor: "eqn4"}); err == nil {
+		t.Fatal("CheckScenario accepted a cost matrix for 100k VMs")
+	}
+	// The gate is never released, so no cell of this grid runs.
+	m := NewManager(Config{Executor: newGateExecutor()})
+	defer m.Close()
+	g := tinyGrid()
+	g.Base.Workload = dcsim.Workload{Groups: huge.Groups, Hours: huge.Hours}
+	g.Axes = append(g.Axes, sweep.Axis{Field: "vms", Values: []any{2, huge.VMs}})
+	if _, err := m.Submit(g); err == nil || !strings.Contains(err.Error(), "cost matrix for 100000 VMs") {
+		t.Fatalf("submit of a 100k-VM corr-aware cell = %v, want the cost matrix bound's error", err)
+	}
+}
+
 func TestQueueFullAndSkipCancelledQueued(t *testing.T) {
 	gate := newGateExecutor()
 	m := NewManager(Config{QueueCapacity: 2, Concurrency: 1, Workers: 1, Executor: gate})

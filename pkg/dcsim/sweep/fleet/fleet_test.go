@@ -179,20 +179,42 @@ func TestJoinMidSweepAbsorbsRuns(t *testing.T) {
 // TestWorkerKilledMidCellStolen kills one of two workers after its first
 // run: its dispatched runs must be stolen back, re-executed on the
 // survivor, counted in Stats.RunsStolen, and the bytes must not move.
+//
+// The survivor holds each /run until the doomed worker has been sent its
+// second, so the executor cannot hand every later run to the survivor and
+// leave the fault uninjected: while the survivor's one slot is held, the
+// next run can only go to the doomed worker.
 func TestWorkerKilledMidCellStolen(t *testing.T) {
 	g := tinyGrid()
 	golden := localGolden(t, g)
 	reg := testRegistry(t)
 	var served atomic.Int32
+	killed := make(chan struct{}) // closed when the doomed worker is sent its second /run
 	join(t, reg, startWorker(t, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/run" && served.Add(1) > 1 {
-				panic(http.ErrAbortHandler) // the process is gone from now on
+			if r.URL.Path == "/run" {
+				if n := served.Add(1); n > 1 {
+					if n == 2 {
+						close(killed)
+					}
+					panic(http.ErrAbortHandler) // the process is gone from now on
+				}
 			}
 			h.ServeHTTP(w, r)
 		})
 	}))
-	join(t, reg, startWorker(t, nil))
+	join(t, reg, startWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/run" {
+				select {
+				case <-killed:
+				case <-time.After(10 * time.Second):
+					t.Error("the doomed worker was never sent a second /run")
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}))
 	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
