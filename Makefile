@@ -6,11 +6,11 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test \
-	test-generic race race-ingest bench bench-test bench-alloc \
+	test-generic race race-parallel bench bench-test bench-alloc \
 	bench-compare leakcheck fuzz examples smoke-service smoke-fleet \
 	smoke-objstore
 
-ci: lint build test test-generic race race-ingest bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
+ci: lint build test test-generic race race-parallel bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
 
 # lint is the static gate CI's lint job runs: formatting, go vet,
 # staticcheck, and the public-API leak check.
@@ -53,24 +53,24 @@ test:
 	$(GO) test ./...
 
 # test-generic runs the Go loops that stand in for amd64 assembly on every
-# other architecture (internal/core's peakRow): a GOARCH=386 test binary
-# builds them and runs on an amd64 host. The packages are the kernel's and
-# the two that run it end to end. internal/synth is left out:
-# TestStreamBatchesAtAnyGOMAXPROCS pins digests made with amd64's assembly
-# math.Exp, which 386's pure-Go math.Exp does not match bit for bit, so it
-# fails there at any commit. arm64 is vetted, not run.
+# other architecture (internal/core's peakRow, and the standard library's
+# pure-Go math.Exp that synthesis refines with): a GOARCH=386 test binary
+# builds them and runs on an amd64 host. The packages are the kernel's, the
+# two that run it end to end, and internal/synth, whose pinned digests are
+# kept per architecture. arm64 is vetted, not run.
 test-generic:
-	GOARCH=386 $(GO) test ./internal/core ./internal/sim ./pkg/dcsim
+	GOARCH=386 $(GO) test ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim
 	GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
 
-# race-ingest runs the workload ingest packages under the race detector at
-# one CPU, where synthetic refinement and CSV decoding start no goroutine,
-# and at four, which oversubscribes a small runner's split.
-race-ingest:
-	$(GO) test -race -cpu 1,4 ./internal/synth ./internal/trace ./internal/tracedir ./internal/objstore ./pkg/dcsim
+# race-parallel runs the packages that split work over GOMAXPROCS under the
+# race detector: workload ingest (synthetic refinement, CSV decoding) and
+# the simulator's reference measurements. At one CPU they start no
+# goroutine; four oversubscribes a small runner's split.
+race-parallel:
+	$(GO) test -race -cpu 1,4 ./internal/synth ./internal/trace ./internal/tracedir ./internal/objstore ./internal/sim ./pkg/dcsim
 
 bench:
 	$(GO) test -bench=. -benchmem .

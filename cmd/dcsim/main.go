@@ -30,9 +30,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -43,7 +45,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	log.SetPrefix("dcsim: ")
+	log.SetOutput(prefixOnce{os.Stderr})
 	if len(os.Args) > 1 && os.Args[1] == "sweep" {
 		sweepMain(os.Args[2:])
 		return
@@ -201,4 +203,21 @@ func main() {
 		}
 		fmt.Print(t)
 	}
+}
+
+// prefixOnce writes each log line with exactly one leading "dcsim: ": the
+// façade's errors already carry it, the command's own messages do not.
+type prefixOnce struct{ w io.Writer }
+
+// Write implements io.Writer; log hands it one whole line per call.
+func (p prefixOnce) Write(line []byte) (int, error) {
+	const prefix = "dcsim: "
+	out := line
+	if !bytes.HasPrefix(line, []byte(prefix)) {
+		out = append([]byte(prefix), line...)
+	}
+	if _, err := p.w.Write(out); err != nil {
+		return 0, err
+	}
+	return len(line), nil
 }

@@ -34,8 +34,8 @@ func FreqForServer(members []int, refs []float64, cost model.PairCostFunc, spec 
 // placement time from the predicted per-VM references.
 func FreqPlan(p *model.Placement, refs []float64, cost model.PairCostFunc, spec model.ServerSpec) []float64 {
 	out := make([]float64, p.NumServers)
-	for s := 0; s < p.NumServers; s++ {
-		out[s] = FreqForServer(p.VMsOn(s), refs, cost, spec)
+	for s, members := range Members(p) {
+		out[s] = FreqForServer(members, refs, cost, spec)
 	}
 	return out
 }
@@ -45,13 +45,37 @@ func FreqPlan(p *model.Placement, refs []float64, cost model.PairCostFunc, spec 
 // level whose capacity covers the sum of the predicted member references
 // (no correlation discount).
 func WorstCaseFreqPlan(p *model.Placement, refs []float64, spec model.ServerSpec) []float64 {
+	// One pass adds each server's members in ascending order from 0.0.
 	out := make([]float64, p.NumServers)
-	for s := 0; s < p.NumServers; s++ {
-		sum := 0.0
-		for _, v := range p.VMsOn(s) {
-			sum += refs[v]
-		}
+	for v, s := range p.Assign {
+		out[s] += refs[v]
+	}
+	for s, sum := range out {
 		out[s] = spec.MinLevelForDemand(sum)
+	}
+	return out
+}
+
+// Members returns, per server of p, the VMs placed on it in ascending
+// order: what VMsOn returns for every server, nil for an empty one, grouped
+// in one pass over the assignment. Each server's slice has no spare
+// capacity, so appending to one never writes into the next.
+func Members(p *model.Placement) [][]int {
+	out := make([][]int, p.NumServers)
+	counts := make([]int, p.NumServers)
+	for _, s := range p.Assign {
+		counts[s]++
+	}
+	flat := make([]int, len(p.Assign))
+	off := 0
+	for s, c := range counts {
+		if c > 0 {
+			out[s] = flat[off : off : off+c]
+		}
+		off += c
+	}
+	for v, s := range p.Assign {
+		out[s] = append(out[s], v)
 	}
 	return out
 }

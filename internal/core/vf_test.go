@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/server"
@@ -94,6 +96,54 @@ func TestFreqNeverBelowDiscountedDemand(t *testing.T) {
 			if capacity+1e-9 < math.Min(discounted, s.Capacity()) {
 				t.Fatalf("cost=%v load=%v: capacity %v < discounted demand %v",
 					cost, load, capacity, discounted)
+			}
+		}
+	}
+}
+
+// TestPlansMatchPerServerMembers: grouping the members in one pass gives
+// each server its VMsOn list, so both plans keep the bits of a plan that
+// asks VMsOn server by server. Appending to one server's members leaves
+// the next server's alone.
+func TestPlansMatchPerServerMembers(t *testing.T) {
+	spec := server.XeonFineGrained()
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 200 {
+		p := &model.Placement{NumServers: 1 + rng.Intn(12), Assign: make([]int, rng.Intn(40))}
+		refs := make([]float64, len(p.Assign))
+		for i := range p.Assign {
+			p.Assign[i] = rng.Intn(p.NumServers)
+			refs[i] = 3 * rng.Float64()
+		}
+		cost := func(i, j int) float64 {
+			if i == j {
+				return 1
+			}
+			return 1 + float64((i*7+j*7)%5)/10
+		}
+		members := Members(p)
+		plan, worst := FreqPlan(p, refs, cost, spec), WorstCaseFreqPlan(p, refs, spec)
+		for s := range p.NumServers {
+			want := p.VMsOn(s)
+			if !reflect.DeepEqual(members[s], want) {
+				t.Fatalf("trial %d server %d: members %v, want %v", trial, s, members[s], want)
+			}
+			sum := 0.0
+			for _, v := range want {
+				sum += refs[v]
+			}
+			if f := FreqForServer(want, refs, cost, spec); math.Float64bits(plan[s]) != math.Float64bits(f) {
+				t.Fatalf("trial %d server %d: FreqPlan %v, want %v", trial, s, plan[s], f)
+			}
+			if f := spec.MinLevelForDemand(sum); math.Float64bits(worst[s]) != math.Float64bits(f) {
+				t.Fatalf("trial %d server %d: WorstCaseFreqPlan %v, want %v", trial, s, worst[s], f)
+			}
+		}
+		for s := range p.NumServers - 1 {
+			next := append([]int(nil), members[s+1]...)
+			_ = append(members[s], -1)
+			if !reflect.DeepEqual(members[s+1], next) {
+				t.Fatalf("trial %d: appending to server %d changed server %d", trial, s, s+1)
 			}
 		}
 	}

@@ -73,6 +73,32 @@ func TestPowerUnknownLevel(t *testing.T) {
 	if _, err := m.Power(0.5, 1.234); err == nil {
 		t.Fatal("unknown frequency should error")
 	}
+	if _, _, err := m.Line(1.234); err == nil {
+		t.Fatal("unknown frequency should have no power line")
+	}
+}
+
+// TestLineIsPower: a level's power line gives Power's draw, bit for bit,
+// at every utilization once it is clipped to [0, 1].
+func TestLineIsPower(t *testing.T) {
+	for _, m := range []model.PowerModel{XeonE5410(), XeonFineGrained(), OpteronR815()} {
+		for _, l := range m.Levels {
+			idle, span, err := m.Line(l.Freq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range []float64{-1, math.Copysign(0, -1), 0, 0.3, 0.77, 1, 2} {
+				got, err := m.Power(u, l.Freq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := idle + span*math.Min(math.Max(u, 0), 1)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s at %v GHz, u=%v: Power %v, line %v", m.Name, l.Freq, u, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestPowerClipsUtilization(t *testing.T) {

@@ -4,12 +4,27 @@
 // reference utilizations, a voltage/frequency governor (static-at-placement
 // or rescaled every few samples), and per-sample accounting of power,
 // energy, QoS violations, and frequency-level residency.
+//
+// Membership is fixed within a period, so the accounting is server-major:
+// for each chunk of samples up to the next rescale boundary, each active
+// server's members' demand is summed once, and the violation, power,
+// residency and rescale-peak accounting of every sample reads those sums.
+// Each server's capacity, residency column and power line are resolved
+// when the governor sets its level, not per sample. Every sum adds the
+// members in placement order from 0.0, and every per-sample total adds the
+// servers in index order, so the results are the ones a loop over samples
+// and then servers gives, bit for bit. Each period's per-VM reference measurements, which need no
+// component, run over VM ranges on up to GOMAXPROCS goroutines; every
+// component call and observer callback stays on the caller's goroutine.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/core"
 	"repro/pkg/dcsim/model"
@@ -100,8 +115,10 @@ type Config struct {
 	Ctx context.Context
 	// OnSample, when set, is invoked once per simulated sample with that
 	// instant's aggregate stats — the streaming hook pkg/dcsim observers
-	// attach to. It runs on the simulation goroutine; slow callbacks slow
-	// the run.
+	// attach to. It runs on the goroutine that called Run, in sample
+	// order, after the sample has been fed to Matrix and before Ctx is
+	// checked for the next sample, and never while Run's own goroutines
+	// are measuring; slow callbacks slow the run.
 	OnSample func(model.SampleStats)
 	// OnPeriod, when set, is invoked at each period boundary with the
 	// finished period's stats.
@@ -148,6 +165,12 @@ func (c *Config) validate(nVMs int) error {
 	return nil
 }
 
+// block is the most samples the accounting loop sums per server at once.
+// Each VM's chunk is then a few cache lines read in one go, and every
+// active server's sums stay in cache while they are billed. A chunk also
+// ends at a rescale boundary, where the levels and window peaks change.
+const block = 64
+
 // Run simulates the given VMs under cfg. All VM demand traces must share
 // interval and length; the horizon is truncated to whole periods.
 func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
@@ -178,21 +201,59 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	if !(offPctl > 0 && offPctl < 1) { // also catches NaN
 		offPctl = 0.9
 	}
+	secs := interval.Seconds()
+	rescale := cfg.RescaleEvery
 
 	res := &model.Result{
 		Policy:        cfg.Policy.Name(),
 		Governor:      cfg.Governor.Name(),
-		Dynamic:       cfg.RescaleEvery > 0,
+		Dynamic:       rescale > 0,
 		FreqResidency: make([][]int, cfg.MaxServers),
 	}
 	for s := range res.FreqResidency {
 		res.FreqResidency[s] = make([]int, len(cfg.Spec.Freqs))
 	}
 
-	refHist := make([][]float64, len(vms))  // per-VM per-period û history
-	offHist := make([][]float64, len(vms))  // per-VM per-period off-peak history
-	sample := make([]float64, len(vms))     // scratch: demand at one instant
-	recentRefs := make([]float64, len(vms)) // scratch: per-VM recent-window û
+	data := make([][]float64, len(vms)) // each VM's samples
+	for i, v := range vms {
+		data[i] = v.Demand.Samples()
+	}
+	refHist := make([][]float64, len(vms)) // per-VM per-period û history
+	offHist := make([][]float64, len(vms)) // per-VM per-period off-peak history
+	// measure appends each VM's û and off-peak reference over [from, to)
+	// to its history, over VM ranges on up to GOMAXPROCS goroutines.
+	measure := func(from, to int) {
+		forRanges(len(vms), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				refHist[i] = append(refHist[i], vms[i].RefOver(from, to, cfg.Pctl))
+				offHist[i] = append(offHist[i], vms[i].RefOver(from, to, offPctl))
+			}
+		})
+	}
+
+	// Scratch, sized once per run. Active servers never outnumber VMs.
+	maxActive := min(cfg.MaxServers, len(vms))
+	act := make([]host, 0, maxActive)
+	sums := make([]float64, maxActive*block) // act[a]'s chunk sums at a*block
+	power := make([]float64, block)          // per sample of a chunk: Σ draw
+	viol := make([]int, block)               // per sample of a chunk: violating servers
+	var sample []float64                     // demand at one instant, for the matrix
+	if cfg.Matrix != nil {
+		sample = make([]float64, len(vms))
+	}
+	// A rescale boundary falls inside a period only when the interval is
+	// shorter than the period. With pctl >= 1 a rescale's per-VM
+	// references are the window's peaks, which the chunk sums carry in
+	// vpeak; otherwise they are measured into recentRefs.
+	rescales := rescale > 0 && rescale < cfg.PeriodSamples
+	var vpeak, recentRefs []float64
+	if rescales {
+		if cfg.Pctl >= 1 {
+			vpeak = make([]float64, len(vms))
+		} else {
+			recentRefs = make([]float64, len(vms))
+		}
+	}
 	// Residency accumulates in a per-period scratch merged at each period
 	// boundary, so a cancelled run's partial Result never counts samples
 	// from the aborted period that EnergyJ/Periods exclude.
@@ -210,13 +271,14 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	// completed, so a cancelled run still yields a coherent partial Result.
 	finalize := func() {
 		if totalSamples > 0 {
-			res.MeanPowerW = res.EnergyJ / (float64(totalSamples) * interval.Seconds())
+			res.MeanPowerW = res.EnergyJ / (float64(totalSamples) * secs)
 		}
 		if len(res.Periods) > 0 {
 			res.MeanViolationPct = sumPeriodMaxViol / float64(len(res.Periods))
 			res.MeanActive = float64(sumActive) / float64(len(res.Periods))
 		}
 	}
+	cancelled := func() bool { return cfg.Ctx != nil && cfg.Ctx.Err() != nil }
 
 	for p := 0; p < periods; p++ {
 		start := p * cfg.PeriodSamples
@@ -226,22 +288,21 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		// period has no history; bootstrap with its own measured
 		// references (identically for every policy, so comparisons
 		// stay fair).
+		measured := p == 0 || cfg.Oracle
+		if measured {
+			// Oracle bootstrap: measure the period itself (always done
+			// for the first period, for every policy alike). The
+			// measurement is also the period's history entry; nothing
+			// reads the history before the period ends.
+			measure(start, end)
+		}
 		reqs := make([]model.Request, len(vms))
 		refs := make([]float64, len(vms))
-		measured := p == 0 || cfg.Oracle
 		for i, v := range vms {
 			var ref, off float64
-			var winFrom, winTo int
+			winFrom, winTo := start, end
 			if measured {
-				// Oracle bootstrap: measure the period itself (always
-				// done for the first period, for every policy alike).
-				// The measurement is also the period's history entry;
-				// nothing reads the history before the period ends.
-				winFrom, winTo = start, end
-				ref = v.RefOver(winFrom, winTo, cfg.Pctl)
-				off = v.RefOver(winFrom, winTo, offPctl)
-				refHist[i] = append(refHist[i], ref)
-				offHist[i] = append(offHist[i], off)
+				ref, off = refHist[i][p], offHist[i][p]
 			} else {
 				winFrom, winTo = start-cfg.PeriodSamples, start
 				ref = cfg.Predictor.Predict(refHist[i])
@@ -260,7 +321,10 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		// correlation-aware policy is not blind at p=0 (every policy
 		// sees the same bootstrap data via Request.Window).
 		if cfg.Matrix != nil && p == 0 {
-			feedMatrix(cfg.Matrix, vms, sample, start, end)
+			for k := start; k < end; k++ {
+				gather(sample, data, k)
+				cfg.Matrix.Add(sample)
+			}
 		}
 
 		placement, err := cfg.Policy.Place(reqs, cfg.Spec, cfg.MaxServers)
@@ -290,11 +354,6 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 			cfg.Matrix.Reset()
 		}
 
-		membersOf := make([][]int, placement.NumServers)
-		for s := range membersOf {
-			membersOf[s] = placement.VMsOn(s)
-		}
-
 		migrations := 0
 		if prevAssign != nil {
 			for i, s := range placement.Assign {
@@ -305,92 +364,83 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		}
 		prevAssign = append(prevAssign[:0], placement.Assign...)
 
-		// Per-period accounting.
-		violSamples := make([]int, placement.NumServers)
-		for s := range periodResidency {
-			for l := range periodResidency[s] {
-				periodResidency[s][l] = 0
-			}
-		}
-		periodEnergy := 0.0
-		active := 0
-		for _, ms := range membersOf {
+		// Per-period accounting over the active servers, ascending: an
+		// empty server is consolidated off and draws no power.
+		act = act[:0]
+		for s, ms := range core.Members(placement) {
 			if len(ms) > 0 {
-				active++
+				act = append(act, host{id: s, members: ms})
+				act[len(act)-1].setLevel(freqs[s], &cfg)
 			}
 		}
+		active := len(act)
+		for s := range periodResidency {
+			clear(periodResidency[s])
+		}
+		resetPeaks(vpeak)
+		periodEnergy := 0.0
 
-		for k := start; k < end; k++ {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
+		for k0 := start; k0 < end; {
+			// A chunk ends at the block's length, the next rescale boundary
+			// or the period's end, whichever comes first.
+			k1 := min(k0+block, end)
+			rescaled := false
+			if rescales {
+				off := (k0 - start) % rescale
+				rescaled = k0 > start && off == 0
+				k1 = min(k1, k0+rescale-off)
+			}
+			if cancelled() {
+				finalize()
+				return res, cfg.Ctx.Err()
+			}
+			if rescaled {
+				recent := vpeak
+				if recent == nil {
+					recent = recentRefs
+					for i, v := range vms {
+						recent[i] = v.RefOver(k0-rescale, k0, cfg.Pctl)
+					}
+				}
+				for a := range act {
+					sv := &act[a]
+					sv.setLevel(cfg.Governor.Rescale(sv.members, recent, sv.peak, cfg.Spec), &cfg)
+					sv.peak = 0
+				}
+				resetPeaks(vpeak)
+			}
+			if k0 == start || rescaled {
+				// Billing a server at a level the power model lacks fails
+				// at the level's first sample, lowest server first.
+				for _, sv := range act {
+					if sv.err != nil {
+						return nil, fmt.Errorf("sim: period %d server %d: %w", p, sv.id, sv.err)
+					}
+				}
+			}
+			sumChunk(act, data, k0, k1, sums, vpeak)
+			bill(act, sums, k1-k0, power, viol, periodResidency)
+			for k := k0; k < k1; k++ {
+				if k > k0 && cancelled() {
 					finalize()
-					return res, err
+					return res, cfg.Ctx.Err()
+				}
+				periodEnergy += power[k-k0] * secs
+				if cfg.Matrix != nil {
+					gather(sample, data, k)
+					cfg.Matrix.Add(sample)
+				}
+				if cfg.OnSample != nil {
+					cfg.OnSample(model.SampleStats{
+						K:             k,
+						Period:        p,
+						ActiveServers: active,
+						PowerW:        power[k-k0],
+						Violations:    viol[k-k0],
+					})
 				}
 			}
-			// Dynamic v/f scaling on the rescale boundary.
-			if cfg.RescaleEvery > 0 && k > start && (k-start)%cfg.RescaleEvery == 0 {
-				from := k - cfg.RescaleEvery
-				for i, v := range vms {
-					recentRefs[i] = v.RefOver(from, k, cfg.Pctl)
-				}
-				for s, ms := range membersOf {
-					if len(ms) == 0 {
-						continue
-					}
-					aggPeak := 0.0
-					for t := from; t < k; t++ {
-						d := 0.0
-						for _, vi := range ms {
-							d += vms[vi].Demand.At(t)
-						}
-						if d > aggPeak {
-							aggPeak = d
-						}
-					}
-					freqs[s] = cfg.Governor.Rescale(ms, recentRefs, aggPeak, cfg.Spec)
-				}
-			}
-			for i, v := range vms {
-				sample[i] = v.Demand.At(k)
-			}
-			samplePower := 0.0
-			sampleViol := 0
-			for s, ms := range membersOf {
-				if len(ms) == 0 {
-					continue // consolidated off: no power, no violations
-				}
-				demand := 0.0
-				for _, vi := range ms {
-					demand += sample[vi]
-				}
-				capF := cfg.Spec.CapacityAt(freqs[s])
-				if demand > capF+1e-9 {
-					violSamples[s]++
-					sampleViol++
-				}
-				u := demand / capF
-				pw, err := cfg.Power.Power(u, freqs[s])
-				if err != nil {
-					return nil, fmt.Errorf("sim: period %d server %d: %w", p, s, err)
-				}
-				samplePower += pw
-				if li := cfg.Spec.LevelIndex(freqs[s]); li >= 0 {
-					periodResidency[s][li]++
-				}
-			}
-			periodEnergy += samplePower * interval.Seconds()
-			if cfg.Matrix != nil {
-				cfg.Matrix.Add(sample)
-			}
-			if cfg.OnSample != nil {
-				cfg.OnSample(model.SampleStats{
-					K:             k,
-					Period:        p,
-					ActiveServers: active,
-					PowerW:        samplePower,
-					Violations:    sampleViol,
-				})
-			}
+			k0 = k1
 		}
 
 		for s := range periodResidency {
@@ -399,11 +449,8 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 			}
 		}
 		maxViol := 0.0
-		for s := range violSamples {
-			if len(membersOf[s]) == 0 {
-				continue
-			}
-			v := 100 * float64(violSamples[s]) / float64(cfg.PeriodSamples)
+		for _, sv := range act {
+			v := 100 * float64(sv.viol) / float64(cfg.PeriodSamples)
 			if v > maxViol {
 				maxViol = v
 			}
@@ -433,10 +480,7 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		// Record measured references as history for the next period
 		// (a bootstrapped period recorded them when it measured them).
 		if !measured {
-			for i, v := range vms {
-				refHist[i] = append(refHist[i], v.RefOver(start, end, cfg.Pctl))
-				offHist[i] = append(offHist[i], v.RefOver(start, end, offPctl))
-			}
+			measure(start, end)
 		}
 	}
 
@@ -444,11 +488,124 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	return res, nil
 }
 
-func feedMatrix(m model.CostSource, vms []*model.VM, scratch []float64, from, to int) {
-	for k := from; k < to; k++ {
-		for i, v := range vms {
-			scratch[i] = v.Demand.At(k)
+// host is one active server's state within a period.
+type host struct {
+	id      int
+	members []int // ascending
+	// What billing reads of the current level, resolved by setLevel.
+	capF  float64 // capacity
+	idle  float64 // power line: idle + span·u
+	span  float64
+	level int   // residency column, -1 when the spec lacks the level
+	err   error // the power model's error for the level, raised when billed
+	// Running counts: the aggregate demand peak since the last rescale
+	// and the violating samples this period.
+	peak float64
+	viol int
+}
+
+// setLevel resolves everything billing reads of frequency level f.
+func (sv *host) setLevel(f float64, cfg *Config) {
+	sv.capF = cfg.Spec.CapacityAt(f)
+	sv.idle, sv.span, sv.err = cfg.Power.Line(f)
+	sv.level = cfg.Spec.LevelIndex(f)
+}
+
+// sumChunk sums each active server's demand over samples [k0, k1) into
+// its row of sums, adding its members in order from 0.0 as a per-sample
+// loop does, so every sum keeps its bits. With vpeak set it also carries
+// each VM's running peak through the chunk.
+func sumChunk(act []host, data [][]float64, k0, k1 int, sums, vpeak []float64) {
+	for a := range act {
+		row := sums[a*block : a*block+k1-k0]
+		clear(row)
+		for _, i := range act[a].members {
+			x := data[i][k0:k1]
+			x = x[:len(row)]
+			if vpeak == nil {
+				for j, v := range x {
+					row[j] += v
+				}
+				continue
+			}
+			pk := vpeak[i]
+			for j, v := range x {
+				row[j] += v
+				if v > pk {
+					pk = v
+				}
+			}
+			vpeak[i] = pk
 		}
-		m.Add(scratch)
 	}
+}
+
+// resetPeaks starts a window: from −Inf, its first sample is its peak so
+// far whatever its sign, as in Series.Max.
+func resetPeaks(vpeak []float64) {
+	for i := range vpeak {
+		vpeak[i] = math.Inf(-1)
+	}
+}
+
+// bill charges a chunk's first n samples to every active server: its
+// violations, its draw into power[j] (servers in ascending order, so each
+// sample's total keeps a per-sample loop's bits), its residency and its
+// running window peak.
+func bill(act []host, sums []float64, n int, power []float64, viol []int, residency [][]int) {
+	power, viol = power[:n], viol[:n]
+	clear(power)
+	clear(viol)
+	for a := range act {
+		sv := &act[a]
+		row := sums[a*block : a*block+n]
+		limit := sv.capF + 1e-9
+		peak, nViol := sv.peak, 0
+		for j, d := range row {
+			if d > limit {
+				nViol++
+				viol[j]++
+			}
+			// Power's clip at 0 never applies: a sum of validated
+			// samples from 0.0 is not negative.
+			u := d / sv.capF
+			if u > 1 {
+				u = 1
+			}
+			power[j] += sv.idle + sv.span*u
+			if d > peak {
+				peak = d
+			}
+		}
+		sv.peak, sv.viol = peak, sv.viol+nViol
+		if sv.level >= 0 {
+			residency[sv.id][sv.level] += n
+		}
+	}
+}
+
+// gather fills sample with every VM's demand at sample k.
+func gather(sample []float64, data [][]float64, k int) {
+	for i, d := range data {
+		sample[i] = d[k]
+	}
+}
+
+// forRanges calls fn over [0, n) split into up to GOMAXPROCS contiguous
+// ranges, each on its own goroutine, and returns once every call has.
+func forRanges(n int, fn func(lo, hi int)) {
+	g := min(runtime.GOMAXPROCS(0), n)
+	if g <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(g)
+	for r := range g {
+		go func() {
+			defer wg.Done()
+			fn(r*n/g, (r+1)*n/g)
+		}()
+	}
+	wg.Wait()
 }

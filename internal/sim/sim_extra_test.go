@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -137,4 +140,43 @@ func TestRunRejectsCorruptTraces(t *testing.T) {
 	if _, err := Run(vms2, baseConfig()); err == nil {
 		t.Fatal("negative demand should be rejected")
 	}
+}
+
+// TestRunLeavesNoGoroutines: the goroutines a run measures references on
+// have all exited once Run returns, whether the run finished or was
+// cancelled.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	vms := diffVMs(t)
+	before := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", when, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Oracle measures every period on goroutines before placing it.
+	cfg := baseConfig()
+	cfg.PeriodSamples, cfg.RescaleEvery, cfg.Pctl, cfg.Oracle = 150, 12, 0.95, true
+	if _, err := Run(vms, cfg); err != nil {
+		t.Fatal(err)
+	}
+	settled("after a finished run")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Ctx = ctx
+	seen := 0
+	cfg.OnSample = func(model.SampleStats) {
+		if seen++; seen == 200 {
+			cancel()
+		}
+	}
+	if _, err := Run(vms, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	settled("after a cancelled run")
 }

@@ -277,15 +277,27 @@ func TestStreamMatchesDatacenter(t *testing.T) {
 // draws only from its own seed, so the records, names and sample bits,
 // are the ones a serial refinement of each VM gives, and the ones pinned
 // before batching, at every GOMAXPROCS. A batch sharing one rng fails.
+//
+// The pins hold per architecture: amd64's assembly math.Exp and the
+// pure-Go one that 386 runs round some samples differently. Elsewhere the
+// serial reference alone is checked.
 func TestStreamBatchesAtAnyGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	pinned := map[int]string{ // sha256 prefix of the names and bits
-		1:  "8c9d151b3dff8746",
-		2:  "b4669b254b85dde3",
-		5:  "fc94f8db375edbe0",
-		40: "5234c7330943bc75",
-	}
-	for vms, digest := range pinned {
+	pinned := map[string]map[int]string{ // sha256 prefix of the names and bits
+		"amd64": {
+			1:  "8c9d151b3dff8746",
+			2:  "b4669b254b85dde3",
+			5:  "fc94f8db375edbe0",
+			40: "5234c7330943bc75",
+		},
+		"386": {
+			1:  "24a2c50c932adb9c",
+			2:  "5cf59ae7e2f5b06f",
+			5:  "689d7ede1ae56c02",
+			40: "dd9e65e0c7662fa2",
+		},
+	}[runtime.GOARCH]
+	for _, vms := range []int{1, 2, 5, 40} {
 		cfg := DefaultDatacenterConfig()
 		cfg.VMs, cfg.Groups, cfg.Day = vms, 3, 3*time.Hour
 		// Serial reference: each VM's coarse series in index order, each
@@ -325,7 +337,7 @@ func TestStreamBatchesAtAnyGOMAXPROCS(t *testing.T) {
 					binary.Write(h, binary.LittleEndian, math.Float64bits(v))
 				}
 			}
-			if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != digest {
+			if got, digest := fmt.Sprintf("%x", h.Sum(nil)[:8]), pinned[vms]; pinned != nil && got != digest {
 				t.Errorf("%d VMs at GOMAXPROCS %d: digest %s, pinned %s", vms, procs, got, digest)
 			}
 		}

@@ -74,12 +74,29 @@ func (m PowerModel) scales(l PowerLevel) (dyn, stat float64) {
 	return dyn, stat
 }
 
+// Line returns the power line of frequency level f: the draw at
+// utilization u is idle + span·u, with u clipped to [0, 1]. A simulator
+// resolves it once per level change instead of once per sample. It returns
+// an error when f is not one of the model's levels.
+func (m PowerModel) Line(f float64) (idle, span float64, err error) {
+	l, err := m.level(f)
+	if err != nil {
+		return 0, 0, err
+	}
+	dyn, stat := m.scales(l)
+	idleStatic := m.IdleW * m.StaticFrac
+	idleDynamic := m.IdleW * (1 - m.StaticFrac)
+	idle = idleStatic*stat + idleDynamic*dyn
+	span = (m.BusyW - m.IdleW) * dyn
+	return idle, span, nil
+}
+
 // Power returns the server draw in watts at utilization u (fraction of the
 // capacity available at frequency f, clipped to [0,1]) when running at
 // frequency level f. It returns an error when f is not one of the model's
 // levels.
 func (m PowerModel) Power(u, f float64) (float64, error) {
-	l, err := m.level(f)
+	idle, span, err := m.Line(f)
 	if err != nil {
 		return 0, err
 	}
@@ -89,10 +106,5 @@ func (m PowerModel) Power(u, f float64) (float64, error) {
 	if u > 1 {
 		u = 1
 	}
-	dyn, stat := m.scales(l)
-	idleStatic := m.IdleW * m.StaticFrac
-	idleDynamic := m.IdleW * (1 - m.StaticFrac)
-	idle := idleStatic*stat + idleDynamic*dyn
-	span := (m.BusyW - m.IdleW) * dyn
 	return idle + span*u, nil
 }
