@@ -7,8 +7,8 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -462,24 +462,20 @@ func BenchmarkWriteCSV(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 }
 
-// BenchmarkDatacenterStream measures draining a synthetic datacenter
-// stream of 200 VMs over six hours: the ingest every synthetic run pays
+// BenchmarkDatacenterStream measures loading a synthetic datacenter
+// workload of 200 VMs over six hours: the ingest every synthetic run pays
 // before its first placement.
 func BenchmarkDatacenterStream(b *testing.B) {
 	cfg := ingestConfig(200)
 	samples := 0
 	for i := 0; i < b.N; i++ {
-		st := synth.NewStream(cfg)
+		ds, err := synth.Load(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		samples = 0
-		for {
-			rec, err := st.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples += rec.Fine.Len()
+		for _, s := range ds.Fine {
+			samples += s.Len()
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")

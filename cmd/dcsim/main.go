@@ -102,25 +102,7 @@ func main() {
 	if use("workload") {
 		sc.Workload.Kind = *workload
 	}
-	if set["tracedir"] && set["objstore"] {
-		log.Fatal("-tracedir and -objstore are mutually exclusive (one recording location)")
-	}
-	if set["tracedir"] {
-		sc.Workload.Path = *tracedir
-		if !set["workload"] && sc.Workload.Kind == def.Workload.Kind {
-			// A trace directory implies the trace-dir kind; requiring both
-			// flags for the common case would just invite mismatches.
-			sc.Workload.Kind = "trace-dir"
-		}
-	}
-	if set["objstore"] {
-		// Same rule as -tracedir: the object-store URL implies its kind.
-		sc.Workload.Path = *objstore
-		if !set["workload"] && sc.Workload.Kind == def.Workload.Kind {
-			sc.Workload.Kind = "trace-obj"
-		}
-	}
-	if err := applyWorkloadOptions(&sc.Workload, wopts); err != nil {
+	if err := applyRecording(&sc.Workload, set["workload"], *tracedir, *objstore, wopts); err != nil {
 		log.Fatal(err)
 	}
 	if use("policy") {

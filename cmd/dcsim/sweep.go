@@ -90,27 +90,7 @@ func sweepMain(args []string) {
 	if *workload != "" {
 		g.Base.Workload.Kind = *workload
 	}
-	if *tracedir != "" && *objstore != "" {
-		log.Fatal("sweep: -tracedir and -objstore are mutually exclusive (one recording location)")
-	}
-	if *tracedir != "" {
-		g.Base.Workload.Path = *tracedir
-		// A trace directory implies the trace-dir kind unless the grid or
-		// -workload picked a non-default kind — the same rule the run
-		// command applies, so a grid that spells out the default
-		// "datacenter" behaves like one that omits it.
-		if *workload == "" && (g.Base.Workload.Kind == "" || g.Base.Workload.Kind == "datacenter") {
-			g.Base.Workload.Kind = "trace-dir"
-		}
-	}
-	if *objstore != "" {
-		// Same implication rule: the object-store URL selects its kind.
-		g.Base.Workload.Path = *objstore
-		if *workload == "" && (g.Base.Workload.Kind == "" || g.Base.Workload.Kind == "datacenter") {
-			g.Base.Workload.Kind = "trace-obj"
-		}
-	}
-	if err := applyWorkloadOptions(&g.Base.Workload, wopts); err != nil {
+	if err := applyRecording(&g.Base.Workload, *workload != "", *tracedir, *objstore, wopts); err != nil {
 		log.Fatal("sweep: ", err)
 	}
 	if err := g.Validate(); err != nil {

@@ -3,7 +3,7 @@
 // workload API — either as one CSV of 5-minute means of the 5-second
 // samples every run reads, or of the 5-second samples themselves (-fine),
 // or with -dir as a recorded trace directory (chunked fine CSVs plus
-// manifest.json) that the "trace-dir" workload kind streams back into
+// manifest.json) that the "trace-dir" workload kind reads back into
 // simulations and sweeps, sample-identical.
 package main
 

@@ -2,7 +2,8 @@
 // recorded-trace manifest+chunks layout (internal/tracedir) served from an
 // HTTP(S) object store instead of a local directory, so a fleet of
 // stateless workers can pull recorded production traces with no shared
-// filesystem.
+// filesystem. Source.Load reads a recording through tracedir.LoadFrom, the
+// read path the local "trace-dir" kind shares, one chunk at a time.
 //
 // Fetcher implements tracedir.ChunkFetcher over a bucket/prefix base URL:
 // each object is identified with a HEAD request (ETag + size), then read

@@ -50,14 +50,10 @@ func writeRecording(t *testing.T) string {
 	return dir
 }
 
-// materialize reads a workload through the source's Open, the one read
-// path, into a Dataset.
+// materialize reads a workload through the source's Load, the one read
+// path.
 func materialize(src model.WorkloadSource, w model.Workload) (*model.Dataset, error) {
-	r, err := src.Open(context.Background(), w)
-	if err != nil {
-		return nil, err
-	}
-	return model.Materialize(r)
+	return src.Load(context.Background(), w)
 }
 
 // objWorkload describes the recording at an object-store URL, caching into

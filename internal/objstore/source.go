@@ -59,12 +59,12 @@ func (Source) Check(w model.Workload) error {
 	return err
 }
 
-// Open implements model.WorkloadSource: the recording streamed VM by VM,
-// chunk fetches arriving over HTTP as records are consumed. In-flight
-// residency on the Go heap is one chunk; it is the local LRU chunk cache
+// Load implements model.WorkloadSource: the recording read chunk by chunk
+// over HTTP through tracedir.LoadFrom. Besides the dataset, the Go heap
+// holds one chunk's bytes at a time; it is the local LRU chunk cache
 // (OptCacheDir/OptCacheMB) that holds whatever longer-lived copies exist,
-// so the cache budget — not the dataset size — bounds a diskless worker.
-func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
+// so the cache budget bounds what a diskless worker keeps on disk.
+func (Source) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {
 	o, err := parseOptions(w)
 	if err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, 
 			return nil, err
 		}
 	}
-	return tracedir.OpenFrom(ctx, f, w)
+	return tracedir.LoadFrom(ctx, f, w)
 }
 
 // options is a validated "trace-obj" workload's fetch settings; a zero
@@ -89,7 +89,7 @@ type options struct {
 }
 
 // parseOptions validates the workload's URL and options. It builds nothing
-// and creates nothing: Open turns the result into a Fetcher and its cache.
+// and creates nothing: Load turns the result into a Fetcher and its cache.
 func parseOptions(w model.Workload) (options, error) {
 	o := options{cacheDir: w.Option(OptCacheDir), cacheMB: DefaultCacheMB}
 	if w.Path == "" {

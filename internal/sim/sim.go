@@ -84,7 +84,8 @@ type Config struct {
 	// samples).
 	PeriodSamples int
 	// RescaleEvery enables dynamic v/f scaling every so many samples
-	// (paper: 12 = 1 min); 0 keeps levels static within a period.
+	// (paper: 12 = 1 min), fewer than PeriodSamples; 0 keeps levels
+	// static within a period.
 	RescaleEvery int
 	// Pctl is the reference percentile for û (>= 1 = peak, the paper's
 	// Setup-2 provisioning choice).
@@ -137,6 +138,10 @@ func (c *Config) validate(nVMs int) error {
 	}
 	if c.RescaleEvery < 0 {
 		return errors.New("sim: RescaleEvery must be non-negative")
+	}
+	if c.RescaleEvery > 0 && c.RescaleEvery >= c.PeriodSamples {
+		return fmt.Errorf("sim: RescaleEvery %d must be below PeriodSamples %d (0 = static levels)",
+			c.RescaleEvery, c.PeriodSamples)
 	}
 	if err := c.Spec.Validate(); err != nil {
 		return err
@@ -241,11 +246,11 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	if cfg.Matrix != nil {
 		sample = make([]float64, len(vms))
 	}
-	// A rescale boundary falls inside a period only when the interval is
-	// shorter than the period. With pctl >= 1 a rescale's per-VM
-	// references are the window's peaks, which the chunk sums carry in
-	// vpeak; otherwise they are measured into recentRefs.
-	rescales := rescale > 0 && rescale < cfg.PeriodSamples
+	// validate keeps a positive interval below the period, so rescale
+	// boundaries fall inside every period. With pctl >= 1 a rescale's
+	// per-VM references are the window's peaks, which the chunk sums carry
+	// in vpeak; otherwise they are measured into recentRefs.
+	rescales := rescale > 0
 	var vpeak, recentRefs []float64
 	if rescales {
 		if cfg.Pctl >= 1 {

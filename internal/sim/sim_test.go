@@ -50,6 +50,11 @@ func TestRunValidation(t *testing.T) {
 		func(c *Config) { c.MaxServers = 0 },
 		func(c *Config) { c.PeriodSamples = 0 },
 		func(c *Config) { c.RescaleEvery = -1 },
+		// An interval of the period or more never rescales.
+		func(c *Config) { c.RescaleEvery = c.PeriodSamples },
+		func(c *Config) { c.RescaleEvery = c.PeriodSamples + 30 },
+		func(c *Config) { c.RescaleEvery = math.MaxInt },
+		func(c *Config) { c.PeriodSamples, c.RescaleEvery = 40, block+36 },
 		func(c *Config) { c.Predictor = nil },
 		func(c *Config) { c.Spec = model.ServerSpec{} },
 		func(c *Config) { c.Power = model.PowerModel{} },

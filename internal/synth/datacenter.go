@@ -1,8 +1,8 @@
 package synth
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -53,27 +53,20 @@ func DefaultDatacenterConfig() DatacenterConfig {
 	}
 }
 
-// Stream generates the datacenter dataset a batch of VMs at a time: the
-// shared group state (diurnal profiles, burst episodes, size scales) is
-// drawn up front, and each batch draws exactly the per-VM randomness
-// Datacenter would at those indices — so draining a Stream reproduces
-// Datacenter's Dataset byte for byte while holding only O(groups × coarse
-// samples) of state plus one batch of GOMAXPROCS records in flight. It
-// implements model.DatasetReader for the streaming workload path.
-type Stream struct {
+// generator holds the datacenter workload's shared group state — diurnal
+// profiles, burst episodes, size scales — and the rng every VM's coarse
+// series is drawn from in index order.
+type generator struct {
 	cfg          DatacenterConfig
 	rng          *rand.Rand
 	nCoarse      int
 	groupProfile [][]float64
 	groupScale   []float64
-	i            int              // index of the next VM to draw
-	batch        []model.VMRecord // refined records not yet emitted
-	bi           int              // next batch record to emit
 }
 
-// NewStream validates cfg (panicking on degenerate values, as Datacenter
-// always has) and draws the shared group state.
-func NewStream(cfg DatacenterConfig) *Stream {
+// newGenerator validates cfg (panicking on degenerate values, as
+// Datacenter always has) and draws the shared group state.
+func newGenerator(cfg DatacenterConfig) *generator {
 	if cfg.VMs <= 0 || cfg.Groups <= 0 {
 		panic("synth: DatacenterConfig needs positive VMs and Groups")
 	}
@@ -85,7 +78,6 @@ func NewStream(cfg DatacenterConfig) *Stream {
 	if nCoarse < 2 {
 		panic("synth: Day must cover at least two coarse samples")
 	}
-
 	// Per-group diurnal base profiles in [lowFloor, 1], plus shared burst
 	// episodes. Bursts are the "abrupt workload changes" that defeat the
 	// last-value predictor in the paper; sharing them within a group is
@@ -147,55 +139,41 @@ func NewStream(cfg DatacenterConfig) *Stream {
 		groupScale[g] = cfg.ScaleMin + (cfg.ScaleMax-cfg.ScaleMin)*rng.Float64()
 	}
 
-	return &Stream{cfg: cfg, rng: rng, nCoarse: nCoarse,
+	return &generator{cfg: cfg, rng: rng, nCoarse: nCoarse,
 		groupProfile: groupProfile, groupScale: groupScale}
 }
 
-// Len implements model.DatasetReader.
-func (s *Stream) Len() int { return s.cfg.VMs }
-
-// Close implements model.DatasetReader; the generator holds no resources.
-func (s *Stream) Close() error { return nil }
-
-// Next emits the next VM. When the current batch is spent it draws the
-// next one: the coarse series of up to GOMAXPROCS VMs come from the single
-// generator rng in strict index order — the exact sequence the batch
-// generator consumed, which is what makes streamed and materialized
-// synthesis sample-identical — and then each VM's refinement runs on its
-// own goroutine. A refinement draws only from its VM's own seed, so the
-// records are the same at every GOMAXPROCS, and Next waits for the whole
-// batch, so no goroutine outlives the call.
-func (s *Stream) Next() (model.VMRecord, error) {
-	if s.bi >= len(s.batch) {
-		if s.i >= s.cfg.VMs {
-			return model.VMRecord{}, io.EOF
+// Load generates the datacenter dataset cfg describes, a batch of
+// GOMAXPROCS VMs at a time. The coarse series of a batch come from the
+// generator rng in strict index order on the caller's goroutine, ctx
+// checked before each VM's draw; then each VM's refinement runs on its
+// own goroutine from its own seed, and the batch is waited for before the
+// next one starts. The traces are therefore the same at every GOMAXPROCS,
+// and no goroutine outlives the call. A cancelled ctx stops the load with
+// ctx's error.
+func Load(ctx context.Context, cfg DatacenterConfig) (*model.Dataset, error) {
+	gen := newGenerator(cfg)
+	ds := &model.Dataset{Names: make([]string, cfg.VMs), Fine: make([]*model.Series, cfg.VMs)}
+	batch := runtime.GOMAXPROCS(0)
+	coarse := make([]*model.Series, batch)
+	for lo := 0; lo < cfg.VMs; lo += batch {
+		n := min(batch, cfg.VMs-lo)
+		for b := range n {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			ds.Names[lo+b], coarse[b] = gen.drawCoarse(lo + b)
 		}
-		s.fill()
-	}
-	rec := s.batch[s.bi]
-	// Drop the emitted record so the batch holds only what is unread.
-	s.batch[s.bi] = model.VMRecord{}
-	s.bi++
-	return rec, nil
-}
-
-// fill draws and refines the next batch of VMs.
-func (s *Stream) fill() {
-	n := min(runtime.GOMAXPROCS(0), s.cfg.VMs-s.i)
-	coarse := make([]*model.Series, n)
-	s.batch, s.bi = make([]model.VMRecord, n), 0
-	for b := range coarse {
-		s.batch[b].Name, coarse[b] = s.drawCoarse(s.i + b)
-	}
-	refine := func(b int) {
-		// The coarse means are only the refinement's input: the record
+		// The coarse means are only the refinement's input: the dataset
 		// carries the 5-second trace every run reads.
-		ln := NewLogNormal(s.cfg.Sigma, s.cfg.Seed+int64(1000+s.i+b))
-		s.batch[b].Fine = ln.Refine(coarse[b], s.cfg.FineFactor)
-	}
-	if n == 1 {
-		refine(0)
-	} else {
+		refine := func(b int) {
+			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+lo+b))
+			ds.Fine[lo+b] = ln.Refine(coarse[b], cfg.FineFactor)
+		}
+		if n == 1 {
+			refine(0)
+			continue
+		}
 		var wg sync.WaitGroup
 		wg.Add(n)
 		for b := range n {
@@ -206,21 +184,21 @@ func (s *Stream) fill() {
 		}
 		wg.Wait()
 	}
-	s.i += n
+	return ds, nil
 }
 
 // drawCoarse draws VM i's name and coarse series from the generator rng:
 // its scale jitter, then its slow idiosyncratic noise, an AR(1) walk
 // around 1. The name carries the group.
-func (s *Stream) drawCoarse(i int) (string, *model.Series) {
-	cfg := s.cfg
+func (gen *generator) drawCoarse(i int) (string, *model.Series) {
+	cfg := gen.cfg
 	g := i % cfg.Groups
-	scale := s.groupScale[g] * (0.95 + 0.1*s.rng.Float64())
+	scale := gen.groupScale[g] * (0.95 + 0.1*gen.rng.Float64())
 	noise := 0.0
-	coarse := model.NewSeries(cfg.CoarseInterval, s.nCoarse)
-	for t := 0; t < s.nCoarse; t++ {
-		noise = 0.9*noise + 0.1*s.rng.NormFloat64()
-		v := scale * s.groupProfile[g][t] * (1 + cfg.NoiseFrac*noise)
+	coarse := model.NewSeries(cfg.CoarseInterval, gen.nCoarse)
+	for t := 0; t < gen.nCoarse; t++ {
+		noise = 0.9*noise + 0.1*gen.rng.NormFloat64()
+		v := scale * gen.groupProfile[g][t] * (1 + cfg.NoiseFrac*noise)
 		if v < 0.02 {
 			v = 0.02
 		}
@@ -229,24 +207,9 @@ func (s *Stream) drawCoarse(i int) (string, *model.Series) {
 	return fmt.Sprintf("vm%02d.g%d", i, g), coarse
 }
 
-// Datacenter generates a Dataset according to cfg. The same config always
-// yields the same traces. It is the materialization of NewStream.
+// Datacenter generates a Dataset according to cfg: Load without a
+// context. The same config always yields the same traces.
 func Datacenter(cfg DatacenterConfig) *model.Dataset {
-	ds, err := model.Materialize(NewStream(cfg))
-	if err != nil {
-		// The generator's Next never fails before io.EOF.
-		panic("synth: " + err.Error())
-	}
+	ds, _ := Load(context.Background(), cfg) // a background context is never cancelled
 	return ds
-}
-
-// UncorrelatedStream generates VM traces with the same marginal structure
-// as NewStream but no shared group profile — every VM is its own group.
-// Ablations use it to show the proposed policy's advantage shrinks when
-// there is no correlation to exploit. Its shared state is
-// O(VMs × coarse samples), so the correlated kind is the one that stays
-// small at very large VM counts.
-func UncorrelatedStream(cfg DatacenterConfig) *Stream {
-	cfg.Groups = cfg.VMs
-	return NewStream(cfg)
 }

@@ -4,7 +4,9 @@
 // search testbed (Setup 1).
 //
 // Everything is seeded explicitly so that experiments regenerate
-// bit-identically.
+// bit-identically. Load makes the datacenter workload, refining a batch of
+// GOMAXPROCS VMs at a time, each from its own seed, so its traces are the
+// same at every GOMAXPROCS; Datacenter is Load without a context.
 package synth
 
 import (

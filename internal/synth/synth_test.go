@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -192,14 +193,13 @@ func TestDatacenterIntraGroupCorrelation(t *testing.T) {
 	}
 }
 
+// TestUncorrelated: with one group per VM, the "uncorrelated" workload
+// kind's shape, the generator shares no profile between VMs.
 func TestUncorrelated(t *testing.T) {
 	cfg := DefaultDatacenterConfig()
 	cfg.VMs = 12
-	ds, err := model.Materialize(UncorrelatedStream(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse := fiveMinute(ds)
+	cfg.Groups = cfg.VMs
+	coarse := fiveMinute(Datacenter(cfg))
 	var inter stats.Running
 	for i := 0; i < len(coarse); i++ {
 		for j := i + 1; j < len(coarse); j++ {
@@ -231,51 +231,10 @@ func TestDatacenterPanics(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesDatacenter pins the streaming generator's byte-identity
-// contract: draining NewStream record by record must reproduce the batch
-// Datacenter output exactly, name and fine series.
-func TestStreamMatchesDatacenter(t *testing.T) {
-	cfg := DefaultDatacenterConfig()
-	cfg.VMs, cfg.Groups, cfg.Day = 17, 5, 2*time.Hour
-	want := Datacenter(cfg)
-
-	st := NewStream(cfg)
-	if st.Len() != cfg.VMs {
-		t.Fatalf("Len() = %d, want %d", st.Len(), cfg.VMs)
-	}
-	for i := 0; ; i++ {
-		rec, err := st.Next()
-		if err == io.EOF {
-			if i != cfg.VMs {
-				t.Fatalf("stream ended after %d records, want %d", i, cfg.VMs)
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Name != want.Names[i] {
-			t.Fatalf("record %d: %q, want %q", i, rec.Name, want.Names[i])
-		}
-		got, exp := rec.Fine, want.Fine[i]
-		if got.Len() != exp.Len() || got.Interval() != exp.Interval() {
-			t.Fatalf("record %d: shape mismatch", i)
-		}
-		for j := 0; j < got.Len(); j++ {
-			if got.At(j) != exp.At(j) {
-				t.Fatalf("record %d sample %d: %v != %v", i, j, got.At(j), exp.At(j))
-			}
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamBatchesAtAnyGOMAXPROCS: Next refines a batch of GOMAXPROCS
+// TestStreamBatchesAtAnyGOMAXPROCS: Load refines a batch of GOMAXPROCS
 // VMs on goroutines, so batches are uneven at some VM counts. Every VM
-// draws only from its own seed, so the records, names and sample bits,
-// are the ones a serial refinement of each VM gives, and the ones pinned
+// draws only from its own seed, so the traces, names and sample bits, are
+// the ones a serial refinement of each VM gives, and the ones pinned
 // before batching, at every GOMAXPROCS. A batch sharing one rng fails.
 //
 // The pins hold per architecture: amd64's assembly math.Exp and the
@@ -302,70 +261,40 @@ func TestStreamBatchesAtAnyGOMAXPROCS(t *testing.T) {
 		cfg.VMs, cfg.Groups, cfg.Day = vms, 3, 3*time.Hour
 		// Serial reference: each VM's coarse series in index order, each
 		// refined from the VM's own seed on this goroutine.
-		ref := NewStream(cfg)
-		want := make([]model.VMRecord, vms)
-		for i := range want {
+		ref := newGenerator(cfg)
+		want := &model.Dataset{}
+		for i := range vms {
 			name, coarse := ref.drawCoarse(i)
 			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
-			want[i] = model.VMRecord{Name: name, Fine: ln.Refine(coarse, cfg.FineFactor)}
+			want.Names = append(want.Names, name)
+			want.Fine = append(want.Fine, ln.Refine(coarse, cfg.FineFactor))
 		}
 		for _, procs := range []int{1, 2, 7} {
 			runtime.GOMAXPROCS(procs)
-			st := NewStream(cfg)
+			ds, err := Load(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ds.Names) != vms || len(ds.Fine) != vms {
+				t.Fatalf("%d VMs at GOMAXPROCS %d: loaded %d names and %d traces", vms, procs, len(ds.Names), len(ds.Fine))
+			}
 			h := sha256.New()
-			for i := 0; ; i++ {
-				rec, err := st.Next()
-				if err == io.EOF {
-					if i != vms {
-						t.Fatalf("%d VMs at GOMAXPROCS %d: stream ended after %d records", vms, procs, i)
-					}
-					break
+			for i, fine := range ds.Fine {
+				if ds.Names[i] != want.Names[i] || fine.Len() != want.Fine[i].Len() {
+					t.Fatalf("%d VMs at GOMAXPROCS %d: VM %d is %q with %d samples, want %q with %d",
+						vms, procs, i, ds.Names[i], fine.Len(), want.Names[i], want.Fine[i].Len())
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rec.Name != want[i].Name || rec.Fine.Len() != want[i].Fine.Len() {
-					t.Fatalf("%d VMs at GOMAXPROCS %d: record %d is %q with %d samples, want %q with %d",
-						vms, procs, i, rec.Name, rec.Fine.Len(), want[i].Name, want[i].Fine.Len())
-				}
-				io.WriteString(h, rec.Name)
-				for j, v := range rec.Fine.Samples() {
-					if math.Float64bits(v) != math.Float64bits(want[i].Fine.At(j)) {
-						t.Fatalf("%d VMs at GOMAXPROCS %d: record %d sample %d is %v, want %v",
-							vms, procs, i, j, v, want[i].Fine.At(j))
+				io.WriteString(h, ds.Names[i])
+				for j, v := range fine.Samples() {
+					if math.Float64bits(v) != math.Float64bits(want.Fine[i].At(j)) {
+						t.Fatalf("%d VMs at GOMAXPROCS %d: VM %d sample %d is %v, want %v",
+							vms, procs, i, j, v, want.Fine[i].At(j))
 					}
 					binary.Write(h, binary.LittleEndian, math.Float64bits(v))
 				}
 			}
 			if got, digest := fmt.Sprintf("%x", h.Sum(nil)[:8]), pinned[vms]; pinned != nil && got != digest {
 				t.Errorf("%d VMs at GOMAXPROCS %d: digest %s, pinned %s", vms, procs, got, digest)
-			}
-		}
-	}
-}
-
-// TestUncorrelatedStreamMatches pins the same identity for the shuffled
-// variant: it is the datacenter generator with one group per VM.
-func TestUncorrelatedStreamMatches(t *testing.T) {
-	cfg := DefaultDatacenterConfig()
-	cfg.VMs, cfg.Day = 9, 2*time.Hour
-	perVM := cfg
-	perVM.Groups = cfg.VMs
-	want := Datacenter(perVM)
-	got, err := model.Materialize(UncorrelatedStream(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Fine) != len(want.Fine) {
-		t.Fatalf("got %d VMs, want %d", len(got.Fine), len(want.Fine))
-	}
-	for i := range want.Fine {
-		if got.Names[i] != want.Names[i] {
-			t.Fatalf("VM %d named %q, want %q", i, got.Names[i], want.Names[i])
-		}
-		for j := 0; j < want.Fine[i].Len(); j++ {
-			if got.Fine[i].At(j) != want.Fine[i].At(j) {
-				t.Fatalf("VM %d fine sample %d: %v != %v", i, j, got.Fine[i].At(j), want.Fine[i].At(j))
 			}
 		}
 	}

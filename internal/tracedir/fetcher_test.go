@@ -2,8 +2,8 @@ package tracedir
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,12 +12,12 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
-// TestFetcherGoldenRoundTrip pins the ChunkFetcher refactor: the dataset
-// assembled through the seam (OpenFrom over a DirFetcher) must be
-// byte-identical to the one Source.Open streams — the "trace-dir" kind
-// is now just the filesystem fetcher behind the shared assembly path, and
-// any divergence between the two would split the recorded-workload
-// contract in half.
+// TestFetcherGoldenRoundTrip pins the ChunkFetcher seam: the dataset
+// assembled through it (LoadFrom over a DirFetcher) must be
+// byte-identical to the one Source.Load returns — the "trace-dir" kind is
+// just the filesystem fetcher behind the shared assembly path, and any
+// divergence between the two would split the recorded-workload contract
+// in half.
 func TestFetcherGoldenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ds := testDataset(5)
@@ -30,33 +30,38 @@ func TestFetcherGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenFrom(context.Background(), DirFetcher{Dir: dir}, w)
+	seamed, err := LoadFrom(context.Background(), DirFetcher{Dir: dir}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seamed, err := model.Materialize(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dj, err := json.Marshal(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(seamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(dj) != string(sj) {
-		t.Fatalf("fetcher-seam dataset differs from Source.Open:\n%s\nvs\n%s", sj, dj)
+	if d := diffTraces(seamed, direct); d != "" {
+		t.Fatalf("fetcher-seam dataset differs from Source.Load: %s", d)
 	}
 	// And both reproduce the recorded dataset exactly.
-	oj, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
+	if d := diffTraces(direct, ds); d != "" {
+		t.Fatalf("round trip is not lossless through the fetcher seam: %s", d)
 	}
-	if string(dj) != string(oj) {
-		t.Fatal("round trip is not lossless through the fetcher seam")
+}
+
+// diffTraces describes the first difference between two datasets' names,
+// sampling intervals and sample bits, or returns "".
+func diffTraces(got, want *model.Dataset) string {
+	if len(got.Names) != len(want.Names) || len(got.Fine) != len(want.Fine) {
+		return fmt.Sprintf("%d names and %d traces, want %d and %d", len(got.Names), len(got.Fine), len(want.Names), len(want.Fine))
 	}
+	for i, s := range got.Fine {
+		w := want.Fine[i]
+		if got.Names[i] != want.Names[i] || s.Len() != w.Len() || s.Interval() != w.Interval() {
+			return fmt.Sprintf("VM %d is %q, %d samples at %v; want %q, %d at %v",
+				i, got.Names[i], s.Len(), s.Interval(), want.Names[i], w.Len(), w.Interval())
+		}
+		for j, v := range s.Samples() {
+			if math.Float64bits(v) != math.Float64bits(w.At(j)) {
+				return fmt.Sprintf("VM %d sample %d is %v, want %v", i, j, v, w.At(j))
+			}
+		}
+	}
+	return ""
 }
 
 // TestDirFetcherErrorTextPinned pins the exact error shapes of the

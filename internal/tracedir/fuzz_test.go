@@ -20,9 +20,9 @@ func (f memFetcher) Chunk(context.Context, string, []byte) ([]byte, error) { ret
 func (f memFetcher) Where(name string) string                              { return "mem/" + name }
 
 // FuzzManifest feeds arbitrary manifest and chunk bytes through the
-// recorded-trace read path — ReadManifestFrom, OpenFrom, Materialize. No
-// input may panic it: every rejection comes back as an error, and every
-// read that succeeds matches the manifest it was read against.
+// recorded-trace read path — ReadManifestFrom, then LoadFrom. No input may
+// panic it: every rejection comes back as an error, and every read that
+// succeeds matches the manifest it was read against.
 func FuzzManifest(f *testing.F) {
 	// A valid recording small enough to mutate quickly: 2 VMs, one hour
 	// of 1-minute samples.
@@ -72,19 +72,12 @@ func FuzzManifest(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		r, err := OpenFrom(ctx, fetch, model.Workload{Kind: "trace-dir"})
-		if err != nil {
-			t.Fatalf("OpenFrom rejected a manifest ReadManifestFrom accepted: %v", err)
-		}
-		if r.Len() != len(m.Names) {
-			t.Fatalf("stream Len %d, manifest names %d VMs", r.Len(), len(m.Names))
-		}
-		got, err := model.Materialize(r)
+		got, err := LoadFrom(ctx, fetch, model.Workload{Kind: "trace-dir"})
 		if err != nil {
 			return
 		}
-		if len(got.Fine) != len(m.Names) {
-			t.Fatalf("read %d VMs, manifest names %d", len(got.Fine), len(m.Names))
+		if len(got.Names) != len(m.Names) || len(got.Fine) != len(m.Names) {
+			t.Fatalf("read %d names and %d VMs, manifest names %d", len(got.Names), len(got.Fine), len(m.Names))
 		}
 		iv, _ := m.interval()
 		for i, s := range got.Fine {

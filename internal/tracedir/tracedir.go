@@ -1,25 +1,25 @@
 // Package tracedir implements the recorded-trace workload stack: a
 // manifest.json naming every VM in canonical order plus chunked demand-
-// trace CSVs, parsed, validated, and assembled into a model.Dataset. It is
-// the shared core of every recorded workload backend — the "trace-dir"
-// kind it implements directly, and the object-store "trace-obj" kind
-// (internal/objstore), which plugs a different transport into the same
-// assembly path.
+// trace CSVs, parsed, validated, and assembled into a model.Dataset by
+// LoadFrom. It is the shared core of every recorded workload backend — the
+// "trace-dir" kind it implements directly, and the object-store
+// "trace-obj" kind (internal/objstore), which plugs a different transport
+// into the same assembly path.
 //
 // The transport seam is ChunkFetcher: fetch the manifest, fetch a named
 // chunk, and describe where an object lives for error text. Everything
 // after the bytes arrive — manifest validation, column-order checks,
 // interval and sample-count verification — is ChunkFetcher-independent
-// and runs verbatim for every backend, so a recording streamed from an
-// object store reproduces a local directory read bit for bit.
+// and runs verbatim for every backend, so a recording read from an object
+// store reproduces a local directory read bit for bit.
 //
 // Layout: one manifest.json naming every VM in canonical order, the
 // sampling interval, the horizon, and the CSV files (each holding a chunk
 // of VM columns in WriteCSV format). Manifest decoding ignores keys it
 // does not know, so older recordings that also carry "coarse_factor" and
-// "groups" read the same fine series. Chunks are loaded one at a time, so
-// memory stays bounded by one chunk plus the assembled dataset, and a
-// sweep worker only pays for the traces a scenario actually names.
+// "groups" read the same fine series. Chunks are read one at a time into
+// one reused buffer, so memory stays bounded by one chunk's bytes plus
+// the assembled dataset.
 package tracedir
 
 import (
@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -158,7 +157,7 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 // ChunkFetcher is the transport seam of the recorded-trace stack: how the
 // manifest and the chunk CSVs named by it are brought into memory. The
 // parse/validate/assemble path above the seam (ReadManifestFrom,
-// OpenFrom) is transport-independent — DirFetcher reads a local
+// LoadFrom) is transport-independent — DirFetcher reads a local
 // directory through the OS, internal/objstore reads an HTTP object
 // store — so every backend reproduces the same dataset from the same
 // recorded bytes.
@@ -173,7 +172,7 @@ type ChunkFetcher interface {
 	Manifest(ctx context.Context) ([]byte, error)
 	// Chunk fetches one chunk file's raw bytes by its manifest name. It
 	// may read them into buf's storage, growing it as needed, and return
-	// that storage: a stream passes the bytes of its previous chunk back
+	// that storage: LoadFrom passes the bytes of its previous chunk back
 	// as buf, so one buffer serves every chunk. The caller only reads
 	// the returned bytes, and only until its next Chunk call.
 	Chunk(ctx context.Context, name string, buf []byte) ([]byte, error)
@@ -301,8 +300,8 @@ func Write(dir string, ds *model.Dataset, perFile int) error {
 }
 
 // Source is the "trace-dir" workload backend: Workload.Path names a
-// directory written by Write (or by cmd/tracegen -dir), and Open streams
-// it back chunk by chunk. The zero value is ready to use.
+// directory written by Write (or by cmd/tracegen -dir), and Load reads it
+// back chunk by chunk. The zero value is ready to use.
 type Source struct{}
 
 // SeedInvariant implements model.SeedInvariantSource: a recording is the
@@ -336,31 +335,26 @@ func checkWorkloadShape(w model.Workload) error {
 	return nil
 }
 
-// Open implements model.WorkloadSource: load the recorded fine traces
-// chunk by chunk and verify each chunk against the manifest — emitted VM
-// by VM with at most one chunk's traces resident at a time.
-func (Source) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
+// Load implements model.WorkloadSource: the recorded fine traces, read
+// chunk by chunk and each chunk verified against the manifest.
+func (Source) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {
 	if err := checkWorkloadShape(w); err != nil {
 		return nil, err
 	}
-	return OpenFrom(ctx, DirFetcher{Dir: w.Path}, w)
+	return LoadFrom(ctx, DirFetcher{Dir: w.Path}, w)
 }
 
-// OpenFrom opens the recording behind the fetcher as a VM stream: the
-// manifest is fetched, validated internally and against the workload up
-// front — a truncated or inconsistent manifest fails here, before any
-// trace bytes move — then chunks are fetched lazily, one at a time, as
-// records are consumed. It is the one read path every recorded backend
-// shares, so the records (and every validation error past the transport)
-// are identical whether the bytes came from a local directory or an
-// object store. Each chunk is verified against the manifest's column
-// order, interval, and sample count; the stream hands each chunk's bytes
-// back to the fetcher as the buffer for the next, and emitted records are
-// dropped from the reader as they leave, so residency is bounded by one
-// chunk regardless of recording size. The context covers the whole
-// stream: it is threaded through every chunk fetch and checked between
-// records.
-func OpenFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (model.DatasetReader, error) {
+// LoadFrom loads the recording behind the fetcher. The manifest is
+// fetched and validated, internally and against the workload, before any
+// chunk is read, so a truncated or inconsistent manifest fails before
+// trace bytes move. Then the chunks are read one at a time, each into the
+// previous chunk's buffer, and verified against the manifest's column
+// order, interval and sample count. It is the one read path every
+// recorded backend shares, so the dataset (and every validation error
+// past the transport) is identical whether the bytes came from a local
+// directory or an object store. ctx is passed to every fetch and checked
+// before each chunk.
+func LoadFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dataset, error) {
 	m, err := ReadManifestFrom(ctx, f)
 	if err != nil {
 		return nil, err
@@ -372,107 +366,43 @@ func OpenFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (model.Data
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &streamReader{ctx: ctx, f: f, m: m, iv: iv}, nil
-}
-
-// streamReader is the recorded-trace model.DatasetReader behind OpenFrom.
-type streamReader struct {
-	ctx context.Context
-	f   ChunkFetcher
-	m   *Manifest
-	iv  time.Duration
-
-	fileIdx int              // next manifest file to fetch
-	buf     []byte           // the last chunk's bytes, reused for the next
-	pending []model.VMRecord // records parsed from the current chunk
-	pi      int              // next pending record to emit
-	vmIdx   int              // canonical index of the next record
-	err     error            // sticky terminal error (io.EOF when drained)
-}
-
-// Len implements model.DatasetReader: the manifest's VM count.
-func (r *streamReader) Len() int { return len(r.m.Names) }
-
-// Close implements model.DatasetReader: drop whatever chunk is resident,
-// and the chunk buffer. Closing mid-stream is how a consumer abandons a
-// recording early.
-func (r *streamReader) Close() error {
-	r.buf, r.pending, r.pi = nil, nil, 0
-	if r.err == nil {
-		r.err = fmt.Errorf("tracedir: read after Close: %w", os.ErrClosed)
-	}
-	return nil
-}
-
-// Next implements model.DatasetReader.
-func (r *streamReader) Next() (model.VMRecord, error) {
-	if r.err != nil {
-		return model.VMRecord{}, r.err
-	}
-	if err := r.ctx.Err(); err != nil {
-		r.err = fmt.Errorf("tracedir: %w", err)
-		return model.VMRecord{}, r.err
-	}
-	for r.pi >= len(r.pending) {
-		if r.fileIdx >= len(r.m.Files) {
-			r.err = io.EOF
-			return model.VMRecord{}, io.EOF
+	ds := &model.Dataset{Names: m.Names, Fine: make([]*model.Series, 0, len(m.Names))}
+	var buf []byte // the last chunk's bytes, reused for the next
+	for _, entry := range m.Files {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("tracedir: %w", err)
 		}
-		if err := r.loadChunk(r.m.Files[r.fileIdx]); err != nil {
-			r.err = err
-			return model.VMRecord{}, err
+		if buf, err = f.Chunk(ctx, entry.File, buf); err != nil {
+			return nil, fmt.Errorf("tracedir: %w", err)
 		}
-		r.fileIdx++
-	}
-	rec := r.pending[r.pi]
-	// Drop the emitted record so a consumer that folds and discards keeps
-	// only its own state alive, not the rest of the chunk behind it.
-	r.pending[r.pi] = model.VMRecord{}
-	r.pi++
-	return rec, nil
-}
-
-// loadChunk fetches, parses, and verifies one chunk, replacing the pending
-// records.
-func (r *streamReader) loadChunk(entry FileEntry) error {
-	data, err := r.f.Chunk(r.ctx, entry.File, r.buf)
-	if err != nil {
-		return fmt.Errorf("tracedir: %w", err)
-	}
-	r.buf = data
-	names, series, err := trace.ReadCSV(data)
-	if err != nil {
-		return fmt.Errorf("tracedir: read %s: %w", r.f.Where(entry.File), err)
-	}
-	if len(names) != len(entry.Names) {
-		return fmt.Errorf("tracedir: %s holds %d VMs, manifest lists %d",
-			entry.File, len(names), len(entry.Names))
-	}
-	for i, n := range names {
-		if n != entry.Names[i] {
-			return fmt.Errorf("tracedir: %s column %d is %q, manifest lists %q",
-				entry.File, i, n, entry.Names[i])
+		names, series, err := trace.ReadCSV(buf)
+		if err != nil {
+			return nil, fmt.Errorf("tracedir: read %s: %w", f.Where(entry.File), err)
 		}
+		if len(names) != len(entry.Names) {
+			return nil, fmt.Errorf("tracedir: %s holds %d VMs, manifest lists %d",
+				entry.File, len(names), len(entry.Names))
+		}
+		for i, n := range names {
+			if n != entry.Names[i] {
+				return nil, fmt.Errorf("tracedir: %s column %d is %q, manifest lists %q",
+					entry.File, i, n, entry.Names[i])
+			}
+		}
+		for _, s := range series {
+			if s.Interval() != iv {
+				return nil, fmt.Errorf("tracedir: %s sampled at %v, manifest claims %v",
+					entry.File, s.Interval(), iv)
+			}
+			if s.Len() != m.Samples {
+				return nil, fmt.Errorf("tracedir: %s holds %d samples per VM, manifest claims %d",
+					entry.File, s.Len(), m.Samples)
+			}
+			if err := s.Validate(); err != nil {
+				return nil, fmt.Errorf("tracedir: %s: %w", entry.File, err)
+			}
+		}
+		ds.Fine = append(ds.Fine, series...)
 	}
-	recs := make([]model.VMRecord, 0, len(series))
-	for _, s := range series {
-		if s.Interval() != r.iv {
-			return fmt.Errorf("tracedir: %s sampled at %v, manifest claims %v",
-				entry.File, s.Interval(), r.iv)
-		}
-		if s.Len() != r.m.Samples {
-			return fmt.Errorf("tracedir: %s holds %d samples per VM, manifest claims %d",
-				entry.File, s.Len(), r.m.Samples)
-		}
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("tracedir: %s: %w", entry.File, err)
-		}
-		recs = append(recs, model.VMRecord{Name: r.m.Names[r.vmIdx], Fine: s})
-		r.vmIdx++
-	}
-	r.pending, r.pi = recs, 0
-	return nil
+	return ds, nil
 }

@@ -28,14 +28,9 @@ func testDataset(nVMs int) *model.Dataset {
 	return ds
 }
 
-// materialize reads a workload through Source.Open, the one read path,
-// into a Dataset.
+// materialize reads a workload through Source.Load, the one read path.
 func materialize(w model.Workload) (*model.Dataset, error) {
-	r, err := Source{}.Open(context.Background(), w)
-	if err != nil {
-		return nil, err
-	}
-	return model.Materialize(r)
+	return Source{}.Load(context.Background(), w)
 }
 
 func TestWriteLoadRoundTrip(t *testing.T) {
@@ -101,7 +96,7 @@ func TestCheckWorkloadMismatches(t *testing.T) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
 		if _, err := materialize(c.w); err == nil {
-			t.Errorf("%s: Open should fail the same check", c.name)
+			t.Errorf("%s: Load should fail the same check", c.name)
 		}
 	}
 	// Zero VMs/hours mean "whatever is recorded": no mismatch to report.
@@ -266,10 +261,9 @@ func sameStorage(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
-// TestStreamReusesChunkBuffer: the stream hands each chunk's bytes back
-// as the buffer for the next, and loading chunk k+1 into that storage
-// leaves every name and sample of chunk k's records unchanged. Close
-// drops the buffer.
+// TestStreamReusesChunkBuffer: LoadFrom hands each chunk's bytes back as
+// the buffer for the next, and reading chunk k+1 into that storage leaves
+// every name and sample of chunk k's traces unchanged.
 func TestStreamReusesChunkBuffer(t *testing.T) {
 	dir := t.TempDir()
 	ds := testDataset(6) // two chunks of equal byte size
@@ -277,21 +271,8 @@ func TestStreamReusesChunkBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &bufFetcher{DirFetcher: DirFetcher{Dir: dir}}
-	r, err := OpenFrom(context.Background(), f, model.Workload{Kind: "trace-dir"})
+	got, err := LoadFrom(context.Background(), f, model.Workload{Kind: "trace-dir"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []model.VMRecord
-	var bits [][]float64
-	for i := 0; i < 3; i++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-		bits = append(bits, append([]float64(nil), rec.Fine.Samples()...))
-	}
-	if _, err := r.Next(); err != nil { // loads chunk 1
 		t.Fatal(err)
 	}
 	if len(f.passed) != 2 {
@@ -303,21 +284,17 @@ func TestStreamReusesChunkBuffer(t *testing.T) {
 	if !sameStorage(f.passed[1], f.returned[0]) || !sameStorage(f.returned[1], f.returned[0]) {
 		t.Fatal("chunk 1 was not read into chunk 0's buffer")
 	}
-	for i, rec := range recs {
-		if rec.Name != ds.Names[i] {
-			t.Errorf("record %d renamed %q after the next chunk loaded, want %q", i, rec.Name, ds.Names[i])
+	if len(got.Names) != len(ds.Names) || len(got.Fine) != len(ds.Fine) {
+		t.Fatalf("loaded %d names and %d traces, wrote %d", len(got.Names), len(got.Fine), len(ds.Fine))
+	}
+	for i, s := range got.Fine {
+		if got.Names[i] != ds.Names[i] {
+			t.Errorf("VM %d named %q, want %q", i, got.Names[i], ds.Names[i])
 		}
-		for j, v := range rec.Fine.Samples() {
-			if v != bits[i][j] || v != ds.Fine[i].At(j) {
-				t.Fatalf("record %d sample %d changed to %v after the next chunk loaded (read %v, wrote %v)",
-					i, j, v, bits[i][j], ds.Fine[i].At(j))
+		for j, v := range s.Samples() {
+			if v != ds.Fine[i].At(j) {
+				t.Fatalf("VM %d sample %d is %v after the next chunk loaded, wrote %v", i, j, v, ds.Fine[i].At(j))
 			}
 		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if buf := r.(*streamReader).buf; buf != nil {
-		t.Fatalf("Close kept a %d-byte chunk buffer", len(buf))
 	}
 }

@@ -71,9 +71,6 @@ func (s synthSource) Check(w model.Workload) error {
 	// Count in float64: the product of unchecked counts can overflow an
 	// int64, and every count below the limit is exact.
 	cfg := s.config(w)
-	if s.uncorrelated {
-		cfg.Groups = cfg.VMs
-	}
 	coarse := float64(cfg.Day / cfg.CoarseInterval)
 	if n := coarse * (float64(cfg.Groups) + float64(cfg.VMs)*float64(cfg.FineFactor)); n > maxSynthSamples {
 		return fmt.Errorf("dcsim: workload kind %q would hold %.0f samples (%d group profiles and %d VMs over %d h), more than the limit of %d",
@@ -82,26 +79,17 @@ func (s synthSource) Check(w model.Workload) error {
 	return nil
 }
 
-// Open implements model.WorkloadSource, deterministically in the seed: the
-// generator emits VM by VM, so large synthetic populations never exist as
-// a whole Dataset — the state behind the stream is the shared group
-// profiles plus one batch of GOMAXPROCS records in flight.
-func (s synthSource) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
+// Load implements model.WorkloadSource, deterministically in the seed.
+func (s synthSource) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {
 	if err := s.Check(w); err != nil {
 		return nil, err
 	}
-	cfg := s.config(w)
-	var st *synth.Stream
-	if s.uncorrelated {
-		st = synth.UncorrelatedStream(cfg)
-	} else {
-		st = synth.NewStream(cfg)
-	}
-	return model.ReaderWithContext(ctx, st), nil
+	return synth.Load(ctx, s.config(w))
 }
 
 // config maps the workload description onto the generator config, zero
-// fields selecting the generator defaults.
+// fields selecting the generator defaults. "uncorrelated" is the same
+// generator with one group per VM, so no VMs share a profile.
 func (s synthSource) config(w model.Workload) synth.DatacenterConfig {
 	cfg := synth.DefaultDatacenterConfig()
 	if w.VMs > 0 {
@@ -115,6 +103,9 @@ func (s synthSource) config(w model.Workload) synth.DatacenterConfig {
 	}
 	if w.Seed != 0 {
 		cfg.Seed = w.Seed
+	}
+	if s.uncorrelated {
+		cfg.Groups = cfg.VMs
 	}
 	return cfg
 }
@@ -146,7 +137,7 @@ func costSourceErr(n int, pctl float64) error {
 func init() {
 	// Workload backends: the two synthetic generators the paper's Setup 2
 	// uses, plus the recorded-trace readers — the same manifest+chunks
-	// layout from a local directory or streamed from an HTTP(S) object
+	// layout from a local directory or read from an HTTP(S) object
 	// store. Out-of-tree modules register theirs exactly like this,
 	// against model types alone.
 	RegisterWorkload("datacenter", synthSource{})

@@ -141,7 +141,7 @@ func (flatSource) Check(w model.Workload) error {
 	return nil
 }
 
-func (flatSource) Open(_ context.Context, w model.Workload) (model.DatasetReader, error) {
+func (flatSource) Load(_ context.Context, w model.Workload) (*model.Dataset, error) {
 	const perHour = 720 // 5-second samples
 	ds := &model.Dataset{}
 	for v := 0; v < w.VMs; v++ {
@@ -152,7 +152,7 @@ func (flatSource) Open(_ context.Context, w model.Workload) (model.DatasetReader
 		ds.Names = append(ds.Names, fmt.Sprintf("flat%02d", v))
 		ds.Fine = append(ds.Fine, model.SeriesFromSamples(5*time.Second, samples))
 	}
-	return model.DatasetReaderOf(ds), nil
+	return ds, nil
 }
 
 // TestOutOfTreeWorkloadSourceThroughFacade: a workload backend registers
@@ -195,11 +195,11 @@ func TestOutOfTreeWorkloadSourceThroughFacade(t *testing.T) {
 	}
 }
 
-// countingSource is flatSource with its Check and Open calls counted, so
+// countingSource is flatSource with its Check and Load calls counted, so
 // a test can see how often each façade entry point reaches the backend.
 type countingSource struct {
 	flatSource
-	checks, opens atomic.Int64
+	checks, loads atomic.Int64
 }
 
 func (c *countingSource) Check(w model.Workload) error {
@@ -207,14 +207,14 @@ func (c *countingSource) Check(w model.Workload) error {
 	return c.flatSource.Check(w)
 }
 
-func (c *countingSource) Open(ctx context.Context, w model.Workload) (model.DatasetReader, error) {
-	c.opens.Add(1)
-	return c.flatSource.Open(ctx, w)
+func (c *countingSource) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {
+	c.loads.Add(1)
+	return c.flatSource.Load(ctx, w)
 }
 
-// TestEveryIngestOpensSourceOnce: an ingest opens its source exactly once
-// and makes no separate Check (Open validates on its own), while the
-// preflight checks once and opens nothing.
+// TestEveryIngestOpensSourceOnce: an ingest loads its source exactly once
+// and makes no separate Check (Load validates on its own), while the
+// preflight checks once and loads nothing.
 func TestEveryIngestOpensSourceOnce(t *testing.T) {
 	src := &countingSource{}
 	kind := uniqueName("counting-test")
@@ -230,24 +230,79 @@ func TestEveryIngestOpensSourceOnce(t *testing.T) {
 	cases := []struct {
 		name          string
 		call          func() error
-		checks, opens int64
+		checks, loads int64
 	}{
 		{"Run", func() error { _, err := dcsim.Run(context.Background(), sc); return err }, 0, 1},
 		{"GenerateTraces", func() error { _, err := dcsim.GenerateTraces(sc.Workload); return err }, 0, 1},
+		{"OpenTraces", func() error { _, err := dcsim.OpenTraces(context.Background(), sc.Workload); return err }, 0, 1},
 		{"CheckScenario", func() error { return dcsim.CheckScenario(sc) }, 1, 0},
 	}
 	for _, c := range cases {
 		src.checks.Store(0)
-		src.opens.Store(0)
+		src.loads.Store(0)
 		if err := c.call(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if got := src.checks.Load(); got != c.checks {
 			t.Errorf("%s made %d Check calls, want %d", c.name, got, c.checks)
 		}
-		if got := src.opens.Load(); got != c.opens {
-			t.Errorf("%s made %d Open calls, want %d", c.name, got, c.opens)
+		if got := src.loads.Load(); got != c.loads {
+			t.Errorf("%s made %d Load calls, want %d", c.name, got, c.loads)
 		}
+	}
+}
+
+// brokenSource is flatSource with the dataset its Load returns broken by
+// a test: the malformed shapes an out-of-tree backend could return.
+type brokenSource struct {
+	flatSource
+	breakIt func(*model.Dataset) *model.Dataset
+}
+
+func (b brokenSource) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {
+	ds, err := b.flatSource.Load(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	return b.breakIt(ds), nil
+}
+
+// TestMalformedDatasetRejected: whatever a backend's Load returns, Run and
+// GenerateTraces go on only with at least one trace, one name per series
+// and no nil series. Anything else is a dcsim: error naming the kind, not
+// a panic and not a run over unnamed VMs.
+func TestMalformedDatasetRejected(t *testing.T) {
+	cases := []struct {
+		name    string
+		breakIt func(*model.Dataset) *model.Dataset
+		want    string
+	}{
+		{"nil series", func(ds *model.Dataset) *model.Dataset { ds.Fine[1] = nil; return ds }, `produced no series for trace "flat01"`},
+		{"fewer names", func(ds *model.Dataset) *model.Dataset { ds.Names = ds.Names[:2]; return ds }, "produced 2 names for 4 traces"},
+		{"no traces", func(*model.Dataset) *model.Dataset { return &model.Dataset{} }, "produced no traces"},
+		{"nil dataset", func(*model.Dataset) *model.Dataset { return nil }, "produced no traces"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			kind := uniqueName("broken-test")
+			dcsim.RegisterWorkload(kind, brokenSource{breakIt: c.breakIt})
+			sc := dcsim.New(
+				dcsim.WithWorkloadKind(kind),
+				dcsim.WithVMs(4),
+				dcsim.WithGroups(1),
+				dcsim.WithHours(1),
+				dcsim.WithMaxServers(4),
+				dcsim.WithPolicy("bfd"),
+			)
+			want := fmt.Sprintf("dcsim: workload kind %q %s", kind, c.want)
+			_, runErr := dcsim.Run(context.Background(), sc)
+			_, genErr := dcsim.GenerateTraces(sc.Workload)
+			for name, err := range map[string]error{"Run": runErr, "GenerateTraces": genErr} {
+				if err == nil || err.Error() != want {
+					t.Errorf("%s = %v, want %q", name, err, want)
+				}
+			}
+		})
 	}
 }
 

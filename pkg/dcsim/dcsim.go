@@ -35,11 +35,11 @@ type Dataset = model.Dataset
 // contract type model.Series.
 type Series = model.Series
 
-// Run assembles and executes a scenario end to end: synthesize the
-// workload, resolve every component from the registries, and simulate.
-// Observers stream per-sample and per-period metrics while the run is in
-// flight. Cancelling ctx stops the run between samples and returns the
-// partial Result accumulated so far alongside the context's error.
+// Run assembles and executes a scenario end to end: load the workload,
+// resolve every component from the registries, and simulate. Observers
+// stream per-sample and per-period metrics while the run is in flight.
+// Cancelling ctx stops the run between samples and returns the partial
+// Result accumulated so far alongside the context's error.
 func Run(ctx context.Context, sc Scenario, obs ...Observer) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
@@ -50,12 +50,11 @@ func Run(ctx context.Context, sc Scenario, obs ...Observer) (*Result, error) {
 	if err := sc.lookupErr(); err != nil {
 		return nil, err
 	}
-	// The workload arrives VM by VM, cancellable between records.
-	vms, err := vmsFor(ctx, sc.Workload)
+	ds, err := loadTraces(ctx, sc.Workload)
 	if err != nil {
 		return nil, err
 	}
-	return runResolved(ctx, vms, sc, obs)
+	return runResolved(ctx, model.VMsFromSeries(ds.Names, ds.Fine), sc, obs)
 }
 
 // CheckScenario validates a scenario the way Run would — structural checks
@@ -117,10 +116,10 @@ func (s Scenario) lookupErr() error {
 
 // RunVMs is Run with a caller-supplied VM population instead of the
 // scenario's workload, which is ignored except as documentation of intent.
-// It is the materialized-ingest reference the streamed-ingest tests
-// compare Run against, and internal/exp uses it to run several policies
-// on one trace set. Recorded traces need no hook: they are the
-// "trace-dir" and "trace-obj" workload kinds.
+// Run over a workload equals RunVMs over the Dataset GenerateTraces
+// returns for it (the tests hold them to that), and internal/exp uses
+// RunVMs to run several policies on one trace set. Recorded traces need
+// no hook: they are the "trace-dir" and "trace-obj" workload kinds.
 func RunVMs(ctx context.Context, vms []*VM, sc Scenario, obs ...Observer) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {

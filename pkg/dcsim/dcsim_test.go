@@ -447,6 +447,54 @@ func TestPercentileFieldsValidated(t *testing.T) {
 	}
 }
 
+// TestRescaleIntervalBelowPeriod: a rescale interval of a whole period or
+// more never falls inside a period, so such a run kept every level static
+// while its Result reported Dynamic. ParseScenario, CheckScenario and Run
+// reject it with a dcsim: error naming both values; shorter intervals run.
+func TestRescaleIntervalBelowPeriod(t *testing.T) {
+	cases := []struct {
+		period, every int
+		ok            bool
+	}{
+		{720, 0, true},
+		{720, 12, true},
+		{720, 719, true},
+		{720, 720, false},
+		{720, 750, false},
+		{720, math.MaxInt, false},
+		{240, 240, false},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("period=%d/every=%d", c.period, c.every)
+		data := fmt.Sprintf(`{"workload":{"vms":8,"groups":2,"hours":2,"seed":3},"max_servers":6,"period_samples":%d,"rescale_every":%d}`,
+			c.period, c.every)
+		sc := New(append(smallOpts(), WithPeriodSamples(c.period), WithRescaleEvery(c.every))...)
+		_, parseErr := ParseScenario([]byte(data))
+		res, runErr := Run(context.Background(), sc)
+		errs := map[string]error{"ParseScenario": parseErr, "CheckScenario": CheckScenario(sc), "Run": runErr}
+		if c.ok {
+			for fn, err := range errs {
+				if err != nil {
+					t.Errorf("%s: %s: %v", name, fn, err)
+				}
+			}
+			if runErr == nil && res.Dynamic != (c.every > 0) {
+				t.Errorf("%s: Result.Dynamic = %v", name, res.Dynamic)
+			}
+			continue
+		}
+		want := fmt.Sprintf("dcsim: RescaleEvery %d must be below PeriodSamples %d", c.every, c.period)
+		for fn, err := range errs {
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s: %s = %v, want %q", name, fn, err, want)
+			}
+		}
+		if res != nil {
+			t.Errorf("%s: Run returned a Result", name)
+		}
+	}
+}
+
 // observerPair lets one test watch both callback streams.
 type observerPair struct {
 	sample func(Sample)

@@ -30,10 +30,9 @@
 //     policy and governor.
 //   - Workload and WorkloadSource: a serializable workload description
 //     and the backend that turns it into traces — Check to validate it
-//     without side effects, Open to stream it.
-//   - DatasetReader and VMRecord: that stream, one VM's traces per
-//     record in canonical order; Materialize drains one into a Dataset,
-//     and DatasetReaderOf streams a Dataset back.
+//     without side effects, Load to return its Dataset.
+//   - DatasetReader and VMRecord: a loaded Dataset walked one VM record
+//     at a time (DatasetReaderOf), the form dcsim.OpenTraces returns.
 //   - VM, Dataset, Result: the workload a run consumes and the metrics it
 //     produces.
 //   - RunOptions: the serializable scale knobs of the experiment drivers

@@ -301,12 +301,15 @@ func (s *Series) Downsample(factor int) *Series {
 // contract demand traces must satisfy before entering a simulation.
 func (s *Series) Validate() error {
 	for i, v := range s.samples {
+		// One range test per sample: NaN fails both comparisons, −0
+		// passes. Only a rejected sample is classified.
+		if v >= 0 && v <= math.MaxFloat64 {
+			continue
+		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("model: sample %d is not finite", i)
 		}
-		if v < 0 {
-			return fmt.Errorf("model: sample %d is negative (%v)", i, v)
-		}
+		return fmt.Errorf("model: sample %d is negative (%v)", i, v)
 	}
 	return nil
 }

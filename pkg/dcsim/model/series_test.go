@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -259,6 +260,33 @@ func TestValidate(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad series %d passed validation", i)
+		}
+	}
+}
+
+// TestValidateBoundaries: every sample from +0 (−0 included) to the
+// largest finite float64 passes, and a rejected sample is reported as not
+// finite or as negative, at its index.
+func TestValidateBoundaries(t *testing.T) {
+	cases := []struct {
+		v    float64
+		want string // "" accepts
+	}{
+		{0, ""},
+		{math.Copysign(0, -1), ""},
+		{5e-324, ""},
+		{math.MaxFloat64, ""},
+		{-5e-324, "model: sample 1 is negative (-5e-324)"},
+		{-1, "model: sample 1 is negative (-1)"},
+		{-math.MaxFloat64, "model: sample 1 is negative (-1.7976931348623157e+308)"},
+		{math.Inf(1), "model: sample 1 is not finite"},
+		{math.Inf(-1), "model: sample 1 is not finite"},
+		{math.NaN(), "model: sample 1 is not finite"},
+	}
+	for _, c := range cases {
+		err := SeriesFromSamples(time.Second, []float64{1, c.v, 2}).Validate()
+		if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
+			t.Errorf("Validate with sample %v = %v, want %q", c.v, err, c.want)
 		}
 	}
 }

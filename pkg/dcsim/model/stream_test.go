@@ -1,10 +1,7 @@
 package model
 
 import (
-	"context"
-	"errors"
 	"io"
-	"strings"
 	"testing"
 	"time"
 )
@@ -25,89 +22,23 @@ func testDataset(t *testing.T, n int) *Dataset {
 	return ds
 }
 
-func TestMaterializeRoundTrip(t *testing.T) {
-	ds := testDataset(t, 4)
-	got, err := Materialize(DatasetReaderOf(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Names) != 4 || len(got.Fine) != 4 {
-		t.Fatalf("materialized shape %d/%d, want 4 each", len(got.Names), len(got.Fine))
+// TestDatasetReaderEOF: the reader walks the Dataset in order, pairing
+// each name with its series (shared, not copied), then returns io.EOF
+// from every further Next.
+func TestDatasetReaderEOF(t *testing.T) {
+	ds := testDataset(t, 3)
+	r := DatasetReaderOf(ds)
+	if r.Len() != 3 {
+		t.Fatalf("Len() = %d, want 3", r.Len())
 	}
 	for i := range ds.Fine {
-		if got.Names[i] != ds.Names[i] {
-			t.Fatalf("record %d: got %q, want %q", i, got.Names[i], ds.Names[i])
+		rec, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The adapter shares series, so identity (not just equality) holds.
-		if got.Fine[i] != ds.Fine[i] {
-			t.Fatalf("record %d: series not shared through the round trip", i)
+		if rec.Name != ds.Names[i] || rec.Fine != ds.Fine[i] {
+			t.Fatalf("record %d is %q, want %q with the dataset's own series", i, rec.Name, ds.Names[i])
 		}
-	}
-}
-
-// TestMaterializeRejectsRecordWithoutFine pins the one record check
-// Materialize makes: a record with no fine series is a malformed stream,
-// and the reader is closed.
-func TestMaterializeRejectsRecordWithoutFine(t *testing.T) {
-	ds := testDataset(t, 3)
-	ds.Fine[1] = nil
-	r := &errReader{inner: DatasetReaderOf(ds), after: 3, err: io.EOF}
-	_, err := Materialize(r)
-	if err == nil || !strings.Contains(err.Error(), `record "b" has no fine series`) {
-		t.Fatalf("Materialize() = %v, want the fine-less record rejected", err)
-	}
-	if !r.closed {
-		t.Fatal("Materialize did not close the reader after rejecting a record")
-	}
-}
-
-// errReader yields n good records then a terminal error.
-type errReader struct {
-	inner DatasetReader
-	after int
-	err   error
-
-	emitted int
-	closed  bool
-}
-
-func (r *errReader) Len() int { return r.inner.Len() }
-func (r *errReader) Next() (VMRecord, error) {
-	if r.emitted >= r.after {
-		return VMRecord{}, r.err
-	}
-	r.emitted++
-	return r.inner.Next()
-}
-func (r *errReader) Close() error { r.closed = true; return r.inner.Close() }
-
-func TestMaterializeMidStreamErrorClosesReader(t *testing.T) {
-	want := errors.New("mid-stream failure")
-	r := &errReader{inner: DatasetReaderOf(testDataset(t, 4)), after: 2, err: want}
-	if _, err := Materialize(r); !errors.Is(err, want) {
-		t.Fatalf("Materialize() = %v, want %v", err, want)
-	}
-	if !r.closed {
-		t.Fatal("Materialize did not close the reader on a mid-stream error")
-	}
-}
-
-func TestReaderWithContextCancelsBetweenRecords(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := ReaderWithContext(ctx, DatasetReaderOf(testDataset(t, 3)))
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if _, err := r.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next() after cancel = %v, want context.Canceled", err)
-	}
-}
-
-func TestDatasetReaderEOF(t *testing.T) {
-	r := DatasetReaderOf(testDataset(t, 1))
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("Next() past the end = %v, want io.EOF", err)

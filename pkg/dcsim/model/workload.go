@@ -8,7 +8,7 @@ import (
 // Workload is the serializable description of a VM demand-trace source —
 // the value a Scenario carries and a WorkloadSource consumes. It is the
 // seam workload backends plug into: the built-in kinds synthesize traces
-// locally, file-backed kinds (such as "trace-dir") stream recorded traces,
+// locally, file-backed kinds (such as "trace-dir") load recorded traces,
 // and an out-of-tree module can register any backend that reproduces a
 // trace set deterministically from these fields.
 type Workload struct {
@@ -103,10 +103,10 @@ type FetchStats struct {
 }
 
 // WorkloadSource is one workload backend: it turns a Workload description
-// into the stream of demand traces it names. Implementations must be
-// deterministic — the same Workload always yields sample-identical records
-// — because sweep replicas, remote retries, and cross-machine aggregation
-// all rely on reproducing a run exactly.
+// into the demand traces it names. Implementations must be deterministic —
+// the same Workload always yields sample-identical traces — because sweep
+// replicas, remote retries, and cross-machine aggregation all rely on
+// reproducing a run exactly.
 //
 // Register implementations under a kind name through the dcsim façade
 // (RegisterWorkload); scenario validation, sweep preflight, and the remote
@@ -119,14 +119,13 @@ type WorkloadSource interface {
 	// horizon) against the workload here. Check must have no side
 	// effects: preflight runs it once per sweep cell.
 	Check(w Workload) error
-	// Open returns the VM stream the description names, in canonical
-	// order. It must not assume Check ran first (the façade opens without
-	// a separate Check, and file-backed data can change between the two
-	// calls), so it validates whatever it depends on. The context covers
-	// the whole stream: implementations observe cancellation between
-	// records (ReaderWithContext) and inside any fetches. A backend that
-	// already holds a Dataset returns DatasetReaderOf(ds).
-	Open(ctx context.Context, w Workload) (DatasetReader, error)
+	// Load returns the traces the description names, in canonical order,
+	// with one name per fine series. It must not assume Check ran first
+	// (the façade loads without a separate Check, and file-backed data can
+	// change between the two calls), so it validates whatever it depends
+	// on. When ctx is cancelled it stops with ctx's error: between VMs,
+	// between chunks, and inside any fetches.
+	Load(ctx context.Context, w Workload) (*Dataset, error)
 }
 
 // SeedInvariantSource is an optional WorkloadSource capability: a source

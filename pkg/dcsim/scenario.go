@@ -43,7 +43,8 @@ type Scenario struct {
 	// PeriodSamples is tperiod in samples (paper: 720 = 1 h of 5-s samples).
 	PeriodSamples int `json:"period_samples"`
 	// RescaleEvery enables dynamic v/f scaling every so many samples
-	// (paper: 12 = 1 min); 0 keeps levels static within a period.
+	// (paper: 12 = 1 min), fewer than PeriodSamples; 0 keeps levels
+	// static within a period.
 	RescaleEvery int `json:"rescale_every,omitempty"`
 	// Pctl is the reference percentile for û (>= 1 = peak).
 	Pctl float64 `json:"pctl"`
@@ -262,6 +263,12 @@ func (s Scenario) Validate() error {
 	}
 	if s.RescaleEvery < 0 {
 		return errors.New("dcsim: RescaleEvery must be non-negative")
+	}
+	// An interval of a whole period or more never falls inside one, so
+	// the levels would stay static under a Result that reports Dynamic.
+	if s.RescaleEvery > 0 && s.RescaleEvery >= s.PeriodSamples {
+		return fmt.Errorf("dcsim: RescaleEvery %d must be below PeriodSamples %d (0 = static levels)",
+			s.RescaleEvery, s.PeriodSamples)
 	}
 	// A negative percentile would size every VM by its window minimum, and
 	// a non-finite one has no rank; 0 keeps meaning "default".

@@ -34,8 +34,8 @@ func recordSmallDir(t *testing.T) string {
 }
 
 // TestRunMaterializeByteIdentical pins the default scenario at the
-// single-run level: Run's streamed ingest and RunVMs over the Dataset that
-// GenerateTraces materializes produce byte-identical results.
+// single-run level: Run over its workload and RunVMs over the Dataset
+// that GenerateTraces returns produce byte-identical results.
 func TestRunMaterializeByteIdentical(t *testing.T) {
 	sc := New(smallOpts()...)
 	streamed, err := Run(context.Background(), sc)
@@ -53,14 +53,13 @@ func TestRunMaterializeByteIdentical(t *testing.T) {
 	sj, _ := json.Marshal(streamed)
 	mj, _ := json.Marshal(mat)
 	if !bytes.Equal(sj, mj) {
-		t.Fatalf("streamed run differs from materialized run:\n%s\nvs\n%s", sj, mj)
+		t.Fatalf("Run differs from RunVMs over GenerateTraces:\n%s\nvs\n%s", sj, mj)
 	}
 }
 
-// TestStreamMatchesMaterialized pins the streaming data path on every
-// built-in kind: Run, which ingests the workload record by record, must
-// produce byte-identical results to RunVMs over the whole Dataset that
-// GenerateTraces materializes for the same workload.
+// TestStreamMatchesMaterialized pins the ingest path on every built-in
+// kind: Run over the workload must produce byte-identical results to
+// RunVMs over the Dataset that GenerateTraces returns for it.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	dir := recordSmallDir(t)
 	store := httptest.NewServer(&objstore.DirServer{Dir: dir})
@@ -101,34 +100,29 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(sj, mj) {
-					t.Fatalf("%s: streamed run differs from materialized run:\n%s\nvs\n%s", policy, sj, mj)
+					t.Fatalf("%s: Run differs from RunVMs over GenerateTraces:\n%s\nvs\n%s", policy, sj, mj)
 				}
 			}
 		})
 	}
 }
 
-// TestOpenTracesCancelBetweenRecords pins stream cancellation: a context
-// cancelled after some records have been consumed stops the stream at the
-// next record boundary with the context's error, sticky on the reader.
+// TestOpenTracesCancelBetweenRecords pins load cancellation between the
+// chunks of a recording: a context cancelled after the first chunk has
+// been read stops the load before the next one with the context's error.
 func TestOpenTracesCancelBetweenRecords(t *testing.T) {
-	dir := recordSmallDir(t)
+	dir := recordSmallDir(t) // three chunks
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := OpenTraces(ctx, Workload{Kind: "trace-dir", VMs: 8, Hours: 2, Path: dir})
-	if err != nil {
-		t.Fatal(err)
+	// The recorded loader checks the context once before each chunk, so
+	// the second check cancels with the first chunk read.
+	cctx := &cancelOnErr{Context: ctx, cancel: cancel, n: 2}
+	r, err := OpenTraces(cctx, Workload{Kind: "trace-dir", VMs: 8, Hours: 2, Path: dir})
+	if !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("OpenTraces cancelled between chunks = %v, %v; want context.Canceled and no reader", r, err)
 	}
-	defer r.Close()
-	if _, err := r.Next(); err != nil {
-		t.Fatalf("first record: %v", err)
-	}
-	cancel()
-	if _, err := r.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next after cancel = %v, want context.Canceled", err)
-	}
-	if _, err := r.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancellation not sticky: %v", err)
+	if n := cctx.calls.Load(); n != 2 {
+		t.Fatalf("the load checked the context %d times, want 2: the cancel did not land between chunks", n)
 	}
 }
 
@@ -143,8 +137,9 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 // cancelOnErr is a context cancelled by its own Err call number n: the
-// synthetic stream checks the context once per record, so this cancels a
-// datacenter ingest between two given records, mid-batch.
+// synthetic generator checks the context before each VM and the recorded
+// loader before each chunk, so this cancels a load between two given VMs
+// or chunks.
 type cancelOnErr struct {
 	context.Context
 	cancel context.CancelFunc
@@ -190,7 +185,7 @@ func TestRunCancelledDuringSyntheticIngest(t *testing.T) {
 
 // TestTruncatedManifestRejectedBeforePlacement pins the fail-fast
 // contract: a manifest claiming VMs its chunks do not cover is rejected
-// when the stream opens — before any trace bytes are read or any
+// when the load starts — before any trace bytes are read or any
 // placement runs — both at preflight and through Run.
 func TestTruncatedManifestRejectedBeforePlacement(t *testing.T) {
 	dir := recordSmallDir(t)

@@ -66,12 +66,6 @@ type Options struct {
 	// LocalExecutor; sweep/fleet provides one that fans runs out to
 	// HTTP workers instead.
 	Executor Executor
-	// RunObservers, when set, supplies dcsim Observers for each
-	// individual run — the tap into the per-sample/per-period stream of
-	// the underlying simulations. It is called from worker goroutines
-	// and must be safe for concurrent use. It only applies to the
-	// default local executor: a custom Executor owns its runs.
-	RunObservers func(cell Cell, replica int) []dcsim.Observer
 	// Progress, when set, receives one event per completed run on the
 	// collector goroutine (one at a time, like Observers). It fires for
 	// every executor — local, remote, or custom — because the engine
@@ -84,7 +78,7 @@ func (o Options) executorOrDefault() Executor {
 	if o.Executor != nil {
 		return o.Executor
 	}
-	return &LocalExecutor{RunObservers: o.RunObservers}
+	return &LocalExecutor{}
 }
 
 // workersOrDefault resolves the worker count.

@@ -47,19 +47,9 @@ type Executor interface {
 // LocalExecutor runs cell-replicas in-process through dcsim.Run. It is the
 // executor Run uses when Options.Executor is nil, and the building block
 // mixed local+remote setups reuse for their in-process slots.
-type LocalExecutor struct {
-	// RunObservers, when set, supplies dcsim Observers for each run — the
-	// tap into the per-sample/per-period stream of the underlying
-	// simulations. It is called from worker goroutines and must be safe
-	// for concurrent use.
-	RunObservers func(cell Cell, replica int) []dcsim.Observer
-}
+type LocalExecutor struct{}
 
 // ExecuteCell implements Executor by running the scenario in-process.
 func (e *LocalExecutor) ExecuteCell(ctx context.Context, run CellRun) (*dcsim.Result, error) {
-	var obs []dcsim.Observer
-	if e.RunObservers != nil {
-		obs = e.RunObservers(run.Cell, run.Replica)
-	}
-	return dcsim.Run(ctx, run.Scenario(), obs...)
+	return dcsim.Run(ctx, run.Scenario())
 }

@@ -20,8 +20,8 @@ func resultCSV(t *testing.T, res *sweep.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamedRemoteTraceDir pins the streaming data path across the
-// wire over a recorded workload: remote workers streaming a trace
+// TestStreamedRemoteTraceDir pins the ingest path across the
+// wire over a recorded workload: remote workers loading a trace
 // directory chunk by chunk reproduce the local run byte for byte. (The
 // httptest workers run in-process, so the recording's path resolves for
 // them.)
@@ -50,6 +50,6 @@ func TestStreamedRemoteTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := resultCSV(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("remote streamed trace-dir CSV differs from local:\n%s\nvs\n%s", got, want)
+		t.Fatalf("remote trace-dir CSV differs from local:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -263,28 +263,6 @@ func TestCancellationParallel(t *testing.T) {
 	}
 }
 
-func TestRunObserversTapStream(t *testing.T) {
-	g := Grid{
-		Base:     tinyBase(),
-		Axes:     []Axis{{Field: "policy", Values: []any{"bfd"}}},
-		Replicas: 1,
-	}
-	var periods atomic.Int32
-	opts := Options{
-		Workers: 2,
-		RunObservers: func(c Cell, replica int) []dcsim.Observer {
-			return []dcsim.Observer{dcsim.PeriodFunc(func(dcsim.Period) { periods.Add(1) })}
-		},
-	}
-	if _, err := Run(context.Background(), g, opts); err != nil {
-		t.Fatal(err)
-	}
-	// 1 hour at 240-sample periods = 3 periods for the single run.
-	if periods.Load() != 3 {
-		t.Fatalf("streamed %d periods, want 3", periods.Load())
-	}
-}
-
 func TestCSVShape(t *testing.T) {
 	g := tinyGrid()
 	res, err := Run(context.Background(), g, Options{Workers: 4})

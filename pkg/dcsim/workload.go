@@ -3,7 +3,6 @@ package dcsim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/objstore"
 	"repro/internal/tracedir"
@@ -57,8 +56,8 @@ func SeedInvariantWorkload(kind string) bool {
 // CheckWorkload validates a workload description the way GenerateTraces
 // would — kind lookup plus the backend's own fail-fast check (for
 // file-backed kinds, the manifest against the scenario) — without
-// producing any traces. It is the preflight-only path: OpenTraces does
-// not call it, because a backend's Open validates on its own.
+// producing any traces. It is the preflight-only path: loading does not
+// call it, because a backend's Load validates on its own.
 func CheckWorkload(w Workload) error {
 	src, err := lookupWorkload(w.Kind)
 	if err != nil {
@@ -72,73 +71,54 @@ func CheckWorkload(w Workload) error {
 
 // GenerateTraces produces the demand traces a Workload describes through
 // its registered backend: synthesized deterministically in the workload's
-// seed for the built-in generators, streamed from disk for recorded kinds.
-// It is the materialized form of OpenTraces — same records, held all at
-// once.
+// seed for the built-in generators, read from the recording for recorded
+// kinds. It is the Dataset Run simulates.
 func GenerateTraces(w Workload) (*Dataset, error) {
-	r, err := OpenTraces(context.Background(), w)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := model.Materialize(r)
-	if err != nil {
-		return nil, err
-	}
-	// Materialize pairs every series with its record's name; only an
-	// empty stream is left to reject.
-	if len(ds.Fine) == 0 {
-		return nil, fmt.Errorf("dcsim: workload kind %q produced no traces", kindOrDefault(w.Kind))
-	}
-	return ds, nil
+	return loadTraces(context.Background(), w)
 }
 
-// OpenTraces opens the VM stream a Workload describes through its
-// registered backend: kind lookup, then the backend's Open, which
-// validates the description itself — so a source is opened once and a
-// recording's manifest read once. The records reproduce GenerateTraces'
-// Dataset exactly; only the memory profile differs. The caller owns the
-// reader and must Close it.
+// OpenTraces returns a reader over the Dataset GenerateTraces would load:
+// the same traces, one VM record at a time, with every load error
+// returned here rather than from Next. Cancelling ctx stops the load with
+// the context's error.
 func OpenTraces(ctx context.Context, w Workload) (model.DatasetReader, error) {
+	ds, err := loadTraces(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	return model.DatasetReaderOf(ds), nil
+}
+
+// loadTraces is the one workload ingest path behind Run, GenerateTraces and
+// OpenTraces: registry lookup, then the backend's Load, which validates
+// the description itself — so a source is loaded once and a recording's
+// manifest read once — then the checks every dataset must pass before a
+// run indexes it. A nil ctx never cancels.
+func loadTraces(ctx context.Context, w Workload) (*Dataset, error) {
 	src, err := lookupWorkload(w.Kind)
 	if err != nil {
 		return nil, err
 	}
 	w.Kind = kindOrDefault(w.Kind)
-	r, err := src.Open(ctx, w)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ds, err := src.Load(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	if r.Len() <= 0 {
-		r.Close()
+	if ds == nil || len(ds.Fine) == 0 {
 		return nil, fmt.Errorf("dcsim: workload kind %q produced no traces", w.Kind)
 	}
-	return r, nil
-}
-
-// vmsFor is the engine's workload ingest: stream the records into VMs over
-// their fine series, which the simulator's time-major per-sample
-// accounting walks. Cancelling ctx stops the ingest between VM records.
-func vmsFor(ctx context.Context, w Workload) ([]*VM, error) {
-	r, err := OpenTraces(ctx, w)
-	if err != nil {
-		return nil, err
+	if len(ds.Names) != len(ds.Fine) {
+		return nil, fmt.Errorf("dcsim: workload kind %q produced %d names for %d traces", w.Kind, len(ds.Names), len(ds.Fine))
 	}
-	defer r.Close()
-	vms := make([]*VM, 0, r.Len())
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
+	for i, s := range ds.Fine {
+		if s == nil {
+			return nil, fmt.Errorf("dcsim: workload kind %q produced no series for trace %q", w.Kind, ds.Names[i])
 		}
-		if err != nil {
-			return nil, err
-		}
-		vms = append(vms, model.NewVM(rec.Name, rec.Fine))
 	}
-	if len(vms) == 0 {
-		return nil, fmt.Errorf("dcsim: workload kind %q produced no traces", kindOrDefault(w.Kind))
-	}
-	return vms, nil
+	return ds, nil
 }
 
 // WorkloadFetchStats snapshots the process's cumulative object-store
@@ -151,7 +131,7 @@ func WorkloadFetchStats() model.FetchStats { return objstore.Stats() }
 // WriteTraceDir records a dataset's fine traces as a "trace-dir" workload:
 // chunked CSVs of at most vmsPerFile VM columns (0 = one file) plus a
 // manifest.json naming every VM, the interval, and the horizon. A scenario
-// with Workload{Kind: "trace-dir", Path: dir} then streams the recording
+// with Workload{Kind: "trace-dir", Path: dir} then loads the recording
 // back — sample-identical, so a recorded sweep reproduces the synthetic
 // run that produced it bit for bit. cmd/tracegen -dir uses exactly this.
 func WriteTraceDir(dir string, ds *Dataset, vmsPerFile int) error {

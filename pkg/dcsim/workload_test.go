@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,28 @@ func TestGenerateTracesErrors(t *testing.T) {
 	}
 }
 
+// TestUncorrelatedKindIsOneGroupPerVM: the "uncorrelated" kind is the
+// datacenter generator with one group per VM, sample for sample, whatever
+// groups the workload asks for.
+func TestUncorrelatedKindIsOneGroupPerVM(t *testing.T) {
+	got, err := GenerateTraces(Workload{Kind: "uncorrelated", VMs: 9, Groups: 2, Hours: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := GenerateTraces(Workload{Kind: "datacenter", VMs: 9, Groups: 9, Hours: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Fine) != len(want.Fine) {
+		t.Fatalf("uncorrelated kind made %d traces, want %d", len(got.Fine), len(want.Fine))
+	}
+	for i, s := range want.Fine {
+		if got.Names[i] != want.Names[i] || !slices.Equal(got.Fine[i].Samples(), s.Samples()) {
+			t.Fatalf("VM %d: the uncorrelated kind differs from the datacenter generator with one group per VM", i)
+		}
+	}
+}
+
 // TestUnknownWorkloadKindIsTyped: registry misses surface as
 // model.NotRegisteredError, so the distributed-sweep worker classifies a
 // missing workload backend as unknown_component like any other registry
@@ -94,7 +117,7 @@ func TestRegisterWorkloadRejectsDuplicates(t *testing.T) {
 }
 
 // TestTraceDirRoundTripRun is the core recorded-workload property: a
-// scenario streaming traces recorded from a synthetic run produces a
+// scenario reading traces recorded from a synthetic run produces a
 // byte-identical Result at the same seed.
 func TestTraceDirRoundTripRun(t *testing.T) {
 	dir := t.TempDir()
@@ -164,7 +187,7 @@ func TestTraceDirValidatedAgainstScenario(t *testing.T) {
 // TestTraceObjCheckWritesNothing: preflight of a "trace-obj" workload is
 // offline and side-effect free — CheckWorkload creates no chunk-cache
 // directory, so a coordinator that never fetches never writes — while
-// opening the stream, which fetches, still creates it.
+// loading the workload, which fetches, still creates it.
 func TestTraceObjCheckWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := GenerateTraces(Workload{VMs: 4, Groups: 2, Hours: 1, Seed: 3})
@@ -192,7 +215,7 @@ func TestTraceObjCheckWritesNothing(t *testing.T) {
 	}
 	r.Close()
 	if _, err := os.Stat(cache); err != nil {
-		t.Fatalf("Open did not create the chunk cache: %v", err)
+		t.Fatalf("OpenTraces did not create the chunk cache: %v", err)
 	}
 }
 
