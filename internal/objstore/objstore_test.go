@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/datasettest"
 	"repro/internal/tracedir"
 	"repro/pkg/dcsim/model"
 )
@@ -111,10 +112,8 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lj, _ := json.Marshal(local)
-	rj, _ := json.Marshal(remote)
-	if string(lj) != string(rj) {
-		t.Fatal("object-store dataset differs from the trace-dir dataset for the same recording")
+	if d := datasettest.Diff(remote, local); d != "" {
+		t.Fatalf("object-store dataset differs from the trace-dir dataset for the same recording: %s", d)
 	}
 }
 
@@ -140,10 +139,8 @@ func TestTransientFaultsHealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lj, _ := json.Marshal(local)
-	gj, _ := json.Marshal(got)
-	if string(lj) != string(gj) {
-		t.Fatal("healed read differs from the local read")
+	if d := datasettest.Diff(got, local); d != "" {
+		t.Fatalf("healed read differs from the local read: %s", d)
 	}
 }
 
@@ -314,7 +311,6 @@ func TestOldRecordingsRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wj, _ := json.Marshal(want)
 	for _, factor := range []string{"60", "9223372036854775760", "-1"} {
 		t.Run("coarse_factor="+factor, func(t *testing.T) {
 			dir := writeRecording(t)
@@ -347,8 +343,8 @@ func TestOldRecordingsRead(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}
-				if gj, _ := json.Marshal(got); string(gj) != string(wj) {
-					t.Fatalf("%s: old manifest read differs from the manifest without its keys", kind)
+				if d := datasettest.Diff(got, want); d != "" {
+					t.Fatalf("%s: old manifest read differs from the manifest without its keys: %s", kind, d)
 				}
 			}
 		})
@@ -397,10 +393,11 @@ func TestColdThenWarmCache(t *testing.T) {
 	if n := ch.ranged.Load(); n != 0 {
 		t.Fatalf("%d requests asked for a byte range, want 0", n)
 	}
-	fj, _ := json.Marshal(first)
-	sj, _ := json.Marshal(second)
-	if string(fj) != string(sj) {
-		t.Fatal("warm dataset differs from cold dataset")
+	if d := datasettest.Diff(first, testDataset(5)); d != "" {
+		t.Fatalf("cold dataset differs from the recording: %s", d)
+	}
+	if d := datasettest.Diff(second, first); d != "" {
+		t.Fatalf("warm dataset differs from cold dataset: %s", d)
 	}
 }
 
@@ -467,10 +464,8 @@ func TestReplacedObjectRefetched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lj, _ := json.Marshal(local)
-	gj, _ := json.Marshal(got)
-	if string(lj) != string(gj) {
-		t.Fatal("refetched dataset does not match the replaced recording")
+	if d := datasettest.Diff(got, local); d != "" {
+		t.Fatalf("refetched dataset does not match the replaced recording: %s", d)
 	}
 }
 

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"slices"
+
 	"repro/internal/envelope"
 
 	"repro/pkg/dcsim/model"
@@ -67,26 +69,31 @@ func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*
 	assign := make([]int, len(reqs))
 	type srv struct {
 		offPeakSum float64 // sum of co-located off-peak demands
-		// excess accumulates (peak - offPeak) per cluster: VMs of one
-		// cluster peak together, so their excesses add; clusters do
-		// not overlap, so the shared buffer only needs to cover the
-		// worst cluster.
-		excess   map[int]float64
-		clusters map[int]bool
+		// clusters lists the clusters placed here in first-add order,
+		// and excess[j] accumulates (peak - offPeak) over clusters[j]'s
+		// VMs: VMs of one cluster peak together, so their excesses add;
+		// clusters do not overlap, so the shared buffer only needs to
+		// cover the worst cluster. A server holds a few clusters, so a
+		// scan beats a map.
+		clusters []int
+		excess   []float64
 	}
 	var open []*srv
 
+	// buffer is the shared buffer s needs with r of cluster c added: the
+	// largest cluster excess, which no scan order changes.
 	buffer := func(s *srv, r model.Request, c int) float64 {
-		buf := 0.0
-		for cl, e := range s.excess {
-			if cl == c {
+		buf, found := 0.0, false
+		for j, e := range s.excess {
+			if s.clusters[j] == c {
 				e += r.Ref - r.OffPeak
+				found = true
 			}
 			if e > buf {
 				buf = e
 			}
 		}
-		if e := r.Ref - r.OffPeak; s.excess[c] == 0 && e > buf {
+		if e := r.Ref - r.OffPeak; !found && e > buf {
 			buf = e
 		}
 		return buf
@@ -96,8 +103,12 @@ func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*
 	}
 	add := func(s *srv, r model.Request, c int) {
 		s.offPeakSum += r.OffPeak
-		s.excess[c] += r.Ref - r.OffPeak
-		s.clusters[c] = true
+		if j := slices.Index(s.clusters, c); j >= 0 {
+			s.excess[j] += r.Ref - r.OffPeak
+		} else {
+			s.clusters = append(s.clusters, c)
+			s.excess = append(s.excess, r.Ref-r.OffPeak)
+		}
 	}
 
 	for _, i := range byRefDesc(reqs) {
@@ -114,7 +125,7 @@ func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*
 			if bestAny == -1 || st.offPeakSum > open[bestAny].offPeakSum {
 				bestAny = s
 			}
-			if !st.clusters[c] && (best == -1 || st.offPeakSum > open[best].offPeakSum) {
+			if !slices.Contains(st.clusters, c) && (best == -1 || st.offPeakSum > open[best].offPeakSum) {
 				best = s
 			}
 		}
@@ -126,7 +137,7 @@ func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*
 			add(open[best], r, c)
 			assign[i] = best
 		case len(open) < maxServers:
-			st := &srv{excess: map[int]float64{}, clusters: map[int]bool{}}
+			st := &srv{}
 			add(st, r, c)
 			open = append(open, st)
 			assign[i] = len(open) - 1
@@ -143,7 +154,7 @@ func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*
 		}
 	}
 	if len(open) == 0 {
-		open = append(open, &srv{excess: map[int]float64{}, clusters: map[int]bool{}})
+		open = append(open, &srv{})
 	}
 	return &model.Placement{NumServers: len(open), Assign: assign}, nil
 }

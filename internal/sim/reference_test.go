@@ -21,6 +21,8 @@ import (
 // server-major: one pass over every VM per sample, re-summing each
 // server's members for every rescale peak, and Power per server-sample.
 // It is kept only as the tests' reference; Run must match it bit for bit.
+// It honours SkipOffPeak and SkipRecentRefs as the contract states them:
+// every OffPeak is 0, and recentRefs is zero.
 func referenceRun(vms []*model.VM, cfg Config) (*model.Result, error) {
 	if len(vms) == 0 {
 		return nil, errors.New("sim: no VMs")
@@ -110,13 +112,17 @@ func referenceRun(vms []*model.VM, cfg Config) (*model.Result, error) {
 				// nothing reads the history before the period ends.
 				winFrom, winTo = start, end
 				ref = v.RefOver(winFrom, winTo, cfg.Pctl)
-				off = v.RefOver(winFrom, winTo, offPctl)
 				refHist[i] = append(refHist[i], ref)
-				offHist[i] = append(offHist[i], off)
+				if !cfg.SkipOffPeak {
+					off = v.RefOver(winFrom, winTo, offPctl)
+					offHist[i] = append(offHist[i], off)
+				}
 			} else {
 				winFrom, winTo = start-cfg.PeriodSamples, start
 				ref = cfg.Predictor.Predict(refHist[i])
-				off = cfg.Predictor.Predict(offHist[i])
+				if !cfg.SkipOffPeak {
+					off = cfg.Predictor.Predict(offHist[i])
+				}
 			}
 			refs[i] = ref
 			reqs[i] = model.Request{
@@ -201,8 +207,10 @@ func referenceRun(vms []*model.VM, cfg Config) (*model.Result, error) {
 			// Dynamic v/f scaling on the rescale boundary.
 			if cfg.RescaleEvery > 0 && k > start && (k-start)%cfg.RescaleEvery == 0 {
 				from := k - cfg.RescaleEvery
-				for i, v := range vms {
-					recentRefs[i] = v.RefOver(from, k, cfg.Pctl)
+				if !cfg.SkipRecentRefs { // otherwise recentRefs stays zero
+					for i, v := range vms {
+						recentRefs[i] = v.RefOver(from, k, cfg.Pctl)
+					}
 				}
 				for s, ms := range membersOf {
 					if len(ms) == 0 {
@@ -306,7 +314,9 @@ func referenceRun(vms []*model.VM, cfg Config) (*model.Result, error) {
 		if !measured {
 			for i, v := range vms {
 				refHist[i] = append(refHist[i], v.RefOver(start, end, cfg.Pctl))
-				offHist[i] = append(offHist[i], v.RefOver(start, end, offPctl))
+				if !cfg.SkipOffPeak {
+					offHist[i] = append(offHist[i], v.RefOver(start, end, offPctl))
+				}
 			}
 		}
 	}
@@ -449,7 +459,9 @@ type diffCase struct {
 // modes that change what a period measures, feeds or overloads. A rescale
 // interval of block+36 samples spans two chunks in a 150-sample period,
 // which it does not divide. Longer intervals fail validation
-// (TestRunValidation).
+// (TestRunValidation). Each case skips what its components do not read:
+// the off-peak unless the policy is PCP, and the rescale references
+// unless the governor is Eqn 4.
 func diffCases() []diffCase {
 	var cases []diffCase
 	type pg struct{ policy, governor string }
@@ -472,6 +484,7 @@ func diffCases() []diffCase {
 					cases = append(cases, diffCase{name: name, build: func(n int) Config {
 						cfg := baseConfig()
 						cfg.PeriodSamples, cfg.RescaleEvery, cfg.Pctl = periodLen, every, pctl
+						cfg.SkipOffPeak, cfg.SkipRecentRefs = c.policy != "pcp", c.governor != "eqn4"
 						var m *core.CostMatrix
 						if c.policy == "corr-aware" || c.governor == "eqn4" {
 							m = core.NewCostMatrix(n, pctl)
@@ -560,6 +573,12 @@ func TestRunMatchesPerSampleReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	vms := diffVMs(t)
 	cases := diffCases()
+	// BFD reads no off-peak, and the governors below read only aggPeak.
+	skipBoth := func() Config {
+		cfg := baseConfig()
+		cfg.SkipOffPeak, cfg.SkipRecentRefs = true, true
+		return cfg
+	}
 	for _, every := range []int{0, 12, 7} {
 		// Every server at a level the power model lacks from period 2's
 		// plan: the run fails before that period's first sample, naming
@@ -567,7 +586,7 @@ func TestRunMatchesPerSampleReference(t *testing.T) {
 		cases = append(cases, diffCase{
 			name: fmt.Sprintf("unknown-level/plan/every=%d", every),
 			build: func(int) Config {
-				cfg := baseConfig()
+				cfg := skipBoth()
 				cfg.PeriodSamples, cfg.RescaleEvery = 150, every
 				cfg.Governor = &faultyGovernor{Governor: WorstCase{}, bad: 2.15, plan: 2, rescale: -1}
 				return cfg
@@ -585,7 +604,7 @@ func TestRunMatchesPerSampleReference(t *testing.T) {
 			cases = append(cases, diffCase{
 				name: fmt.Sprintf("unknown-level/rescale/every=%d", every),
 				build: func(int) Config {
-					cfg := baseConfig()
+					cfg := skipBoth()
 					cfg.PeriodSamples, cfg.RescaleEvery = 150, every
 					cfg.Governor = &faultyGovernor{Governor: WorstCase{}, bad: 2.15, plan: -1, rescale: 40}
 					return cfg
@@ -601,7 +620,7 @@ func TestRunMatchesPerSampleReference(t *testing.T) {
 		cases = append(cases, diffCase{
 			name: fmt.Sprintf("spec-lacks-level/every=%d", every),
 			build: func(int) Config {
-				cfg := baseConfig()
+				cfg := skipBoth()
 				cfg.PeriodSamples, cfg.RescaleEvery = 150, every
 				cfg.Power = power.XeonFineGrained()
 				cfg.Governor = lowLevelGovernor{}
@@ -633,7 +652,7 @@ func TestRunMatchesPerSampleReference(t *testing.T) {
 		name: "within-tolerance",
 		vms:  flatVMs(4, 2+1.25e-10, 300),
 		build: func(int) Config {
-			cfg := baseConfig()
+			cfg := skipBoth()
 			cfg.MaxServers = 1
 			return cfg
 		},

@@ -16,6 +16,8 @@
 // and then servers gives, bit for bit. Each period's per-VM reference measurements, which need no
 // component, run over VM ranges on up to GOMAXPROCS goroutines; every
 // component call and observer callback stays on the caller's goroutine.
+// A run whose components read no off-peak or no rescale references skips
+// measuring them (Config.SkipOffPeak, Config.SkipRecentRefs).
 package sim
 
 import (
@@ -93,6 +95,14 @@ type Config struct {
 	// OffPctl is the off-peak percentile PCP provisions with (a value
 	// outside (0, 1), NaN included, -> 0.9).
 	OffPctl float64
+	// SkipOffPeak leaves the off-peak references unmeasured and
+	// unpredicted, and every Request.OffPeak 0. Set it when the Policy
+	// does not read OffPeak; the zero value measures them.
+	SkipOffPeak bool
+	// SkipRecentRefs leaves the per-VM references over each rescale
+	// window unmeasured, and Rescale's recentRefs zero. Set it when the
+	// Governor does not read recentRefs; the zero value measures them.
+	SkipRecentRefs bool
 	// Predictor forecasts next-period references from per-period history
 	// (paper: last-value).
 	Predictor model.Predictor
@@ -225,13 +235,16 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	}
 	refHist := make([][]float64, len(vms)) // per-VM per-period û history
 	offHist := make([][]float64, len(vms)) // per-VM per-period off-peak history
-	// measure appends each VM's û and off-peak reference over [from, to)
-	// to its history, over VM ranges on up to GOMAXPROCS goroutines.
+	// measure appends each VM's û and, unless skipped, off-peak reference
+	// over [from, to) to its history, over VM ranges on up to GOMAXPROCS
+	// goroutines.
 	measure := func(from, to int) {
 		forRanges(len(vms), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				refHist[i] = append(refHist[i], vms[i].RefOver(from, to, cfg.Pctl))
-				offHist[i] = append(offHist[i], vms[i].RefOver(from, to, offPctl))
+				if !cfg.SkipOffPeak {
+					offHist[i] = append(offHist[i], vms[i].RefOver(from, to, offPctl))
+				}
 			}
 		})
 	}
@@ -249,11 +262,12 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	// validate keeps a positive interval below the period, so rescale
 	// boundaries fall inside every period. With pctl >= 1 a rescale's
 	// per-VM references are the window's peaks, which the chunk sums carry
-	// in vpeak; otherwise they are measured into recentRefs.
+	// in vpeak; otherwise they are measured into recentRefs. Skipped, they
+	// are recentRefs left zero.
 	rescales := rescale > 0
 	var vpeak, recentRefs []float64
 	if rescales {
-		if cfg.Pctl >= 1 {
+		if cfg.Pctl >= 1 && !cfg.SkipRecentRefs {
 			vpeak = make([]float64, len(vms))
 		} else {
 			recentRefs = make([]float64, len(vms))
@@ -307,11 +321,16 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 			var ref, off float64
 			winFrom, winTo := start, end
 			if measured {
-				ref, off = refHist[i][p], offHist[i][p]
+				ref = refHist[i][p]
+				if !cfg.SkipOffPeak {
+					off = offHist[i][p]
+				}
 			} else {
 				winFrom, winTo = start-cfg.PeriodSamples, start
 				ref = cfg.Predictor.Predict(refHist[i])
-				off = cfg.Predictor.Predict(offHist[i])
+				if !cfg.SkipOffPeak {
+					off = cfg.Predictor.Predict(offHist[i])
+				}
 			}
 			refs[i] = ref
 			reqs[i] = model.Request{
@@ -403,8 +422,10 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 				recent := vpeak
 				if recent == nil {
 					recent = recentRefs
-					for i, v := range vms {
-						recent[i] = v.RefOver(k0-rescale, k0, cfg.Pctl)
+					if !cfg.SkipRecentRefs {
+						for i, v := range vms {
+							recent[i] = v.RefOver(k0-rescale, k0, cfg.Pctl)
+						}
 					}
 				}
 				for a := range act {

@@ -3,12 +3,12 @@ package tracedir
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/datasettest"
 	"repro/pkg/dcsim/model"
 )
 
@@ -34,34 +34,13 @@ func TestFetcherGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffTraces(seamed, direct); d != "" {
+	if d := datasettest.Diff(seamed, direct); d != "" {
 		t.Fatalf("fetcher-seam dataset differs from Source.Load: %s", d)
 	}
 	// And both reproduce the recorded dataset exactly.
-	if d := diffTraces(direct, ds); d != "" {
+	if d := datasettest.Diff(direct, ds); d != "" {
 		t.Fatalf("round trip is not lossless through the fetcher seam: %s", d)
 	}
-}
-
-// diffTraces describes the first difference between two datasets' names,
-// sampling intervals and sample bits, or returns "".
-func diffTraces(got, want *model.Dataset) string {
-	if len(got.Names) != len(want.Names) || len(got.Fine) != len(want.Fine) {
-		return fmt.Sprintf("%d names and %d traces, want %d and %d", len(got.Names), len(got.Fine), len(want.Names), len(want.Fine))
-	}
-	for i, s := range got.Fine {
-		w := want.Fine[i]
-		if got.Names[i] != want.Names[i] || s.Len() != w.Len() || s.Interval() != w.Interval() {
-			return fmt.Sprintf("VM %d is %q, %d samples at %v; want %q, %d at %v",
-				i, got.Names[i], s.Len(), s.Interval(), want.Names[i], w.Len(), w.Interval())
-		}
-		for j, v := range s.Samples() {
-			if math.Float64bits(v) != math.Float64bits(w.At(j)) {
-				return fmt.Sprintf("VM %d sample %d is %v, want %v", i, j, v, w.At(j))
-			}
-		}
-	}
-	return ""
 }
 
 // TestDirFetcherErrorTextPinned pins the exact error shapes of the

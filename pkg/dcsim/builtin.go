@@ -171,12 +171,19 @@ func init() {
 	RegisterPolicy("ffd", func(*Build) (model.Policy, error) { return place.FFD{}, nil })
 	RegisterPolicy("bfd", func(*Build) (model.Policy, error) { return place.BFD{}, nil })
 	// PCP extracts every envelope afresh on each Place: it keeps no state
-	// between periods, so one value serves any number of runs.
-	RegisterPolicy("pcp", func(*Build) (model.Policy, error) { return place.PCP{}, nil })
+	// between periods, so one value serves any number of runs. It is the
+	// one built-in that provisions by the off-peak reference.
+	RegisterPolicy("pcp", func(b *Build) (model.Policy, error) {
+		b.NeedOffPeak()
+		return place.PCP{}, nil
+	})
 	RegisterPolicy("jointvm", func(*Build) (model.Policy, error) { return place.JointVM{}, nil })
 
-	// Frequency governors. "corr-aware" aliases the paper's Eqn-4 governor.
+	// Frequency governors. "corr-aware" aliases the paper's Eqn-4 governor,
+	// which rescales from the per-VM references; "worst-case" reads only
+	// the server's aggregate peak.
 	eqn4 := func(b *Build) (model.Governor, error) {
+		b.NeedRecentRefs()
 		return sim.CorrAware{Matrix: b.Matrix()}, nil
 	}
 	RegisterGovernor("eqn4", eqn4)

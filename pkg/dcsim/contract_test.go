@@ -6,6 +6,7 @@ package dcsim_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,6 +125,116 @@ func TestExternalGovernorThroughFacade(t *testing.T) {
 		for l := 0; l < len(counts)-1; l++ {
 			if counts[l] != 0 {
 				t.Fatalf("server %d spent %d samples below fmax", s, counts[l])
+			}
+		}
+	}
+}
+
+// offPeakProbe is a registered policy's Place checking, before it places,
+// that every request's OffPeak is what its factory's declaration promises:
+// with NeedOffPeak and last-value, the 0.9 percentile of the request's
+// window (the period before, or the bootstrap period itself); without, 0.
+type offPeakProbe struct {
+	model.Policy
+	t       *testing.T
+	asked   bool
+	checked *int
+}
+
+func (p offPeakProbe) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
+	for i, r := range reqs {
+		want := 0.0
+		if p.asked {
+			want = r.Window.Percentile(0.9)
+		}
+		if math.Float64bits(r.OffPeak) != math.Float64bits(want) {
+			p.t.Errorf("asked %v: request %d has OffPeak %v, want %v", p.asked, i, r.OffPeak, want)
+		}
+		*p.checked++
+	}
+	return p.Policy.Place(reqs, spec, maxServers)
+}
+
+// recentRefsProbe is a registered governor's Rescale checking that
+// recentRefs is what its factory's declaration promises: with
+// NeedRecentRefs, each VM's peak over the `every` samples before the one
+// the run reaches next; without, zeros.
+type recentRefsProbe struct {
+	model.Governor
+	t       *testing.T
+	asked   bool
+	fine    []*model.Series // the run's demand, VM by VM
+	every   int
+	next    *int // one past the last sample an observer saw
+	checked *int
+}
+
+func (g recentRefsProbe) Rescale(members []int, recentRefs []float64, aggPeak float64, spec model.ServerSpec) float64 {
+	if len(recentRefs) != len(g.fine) {
+		g.t.Fatalf("asked %v: recentRefs has %d entries for %d VMs", g.asked, len(recentRefs), len(g.fine))
+	}
+	for i, got := range recentRefs {
+		want := 0.0
+		if g.asked {
+			want = g.fine[i].Slice(*g.next-g.every, *g.next).Max()
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			g.t.Errorf("asked %v: rescale before sample %d gave VM %d %v, want %v", g.asked, *g.next, i, got, want)
+		}
+	}
+	*g.checked++
+	return g.Governor.Rescale(members, recentRefs, aggPeak, spec)
+}
+
+// TestUndeclaredInputsReadZero pins the inputs a run measures only on
+// request: a policy sees the off-peak references only if its factory
+// called Build.NeedOffPeak, and a governor sees the rescale references
+// only if its factory called Build.NeedRecentRefs. Undeclared, each reads
+// as 0, whatever the other component declared.
+func TestUndeclaredInputsReadZero(t *testing.T) {
+	const every = 12
+	base := dcsim.New(
+		dcsim.WithVMs(8),
+		dcsim.WithGroups(2),
+		dcsim.WithHours(3),
+		dcsim.WithMaxServers(8),
+		dcsim.WithRescaleEvery(every),
+		dcsim.WithPredictor("last-value"),
+	)
+	ds, err := dcsim.GenerateTraces(base.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policyAsks := range []bool{true, false} {
+		for _, governorAsks := range []bool{true, false} {
+			var next, placed, rescaled int
+			policy, governor := uniqueName("offpeak-probe"), uniqueName("recentrefs-probe")
+			dcsim.RegisterPolicy(policy, func(b *dcsim.Build) (model.Policy, error) {
+				if policyAsks {
+					b.NeedOffPeak()
+				}
+				bfd, err := dcsim.NewPolicy("bfd", b)
+				return offPeakProbe{Policy: bfd, t: t, asked: policyAsks, checked: &placed}, err
+			})
+			dcsim.RegisterGovernor(governor, func(b *dcsim.Build) (model.Governor, error) {
+				if governorAsks {
+					b.NeedRecentRefs()
+				}
+				wc, err := dcsim.NewGovernor("worst-case", b)
+				return recentRefsProbe{Governor: wc, t: t, asked: governorAsks, fine: ds.Fine,
+					every: every, next: &next, checked: &rescaled}, err
+			})
+			sc := base
+			sc.Policy, sc.Governor = policy, governor
+			clock := dcsim.ObserverFunc(func(s dcsim.Sample) { next = s.K + 1 })
+			if _, err := dcsim.Run(context.Background(), sc, clock); err != nil {
+				t.Fatal(err)
+			}
+			// Three periods of eight requests; 59 rescales a period for
+			// each active server.
+			if placed != 3*8 || rescaled < 3*59 {
+				t.Fatalf("policy asks %v, governor asks %v: checked %d requests and %d rescales",
+					policyAsks, governorAsks, placed, rescaled)
 			}
 		}
 	}

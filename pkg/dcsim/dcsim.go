@@ -134,48 +134,9 @@ func runResolved(ctx context.Context, vms []*VM, sc Scenario, obs []Observer) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	b := &Build{Scenario: sc, NVMs: len(vms)}
-	model, err := LookupServer(sc.Server)
+	cfg, err := assemble(ctx, len(vms), sc)
 	if err != nil {
 		return nil, err
-	}
-	policy, err := NewPolicy(sc.Policy, b)
-	if err != nil {
-		return nil, err
-	}
-	governor, err := NewGovernor(sc.Governor, b)
-	if err != nil {
-		return nil, err
-	}
-	predictor, err := NewPredictor(sc.Predictor, b)
-	if err != nil {
-		return nil, err
-	}
-	// Every factory has run; params nothing consumed are configuration
-	// errors (a typo, or a knob for a component this scenario does not
-	// select), not silently ignored defaults.
-	if err := b.unusedParamErr(); err != nil {
-		return nil, err
-	}
-	if b.matrixErr != nil {
-		return nil, b.matrixErr
-	}
-
-	cfg := sim.Config{
-		Spec:             model.Spec,
-		Power:            model.Power,
-		Policy:           policy,
-		Governor:         governor,
-		MaxServers:       sc.MaxServers,
-		PeriodSamples:    sc.PeriodSamples,
-		RescaleEvery:     sc.RescaleEvery,
-		Pctl:             sc.Pctl,
-		OffPctl:          sc.OffPctl,
-		Predictor:        predictor,
-		Matrix:           b.matrix, // nil unless some component asked for it
-		CumulativeMatrix: sc.CumulativeMatrix,
-		Oracle:           sc.Oracle,
-		Ctx:              ctx,
 	}
 	if len(obs) > 0 {
 		cfg.OnSample = func(s Sample) {
@@ -190,4 +151,54 @@ func runResolved(ctx context.Context, vms []*VM, sc Scenario, obs []Observer) (*
 		}
 	}
 	return sim.Run(vms, cfg)
+}
+
+// assemble builds every component of a resolved scenario for a run over
+// nVMs VMs into the simulator's configuration. The run measures the
+// off-peak and rescale references only if a factory declared them.
+func assemble(ctx context.Context, nVMs int, sc Scenario) (sim.Config, error) {
+	b := &Build{Scenario: sc, NVMs: nVMs}
+	model, err := LookupServer(sc.Server)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	policy, err := NewPolicy(sc.Policy, b)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	governor, err := NewGovernor(sc.Governor, b)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	predictor, err := NewPredictor(sc.Predictor, b)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	// Every factory has run; params nothing consumed are configuration
+	// errors (a typo, or a knob for a component this scenario does not
+	// select), not silently ignored defaults.
+	if err := b.unusedParamErr(); err != nil {
+		return sim.Config{}, err
+	}
+	if b.matrixErr != nil {
+		return sim.Config{}, b.matrixErr
+	}
+	return sim.Config{
+		Spec:             model.Spec,
+		Power:            model.Power,
+		Policy:           policy,
+		Governor:         governor,
+		MaxServers:       sc.MaxServers,
+		PeriodSamples:    sc.PeriodSamples,
+		RescaleEvery:     sc.RescaleEvery,
+		Pctl:             sc.Pctl,
+		OffPctl:          sc.OffPctl,
+		SkipOffPeak:      !b.offPeak,
+		SkipRecentRefs:   !b.recentRefs,
+		Predictor:        predictor,
+		Matrix:           b.matrix, // nil unless some component asked for it
+		CumulativeMatrix: sc.CumulativeMatrix,
+		Oracle:           sc.Oracle,
+		Ctx:              ctx,
+	}, nil
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/place"
+	"repro/internal/sim"
 	"repro/pkg/dcsim/model"
 )
 
@@ -153,6 +154,44 @@ func TestRegisterCustomPolicy(t *testing.T) {
 	}
 	if !found {
 		t.Error("Policies() does not list the custom registration")
+	}
+}
+
+// TestBuiltinsDeclareWhatTheyRead: every built-in policy and governor
+// that reads the off-peak or the rescale references declares it, so Run,
+// which skips what nothing declared, matches a simulation of the same
+// components that measures both, byte for byte.
+func TestBuiltinsDeclareWhatTheyRead(t *testing.T) {
+	ctx := context.Background()
+	base := New(WithVMs(16), WithGroups(4), WithHours(4), WithMaxServers(16), WithSeed(5)).withDefaults()
+	ds, err := GenerateTraces(base.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"corr-aware", "ffd", "bfd", "pcp", "jointvm"} {
+		for _, governor := range []string{"eqn4", "worst-case"} {
+			for _, every := range []int{0, 12} {
+				name := fmt.Sprintf("%s/%s/every=%d", policy, governor, every)
+				sc := base
+				sc.Policy, sc.Governor, sc.RescaleEvery = policy, governor, every
+				res, err := Run(ctx, sc)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cfg, err := assemble(ctx, len(ds.Fine), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.SkipOffPeak, cfg.SkipRecentRefs = false, false
+				want, err := sim.Run(model.VMsFromSeries(ds.Names, ds.Fine), cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", want); got != want {
+					t.Errorf("%s: Run gave\n%s\nmeasuring both inputs gives\n%s", name, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -8,8 +8,11 @@ type Governor interface {
 	PlanStatic(p *Placement, refs []float64, spec ServerSpec) []float64
 	// Rescale returns the level for one server for the next rescale
 	// interval. recentRefs holds the per-VM references measured over the
-	// recent window; aggPeak is the server's aggregate demand peak over
-	// the same window (what a per-server DVFS governor observes).
+	// recent window, indexed by VM; aggPeak is the server's aggregate
+	// demand peak over the same window (what a per-server DVFS governor
+	// observes). A run measures recentRefs only when the governor's
+	// factory declared it (dcsim's Build.NeedRecentRefs); otherwise it is
+	// one slice of zeros, one per VM, for the whole run.
 	Rescale(members []int, recentRefs []float64, aggPeak float64, spec ServerSpec) float64
 }
 

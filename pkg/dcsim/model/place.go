@@ -13,6 +13,8 @@ type Request struct {
 	Ref float64
 	// OffPeak is the predicted off-peak utilization (e.g. 90th
 	// percentile); only envelope-based policies such as PCP consume it.
+	// A run measures and predicts it only when a component's factory
+	// declared it (dcsim's Build.NeedOffPeak); otherwise it is 0.
 	OffPeak float64
 	// Window is the recent demand window; only policies that cluster or
 	// correlate raw demand consume it. It may be nil for policies that do

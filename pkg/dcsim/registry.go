@@ -11,7 +11,9 @@ import (
 // Build carries the per-run state component factories share. Its main job
 // is the lazily created streaming cost matrix: a correlation-aware policy
 // and the Eqn-4 governor must read the same statistics, and the simulator
-// must feed that same instance every sample.
+// must feed that same instance every sample. Factories also declare on it
+// the inputs their components read that the run measures only on request
+// (NeedOffPeak, NeedRecentRefs); an input nothing declared reads as 0.
 type Build struct {
 	// Scenario is the scenario being assembled (defaults already applied).
 	Scenario Scenario
@@ -20,8 +22,21 @@ type Build struct {
 
 	matrix     model.CostSource
 	matrixErr  error // the matrix was too large to allocate
+	offPeak    bool  // a component reads Request.OffPeak
+	recentRefs bool  // a governor reads Rescale's recentRefs
 	usedParams map[string]bool
 }
+
+// NeedOffPeak declares that a component built on b reads
+// model.Request.OffPeak. Run measures and predicts each VM's off-peak
+// reference only when some factory called it; otherwise every OffPeak is 0.
+func (b *Build) NeedOffPeak() { b.offPeak = true }
+
+// NeedRecentRefs declares that a governor built on b reads the recentRefs
+// argument of model.Governor.Rescale. Run measures each VM's reference over
+// every rescale window only when some factory called it; otherwise
+// recentRefs holds zeros.
+func (b *Build) NeedRecentRefs() { b.recentRefs = true }
 
 // Param returns the scenario-level parameter name, or def when the scenario
 // does not set it. Factories must read every knob they honour through Param:

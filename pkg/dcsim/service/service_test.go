@@ -391,7 +391,10 @@ func TestSubscriptionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	close(gate.release)
+	// Let one run through and the rest only once its progress event is
+	// read: an unread progress event is dropped when the terminal one
+	// arrives, so a job that finished first would show none.
+	gate.release <- struct{}{}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -405,6 +408,9 @@ func TestSubscriptionStream(t *testing.T) {
 		}
 		types = append(types, ev.Type)
 		if ev.Type == "progress" {
+			if progressSeen == 0 {
+				close(gate.release)
+			}
 			progressSeen++
 			p := ev.Data.(ProgressEvent)
 			if p.Job != "j1" || p.RunsTotal != 4 {
