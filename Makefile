@@ -113,7 +113,9 @@ smoke-service:
 # smoke-fleet drives the elastic fleet end to end: `dcsim serve -fleet`
 # plus three registered workers, one killed -9 mid-job with a replacement
 # joining, byte-identical completion against a local sweep, a positive
-# dcsim_fleet_runs_stolen_total, and clean SIGINT exits all around.
+# dcsim_fleet_runs_stolen_total, and clean SIGINT exits all around; then
+# `dcsim sweep -fleet` with two registered workers, its reports
+# byte-identical to the local sweep's.
 smoke-fleet:
 	./scripts/fleet_smoke.sh
 

@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
 	"repro/pkg/dcsim/service"
-	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
 
@@ -38,90 +36,42 @@ import (
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("dcsim serve", flag.ExitOnError)
 	var (
-		listen    = fs.String("listen", ":8080", "address to serve the job API on")
-		queueCap  = fs.Int("queue", 16, "max jobs waiting for a run slot (submissions beyond it get 503 queue_full)")
-		jobs      = fs.Int("jobs", 1, "jobs running concurrently (each fans its cells out over -workers)")
-		workers   = fs.Int("workers", 0, "concurrent runs per job (default GOMAXPROCS, the remote capacity with -remote, or 32 with -fleet)")
-		remotes   = fs.String("remote", "", "comma-separated worker base URLs (\"dcsim worker\" instances) to fan cells out to")
-		useFleet  = fs.Bool("fleet", false, "coordinate an elastic worker fleet: mount /fleet endpoints and dispatch runs over registered workers")
-		fleetMiss = fs.Int("fleet-miss", 3, "with -fleet: heartbeats a worker may miss before it expires")
-		local     = fs.Int("local", 0, "with -remote/-fleet: also run up to this many cells in-process (mixed mode)")
-		inflight  = fs.Int("inflight", 4, "with -remote/-fleet: max in-flight cells per worker")
-		nocheck   = fs.Bool("no-preflight", false, "with -remote: skip the worker health preflight at startup")
-		drain     = fs.Duration("drain", 30*time.Second, "graceful drain window for running jobs after SIGINT")
-		quiet     = fs.Bool("quiet", false, "do not log per-job lines")
+		listen   = fs.String("listen", ":8080", "address to serve the job API on")
+		queueCap = fs.Int("queue", 16, "max jobs waiting for a run slot (submissions beyond it get 503 queue_full)")
+		jobs     = fs.Int("jobs", 1, "jobs running concurrently (each fans its cells out over -workers)")
+		useFleet = fs.Bool("fleet", false, "coordinate an elastic worker fleet: mount /fleet endpoints and dispatch runs over registered workers")
+		drain    = fs.Duration("drain", 30*time.Second, "graceful drain window for running jobs after SIGINT")
+		quiet    = fs.Bool("quiet", false, "do not log per-job lines")
 	)
+	d := addDispatchFlags(fs, "serve")
 	fs.Parse(args)
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *remotes != "" && *useFleet {
-		log.Fatal("serve: -remote and -fleet are mutually exclusive (a static list or an elastic fleet, not both)")
-	}
-	if *remotes == "" && !*useFleet {
-		for _, name := range []string{"local", "inflight"} {
-			if set[name] {
-				log.Fatalf("serve: -%s only applies with -remote or -fleet (local runs are the default)", name)
-			}
-		}
-	}
-	if *remotes == "" && set["no-preflight"] {
-		log.Fatal("serve: -no-preflight only applies with -remote")
-	}
-	if !*useFleet && set["fleet-miss"] {
-		log.Fatal("serve: -fleet-miss only applies with -fleet")
-	}
+	d.check(fs, *useFleet)
+	needAtLeast("serve", "queue", *queueCap, 1)
+	needAtLeast("serve", "jobs", *jobs, 1)
 
+	reg, exec := d.setup(func(urls []string) error {
+		// Health only: grids arrive later, and Submit checks each one
+		// against this process's registries, not the workers'. A worker
+		// that lacks a component a grid selects fails that job at the
+		// first run sent to it, with unknown_component.
+		return remote.Preflight(context.Background(), http.DefaultClient, urls)
+	})
+	if reg != nil {
+		defer reg.Close()
+	}
 	cfg := service.Config{
 		QueueCapacity: *queueCap,
 		Concurrency:   *jobs,
-		Workers:       *workers,
+		Workers:       d.fanOut(reg),
+		Executor:      exec,
+	}
+	if *useFleet {
+		// Only an elastic fleet has a membership to serve on /fleet and
+		// export as dcsim_fleet_* metrics; a -remote list's is fixed.
+		cfg.Fleet = reg
 	}
 	if !*quiet {
 		cfg.Logf = log.Printf
-	}
-	// -remote and -fleet both dispatch over a fleet registry.
-	var reg *fleet.Registry
-	switch {
-	case *remotes != "":
-		// A fixed-member fleet, but not cfg.Fleet: there is no membership
-		// to serve on /fleet or export as dcsim_fleet_* metrics.
-		var err error
-		if reg, err = fleet.NewStaticRegistry(remote.SplitURLList(*remotes)); err != nil {
-			log.Fatal(err)
-		}
-		urls := memberURLs(reg)
-		if !*nocheck {
-			// Per-grid capability checks happen at submission time via
-			// grid validation on the service side; here just make sure
-			// the fleet is reachable before accepting jobs for it.
-			if err := remote.Preflight(context.Background(), http.DefaultClient, urls); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if cfg.Workers == 0 {
-			cfg.Workers = len(urls)**inflight + *local
-		}
-	case *useFleet:
-		reg = fleet.NewRegistry(fleet.Config{MissThreshold: *fleetMiss, Logf: log.Printf})
-		cfg.Fleet = reg
-		if cfg.Workers == 0 {
-			// The fleet's capacity is dynamic: pick a generous fan-out (the
-			// engine caps it at the job's run count, and dispatch slots
-			// block cheaply while the fleet is smaller).
-			cfg.Workers = 32
-		}
-	}
-	if reg != nil {
-		defer reg.Close()
-		exec, err := fleet.NewExecutor(reg,
-			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Executor = exec
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	mgr := service.NewManager(cfg)

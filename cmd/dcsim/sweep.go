@@ -35,43 +35,18 @@ func sweepMain(args []string) {
 		tracedir  = fs.String("tracedir", "", "recorded trace directory for the trace-dir workload kind; implies -workload trace-dir when the base kind is unset or the default")
 		objstore  = fs.String("objstore", "", "http(s) bucket/prefix URL for the trace-obj workload kind; implies -workload trace-obj when the base kind is unset or the default")
 		verbose   = fs.Bool("v", false, "print the peak-heap and object-store fetch/cache summaries after the sweep")
-		workers   = fs.Int("workers", 0, "concurrent runs (default GOMAXPROCS, or the remote capacity with -remote; aggregates are identical at any count)")
 		outDir    = fs.String("out", ".", "directory the JSON and CSV reports are written to")
 		progress  = fs.Bool("progress", false, "print each cell's aggregate as it completes")
 		quiet     = fs.Bool("quiet", false, "suppress the summary table on stdout")
-		remotes   = fs.String("remote", "", "comma-separated worker base URLs (\"dcsim worker\" instances) to fan cells out to")
 		fleetAddr = fs.String("fleet", "", "address to serve the elastic-fleet coordinator on; workers join with \"dcsim worker -register\"")
 		fleetMin  = fs.Int("fleet-min", 1, "with -fleet: wait for this many registered workers before sweeping")
-		fleetMiss = fs.Int("fleet-miss", 3, "with -fleet: heartbeats a worker may miss before it expires")
-		local     = fs.Int("local", 0, "with -remote/-fleet: also run up to this many cells in-process (mixed mode)")
-		inflight  = fs.Int("inflight", 4, "with -remote/-fleet: max in-flight cells per worker")
-		nocheck   = fs.Bool("no-preflight", false, "with -remote: skip the worker health + capability preflight")
 	)
+	d := addDispatchFlags(fs, "sweep")
 	var wopts kvFlag
 	fs.Var(&wopts, "wopt", "workload backend option key=value, repeatable (e.g. -wopt cache_mb=64; see the kind's docs)")
 	fs.Parse(args)
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *remotes != "" && *fleetAddr != "" {
-		log.Fatal("sweep: -remote and -fleet are mutually exclusive (a static list or an elastic fleet, not both)")
-	}
-	if *remotes == "" && *fleetAddr == "" {
-		for _, name := range []string{"local", "inflight"} {
-			if set[name] {
-				log.Fatalf("sweep: -%s only applies with -remote or -fleet (local runs are the default)", name)
-			}
-		}
-	}
-	if *remotes == "" && set["no-preflight"] {
-		log.Fatal("sweep: -no-preflight only applies with -remote")
-	}
-	if *fleetAddr == "" {
-		for _, name := range []string{"fleet-min", "fleet-miss"} {
-			if set[name] {
-				log.Fatalf("sweep: -%s only applies with -fleet", name)
-			}
-		}
-	}
+	d.check(fs, *fleetAddr != "")
+	needAtLeast("sweep", "fleet-min", *fleetMin, 0)
 	if *gridPath == "" {
 		fs.Usage()
 		log.Fatal("sweep: -grid is required")
@@ -104,33 +79,20 @@ func sweepMain(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := sweep.Options{Workers: *workers}
-	// -remote and -fleet both dispatch over a fleet registry: a static
-	// worker list is a fleet whose members are fixed, with no
-	// registration or heartbeats.
-	var reg *fleet.Registry
-	members := 0
-	if *remotes != "" {
-		if reg, err = fleet.NewStaticRegistry(remote.SplitURLList(*remotes)); err != nil {
-			log.Fatal(err)
-		}
-		urls := memberURLs(reg)
-		members = len(urls)
-		if !*nocheck {
-			// Health plus capabilities: every worker must resolve every
-			// component the grid selects, so registry mismatches fail
-			// here instead of mid-sweep.
-			if err := remote.PreflightGrid(ctx, http.DefaultClient, urls, g); err != nil {
-				log.Fatal(err)
-			}
-		}
+	reg, exec := d.setup(func(urls []string) error {
+		// Health plus capabilities: every worker must resolve every
+		// component the grid selects, so registry mismatches fail here
+		// instead of mid-sweep.
+		return remote.PreflightGrid(ctx, http.DefaultClient, urls, g)
+	})
+	if reg != nil {
+		defer reg.Close()
 	}
 	if *fleetAddr != "" {
 		// The sweep process is the fleet coordinator: serve the membership
 		// endpoints, wait for -fleet-min workers to join, and dispatch over
 		// whatever the fleet holds as the sweep runs. Workers joining later
 		// absorb queued runs; workers dying have theirs stolen back.
-		reg = fleet.NewRegistry(fleet.Config{MissThreshold: *fleetMiss, Logf: log.Printf})
 		fln, err := net.Listen("tcp", *fleetAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -143,33 +105,15 @@ func sweepMain(args []string) {
 		if err := reg.WaitForMembers(ctx, *fleetMin); err != nil {
 			log.Fatal(err)
 		}
-		members = *fleetMin
 	}
-	if reg != nil {
-		defer reg.Close()
-		exec, err := fleet.NewExecutor(reg,
-			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Executor = exec
-		if *workers == 0 {
-			opts.Workers = members**inflight + *local
-			if *fleetAddr != "" {
-				// The fleet can grow mid-sweep: size the fan-out past the
-				// initial membership; surplus slots block cheaply.
-				opts.Workers = max(opts.Workers, runtime.GOMAXPROCS(0))
+	opts := sweep.Options{Workers: d.fanOut(reg), Executor: exec}
+	if *progress {
+		opts.Progress = func(p sweep.Progress) {
+			if c := p.Cell; c != nil {
+				fmt.Printf("cell %3d  %-40s energy=%.1f kJ  maxViol=%.1f%%\n",
+					c.Index, c.Name, c.EnergyJ.Mean/1000, c.MaxViolationPct.Mean)
 			}
 		}
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if *progress {
-		opts.Observers = append(opts.Observers, sweep.ObserverFunc(func(c sweep.CellResult) {
-			fmt.Printf("cell %3d  %-40s energy=%.1f kJ  maxViol=%.1f%%\n",
-				c.Index, c.Name, c.EnergyJ.Mean/1000, c.MaxViolationPct.Mean)
-		}))
 	}
 
 	stopSampling := func() {}
@@ -218,8 +162,9 @@ func sweepMain(args []string) {
 
 	if !*quiet {
 		fmt.Print(res.Table())
+		// The engine starts no more workers than there are runs.
 		fmt.Printf("%d runs on %d workers in %.2fs (%.1f runs/s)\nreports: %s, %s\n",
-			runs, opts.Workers, elapsed.Seconds(), float64(runs)/elapsed.Seconds(), jsonPath, csvPath)
+			runs, min(opts.Workers, runs), elapsed.Seconds(), float64(runs)/elapsed.Seconds(), jsonPath, csvPath)
 	}
 	if *verbose {
 		// Object-store fetch/cache totals for THIS process — with -remote or
@@ -238,15 +183,6 @@ func sweepMain(args []string) {
 	if runErr != nil {
 		os.Exit(1)
 	}
-}
-
-// memberURLs lists a registry's (normalized) member URLs in join order.
-func memberURLs(reg *fleet.Registry) []string {
-	var urls []string
-	for _, m := range reg.Members() {
-		urls = append(urls, m.URL)
-	}
-	return urls
 }
 
 // sampleHeapPeak records the high-water HeapAlloc on a short ticker until

@@ -113,15 +113,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Churn while the sweep runs: after the first few cells complete,
-	// tear worker 1 down hard (its in-flight runs get stolen back) and
+	// Churn while the sweep runs: once the first cell completes, tear
+	// worker 1 down hard (its in-flight runs get stolen back) and
 	// join a replacement to absorb the queue.
 	churned := false
 	opts := sweep.Options{
 		Workers:  4,
 		Executor: exec,
-		Observers: []sweep.Observer{sweep.ObserverFunc(func(c sweep.CellResult) {
-			if churned {
+		Progress: func(p sweep.Progress) {
+			if p.Cell == nil || churned {
 				return
 			}
 			churned = true
@@ -130,7 +130,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Println("worker 1 torn down mid-sweep, replacement joined")
-		})},
+		},
 	}
 	fleetRes, err := sweep.Run(context.Background(), grid, opts)
 	if err != nil {

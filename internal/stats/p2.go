@@ -29,9 +29,6 @@ func NewP2Quantile(q float64) *P2Quantile {
 	return p
 }
 
-// N returns the number of observations.
-func (p *P2Quantile) N() int { return p.n }
-
 // Add incorporates one observation.
 func (p *P2Quantile) Add(x float64) {
 	if p.n < 5 {
@@ -118,23 +115,6 @@ func (p *P2Quantile) Value() float64 {
 		return QuantilesOf(p.initial[:p.n]).At(p.q)
 	}
 	return p.heights[2]
-}
-
-// Max returns the largest observation seen so far (exact).
-func (p *P2Quantile) Max() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	if p.n < 5 {
-		m := p.initial[0]
-		for _, v := range p.initial[1:p.n] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	return p.heights[4]
 }
 
 // Reset clears the estimator for a new monitoring window.

@@ -34,17 +34,6 @@ func (r *Running) N() int { return r.n }
 // Mean returns the running mean (0 before any observation).
 func (r *Running) Mean() float64 { return r.mean }
 
-// Variance returns the population variance.
-func (r *Running) Variance() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
 // SampleVariance returns the Bessel-corrected (n-1) variance, the unbiased
 // estimator confidence intervals are built on. It is 0 for fewer than two
 // observations.
@@ -116,9 +105,6 @@ func (p *Pearson) Add(x, y float64) {
 	// one-pass covariance recurrence.
 	p.cov += dx * (y - p.meanY)
 }
-
-// N returns the number of pairs seen.
-func (p *Pearson) N() int { return p.n }
 
 // Corr returns the correlation coefficient in [-1, 1]. When either variable
 // is constant the correlation is undefined; Corr returns 0 in that case.
@@ -206,9 +192,6 @@ func QuantilesOf(xs []float64) Quantiles {
 	sort.Float64s(sorted)
 	return Quantiles{sorted: sorted}
 }
-
-// Len reports the window size.
-func (q Quantiles) Len() int { return len(q.sorted) }
 
 // At returns the p-th quantile (p in [0,1]) of the window, linearly
 // interpolated between the closest ranks.

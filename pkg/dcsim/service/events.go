@@ -51,7 +51,7 @@ func progressPayload(jobID string, p sweep.Progress) ProgressEvent {
 		CellName:     p.CellName,
 		Replica:      p.Replica,
 		ElapsedS:     p.Elapsed.Seconds(),
-		CellDone:     p.CellDone,
+		CellDone:     p.Cell != nil,
 		CellElapsedS: p.CellElapsed.Seconds(),
 		CellsDone:    p.CellsDone,
 		CellsTotal:   p.CellsTotal,

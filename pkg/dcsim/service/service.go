@@ -77,8 +77,11 @@ type Config struct {
 	// fanning its cells out over Workers.
 	Concurrency int
 	// Workers is the sweep.Options.Workers value for every job: the
-	// concurrent runs within one job. 0 selects GOMAXPROCS (or, via
-	// `dcsim serve -remote`, workers × in-flight + local slots).
+	// concurrent runs within one job. 0 selects GOMAXPROCS. `dcsim serve`
+	// sets it by the fan-out rule it shares with `dcsim sweep`: with
+	// -remote, workers × in-flight + local slots; with -fleet, that for
+	// the workers registered at start (none, for the service), raised to
+	// at least 32 and GOMAXPROCS.
 	Workers int
 	// Executor runs each job's cell-replicas. Nil selects the
 	// in-process LocalExecutor; a fleet.Executor fans jobs out to a
@@ -420,7 +423,7 @@ func (m *Manager) execute(j *job) {
 func (m *Manager) onProgress(j *job, p sweep.Progress) {
 	m.metrics.runs.Add(1)
 	m.metrics.cellDur.Observe(p.Elapsed.Seconds())
-	if p.CellDone {
+	if p.Cell != nil {
 		m.metrics.cellsRun.Add(1)
 	}
 	j.mu.Lock()

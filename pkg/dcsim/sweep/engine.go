@@ -11,20 +11,6 @@ import (
 	"repro/pkg/dcsim"
 )
 
-// Observer receives one callback per completed cell, in completion order
-// (non-deterministic under parallelism; the final Result is ordered by cell
-// index regardless). Callbacks run on the collector goroutine, one at a
-// time.
-type Observer interface {
-	OnCell(CellResult)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(CellResult)
-
-// OnCell implements Observer.
-func (f ObserverFunc) OnCell(c CellResult) { f(c) }
-
 // Progress is one run-level progress event: which cell-replica just
 // finished, how long it took on the wall clock, and how far the sweep has
 // come. The engine measures Elapsed around the executor call, so the event
@@ -40,10 +26,11 @@ type Progress struct {
 	// Elapsed is the run's wall time — the duration of the ExecuteCell
 	// call, queueing and transport included for remote executors.
 	Elapsed time.Duration
-	// CellDone reports that this run was the cell's last outstanding
-	// replica, completing its aggregate. CellElapsed is then the cell's
-	// wall time: from its first replica starting to its last finishing.
-	CellDone    bool
+	// Cell is set when this run was the cell's last outstanding replica:
+	// it points at a copy of the cell's completed aggregate, and
+	// CellElapsed is the cell's wall time, from its first replica
+	// starting to its last finishing. On every other event Cell is nil.
+	Cell        *CellResult
 	CellElapsed time.Duration
 	// RunsDone / RunsTotal and CellsDone / CellsTotal count completed
 	// runs (cell-replicas) and fully aggregated cells, RunsDone
@@ -60,16 +47,17 @@ type Options struct {
 	// selects GOMAXPROCS. Aggregates are byte-identical at any worker
 	// count.
 	Workers int
-	// Observers receive per-cell completion events.
-	Observers []Observer
 	// Executor runs each cell-replica. Nil selects an in-process
 	// LocalExecutor; sweep/fleet provides one that fans runs out to
 	// HTTP workers instead.
 	Executor Executor
-	// Progress, when set, receives one event per completed run on the
-	// collector goroutine (one at a time, like Observers). It fires for
-	// every executor — local, remote, or custom — because the engine
-	// itself times the ExecuteCell calls.
+	// Progress, when set, receives one event per completed run, the
+	// completed cells' aggregates included (Progress.Cell). Events come
+	// in completion order (non-deterministic under parallelism; the
+	// final Result is ordered by cell index regardless), on the
+	// collector goroutine, one at a time. It fires for every executor —
+	// local, remote, or custom — because the engine itself times the
+	// ExecuteCell calls.
 	Progress func(Progress)
 }
 
@@ -214,12 +202,11 @@ func Run(ctx context.Context, g Grid, opts Options) (*Result, error) {
 				cellEnd[o.cell] = end
 			}
 		}
+		var cell *CellResult
 		if remaining[o.cell] == 0 {
 			cr := aggregate(cells[o.cell], perCell[o.cell])
 			done = append(done, cr)
-			for _, obs := range opts.Observers {
-				obs.OnCell(cr)
-			}
+			cell = &cr
 			perCell[o.cell] = nil // free the raw runs
 		}
 		if opts.Progress != nil {
@@ -228,12 +215,12 @@ func Run(ctx context.Context, g Grid, opts Options) (*Result, error) {
 				CellName:  cells[o.cell].Name(),
 				Replica:   o.replica,
 				Elapsed:   o.elapsed,
+				Cell:      cell,
 				RunsDone:  runsDone, RunsTotal: len(jobs),
 				CellsDone: len(done), CellsTotal: len(cells),
 				Replicas: g.Replicas,
 			}
-			if remaining[o.cell] == 0 {
-				p.CellDone = true
+			if cell != nil {
 				p.CellElapsed = cellEnd[o.cell].Sub(cellStart[o.cell])
 			}
 			opts.Progress(p)

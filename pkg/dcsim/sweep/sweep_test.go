@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -208,11 +209,11 @@ func TestCancellationReturnsCompletedCells(t *testing.T) {
 	var cellsSeen atomic.Int32
 	opts := Options{
 		Workers: 1,
-		Observers: []Observer{ObserverFunc(func(CellResult) {
-			if cellsSeen.Add(1) == 1 {
+		Progress: func(p Progress) {
+			if p.Cell != nil && cellsSeen.Add(1) == 1 {
 				cancel()
 			}
-		})},
+		},
 	}
 	res, err := Run(ctx, g, opts)
 	if !errors.Is(err, context.Canceled) {
@@ -244,8 +245,12 @@ func TestCancellationParallel(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	opts := Options{
-		Workers:   4,
-		Observers: []Observer{ObserverFunc(func(CellResult) { once.Do(cancel) })},
+		Workers: 4,
+		Progress: func(p Progress) {
+			if p.Cell != nil {
+				once.Do(cancel)
+			}
+		},
 	}
 	res, err := Run(ctx, g, opts)
 	if !errors.Is(err, context.Canceled) {
@@ -259,6 +264,46 @@ func TestCancellationParallel(t *testing.T) {
 		last = c.Index
 		if c.EnergyJ.N != g.Replicas {
 			t.Fatalf("cell %d aggregated %d replicas, want %d", c.Index, c.EnergyJ.N, g.Replicas)
+		}
+	}
+}
+
+// TestProgressCarriesCells: the event of the run that completes a cell
+// carries that cell's aggregate, every other event carries none, and each
+// carried aggregate is a copy equal to the Result's cell.
+func TestProgressCarriesCells(t *testing.T) {
+	g := tinyGrid()
+	runs := 0
+	carried := map[int]*CellResult{}
+	res, err := Run(context.Background(), g, Options{
+		Workers: 3,
+		Progress: func(p Progress) {
+			runs++
+			if p.Cell == nil {
+				return
+			}
+			if p.Cell.Index != p.CellIndex || carried[p.CellIndex] != nil || p.CellsDone != len(carried)+1 {
+				t.Errorf("cell %d carried as cell %d with %d done before, %d counted",
+					p.CellIndex, p.Cell.Index, len(carried), p.CellsDone)
+			}
+			carried[p.CellIndex] = p.Cell
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != len(res.Cells)*g.Replicas || len(carried) != len(res.Cells) {
+		t.Fatalf("%d events carrying %d cells, want %d carrying %d",
+			runs, len(carried), len(res.Cells)*g.Replicas, len(res.Cells))
+	}
+	for i := range res.Cells {
+		c := carried[res.Cells[i].Index]
+		if c == nil || !reflect.DeepEqual(*c, res.Cells[i]) {
+			t.Fatalf("cell %d: carried %+v, result holds %+v", i, c, res.Cells[i])
+		}
+		c.EnergyJ.Mean = -1
+		if res.Cells[i].EnergyJ.Mean == -1 {
+			t.Fatalf("cell %d: the event's aggregate aliases the Result's", i)
 		}
 	}
 }

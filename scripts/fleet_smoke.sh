@@ -5,14 +5,16 @@
 # then require: the job completes, its result bytes are identical to a
 # plain local "dcsim sweep" of the same grid, /metrics shows the steal
 # (dcsim_fleet_runs_stolen_total > 0) and the expiry, and both the
-# surviving workers and the coordinator exit 0 on SIGINT.
+# surviving workers and the coordinator exit 0 on SIGINT. A second pass
+# drives the other coordinator form: "dcsim sweep -fleet" with two workers
+# registering, whose reports must be byte-identical to the local sweep's.
 set -eu
 cd "$(dirname "$0")/.."
 
 out=$(mktemp -d)
 cleanup() {
 	rm -rf "$out"
-	for p in "${w1:-}" "${w2:-}" "${w3:-}" "${w4:-}" "${pid:-}"; do
+	for p in "${w1:-}" "${w2:-}" "${w3:-}" "${w4:-}" "${w5:-}" "${w6:-}" "${pid:-}" "${spid:-}"; do
 		[ -n "$p" ] && kill "$p" 2>/dev/null || true
 	done
 }
@@ -38,12 +40,12 @@ done
 # Three workers join the fleet. Short heartbeats so a kill is noticed in
 # well under a second even without transport evidence.
 start_worker() {
-	"$out/dcsim" worker -listen "127.0.0.1:$1" -register "$base" \
+	"$out/dcsim" worker -listen "127.0.0.1:$1" -register "$2" \
 		-heartbeat 250ms -quiet &
 }
-start_worker 18082; w1=$!
-start_worker 18083; w2=$!
-start_worker 18084; w3=$!
+start_worker 18082 "$base"; w1=$!
+start_worker 18083 "$base"; w2=$!
+start_worker 18084 "$base"; w3=$!
 
 # Wait until all three are registered and alive.
 i=0
@@ -70,12 +72,22 @@ fi
 echo "fleet_smoke: submitted $id"
 
 # Kill one worker mid-job — hard, as a machine loss: its dispatched runs
-# must be stolen back — and join a replacement to absorb queued runs.
-sleep 1
+# must be stolen back — and join a replacement to absorb queued runs. The
+# kill waits until worker 1 holds a run, since the whole job can finish
+# within a second.
+i=0
+until curl -fsS "$base/fleet" | tr '{' '\n' | grep '127.0.0.1:18082' | grep -q '"dispatched":[1-9]'; do
+	i=$((i + 1))
+	if [ "$i" -gt 250 ]; then
+		echo "fleet_smoke: worker 1 never held a run: $(curl -fsS "$base/fleet")" >&2
+		exit 1
+	fi
+	sleep 0.02
+done
 kill -9 "$w1"
 w1=""
 echo "fleet_smoke: killed worker 1"
-start_worker 18085; w4=$!
+start_worker 18085 "$base"; w4=$!
 echo "fleet_smoke: replacement joined"
 
 i=0
@@ -147,3 +159,36 @@ else
 	echo "fleet_smoke: serve exited non-zero after SIGINT" >&2
 	exit 1
 fi
+
+# The sweep coordinator form: the sweep serves the fleet endpoints itself,
+# waits for two registered workers, and must exit 0 with both reports
+# byte-identical to the local sweep's.
+sbase="http://127.0.0.1:18086"
+"$out/dcsim" sweep -grid examples/grids/fleet-smoke.json -fleet 127.0.0.1:18086 \
+	-fleet-min 2 -out "$out/fleet-sweep" -quiet &
+spid=$!
+start_worker 18087 "$sbase"; w5=$!
+start_worker 18088 "$sbase"; w6=$!
+if ! wait "$spid"; then
+	echo "fleet_smoke: sweep -fleet exited non-zero" >&2
+	exit 1
+fi
+spid=""
+for f in fleet-smoke.json fleet-smoke.csv; do
+	if ! cmp -s "$out/fleet-sweep/$f" "$out/ref/$f"; then
+		echo "fleet_smoke: sweep -fleet $f differs from local sweep" >&2
+		exit 1
+	fi
+done
+echo "fleet_smoke: sweep -fleet reports identical to local sweep"
+for p in "$w5" "$w6"; do
+	kill -INT "$p"
+done
+for p in "$w5" "$w6"; do
+	if ! wait "$p"; then
+		echo "fleet_smoke: a sweep -fleet worker exited non-zero after SIGINT" >&2
+		exit 1
+	fi
+done
+w5="" w6=""
+echo "fleet_smoke: sweep -fleet workers drained, exit 0"
