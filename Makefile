@@ -6,11 +6,11 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test \
-	test-generic race race-parallel bench bench-test bench-alloc \
+	test-generic test-nofma race race-parallel bench bench-test bench-alloc \
 	bench-compare leakcheck fuzz examples smoke-service smoke-fleet \
 	smoke-objstore
 
-ci: lint build test test-generic race race-parallel bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
+ci: lint build test test-generic test-nofma race race-parallel bench-test examples smoke-service smoke-fleet smoke-objstore bench-compare
 
 # lint is the static gate CI's lint job runs: formatting, go vet,
 # staticcheck, and the public-API leak check.
@@ -52,15 +52,21 @@ build:
 test:
 	$(GO) test ./...
 
-# test-generic runs the Go loops that stand in for amd64 assembly on every
-# other architecture (internal/core's peakRow, and the standard library's
-# pure-Go math.Exp that synthesis refines with): a GOARCH=386 test binary
-# builds them and runs on an amd64 host. The packages are the kernel's, the
-# two that run it end to end, and internal/synth, whose pinned digests are
-# kept per architecture. arm64 is vetted, not run.
+# test-generic runs the Go code that stands in for amd64 assembly on every
+# other architecture (internal/core's peakRow loop, and internal/synth's Go
+# exp, which refines without the vector kernel): a GOARCH=386 test binary
+# builds them and runs on an amd64 host. The packages are the two
+# kernels', and the two that run them end to end; internal/synth checks
+# the same pinned digests as on amd64. arm64 is vetted, not run.
 test-generic:
 	GOARCH=386 $(GO) test ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim
 	GOARCH=arm64 $(GO) vet ./...
+
+# test-nofma runs internal/synth with the standard library's math.Exp on
+# its path without FMA, as on an amd64 CPU that lacks it: synthesis draws
+# through its own exp, so the pinned digests must still hold.
+test-nofma:
+	GODEBUG=cpu.fma=off $(GO) test ./internal/synth
 
 race:
 	$(GO) test -race ./...

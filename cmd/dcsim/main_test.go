@@ -121,6 +121,7 @@ func TestDispatchFlagChecks(t *testing.T) {
 		"sweep": append(shared("-fleet", "127.0.0.1:0"),
 			check{[]string{"-fleet-min", "2"}, "-fleet-min only applies with -fleet"},
 			check{[]string{"-fleet", "127.0.0.1:0", "-fleet-min", "-1"}, "-fleet-min must be at least 0, got -1"},
+			check{[]string{"-fleet", "127.0.0.1:0", "-fleet-min", "0"}, "-fleet-min 0 needs -local (no worker can have joined when the sweep starts)"},
 		),
 		"serve": append(shared("-fleet"),
 			check{[]string{"-queue", "0"}, "-queue must be at least 1, got 0"},

@@ -39,7 +39,7 @@ func sweepMain(args []string) {
 		progress  = fs.Bool("progress", false, "print each cell's aggregate as it completes")
 		quiet     = fs.Bool("quiet", false, "suppress the summary table on stdout")
 		fleetAddr = fs.String("fleet", "", "address to serve the elastic-fleet coordinator on; workers join with \"dcsim worker -register\"")
-		fleetMin  = fs.Int("fleet-min", 1, "with -fleet: wait for this many registered workers before sweeping")
+		fleetMin  = fs.Int("fleet-min", 1, "with -fleet: wait for this many registered workers before sweeping (0 needs -local)")
 	)
 	d := addDispatchFlags(fs, "sweep")
 	var wopts kvFlag
@@ -47,6 +47,12 @@ func sweepMain(args []string) {
 	fs.Parse(args)
 	d.check(fs, *fleetAddr != "")
 	needAtLeast("sweep", "fleet-min", *fleetMin, 0)
+	if *fleetAddr != "" && *fleetMin == 0 && d.local == 0 {
+		// The coordinator starts the sweep the moment it listens, before
+		// any worker can have joined, so the first run finds an empty
+		// fleet; in-process slots are what can run it.
+		log.Fatal("sweep: -fleet-min 0 needs -local (no worker can have joined when the sweep starts)")
+	}
 	if *gridPath == "" {
 		fs.Usage()
 		log.Fatal("sweep: -grid is required")

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/pkg/dcsim/model"
@@ -143,46 +144,50 @@ func newGenerator(cfg DatacenterConfig) *generator {
 		groupProfile: groupProfile, groupScale: groupScale}
 }
 
-// Load generates the datacenter dataset cfg describes, a batch of
-// GOMAXPROCS VMs at a time. The coarse series of a batch come from the
-// generator rng in strict index order on the caller's goroutine, ctx
-// checked before each VM's draw; then each VM's refinement runs on its
-// own goroutine from its own seed, and the batch is waited for before the
-// next one starts. The traces are therefore the same at every GOMAXPROCS,
-// and no goroutine outlives the call. A cancelled ctx stops the load with
-// ctx's error.
+// Load generates the datacenter dataset cfg describes. Every VM's coarse
+// series comes from the generator rng in strict index order on the
+// caller's goroutine, ctx checked before each VM's draw. Then GOMAXPROCS
+// workers, the caller's goroutine one of them, take VMs in turn and
+// refine each from its own seed, ctx checked before each. A trace
+// depends only on its coarse series and its seed, so the traces are the
+// same at every GOMAXPROCS. Load waits for every worker, so no goroutine
+// outlives the call, and a cancelled ctx stops the load with ctx's
+// error.
 func Load(ctx context.Context, cfg DatacenterConfig) (*model.Dataset, error) {
 	gen := newGenerator(cfg)
 	ds := &model.Dataset{Names: make([]string, cfg.VMs), Fine: make([]*model.Series, cfg.VMs)}
-	batch := runtime.GOMAXPROCS(0)
-	coarse := make([]*model.Series, batch)
-	for lo := 0; lo < cfg.VMs; lo += batch {
-		n := min(batch, cfg.VMs-lo)
-		for b := range n {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	// The coarse means are only the refinement's input: the dataset
+	// carries the 5-second trace every run reads.
+	coarse := make([]*model.Series, cfg.VMs)
+	for i := range coarse {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ds.Names[i], coarse[i] = gen.drawCoarse(i)
+	}
+	var next atomic.Int64
+	refine := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= cfg.VMs || ctx.Err() != nil {
+				return
 			}
-			ds.Names[lo+b], coarse[b] = gen.drawCoarse(lo + b)
+			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
+			ds.Fine[i] = ln.Refine(coarse[i], cfg.FineFactor)
 		}
-		// The coarse means are only the refinement's input: the dataset
-		// carries the 5-second trace every run reads.
-		refine := func(b int) {
-			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+lo+b))
-			ds.Fine[lo+b] = ln.Refine(coarse[b], cfg.FineFactor)
-		}
-		if n == 1 {
-			refine(0)
-			continue
-		}
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for b := range n {
-			go func() {
-				defer wg.Done()
-				refine(b)
-			}()
-		}
-		wg.Wait()
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), cfg.VMs) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			refine()
+		}()
+	}
+	refine()
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return ds, nil
 }

@@ -4,9 +4,14 @@
 // search testbed (Setup 1).
 //
 // Everything is seeded explicitly so that experiments regenerate
-// bit-identically. Load makes the datacenter workload, refining a batch of
-// GOMAXPROCS VMs at a time, each from its own seed, so its traces are the
-// same at every GOMAXPROCS; Datacenter is Load without a context.
+// bit-identically. Load makes the datacenter workload: it draws every
+// VM's coarse series in index order, then GOMAXPROCS workers refine the
+// VMs, each from its own seed, so its traces are the same at every
+// GOMAXPROCS; Datacenter is Load without a context. Refinement
+// exponentiates with the package's own exp, the FMA path of Go's amd64
+// math.Exp, run four values at a time in AVX2 where the CPU has it and in
+// Go elsewhere, so a seed draws the same population on any amd64 CPU and
+// on 386.
 package synth
 
 import (
@@ -46,7 +51,7 @@ func (l *LogNormal) Sample(mean float64) float64 {
 	if l.Sigma == 0 {
 		return mean
 	}
-	return l.draw(l.location(mean))
+	return exp(l.arg(l.location(mean)))
 }
 
 // location is the underlying normal's location for a positive mean.
@@ -54,35 +59,40 @@ func (l *LogNormal) location(mean float64) float64 {
 	return math.Log(mean) - l.Sigma*l.Sigma/2
 }
 
-// draw takes one sample around the location mu: the only place the
-// generator consumes randomness.
-func (l *LogNormal) draw(mu float64) float64 {
-	return math.Exp(mu + l.Sigma*l.rng.NormFloat64())
+// arg draws the normal exponent of one sample around the location mu: the
+// only place the generator consumes randomness. The conversion rounds the
+// product before the add, so no architecture fuses the two into an FMA.
+func (l *LogNormal) arg(mu float64) float64 {
+	return mu + float64(l.Sigma*l.rng.NormFloat64())
 }
 
 // Refine expands a coarse series into a fine-grained one with factor samples
 // per coarse sample, each drawn lognormally around the coarse mean. The
 // location is solved once per coarse sample; the draws are exactly the
-// ones factor calls to Sample would make.
+// ones factor calls to Sample would make. Each coarse sample's factor
+// exponents are drawn into the output first and exponentiated there in
+// one pass, four at a time where the CPU has the vector kernel.
 func (l *LogNormal) Refine(coarse *model.Series, factor int) *model.Series {
 	if factor <= 0 {
 		panic("synth: non-positive refinement factor")
 	}
-	out := make([]float64, 0, coarse.Len()*factor)
-	for _, mean := range coarse.Samples() {
+	out := make([]float64, coarse.Len()*factor)
+	for i, mean := range coarse.Samples() {
+		fine := out[i*factor : (i+1)*factor]
 		if mean <= 0 || l.Sigma == 0 {
 			// Degenerate: every fine sample is Sample's constant, and
 			// none consumes randomness.
 			v := l.Sample(mean)
-			for k := 0; k < factor; k++ {
-				out = append(out, v)
+			for k := range fine {
+				fine[k] = v
 			}
 			continue
 		}
 		mu := l.location(mean)
-		for k := 0; k < factor; k++ {
-			out = append(out, l.draw(mu))
+		for k := range fine {
+			fine[k] = l.arg(mu)
 		}
+		expInPlace(fine)
 	}
 	return model.SeriesFromSamples(coarse.Interval()/time.Duration(factor), out)
 }

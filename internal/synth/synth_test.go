@@ -231,70 +231,82 @@ func TestDatacenterPanics(t *testing.T) {
 	}
 }
 
-// TestStreamBatchesAtAnyGOMAXPROCS: Load refines a batch of GOMAXPROCS
-// VMs on goroutines, so batches are uneven at some VM counts. Every VM
-// draws only from its own seed, so the traces, names and sample bits, are
-// the ones a serial refinement of each VM gives, and the ones pinned
-// before batching, at every GOMAXPROCS. A batch sharing one rng fails.
+// TestLoadAtAnyGOMAXPROCS: Load's workers take VMs in turn, so which
+// goroutine refines a VM, and when, changes with GOMAXPROCS and timing.
+// Every VM draws only from its own seed, so the traces, names and sample
+// bits, are the ones a serial refinement of each VM gives, and the ones
+// pinned before the worker pool and the vector exp, at every GOMAXPROCS,
+// with the kernel and with the Go exp. Workers sharing one rng fail.
 //
-// The pins hold per architecture: amd64's assembly math.Exp and the
-// pure-Go one that 386 runs round some samples differently. Elsewhere the
-// serial reference alone is checked.
-func TestStreamBatchesAtAnyGOMAXPROCS(t *testing.T) {
+// The pins hold on amd64 with or without FMA (CI also runs this under
+// GODEBUG=cpu.fma=off) and on 386 (make test-generic), whose math.Exp
+// rounded some samples differently before synthesis had its own exp.
+// Other architectures fuse multiply-adds inside math.Log, math.Sin and
+// the coarse walk, so there the serial reference alone is checked.
+func TestLoadAtAnyGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	pinned := map[string]map[int]string{ // sha256 prefix of the names and bits
-		"amd64": {
+	defer func(saved bool) { useKernel = saved }(useKernel)
+	var pinned map[int]string // sha256 prefix of the names and bits
+	if runtime.GOARCH == "amd64" || runtime.GOARCH == "386" {
+		pinned = map[int]string{
 			1:  "8c9d151b3dff8746",
 			2:  "b4669b254b85dde3",
 			5:  "fc94f8db375edbe0",
 			40: "5234c7330943bc75",
-		},
-		"386": {
-			1:  "24a2c50c932adb9c",
-			2:  "5cf59ae7e2f5b06f",
-			5:  "689d7ede1ae56c02",
-			40: "dd9e65e0c7662fa2",
-		},
-	}[runtime.GOARCH]
+		}
+	}
 	for _, vms := range []int{1, 2, 5, 40} {
 		cfg := DefaultDatacenterConfig()
 		cfg.VMs, cfg.Groups, cfg.Day = vms, 3, 3*time.Hour
 		// Serial reference: each VM's coarse series in index order, each
-		// refined from the VM's own seed on this goroutine.
+		// refined from the VM's own seed on this goroutine, sample by
+		// sample through Sample's exp.
 		ref := newGenerator(cfg)
 		want := &model.Dataset{}
 		for i := range vms {
 			name, coarse := ref.drawCoarse(i)
 			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
+			fine := model.NewSeries(cfg.CoarseInterval/time.Duration(cfg.FineFactor), coarse.Len()*cfg.FineFactor)
+			for _, mean := range coarse.Samples() {
+				for range cfg.FineFactor {
+					fine.Append(ln.Sample(mean))
+				}
+			}
 			want.Names = append(want.Names, name)
-			want.Fine = append(want.Fine, ln.Refine(coarse, cfg.FineFactor))
+			want.Fine = append(want.Fine, fine)
 		}
-		for _, procs := range []int{1, 2, 7} {
-			runtime.GOMAXPROCS(procs)
-			ds, err := Load(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ds.Names) != vms || len(ds.Fine) != vms {
-				t.Fatalf("%d VMs at GOMAXPROCS %d: loaded %d names and %d traces", vms, procs, len(ds.Names), len(ds.Fine))
-			}
-			h := sha256.New()
-			for i, fine := range ds.Fine {
-				if ds.Names[i] != want.Names[i] || fine.Len() != want.Fine[i].Len() {
-					t.Fatalf("%d VMs at GOMAXPROCS %d: VM %d is %q with %d samples, want %q with %d",
-						vms, procs, i, ds.Names[i], fine.Len(), want.Names[i], want.Fine[i].Len())
+		for _, kernel := range []bool{hasKernel, false} {
+			useKernel = kernel
+			for _, procs := range []int{1, 2, 7} {
+				runtime.GOMAXPROCS(procs)
+				ds, err := Load(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				io.WriteString(h, ds.Names[i])
-				for j, v := range fine.Samples() {
-					if math.Float64bits(v) != math.Float64bits(want.Fine[i].At(j)) {
-						t.Fatalf("%d VMs at GOMAXPROCS %d: VM %d sample %d is %v, want %v",
-							vms, procs, i, j, v, want.Fine[i].At(j))
+				at := fmt.Sprintf("%d VMs at GOMAXPROCS %d (kernel %v)", vms, procs, kernel)
+				if len(ds.Names) != vms || len(ds.Fine) != vms {
+					t.Fatalf("%s: loaded %d names and %d traces", at, len(ds.Names), len(ds.Fine))
+				}
+				h := sha256.New()
+				for i, fine := range ds.Fine {
+					if ds.Names[i] != want.Names[i] || fine.Len() != want.Fine[i].Len() || fine.Interval() != want.Fine[i].Interval() {
+						t.Fatalf("%s: VM %d is %q with %d samples every %v, want %q with %d every %v", at, i,
+							ds.Names[i], fine.Len(), fine.Interval(), want.Names[i], want.Fine[i].Len(), want.Fine[i].Interval())
 					}
-					binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+					io.WriteString(h, ds.Names[i])
+					for j, v := range fine.Samples() {
+						if math.Float64bits(v) != math.Float64bits(want.Fine[i].At(j)) {
+							t.Fatalf("%s: VM %d sample %d is %v, want %v", at, i, j, v, want.Fine[i].At(j))
+						}
+						binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+					}
+				}
+				if got, digest := fmt.Sprintf("%x", h.Sum(nil)[:8]), pinned[vms]; pinned != nil && got != digest {
+					t.Errorf("%s: digest %s, pinned %s", at, got, digest)
 				}
 			}
-			if got, digest := fmt.Sprintf("%x", h.Sum(nil)[:8]), pinned[vms]; pinned != nil && got != digest {
-				t.Errorf("%d VMs at GOMAXPROCS %d: digest %s, pinned %s", vms, procs, got, digest)
+			if !hasKernel {
+				break
 			}
 		}
 	}

@@ -154,32 +154,56 @@ func (c *cancelOnErr) Err() error {
 	return c.Context.Err()
 }
 
-// TestRunCancelledDuringSyntheticIngest: cancelling while a datacenter
-// workload is being refined in batches on goroutines makes Run return the
-// context's error, and leaves no goroutine behind.
+// TestRunCancelledDuringSyntheticIngest: the synthetic generator checks
+// the context before each VM's coarse draw, all on the caller's goroutine,
+// and then its workers check it before each VM they refine. Cancelling
+// in either phase makes Run return the context's error, stops the
+// refinement, and leaves no goroutine behind.
 func TestRunCancelledDuringSyntheticIngest(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	start := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Batches hold four records. The sixth Err call, before record 5,
-	// cancels with the second batch (records 4-7) partly emitted.
-	cctx := &cancelOnErr{Context: ctx, cancel: cancel, n: 6}
-	sc := New(WithVMs(40), WithGroups(4), WithHours(2), WithMaxServers(20))
-	if _, err := Run(cctx, sc); !errors.Is(err, context.Canceled) || err != ctx.Err() {
-		t.Fatalf("Run cancelled mid-ingest = %v, want the context's error %v", err, ctx.Err())
-	}
-	if n := cctx.calls.Load(); n != 6 {
-		t.Fatalf("ingest checked the context %d times, want 6: the cancel did not land mid-ingest", n)
-	}
-	// A goroutine that has signalled its WaitGroup may still be exiting;
-	// wait for the count to settle rather than sample it once.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > start {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Run returned, %d before", runtime.NumGoroutine(), start)
-		}
-		time.Sleep(time.Millisecond)
+	const vms, procs = 40, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for _, tc := range []struct {
+		name     string
+		n        int64 // the Err call that cancels
+		maxCalls int64
+	}{
+		// The sixth check, before VM 5's coarse draw: the load stops
+		// there, before any worker starts.
+		{"coarse draws", 6, 6},
+		// The third check after the 40 coarse draws, made by a worker.
+		// Each other worker checks once more and stops, and Load checks
+		// once after waiting for them: far fewer calls than the 40 a
+		// refinement that ignored the cancel would make.
+		{"refinement", vms + 3, vms + 3 + procs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cctx := &cancelOnErr{Context: ctx, cancel: cancel, n: tc.n}
+			sc := New(WithVMs(vms), WithGroups(4), WithHours(2), WithMaxServers(20))
+			res, err := Run(cctx, sc)
+			if !errors.Is(err, context.Canceled) || err != ctx.Err() {
+				t.Fatalf("Run cancelled mid-ingest = %v, want the context's error %v", err, ctx.Err())
+			}
+			if res != nil {
+				// A cancelled simulation returns its partial Result.
+				t.Fatal("Run returned a partial Result: the cancel landed after the ingest")
+			}
+			if n := cctx.calls.Load(); n < tc.n || n > tc.maxCalls {
+				t.Fatalf("ingest checked the context %d times, want %d to %d", n, tc.n, tc.maxCalls)
+			}
+			// A goroutine that has signalled its WaitGroup may still be
+			// exiting; wait for the count to settle rather than sample it
+			// once.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > start {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Run returned, %d before", runtime.NumGoroutine(), start)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 
