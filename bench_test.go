@@ -169,47 +169,50 @@ func BenchmarkAblationMetric(b *testing.B) {
 
 // BenchmarkCostMatrixUpdate measures the streaming sample update: at the
 // paper's 40-VM scale (780 pairs), and at bench/'s 400-VM corr-aware and
-// the 2k-VM scale, where the n(n−1)/2 pair peaks dominate a run. ns/pair
-// is the per-pair cost of the Eqn-1 update.
+// the 2k-VM scale, where the n(n−1)/2 pair peaks dominate a run. Each Add
+// feeds a chunk of 1, 12 or 64 samples: sim.Run feeds up to 64 per Add,
+// and 12 where it rescales every 12. ns/pair is the cost of one pair's
+// Eqn-1 update for one sample.
 func BenchmarkCostMatrixUpdate(b *testing.B) {
 	for _, n := range []int{40, 400, 2000} {
-		b.Run(fmt.Sprintf("vms=%d", n), func(b *testing.B) {
-			benchMatrixUpdate(b, core.NewCostMatrix(n, 1))
-		})
+		for _, chunk := range []int{1, 12, 64} {
+			b.Run(fmt.Sprintf("vms=%d/chunk=%d", n, chunk), func(b *testing.B) {
+				benchMatrixUpdate(b, core.NewCostMatrix(n, 1), chunk)
+			})
+		}
 	}
 }
 
 // BenchmarkCostMatrixUpdateP95 is the percentile-reference variant (P²
-// estimators instead of running maxima).
+// estimators instead of running maxima), one sample per Add.
 func BenchmarkCostMatrixUpdateP95(b *testing.B) {
-	benchMatrixUpdate(b, core.NewCostMatrix(40, 0.95))
+	benchMatrixUpdate(b, core.NewCostMatrix(40, 0.95), 1)
 }
 
-// benchMatrixUpdate feeds m a stream: each VM has a period of 720
-// distinct lognormal samples (one hour at 5 s) from a fixed seed, and the
-// window restarts every period, so peaks keep moving as they do in a run.
-// One fixed sample would stop moving every peak after its first Add.
-func benchMatrixUpdate(b *testing.B, m *core.CostMatrix) {
+// benchMatrixUpdate feeds m a stream in chunks of the given number of
+// samples: each VM has a period of 720 distinct lognormal samples (one
+// hour at 5 s) from a fixed seed, and the window restarts every period,
+// so peaks keep moving as they do in a run. One fixed sample would stop
+// moving every peak after its first Add.
+func benchMatrixUpdate(b *testing.B, m *core.CostMatrix, chunk int) {
 	const period = 720
 	n := m.N()
 	rng := rand.New(rand.NewSource(1))
-	samples := make([][]float64, period)
+	samples := make([]float64, period*n) // sample-major
 	for k := range samples {
-		samples[k] = make([]float64, n)
-		for i := range samples[k] {
-			samples[k][i] = math.Exp(rng.NormFloat64() * 0.5)
-		}
+		samples[k] = math.Exp(rng.NormFloat64() * 0.5)
 	}
 	k := 0
 	for b.Loop() {
-		if k == period {
+		if k+chunk > period {
 			k = 0
 			m.Reset()
 		}
-		m.Add(samples[k])
-		k++
+		m.Add(samples[k*n : (k+chunk)*n])
+		k += chunk
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*(n-1)/2), "ns/pair")
+	pairs := float64(n*(n-1)/2) * float64(chunk)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 }
 
 // BenchmarkSeriesPercentile measures one 0.9 percentile over a 720-sample

@@ -11,7 +11,10 @@ import (
 	"os/signal"
 	"time"
 
+	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/service"
+	"repro/pkg/dcsim/sweep"
+	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
 
@@ -28,7 +31,9 @@ import (
 // with "dcsim worker -register http://this-host:port" join on the same
 // listener (POST /fleet/register), heartbeat, and absorb queued runs;
 // workers dying mid-job have their runs stolen back and re-executed, and
-// /metrics grows the dcsim_fleet_* families.
+// /metrics grows the dcsim_fleet_* families. The fleet starts empty: with
+// no -local slots, a job that arrives before the first worker waits for
+// it.
 //
 // SIGINT drains gracefully: submissions are rejected, queued jobs report
 // cancelled, running jobs get the -drain window to finish, and the
@@ -63,7 +68,7 @@ func serveMain(args []string) {
 		QueueCapacity: *queueCap,
 		Concurrency:   *jobs,
 		Workers:       d.fanOut(reg),
-		Executor:      exec,
+		Executor:      jobExecutor(d, reg, exec),
 	}
 	if *useFleet {
 		// Only an elastic fleet has a membership to serve on /fleet and
@@ -118,4 +123,30 @@ func serveMain(args []string) {
 		}
 		log.Print("drained, exiting")
 	}
+}
+
+// jobExecutor is the executor serve runs its jobs on. Over an elastic
+// fleet with no -local slots it holds each run until the fleet has a
+// routable member, since the fleet executor fails a run at once when it
+// finds none; the wait is under the run's own context, so cancelling or
+// draining the job ends it. Every other setup runs on exec as it is.
+func jobExecutor(d *dispatch, reg *fleet.Registry, exec sweep.Executor) sweep.Executor {
+	if !d.elastic || d.local > 0 {
+		return exec
+	}
+	return awaitWorker{reg: reg, exec: exec}
+}
+
+// awaitWorker waits for a first routable fleet member before each run.
+type awaitWorker struct {
+	reg  *fleet.Registry
+	exec sweep.Executor
+}
+
+// ExecuteCell implements sweep.Executor.
+func (a awaitWorker) ExecuteCell(ctx context.Context, run sweep.CellRun) (*dcsim.Result, error) {
+	if err := a.reg.WaitForMembers(ctx, 1); err != nil {
+		return nil, err
+	}
+	return a.exec.ExecuteCell(ctx, run)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // CostMatrix maintains the pairwise correlation costs of Eqn (1) for a set
-// of VMs, updatable one utilization sample per VM at a time:
+// of VMs, fed simultaneous utilization samples, one value per VM each:
 //
 //	Cost(i,j) = (û(VMi) + û(VMj)) / û(VMi + VMj)
 //
@@ -28,10 +28,15 @@ import (
 // grows as the VMs' peaks interleave; higher cost = lower correlation =
 // better co-location candidates.
 //
-// With a peak reference, Add updates the pair peaks one triangle row at a
-// time through peakRow: an SSE2 kernel on amd64 (peak_amd64.s, declared in
-// peak_amd64.go) and the Go loop peakRowGeneric elsewhere (peak_other.go).
-// Both leave every peak with the same bits.
+// Add takes a chunk of one or more whole samples at once. With a peak
+// reference on an amd64 CPU with AVX2 it updates the pair peaks in tiles
+// of four triangle rows by eight columns, each tile's 32 peaks held in
+// registers across the whole chunk and stored once (tileAVX2 in
+// peak_amd64.s). Everywhere else it walks the triangle one row and one
+// sample at a time through peakRow: an SSE2 kernel on amd64 and the Go
+// loop peakRowGeneric on other architectures (peak_other.go). A peak only
+// rises from +0, so the order in which a chunk's sums reach it changes no
+// bit, and every path leaves every peak with the same bits.
 type CostMatrix struct {
 	n       int
 	samples int // samples fed into the current window
@@ -92,37 +97,72 @@ func (m *CostMatrix) pairIndex(i, j int) int {
 	return i*m.n - i*(i+1)/2 + (j - i - 1)
 }
 
-// Add feeds one simultaneous utilization sample per VM; len(sample) must
-// equal N().
-func (m *CostMatrix) Add(sample []float64) {
-	if len(sample) != m.n {
-		panic("core: sample length does not match VM count")
+// Add feeds one or more simultaneous utilization samples, sample-major:
+// samples[t*N()+i] is VM i's value in the t-th sample, and Samples rises
+// by the count. len(samples) must be a positive multiple of N(); a matrix
+// of no VMs takes an empty slice and counts it as one sample. A P²
+// reference takes the samples one at a time, in order, since its
+// estimators depend on order.
+func (m *CostMatrix) Add(samples []float64) {
+	n := m.n
+	t := 1
+	if n > 0 {
+		t = len(samples) / n
 	}
-	m.samples++
+	if t == 0 || len(samples) != t*n {
+		panic("core: sample length is not a positive multiple of the VM count")
+	}
+	m.samples += t
 	if m.p2 != nil {
-		for i, v := range sample {
-			m.p2[i].Add(v)
-		}
-		k := m.n
-		for i, v := range sample {
-			for _, w := range sample[i+1:] {
-				m.p2[k].Add(v + w)
-				k++
-			}
+		for s := range t {
+			m.addP2(samples[s*n : (s+1)*n])
 		}
 		return
 	}
-	for i, v := range sample {
-		if v > m.peak[i] {
-			m.peak[i] = v
+	vm := m.peak[:n]
+	for s := range t {
+		for i, v := range samples[s*n : (s+1)*n] {
+			if v > vm[i] {
+				vm[i] = v
+			}
 		}
 	}
-	// Walk the upper triangle one row at a time, in pairIndex order.
-	rows := m.peak[m.n:]
+	tri := m.peak[n:]
+	i := 0
+	if useTile {
+		// Strips of four triangle rows; rows i..i+3 hold 4(n−i)−10 pairs.
+		for ; i+4 <= n; i += 4 {
+			tileAVX2(&tri[0], &samples[i], n-i-4, n, t)
+			tri = tri[4*(n-i)-10:]
+		}
+	}
+	// The rows no strip took pair only among themselves.
+	for s := range t {
+		peakRows(tri, samples[s*n+i:(s+1)*n])
+	}
+}
+
+// addP2 feeds one sample to the P² estimators, in pairIndex order.
+func (m *CostMatrix) addP2(sample []float64) {
+	for i, v := range sample {
+		m.p2[i].Add(v)
+	}
+	k := m.n
+	for i, v := range sample {
+		for _, w := range sample[i+1:] {
+			m.p2[k].Add(v + w)
+			k++
+		}
+	}
+}
+
+// peakRows feeds one sample to the pair peaks among its VMs: tri holds
+// them row by row in pairIndex order, and each row goes through peakRow.
+func peakRows(tri, sample []float64) {
 	for i, v := range sample {
 		rest := sample[i+1:]
-		peakRow(rows[:len(rest)], rest, v)
-		rows = rows[len(rest):]
+		peakRow(tri[:len(rest)], rest, v)
+		tri = tri[len(rest):]
 	}
 }
 

@@ -335,22 +335,46 @@ func referenceFeed(m model.CostSource, vms []*model.VM, scratch []float64, from,
 }
 
 // runRecord is everything a caller of one run can see: every OnSample and
-// OnPeriod in order, what each Rescale call was given, the Result and the
-// error. recordRun keeps calling a cfg.OnSample that is already set.
+// OnPeriod in order, what each Place and Rescale call was given and the
+// cost matrix it could read, the Result and the error. recordRun keeps
+// calling a cfg.OnSample that is already set.
 type runRecord struct {
-	samples  []model.SampleStats
-	periods  []model.PeriodStats
-	rescales []string
-	res      *model.Result
-	result   string // %+v prints each float in its shortest exact form, −0 included
-	err      string
+	samples []model.SampleStats
+	periods []model.PeriodStats
+	calls   []string
+	res     *model.Result
+	result  string // %+v prints each float in its shortest exact form, −0 included
+	err     string
+}
+
+// matrixSeen describes what a component reading m sees: how many samples
+// it holds and, as bits, the cost of its first and last VMs.
+func matrixSeen(m model.CostSource) string {
+	if m == nil || m.N() < 2 {
+		return "no matrix"
+	}
+	return fmt.Sprintf("matrix %d samples cost %x", m.Samples(), math.Float64bits(m.Cost(0, m.N()-1)))
+}
+
+// recordingPolicy logs each Place call with the matrix it could read, and
+// then asks the policy it wraps.
+type recordingPolicy struct {
+	model.Policy
+	matrix model.CostSource
+	log    *[]string
+}
+
+func (p recordingPolicy) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
+	*p.log = append(*p.log, "place: "+matrixSeen(p.matrix))
+	return p.Policy.Place(reqs, spec, maxServers)
 }
 
 // recordingGovernor logs each Rescale call's arguments, every float as its
-// bits, and then asks the governor it wraps.
+// bits, and the matrix it could read, and then asks the governor it wraps.
 type recordingGovernor struct {
 	model.Governor
-	log *[]string
+	matrix model.CostSource
+	log    *[]string
 }
 
 func (g recordingGovernor) Rescale(members []int, recentRefs []float64, aggPeak float64, spec model.ServerSpec) float64 {
@@ -358,13 +382,15 @@ func (g recordingGovernor) Rescale(members []int, recentRefs []float64, aggPeak 
 	for i, r := range recentRefs {
 		bits[i] = math.Float64bits(r)
 	}
-	*g.log = append(*g.log, fmt.Sprintf("members %v refs %x peak %x", members, bits, math.Float64bits(aggPeak)))
+	*g.log = append(*g.log, fmt.Sprintf("rescale: members %v refs %x peak %x %s",
+		members, bits, math.Float64bits(aggPeak), matrixSeen(g.matrix)))
 	return g.Governor.Rescale(members, recentRefs, aggPeak, spec)
 }
 
 func recordRun(run func([]*model.VM, Config) (*model.Result, error), vms []*model.VM, cfg Config) runRecord {
 	var r runRecord
-	cfg.Governor = recordingGovernor{Governor: cfg.Governor, log: &r.rescales}
+	cfg.Policy = recordingPolicy{Policy: cfg.Policy, matrix: cfg.Matrix, log: &r.calls}
+	cfg.Governor = recordingGovernor{Governor: cfg.Governor, matrix: cfg.Matrix, log: &r.calls}
 	next := cfg.OnSample
 	cfg.OnSample = func(s model.SampleStats) {
 		r.samples = append(r.samples, s)
@@ -392,13 +418,13 @@ func diffRecords(got, want runRecord) string {
 	if len(got.samples) != len(want.samples) {
 		return fmt.Sprintf("%d samples reported, want %d", len(got.samples), len(want.samples))
 	}
-	for i := range min(len(got.rescales), len(want.rescales)) {
-		if got.rescales[i] != want.rescales[i] {
-			return fmt.Sprintf("rescale call %d got %s, want %s", i, got.rescales[i], want.rescales[i])
+	for i := range min(len(got.calls), len(want.calls)) {
+		if got.calls[i] != want.calls[i] {
+			return fmt.Sprintf("component call %d got %s, want %s", i, got.calls[i], want.calls[i])
 		}
 	}
-	if len(got.rescales) != len(want.rescales) {
-		return fmt.Sprintf("%d rescale calls, want %d", len(got.rescales), len(want.rescales))
+	if len(got.calls) != len(want.calls) {
+		return fmt.Sprintf("%d component calls, want %d", len(got.calls), len(want.calls))
 	}
 	for i := range min(len(got.periods), len(want.periods)) {
 		g, w := got.periods[i], want.periods[i]
@@ -568,7 +594,10 @@ func (lowLevelGovernor) Rescale(members []int, recentRefs []float64, aggPeak flo
 // TestRunMatchesPerSampleReference: the server-major period loop reports
 // what the per-sample loop it replaced reports, bit for bit, at any
 // GOMAXPROCS — every observer event, the Result, and for a level the power
-// model lacks, the same error after the same number of samples.
+// model lacks, the same error after the same number of samples. Its
+// components read the same cost matrix as the reference's, which feeds it
+// one sample at a time: every Place and Rescale call sees the same sample
+// count and pair cost, wherever Run's chunks end.
 func TestRunMatchesPerSampleReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	vms := diffVMs(t)

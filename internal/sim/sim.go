@@ -13,9 +13,15 @@
 // when the governor sets its level, not per sample. Every sum adds the
 // members in placement order from 0.0, and every per-sample total adds the
 // servers in index order, so the results are the ones a loop over samples
-// and then servers gives, bit for bit. Each period's per-VM reference measurements, which need no
-// component, run over VM ranges on up to GOMAXPROCS goroutines; every
-// component call and observer callback stays on the caller's goroutine.
+// and then servers gives, bit for bit. The cost matrix is fed each chunk
+// in one Add, after the chunk is billed and before its samples are
+// reported: a chunk ends wherever a component reads the matrix (a
+// placement or PlanStatic at the period's start, Rescale at a rescale
+// boundary), so every read sees the matrix fed through the sample before
+// it, as a per-sample feed leaves it. Each period's per-VM reference
+// measurements, which need no component, run over VM ranges on up to
+// GOMAXPROCS goroutines; every component call and observer callback stays
+// on the caller's goroutine.
 // A run whose components read no off-peak or no rescale references skips
 // measuring them (Config.SkipOffPeak, Config.SkipRecentRefs).
 package sim
@@ -110,6 +116,9 @@ type Config struct {
 	// each period boundary, so at placement time it holds the previous
 	// period's statistics — the UPDATE phase of Fig. 2. Policies and
 	// governors that want correlation data should share this instance.
+	// Run feeds it a chunk of up to 64 samples per Add; each chunk ends
+	// at the next rescale boundary or the period's end, so a component
+	// always reads it fed through the sample before the read.
 	Matrix model.CostSource
 	// CumulativeMatrix keeps the matrix across period boundaries instead
 	// of resetting it, trading sensitivity to time-varying correlation
@@ -127,9 +136,10 @@ type Config struct {
 	// OnSample, when set, is invoked once per simulated sample with that
 	// instant's aggregate stats — the streaming hook pkg/dcsim observers
 	// attach to. It runs on the goroutine that called Run, in sample
-	// order, after the sample has been fed to Matrix and before Ctx is
-	// checked for the next sample, and never while Run's own goroutines
-	// are measuring; slow callbacks slow the run.
+	// order, after the sample's chunk (the sample, and the rest of its
+	// chunk) has been fed to Matrix and before Ctx is checked for the
+	// next sample, and never while Run's own goroutines are measuring;
+	// slow callbacks slow the run.
 	OnSample func(model.SampleStats)
 	// OnPeriod, when set, is invoked at each period boundary with the
 	// finished period's stats.
@@ -255,9 +265,9 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 	sums := make([]float64, maxActive*block) // act[a]'s chunk sums at a*block
 	power := make([]float64, block)          // per sample of a chunk: Σ draw
 	viol := make([]int, block)               // per sample of a chunk: violating servers
-	var sample []float64                     // demand at one instant, for the matrix
+	var chunk []float64                      // a chunk's demand, sample-major, for the matrix
 	if cfg.Matrix != nil {
-		sample = make([]float64, len(vms))
+		chunk = make([]float64, block*len(vms))
 	}
 	// validate keeps a positive interval below the period, so rescale
 	// boundaries fall inside every period. With pctl >= 1 a rescale's
@@ -345,9 +355,8 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		// correlation-aware policy is not blind at p=0 (every policy
 		// sees the same bootstrap data via Request.Window).
 		if cfg.Matrix != nil && p == 0 {
-			for k := start; k < end; k++ {
-				gather(sample, data, k)
-				cfg.Matrix.Add(sample)
+			for k := start; k < end; k += block {
+				feed(cfg.Matrix, chunk, data, k, min(k+block, end))
 			}
 		}
 
@@ -446,16 +455,15 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 			}
 			sumChunk(act, data, k0, k1, sums, vpeak)
 			bill(act, sums, k1-k0, power, viol, periodResidency)
+			if cfg.Matrix != nil {
+				feed(cfg.Matrix, chunk, data, k0, k1)
+			}
 			for k := k0; k < k1; k++ {
 				if k > k0 && cancelled() {
 					finalize()
 					return res, cfg.Ctx.Err()
 				}
 				periodEnergy += power[k-k0] * secs
-				if cfg.Matrix != nil {
-					gather(sample, data, k)
-					cfg.Matrix.Add(sample)
-				}
 				if cfg.OnSample != nil {
 					cfg.OnSample(model.SampleStats{
 						K:             k,
@@ -610,11 +618,18 @@ func bill(act []host, sums []float64, n int, power []float64, viol []int, reside
 	}
 }
 
-// gather fills sample with every VM's demand at sample k.
-func gather(sample []float64, data [][]float64, k int) {
+// feed hands m every VM's demand over samples [k0, k1) in one Add,
+// sample-major, through buf. A cancelled run may have fed samples its
+// Result does not count; nothing reads the matrix after that.
+func feed(m model.CostSource, buf []float64, data [][]float64, k0, k1 int) {
+	n := len(data)
+	buf = buf[:(k1-k0)*n]
 	for i, d := range data {
-		sample[i] = d[k]
+		for t, v := range d[k0:k1] {
+			buf[t*n+i] = v
+		}
 	}
+	m.Add(buf)
 }
 
 // forRanges calls fn over [0, n) split into up to GOMAXPROCS contiguous

@@ -31,11 +31,13 @@ type Predictor interface {
 type PairCostFunc func(i, j int) float64
 
 // CostSource maintains streaming pairwise correlation costs for a set of
-// VMs, fed one simultaneous utilization sample per VM at a time. It is the
-// statistic a correlation-aware policy and governor share: the simulator
-// feeds the same instance every sample (the UPDATE phase of the paper's
-// Fig. 2), resets it at monitoring-window boundaries, and both components
-// read Cost from it at decision time.
+// VMs, fed simultaneous utilization samples, one value per VM each. It is
+// the statistic a correlation-aware policy and governor share: the
+// simulator feeds the same instance every sample (the UPDATE phase of the
+// paper's Fig. 2), a chunk of samples per Add, resets it at
+// monitoring-window boundaries, and both components read Cost from it at
+// decision time. A chunk ends wherever a component reads, so every read
+// sees the source fed through the sample before it.
 type CostSource interface {
 	// N returns the number of VMs tracked.
 	N() int
@@ -49,8 +51,11 @@ type CostSource interface {
 	// cold it must return 1 — assume perfect correlation, the
 	// conservative choice.
 	Cost(i, j int) float64
-	// Add feeds one simultaneous utilization sample per VM; the slice
-	// length must equal N().
+	// Add feeds one or more whole samples, sample-major: sample[t*N()+i]
+	// is VM i's value in the t-th, and Samples rises by their count. The
+	// length must be a positive multiple of N(); with N() = 0 it is 0,
+	// and the call counts one sample. An implementation whose result
+	// depends on the samples' order takes them in order.
 	Add(sample []float64)
 	// Reset starts a new monitoring window.
 	Reset()
