@@ -59,9 +59,12 @@ test:
 # GOARCH=386 test binary builds them and runs on an amd64 host. The
 # packages are the CPU feature probe, the two kernels', and the two that
 # run them end to end; internal/synth checks the same pinned digests as on
-# amd64. arm64 is vetted, not run.
+# amd64. pkg/dcsim/model and internal/place run there too: the percentile's
+# bucket index is a float-to-int conversion, and int is 32 bits on 386, so
+# the select and PCP, which thresholds envelopes on it, are proved at that
+# width. arm64 is vetted, not run.
 test-generic:
-	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim
+	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place
 	GOARCH=arm64 $(GO) vet ./...
 
 # test-nofma runs internal/synth with the standard library's math.Exp on

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -216,26 +217,39 @@ func benchMatrixUpdate(b *testing.B, m *core.CostMatrix, chunk int) {
 }
 
 // BenchmarkSeriesPercentile measures one 0.9 percentile over a 720-sample
-// (one-hour) window, the read sim.Run makes per VM per period for PCP's
-// off-peak history and PCP makes again for each envelope threshold. Like a
-// run, it selects from a different window each call, rotating over 64
-// seeded ones: a single window repeated lets the branch predictor learn
-// its partitions, and measured several times faster than a run's
-// selections.
+// (one-hour) window, the one selection sim.Run makes per VM per period for
+// PCP's off-peak, which is both the next prediction's history and the
+// envelope threshold of the request over that window. Like a run, it
+// selects from a different window each call, rotating over 64 seeded
+// ones: a window repeated stays in cache and lets the branch predictor
+// learn its branches, so it measures faster than a run's selections.
+// "lognormal" windows are spread out; "plateau" windows are the same
+// demand held at a cap for its top 15% of samples, as a VM pinned at its
+// core limit, so the rank falls in a run of 108 equal samples.
 func BenchmarkSeriesPercentile(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	windows := make([]*model.Series, 64)
-	for w := range windows {
-		s := model.NewSeries(5*time.Second, 720)
-		for k := 0; k < 720; k++ {
-			s.Append(math.Exp(rng.NormFloat64() * 0.5))
-		}
-		windows[w] = s
-	}
-	i := 0
-	for b.Loop() {
-		windows[i%len(windows)].Percentile(0.9)
-		i++
+	for _, shape := range []string{"lognormal", "plateau"} {
+		b.Run(shape, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			windows := make([]*model.Series, 64)
+			for w := range windows {
+				xs := make([]float64, 720)
+				for k := range xs {
+					xs[k] = math.Exp(rng.NormFloat64() * 0.5)
+				}
+				if shape == "plateau" {
+					limit := slices.Sorted(slices.Values(xs))[len(xs)-len(xs)*15/100]
+					for k := range xs {
+						xs[k] = min(xs[k], limit)
+					}
+				}
+				windows[w] = model.SeriesFromSamples(5*time.Second, xs)
+			}
+			i := 0
+			for b.Loop() {
+				windows[i%len(windows)].Percentile(0.9)
+				i++
+			}
+		})
 	}
 }
 
@@ -371,7 +385,8 @@ func BenchmarkBaselinePlacements(b *testing.B) {
 			s.Append(rng.Float64() * 4)
 		}
 		win[i] = s
-		reqs[i] = model.Request{Ref: s.Max(), OffPeak: s.Percentile(0.9), Window: s}
+		off := s.Percentile(0.9)
+		reqs[i] = model.Request{Ref: s.Max(), OffPeak: off, WindowOffPeak: off, Window: s}
 	}
 	spec := server.XeonE5410()
 	for _, pol := range []model.Policy{place.FFD{}, place.BFD{}, place.PCP{}} {

@@ -78,12 +78,6 @@ func Extract(s *model.Series, threshold float64) Envelope {
 	return env
 }
 
-// ExtractOffPeak extracts the envelope against the series' own pctl-th
-// percentile, the form PCP uses.
-func ExtractOffPeak(s *model.Series, pctl float64) Envelope {
-	return Extract(s, s.Percentile(pctl))
-}
-
 // Overlap returns the Jaccard overlap of two envelopes over their common
 // prefix: the fraction of positions marked in either envelope that are
 // marked in both. Two all-false envelopes overlap fully (1) by convention —

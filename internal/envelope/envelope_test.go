@@ -21,21 +21,6 @@ func TestExtract(t *testing.T) {
 	}
 }
 
-func TestExtractOffPeak(t *testing.T) {
-	// 10 samples 1..10; 90th percentile ~ 9.1, so only the 10 exceeds it.
-	s := model.SeriesFromSamples(time.Second, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	env := ExtractOffPeak(s, 0.9)
-	count := 0
-	for i := 0; i < env.Len(); i++ {
-		if env.Bit(i) {
-			count++
-		}
-	}
-	if count != 1 || !env.Bit(9) {
-		t.Fatalf("envelope should mark exactly the peak sample, got %v", env.Bools())
-	}
-}
-
 func TestBoolsRoundTrip(t *testing.T) {
 	f := func(bs []bool) bool {
 		e := FromBools(bs)

@@ -8,21 +8,19 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
-// PCP's fixed parameters. envelopePctl is the off-peak percentile above
-// which a window's samples form its envelope; maxOverlap is the Jaccard
-// overlap above which two envelopes belong to the same cluster (Verma et
-// al. require envelopes of different clusters to be essentially disjoint,
-// so even a small overlap merges).
-const (
-	envelopePctl = 0.9
-	maxOverlap   = 0.03
-)
+// maxOverlap is the Jaccard overlap above which two envelopes belong to
+// the same cluster (Verma et al. require envelopes of different clusters
+// to be essentially disjoint, so even a small overlap merges).
+const maxOverlap = 0.03
 
 // PCP is the Peak Clustering-based Placement of Verma et al. (USENIX ATC
 // 2009) as described in the paper's related work and Section V-B:
 //
 //  1. Each VM's envelope (utilization above its own off-peak percentile)
-//     is extracted over the monitoring window.
+//     is extracted over the monitoring window, against the off-peak the
+//     simulator measured over that window (Request.WindowOffPeak), at the
+//     percentile it provisions with (the scenario's off_pctl, 0.9 by
+//     default).
 //  2. VMs are clustered so that envelopes in different clusters do not
 //     overlap (Jaccard overlap below maxOverlap).
 //  3. VMs are provisioned by their off-peak demand and servers co-locate
@@ -52,7 +50,7 @@ func (PCP) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*
 	envs := make([]envelope.Envelope, len(reqs))
 	for i, r := range reqs {
 		if r.Window != nil && r.Window.Len() > 0 {
-			envs[i] = envelope.ExtractOffPeak(r.Window, envelopePctl)
+			envs[i] = envelope.Extract(r.Window, r.WindowOffPeak)
 		}
 		// Otherwise the zero Envelope: indistinguishable; lands in the
 		// first cluster.

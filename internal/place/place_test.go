@@ -160,10 +160,11 @@ func TestPCPSeparatesDistinctEnvelopes(t *testing.T) {
 		first := i < 2
 		w := mkWindow(first, n, int64(i))
 		reqs[i] = model.Request{
-			ID:      string(rune('a' + i)),
-			Ref:     w.Max(),
-			OffPeak: w.Percentile(0.9),
-			Window:  w,
+			ID:            string(rune('a' + i)),
+			Ref:           w.Max(),
+			OffPeak:       w.Percentile(0.9),
+			WindowOffPeak: w.Percentile(0.9),
+			Window:        w,
 		}
 	}
 	p, err := PCP{}.Place(reqs, spec8(), 10)
@@ -191,10 +192,11 @@ func TestPCPDegeneratesToBFDWithOneCluster(t *testing.T) {
 	reqs := make([]model.Request, 5)
 	for i := range reqs {
 		reqs[i] = model.Request{
-			ID:      string(rune('a' + i)),
-			Ref:     3 + float64(i)*0.3,
-			OffPeak: 2 + float64(i)*0.3,
-			Window:  w.Clone(),
+			ID:            string(rune('a' + i)),
+			Ref:           3 + float64(i)*0.3,
+			OffPeak:       2 + float64(i)*0.3,
+			WindowOffPeak: w.Percentile(0.9),
+			Window:        w.Clone(),
 		}
 	}
 	pcp, err := PCP{}.Place(reqs, spec8(), 10)

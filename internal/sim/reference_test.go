@@ -22,7 +22,8 @@ import (
 // server's members for every rescale peak, and Power per server-sample.
 // It is kept only as the tests' reference; Run must match it bit for bit.
 // It honours SkipOffPeak and SkipRecentRefs as the contract states them:
-// every OffPeak is 0, and recentRefs is zero.
+// every OffPeak and WindowOffPeak is 0, and recentRefs is zero. Measured,
+// each WindowOffPeak is selected afresh from the request's window.
 func referenceRun(vms []*model.VM, cfg Config) (*model.Result, error) {
 	if len(vms) == 0 {
 		return nil, errors.New("sim: no VMs")
@@ -130,6 +131,9 @@ func referenceRun(vms []*model.VM, cfg Config) (*model.Result, error) {
 				Ref:     ref,
 				OffPeak: off,
 				Window:  v.Demand.Slice(winFrom, winTo),
+			}
+			if !cfg.SkipOffPeak {
+				reqs[i].WindowOffPeak = reqs[i].Window.Percentile(offPctl)
 			}
 		}
 

@@ -23,7 +23,10 @@
 // GOMAXPROCS goroutines; every component call and observer callback stays
 // on the caller's goroutine.
 // A run whose components read no off-peak or no rescale references skips
-// measuring them (Config.SkipOffPeak, Config.SkipRecentRefs).
+// measuring them (Config.SkipOffPeak, Config.SkipRecentRefs). The off-peak
+// is selected once per VM per period: the measurement over a request's
+// window is both the next prediction's history and the request's
+// WindowOffPeak.
 package sim
 
 import (
@@ -98,12 +101,13 @@ type Config struct {
 	// Pctl is the reference percentile for û (>= 1 = peak, the paper's
 	// Setup-2 provisioning choice).
 	Pctl float64
-	// OffPctl is the off-peak percentile PCP provisions with (a value
-	// outside (0, 1), NaN included, -> 0.9).
+	// OffPctl is the off-peak percentile PCP provisions with and
+	// extracts its envelopes against (a value outside (0, 1), NaN
+	// included, -> 0.9).
 	OffPctl float64
 	// SkipOffPeak leaves the off-peak references unmeasured and
-	// unpredicted, and every Request.OffPeak 0. Set it when the Policy
-	// does not read OffPeak; the zero value measures them.
+	// unpredicted, and every Request.OffPeak and WindowOffPeak 0. Set it
+	// when the Policy reads neither; the zero value measures them.
 	SkipOffPeak bool
 	// SkipRecentRefs leaves the per-VM references over each rescale
 	// window unmeasured, and Rescale's recentRefs zero. Set it when the
@@ -328,26 +332,31 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		reqs := make([]model.Request, len(vms))
 		refs := make([]float64, len(vms))
 		for i, v := range vms {
-			var ref, off float64
+			// winOff is the off-peak measured over the request's window:
+			// this period's, or the one before, the history's last entry.
+			var ref, off, winOff float64
 			winFrom, winTo := start, end
 			if measured {
 				ref = refHist[i][p]
 				if !cfg.SkipOffPeak {
 					off = offHist[i][p]
+					winOff = off
 				}
 			} else {
 				winFrom, winTo = start-cfg.PeriodSamples, start
 				ref = cfg.Predictor.Predict(refHist[i])
 				if !cfg.SkipOffPeak {
 					off = cfg.Predictor.Predict(offHist[i])
+					winOff = offHist[i][p-1]
 				}
 			}
 			refs[i] = ref
 			reqs[i] = model.Request{
-				ID:      v.ID,
-				Ref:     ref,
-				OffPeak: off,
-				Window:  v.Demand.Slice(winFrom, winTo),
+				ID:            v.ID,
+				Ref:           ref,
+				OffPeak:       off,
+				WindowOffPeak: winOff,
+				Window:        v.Demand.Slice(winFrom, winTo),
 			}
 		}
 

@@ -131,24 +131,36 @@ func TestExternalGovernorThroughFacade(t *testing.T) {
 }
 
 // offPeakProbe is a registered policy's Place checking, before it places,
-// that every request's OffPeak is what its factory's declaration promises:
-// with NeedOffPeak and last-value, the 0.9 percentile of the request's
-// window (the period before, or the bootstrap period itself); without, 0.
+// that every request's OffPeak and WindowOffPeak are what its factory's
+// declaration promises. With NeedOffPeak, WindowOffPeak is the window's
+// pctl percentile bit for bit (the window is the period before, or the
+// bootstrapped or Oracle period itself), and so is OffPeak where it is
+// the measurement rather than a prediction: with last-value, or in a
+// measured period. Without, both are 0.
 type offPeakProbe struct {
 	model.Policy
-	t       *testing.T
-	asked   bool
-	checked *int
+	t          *testing.T
+	at         string // the run's description
+	asked      bool
+	pctl       float64 // the off-peak percentile the scenario resolves to
+	measured   bool    // every period's OffPeak is the window's measurement
+	placements int
+	checked    *int
 }
 
-func (p offPeakProbe) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
+func (p *offPeakProbe) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
+	measured := p.measured || p.placements == 0
+	p.placements++
 	for i, r := range reqs {
 		want := 0.0
 		if p.asked {
-			want = r.Window.Percentile(0.9)
+			want = r.Window.Percentile(p.pctl)
 		}
-		if math.Float64bits(r.OffPeak) != math.Float64bits(want) {
-			p.t.Errorf("asked %v: request %d has OffPeak %v, want %v", p.asked, i, r.OffPeak, want)
+		if math.Float64bits(r.WindowOffPeak) != math.Float64bits(want) {
+			p.t.Errorf("%s: request %d has WindowOffPeak %v, want %v", p.at, i, r.WindowOffPeak, want)
+		}
+		if (measured || !p.asked) && math.Float64bits(r.OffPeak) != math.Float64bits(want) {
+			p.t.Errorf("%s: request %d has OffPeak %v, want %v", p.at, i, r.OffPeak, want)
 		}
 		*p.checked++
 	}
@@ -190,7 +202,9 @@ func (g recentRefsProbe) Rescale(members []int, recentRefs []float64, aggPeak fl
 // request: a policy sees the off-peak references only if its factory
 // called Build.NeedOffPeak, and a governor sees the rescale references
 // only if its factory called Build.NeedRecentRefs. Undeclared, each reads
-// as 0, whatever the other component declared.
+// as 0, whatever the other component declared. Declared, the off-peak
+// over each request's window is the window's own percentile under every
+// predictor, off-peak percentile and Oracle setting.
 func TestUndeclaredInputsReadZero(t *testing.T) {
 	const every = 12
 	base := dcsim.New(
@@ -199,7 +213,6 @@ func TestUndeclaredInputsReadZero(t *testing.T) {
 		dcsim.WithHours(3),
 		dcsim.WithMaxServers(8),
 		dcsim.WithRescaleEvery(every),
-		dcsim.WithPredictor("last-value"),
 	)
 	ds, err := dcsim.GenerateTraces(base.Workload)
 	if err != nil {
@@ -207,34 +220,47 @@ func TestUndeclaredInputsReadZero(t *testing.T) {
 	}
 	for _, policyAsks := range []bool{true, false} {
 		for _, governorAsks := range []bool{true, false} {
-			var next, placed, rescaled int
-			policy, governor := uniqueName("offpeak-probe"), uniqueName("recentrefs-probe")
-			dcsim.RegisterPolicy(policy, func(b *dcsim.Build) (model.Policy, error) {
-				if policyAsks {
-					b.NeedOffPeak()
+			for _, predictor := range []string{"last-value", "moving-average", "ewma"} {
+				for _, offPctl := range []float64{0, 0.95} {
+					for _, oracle := range []bool{false, true} {
+						name := fmt.Sprintf("policy asks %v, governor asks %v, %s, off_pctl %v, oracle %v",
+							policyAsks, governorAsks, predictor, offPctl, oracle)
+						var next, placed, rescaled int
+						policy, governor := uniqueName("offpeak-probe"), uniqueName("recentrefs-probe")
+						dcsim.RegisterPolicy(policy, func(b *dcsim.Build) (model.Policy, error) {
+							if policyAsks {
+								b.NeedOffPeak()
+							}
+							bfd, err := dcsim.NewPolicy("bfd", b)
+							pctl := offPctl
+							if pctl == 0 {
+								pctl = 0.9
+							}
+							return &offPeakProbe{Policy: bfd, t: t, at: name, asked: policyAsks, pctl: pctl,
+								measured: predictor == "last-value" || oracle, checked: &placed}, err
+						})
+						dcsim.RegisterGovernor(governor, func(b *dcsim.Build) (model.Governor, error) {
+							if governorAsks {
+								b.NeedRecentRefs()
+							}
+							wc, err := dcsim.NewGovernor("worst-case", b)
+							return recentRefsProbe{Governor: wc, t: t, asked: governorAsks, fine: ds.Fine,
+								every: every, next: &next, checked: &rescaled}, err
+						})
+						sc := base
+						sc.Policy, sc.Governor, sc.Predictor = policy, governor, predictor
+						sc.OffPctl, sc.Oracle = offPctl, oracle
+						clock := dcsim.ObserverFunc(func(s dcsim.Sample) { next = s.K + 1 })
+						if _, err := dcsim.Run(context.Background(), sc, clock); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						// Three periods of eight requests; 59 rescales a period
+						// for each active server.
+						if placed != 3*8 || rescaled < 3*59 {
+							t.Fatalf("%s: checked %d requests and %d rescales", name, placed, rescaled)
+						}
+					}
 				}
-				bfd, err := dcsim.NewPolicy("bfd", b)
-				return offPeakProbe{Policy: bfd, t: t, asked: policyAsks, checked: &placed}, err
-			})
-			dcsim.RegisterGovernor(governor, func(b *dcsim.Build) (model.Governor, error) {
-				if governorAsks {
-					b.NeedRecentRefs()
-				}
-				wc, err := dcsim.NewGovernor("worst-case", b)
-				return recentRefsProbe{Governor: wc, t: t, asked: governorAsks, fine: ds.Fine,
-					every: every, next: &next, checked: &rescaled}, err
-			})
-			sc := base
-			sc.Policy, sc.Governor = policy, governor
-			clock := dcsim.ObserverFunc(func(s dcsim.Sample) { next = s.K + 1 })
-			if _, err := dcsim.Run(context.Background(), sc, clock); err != nil {
-				t.Fatal(err)
-			}
-			// Three periods of eight requests; 59 rescales a period for
-			// each active server.
-			if placed != 3*8 || rescaled < 3*59 {
-				t.Fatalf("policy asks %v, governor asks %v: checked %d requests and %d rescales",
-					policyAsks, governorAsks, placed, rescaled)
 			}
 		}
 	}
@@ -303,6 +329,47 @@ func TestOutOfTreeWorkloadSourceThroughFacade(t *testing.T) {
 	}
 	if len(res.Periods) != 2 {
 		t.Errorf("ran %d periods, want 2", len(res.Periods))
+	}
+}
+
+// nanSource is flatSource with sample 100 of its last VM NaN: an external
+// backend that returns a sample no run may read, without checking it.
+type nanSource struct{ flatSource }
+
+func (s nanSource) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {
+	ds, err := s.flatSource.Load(ctx, w)
+	if err == nil {
+		ds.Fine[len(ds.Fine)-1].Samples()[100] = math.NaN()
+	}
+	return ds, err
+}
+
+// TestUnvalidatedSampleFailsTheRun: the simulator validates every sample
+// it is handed, whoever made it. Run over a backend that returns a NaN
+// sample fails with that sample's error, and so does RunVMs over the same
+// VMs.
+func TestUnvalidatedSampleFailsTheRun(t *testing.T) {
+	ctx := context.Background()
+	kind := uniqueName("nan-test")
+	dcsim.RegisterWorkload(kind, nanSource{})
+	sc := dcsim.New(
+		dcsim.WithWorkloadKind(kind),
+		dcsim.WithVMs(4),
+		dcsim.WithGroups(1),
+		dcsim.WithHours(2),
+		dcsim.WithMaxServers(4),
+		dcsim.WithPolicy("bfd"),
+	)
+	const want = "sim: flat03: model: sample 100 is not finite"
+	if res, err := dcsim.Run(ctx, sc); err == nil || err.Error() != want {
+		t.Errorf("Run gave %v, %v; want the error %q", res, err, want)
+	}
+	ds, err := nanSource{}.Load(ctx, sc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := dcsim.RunVMs(ctx, model.VMsFromSeries(ds.Names, ds.Fine), sc); err == nil || err.Error() != want {
+		t.Errorf("RunVMs gave %v, %v; want the error %q", res, err, want)
 	}
 }
 

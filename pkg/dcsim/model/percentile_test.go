@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -167,23 +168,138 @@ func TestPercentileMatchesSortOnShapes(t *testing.T) {
 	}
 }
 
-// capWindow makes selectRank exhaust its round cap at rank 42 (p = 0.9 of
-// 48 samples): settling the rank takes 23 partitions, the cap allows 16.
-// It was built by running McIlroy's lazily valued adversary ("A Killer
-// Adversary for Quicksort", 1999) against selectRank's partition scheme.
+// capWindow is an order hostile to partitioning: McIlroy's lazily valued
+// adversary ("A Killer Adversary for Quicksort", 1999), run against a
+// median-of-three quickselect, built it so that settling rank 42 (p = 0.9
+// of 48 samples) takes 23 partitions.
 var capWindow = []float64{
 	16, 42, 32, 44, 18, 36, 20, 26, 38, 34, 22, 0, 24, 2, 4, 30,
 	6, 8, 28, 10, 12, 40, 14, 1, 3, 5, 7, 9, 11, 13, 15, 17,
 	19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45, 46, 47,
 }
 
-func TestSelectRankRoundCap(t *testing.T) {
-	a := append([]float64(nil), capWindow...)
-	if selectRank(a, 42) {
-		t.Fatal("selectRank settled the adversarial window; want the round cap to report the fallback")
+// TestBucketSelectSlowCases holds Percentile to the sort on the windows
+// where the bucket select leaves its common path — one bucket holding
+// nearly every sample, a plateau of equal samples at the rank, the upper
+// rank past the lower one's bucket, a range it cannot scale and the sorted
+// copy it falls back to — at sizes on both sides of every stack buffer,
+// and checks that no window is modified.
+func TestBucketSelectSlowCases(t *testing.T) {
+	near := func(n int) []int { return []int{n - 1, n, n + 1} }
+	var sizes []int
+	for _, n := range [...]int{stackBucket, buckets, stackWindow} {
+		sizes = append(sizes, near(n)...)
 	}
-	s := SeriesFromSamples(time.Second, capWindow)
-	if got, want := s.Percentile(0.9), sortPercentile(capWindow, 0.9); !sameBits(got, want) {
-		t.Fatalf("Percentile(0.9) = %v after the fallback, sort gives %v", got, want)
+	sizes = append(sizes, 2*stackWindow)
+	windows := map[string][]float64{"capWindow": capWindow}
+	for _, n := range sizes {
+		// All samples but one in bucket 0: a ramp of steps far below the
+		// one large sample's bucket width.
+		crowd := make([]float64, n)
+		for i := range crowd {
+			crowd[i] = 1 + float64(i*7919%n)*1e-9
+		}
+		crowd[n/3] = 1e6
+		windows[fmt.Sprintf("crowd/n=%d", n)] = crowd
+		// The top bucket holding exactly k distinct samples, or k equal
+		// ones among a few others, for k on both sides of each gather
+		// buffer, above a spread one apart.
+		for _, k := range append(near(stackBucket), near(stackWindow)...) {
+			if k >= n {
+				continue
+			}
+			w := make([]float64, n)
+			plateau := make([]float64, n)
+			for i := range w {
+				w[i] = float64(i)
+				if i >= n-k {
+					w[i] = float64(n) * (1 + float64(n-i)*1e-12)
+				}
+				plateau[(i*7919)%n] = float64(min(i, n-k))
+			}
+			windows[fmt.Sprintf("bucket=%d/n=%d", k, n)] = w
+			windows[fmt.Sprintf("plateau=%d/n=%d", k, n)] = plateau
+		}
+		// The sorted copy: −0 among +0 and NaN among positives.
+		zeros := make([]float64, n)
+		for i := range zeros {
+			zeros[i] = math.Copysign(0, float64(i%3-1))
+		}
+		zeros[n/2] = 1
+		windows[fmt.Sprintf("signed-zeros/n=%d", n)] = zeros
+		nans := make([]float64, n)
+		for i := range nans {
+			nans[i] = float64((i * 7919) % n)
+		}
+		nans[n-1] = math.NaN()
+		windows[fmt.Sprintf("nan/n=%d", n)] = nans
+	}
+	// The upper rank in the next non-empty bucket: rank 9.5 of 11 at
+	// p = 0.95 falls between the top of bucket 0 and the sample alone in
+	// bucket 10, past nine empty ones; at 20 samples and p = 0.5 the two
+	// ranks straddle adjacent buckets.
+	windows["next-bucket/gap"] = []float64{3, 9, 1, 1000, 0, 8, 2, 7, 5, 6, 4}
+	adjacent := make([]float64, 20)
+	for i := range adjacent {
+		adjacent[i] = float64(i / 10)
+	}
+	windows["next-bucket/adjacent"] = adjacent
+	// Ranges it cannot scale: one past MaxFloat64, an infinite sample,
+	// and one so narrow that the scale overflows.
+	unscaled := map[string][]float64{
+		"overflow":  {-math.MaxFloat64, 1, math.MaxFloat64, 0, 2, -3},
+		"infinite":  {1, math.Inf(1), 2, 3, math.Inf(-1), 0.5},
+		"subnormal": {0, math.SmallestNonzeroFloat64, 0, 2 * math.SmallestNonzeroFloat64},
+	}
+	for name, w := range unscaled {
+		windows["unscaled/"+name] = w
+		if _, _, ok := bucketSelect(w, 1, 2); ok {
+			t.Errorf("%s: bucketSelect took %v; want the sorted copy", name, w)
+		}
+	}
+	ps := []float64{math.SmallestNonzeroFloat64, 0.1, 0.5, 0.9, 0.95, 0.99, math.Nextafter(1, 0)}
+	for name, xs := range windows {
+		in := append([]float64(nil), xs...)
+		s := SeriesFromSamples(time.Second, xs)
+		for _, p := range ps {
+			if got, want := s.Percentile(p), sortPercentile(in, p); !sameBits(got, want) {
+				t.Errorf("%s: Percentile(%v) = %v (%#x), sort gives %v (%#x)",
+					name, p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for i := range xs {
+			if !sameBits(xs[i], in[i]) {
+				t.Fatalf("%s: Percentile modified the series at %d", name, i)
+			}
+		}
+	}
+}
+
+// TestPercentileAllocatesNothing: a window of up to stackWindow samples is
+// selected on the stack whatever its shape — spread out, a plateau of
+// equal samples at the rank, nearly every sample in one bucket, or −0
+// sending it to the sorted copy.
+func TestPercentileAllocatesNothing(t *testing.T) {
+	const n = stackWindow
+	shapes := map[string]func(i int) float64{
+		"spread":  func(i int) float64 { return float64(i * 7919 % n) },
+		"plateau": func(i int) float64 { return float64(min(i*7919%n, n*85/100)) },
+		"crowd": func(i int) float64 {
+			if i == n/3 {
+				return 1e6
+			}
+			return 1 + float64(i)*1e-9
+		},
+		"signed-zeros": func(i int) float64 { return math.Copysign(0, float64(i%3-1)) },
+	}
+	for name, f := range shapes {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		s := SeriesFromSamples(time.Second, xs)
+		if allocs := testing.AllocsPerRun(10, func() { s.Percentile(0.9) }); allocs != 0 {
+			t.Errorf("%s: Percentile(0.9) made %v allocations, want 0", name, allocs)
+		}
 	}
 }

@@ -16,6 +16,14 @@ type Request struct {
 	// A run measures and predicts it only when a component's factory
 	// declared it (dcsim's Build.NeedOffPeak); otherwise it is 0.
 	OffPeak float64
+	// WindowOffPeak is the off-peak utilization measured over Window: the
+	// same percentile as OffPeak, read from the samples a policy sees
+	// rather than predicted, so a policy need not select it from Window
+	// again. PCP extracts its envelopes against it. A run sets it
+	// together with OffPeak, only when a factory declared NeedOffPeak;
+	// otherwise it is 0. With the last-value predictor, and in a period
+	// whose references are measured, it equals OffPeak.
+	WindowOffPeak float64
 	// Window is the recent demand window; only policies that cluster or
 	// correlate raw demand consume it. It may be nil for policies that do
 	// not need it.

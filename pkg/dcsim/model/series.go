@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -111,11 +111,11 @@ func (s *Series) Min() float64 {
 // interpolation between closest ranks. Percentile(1) equals Max().
 // It returns 0 for an empty series.
 //
-// The result is the interpolation of a fully sorted copy, but only the
-// two order statistics it needs are selected: a quickselect puts the
-// lower rank in place and the upper one is the minimum above it. A
-// window holding NaN or −0 is sorted instead, because those are the only
-// values whose bits at a rank depend on how the sort breaks ties.
+// The result is the interpolation of a fully sorted copy, but the window
+// is read in place and only the two order statistics it needs are found
+// (bucketSelect). A window holding NaN or −0, the only values whose bits at
+// a rank depend on how a sort breaks ties, or one whose range is infinite
+// or too narrow to scale, is sorted in a copy instead.
 func (s *Series) Percentile(p float64) float64 {
 	n := len(s.samples)
 	if n == 0 {
@@ -127,36 +127,12 @@ func (s *Series) Percentile(p float64) float64 {
 	if p >= 1 {
 		return s.Max()
 	}
-	// The copy is fresh per call. A window up to stackWindow samples (a
-	// period at the default 5-s sampling is 720) copies onto the stack, so
-	// the per-VM, per-period reads allocate nothing.
-	var stack [stackWindow]float64
-	buf := stack[:0]
-	if n > len(stack) {
-		buf = make([]float64, 0, n)
-	}
-	buf = append(buf, s.samples...)
-	mustSort := false
-	for _, v := range buf {
-		// −0 is the sign bit alone; a NaN has every exponent bit set and a
-		// non-zero mantissa, whatever its sign.
-		if b := math.Float64bits(v); b == 1<<63 || b&^(1<<63) > 0x7FF0_0000_0000_0000 {
-			mustSort = true
-			break
-		}
-	}
 	rank := p * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	var vlo, vhi float64
-	if !mustSort && selectRank(buf, lo) {
-		vlo, vhi = buf[lo], buf[lo]
-		if hi != lo {
-			vhi = minOf(buf[hi:])
-		}
-	} else {
-		sort.Float64s(buf)
-		vlo, vhi = buf[lo], buf[hi]
+	vlo, vhi, ok := bucketSelect(s.samples, lo, hi)
+	if !ok {
+		vlo, vhi = sortSelect(s.samples, lo, hi)
 	}
 	if lo == hi {
 		return vlo
@@ -165,67 +141,121 @@ func (s *Series) Percentile(p float64) float64 {
 	return vlo*(1-frac) + vhi*frac
 }
 
-// stackWindow is the longest window Percentile copies onto the stack.
-const stackWindow = 1024
+// Stack buffers of bucketSelect and sortSelect: the most buckets counted,
+// the samples of one bucket gathered in the common case, and the longest
+// window copied or bucket gathered without allocating (a period at the
+// default 5-s sampling is 720 samples).
+const (
+	buckets     = 256
+	stackBucket = 64
+	stackWindow = 1024
+)
 
-// selectRank reorders a so that a[k] holds the value a sort would put
-// there, with nothing larger before it and nothing smaller after it. It
-// runs Hoare partitions around a median-of-three pivot and reports false,
-// leaving a permuted but unsettled, when the rank is still open after
-// 2·bits.Len(len(a))+4 rounds, so adversarial input costs a bounded number
-// of partitions before the caller sorts. Random windows settle in about two
-// passes' worth of partitioning. a must not hold NaN.
-func selectRank(a []float64, k int) bool {
-	lo, hi := 0, len(a)-1
-	for rounds := 2*bits.Len(uint(len(a))) + 4; lo < hi; rounds-- {
-		if rounds == 0 {
-			return false
+// bucketSelect returns the values a sort of xs would put at ranks lo and
+// hi (lo <= hi <= lo+1) without reordering xs, or false if xs holds NaN or
+// −0 or its range is infinite or too narrow to scale. One pass finds the
+// range and screens the window; a second counts the samples into buckets
+// int((v−min)·scale), an index that never decreases as the value grows,
+// so the buckets hold the sorted order in runs; a third gathers the
+// bucket holding rank lo, which alone is sorted, and the smallest sample
+// above it, which is the value at rank hi when hi lies past the bucket.
+func bucketSelect(xs []float64, lo, hi int) (vlo, vhi float64, ok bool) {
+	mn, mx := xs[0], xs[0]
+	for _, v := range xs {
+		// −0 is the sign bit alone; a NaN has every exponent bit set and a
+		// non-zero mantissa, whatever its sign.
+		if b := math.Float64bits(v); b == 1<<63 || b&^(1<<63) > 0x7FF0_0000_0000_0000 {
+			return 0, 0, false
 		}
-		// The three candidates sit at the quartiles rather than the ends,
-		// so sorted, reversed and organ-pipe windows split near the middle.
-		q := (hi - lo) / 4
-		m1, mid, m3 := lo+q, lo+(hi-lo)/2, hi-q
-		if a[mid] < a[m1] {
-			a[mid], a[m1] = a[m1], a[mid]
+		if v < mn {
+			mn = v
 		}
-		if a[m3] < a[mid] {
-			a[m3], a[mid] = a[mid], a[m3]
-			if a[mid] < a[m1] {
-				a[mid], a[m1] = a[m1], a[mid]
-			}
-		}
-		pivot := a[mid]
-		// Afterwards a[lo..j] <= pivot <= a[j+1..hi], with lo <= j < hi
-		// because the pivot sits at mid < hi.
-		i, j := lo-1, hi+1
-		for {
-			for i++; a[i] < pivot; i++ {
-			}
-			for j--; a[j] > pivot; j-- {
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-		}
-		if k <= j {
-			hi = j
-		} else {
-			lo = j + 1
+		if v > mx {
+			mx = v
 		}
 	}
-	return true
+	if mn == mx {
+		return mn, mn, true
+	}
+	nb := min(len(xs), buckets)
+	// An infinite sample or a range past MaxFloat64 makes the scale 0, and
+	// a range below nb·2⁻¹⁰²⁴ makes it infinite.
+	scale := float64(nb) / (mx - mn)
+	if !(scale > 0 && scale <= math.MaxFloat64) {
+		return 0, 0, false
+	}
+	// (mx−mn)·scale is nb give or take a rounding: the top bucket takes
+	// the samples that land on nb.
+	bucket := func(v float64) int { return min(int((v-mn)*scale), nb-1) }
+	var counts [buckets]int
+	for _, v := range xs {
+		counts[bucket(v)]++
+	}
+	b, before := 0, 0 // the bucket holding rank lo, and the samples before it
+	for before+counts[b] <= lo {
+		before += counts[b]
+		b++
+	}
+	// The bucket is gathered on the stack. An array is cleared where it is
+	// declared, so the small buffer is cleared on every call and the
+	// window-sized one only for a crowded bucket, such as a plateau of
+	// equal samples at the rank; a window of up to stackWindow samples
+	// never allocates.
+	var stack [stackBucket]float64
+	in := stack[:0]
+	switch {
+	case counts[b] <= stackBucket:
+	case counts[b] <= stackWindow:
+		var crowded [stackWindow]float64
+		in = crowded[:0]
+	default:
+		in = make([]float64, 0, counts[b])
+	}
+	// Every sample up to lower lies in an earlier bucket than b, and
+	// every one from upper on in a later one: bucket never decreases, so
+	// one value's bucket bounds those of all the samples on its side. Each
+	// cut sits half a bucket clear of b, and is dropped if rounding puts it
+	// in or past b anyway.
+	lower, upper := mn+(float64(b)-0.5)/scale, mn+(float64(b)+1.5)/scale
+	if bucket(lower) >= b {
+		lower = math.Inf(-1)
+	}
+	if bucket(upper) <= b {
+		upper = math.Inf(1)
+	}
+	above := math.Inf(1) // the smallest sample past bucket b
+	for _, v := range xs {
+		if v <= lower {
+			continue
+		}
+		i := b + 1
+		if v < upper {
+			i = bucket(v)
+		}
+		if i == b {
+			in = append(in, v)
+		} else if i > b && v < above {
+			above = v
+		}
+	}
+	slices.Sort(in)
+	vlo, vhi = in[lo-before], above
+	if hi-before < len(in) {
+		vhi = in[hi-before]
+	}
+	return vlo, vhi, true
 }
 
-// minOf returns the smallest element of a non-empty slice without NaN.
-func minOf(a []float64) float64 {
-	m := a[0]
-	for _, v := range a[1:] {
-		if v < m {
-			m = v
-		}
+// sortSelect returns the values at ranks lo and hi of a sorted copy of xs.
+func sortSelect(xs []float64, lo, hi int) (vlo, vhi float64) {
+	var stack [stackWindow]float64
+	buf := stack[:0]
+	if len(xs) > len(stack) {
+		buf = make([]float64, 0, len(xs))
 	}
-	return m
+	buf = append(buf, xs...)
+	sort.Float64s(buf)
+	return buf[lo], buf[hi]
 }
 
 // Ref returns the reference utilization û used throughout the paper: the

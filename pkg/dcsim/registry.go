@@ -22,14 +22,15 @@ type Build struct {
 
 	matrix     model.CostSource
 	matrixErr  error // the matrix was too large to allocate
-	offPeak    bool  // a component reads Request.OffPeak
+	offPeak    bool  // a component reads Request.OffPeak or WindowOffPeak
 	recentRefs bool  // a governor reads Rescale's recentRefs
 	usedParams map[string]bool
 }
 
 // NeedOffPeak declares that a component built on b reads
-// model.Request.OffPeak. Run measures and predicts each VM's off-peak
-// reference only when some factory called it; otherwise every OffPeak is 0.
+// model.Request.OffPeak or WindowOffPeak. Run measures and predicts each
+// VM's off-peak reference only when some factory called it; otherwise
+// both are 0 in every request.
 func (b *Build) NeedOffPeak() { b.offPeak = true }
 
 // NeedRecentRefs declares that a governor built on b reads the recentRefs

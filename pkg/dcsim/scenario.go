@@ -48,7 +48,8 @@ type Scenario struct {
 	RescaleEvery int `json:"rescale_every,omitempty"`
 	// Pctl is the reference percentile for û (>= 1 = peak).
 	Pctl float64 `json:"pctl"`
-	// OffPctl is the off-peak percentile PCP provisions with (0 -> 0.9).
+	// OffPctl is the off-peak percentile PCP provisions with and
+	// extracts its envelopes against, as in Verma et al. (0 -> 0.9).
 	// Validate rejects a negative or non-finite Pctl or OffPctl.
 	OffPctl float64 `json:"off_pctl,omitempty"`
 	// CumulativeMatrix keeps correlation statistics across period
@@ -156,7 +157,8 @@ func WithRescaleEvery(n int) Option { return func(s *Scenario) { s.RescaleEvery 
 // WithPctl sets the reference percentile for û.
 func WithPctl(p float64) Option { return func(s *Scenario) { s.Pctl = p } }
 
-// WithOffPctl sets PCP's off-peak percentile.
+// WithOffPctl sets PCP's off-peak percentile: the level it provisions
+// each VM at and the threshold of the VM's envelope.
 func WithOffPctl(p float64) Option { return func(s *Scenario) { s.OffPctl = p } }
 
 // WithCumulativeMatrix keeps correlation statistics across periods.
