@@ -62,9 +62,11 @@ test:
 # amd64. pkg/dcsim/model and internal/place run there too: the percentile's
 # bucket index is a float-to-int conversion, and int is 32 bits on 386, so
 # the select and PCP, which thresholds envelopes on it, are proved at that
-# width. arm64 is vetted, not run.
+# width. pkg/dcsim/experiments holds every evaluation artifact on those
+# fallbacks to the goldens amd64 prints, the Setup-2 tables at full scale
+# among them. arm64 is vetted, not run.
 test-generic:
-	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place
+	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place ./pkg/dcsim/experiments
 	GOARCH=arm64 $(GO) vet ./...
 
 # test-nofma runs internal/synth with the standard library's math.Exp on

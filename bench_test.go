@@ -272,7 +272,7 @@ func BenchmarkAllocatorScale(b *testing.B) {
 			for i := range reqs {
 				reqs[i] = model.Request{Ref: 0.5 + 3*rng.Float64()}
 			}
-			if a.CostFn == nil {
+			if a.Cost == nil {
 				m := core.NewCostMatrix(n, 1)
 				sample := make([]float64, n)
 				for k := 0; k < 50; k++ {
@@ -281,7 +281,7 @@ func BenchmarkAllocatorScale(b *testing.B) {
 					}
 					m.Add(sample)
 				}
-				a.Matrix = m
+				a.Cost = m.Cost
 			}
 			spec := server.XeonE5410()
 			b.ResetTimer()
@@ -302,7 +302,7 @@ func BenchmarkAllocatorScale(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Block = 512
 		b.Run(fmt.Sprintf("block=512/vms=%d", n),
-			bench(n, &core.Allocator{Config: cfg, CostFn: core.SyntheticPairCost}))
+			bench(n, &core.Allocator{Config: cfg, Cost: core.SyntheticPairCost}))
 	}
 }
 
@@ -337,7 +337,7 @@ func BenchmarkAllocPhases(b *testing.B) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Block = 0
-		a := &core.Allocator{Config: cfg, CostFn: core.SyntheticPairCost}
+		a := &core.Allocator{Config: cfg, Cost: core.SyntheticPairCost}
 		spec := server.XeonE5410()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -362,7 +362,7 @@ func BenchmarkAllocPhases(b *testing.B) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Block = 0
-		a := &core.Allocator{Config: cfg, Matrix: m}
+		a := &core.Allocator{Config: cfg, Cost: m.Cost}
 		spec := server.XeonE5410()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -514,7 +514,7 @@ func BenchmarkDatacenterStream(b *testing.B) {
 func BenchmarkTableIIExtended(b *testing.B) {
 	o := exp.Full()
 	for i := 0; i < b.N; i++ {
-		r, err := exp.TableIIExtended(o, false)
+		r, err := exp.TableIIExtended(o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -591,7 +591,7 @@ func BenchmarkDatacenterHour(b *testing.B) {
 		cfg := sim.Config{
 			Spec:          server.XeonE5410(),
 			Power:         power.XeonE5410(),
-			Policy:        &core.Allocator{Config: core.DefaultConfig(), Matrix: m},
+			Policy:        &core.Allocator{Config: core.DefaultConfig(), Cost: m.Cost},
 			Governor:      sim.CorrAware{Matrix: m},
 			MaxServers:    20,
 			PeriodSamples: 720,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sort"
 
@@ -18,9 +19,6 @@ const DefaultBlock = 512
 
 // Config parameterizes the correlation-aware allocator of Fig. 2.
 type Config struct {
-	// Pctl is the reference percentile for û (>= 1 means peak, the
-	// paper's Setup-2 choice).
-	Pctl float64
 	// THCost is the initial correlation threshold: a VM joins a non-empty
 	// server only when its weighted affinity cost against the residents
 	// is at least THCost. Values slightly above 1 demand meaningful
@@ -38,87 +36,35 @@ type Config struct {
 	Block int
 }
 
-// DefaultConfig matches the paper's operating point — peak reference, a
-// mildly selective threshold, a 10% relaxation per round — with blocked
-// candidate evaluation (DefaultBlock) as the default execution strategy.
-// At the paper's 40-VM scale the block covers every candidate, so results
-// are exactly Fig. 2; set Block = 0 to force exact evaluation at any scale.
+// DefaultConfig matches the paper's operating point — a mildly selective
+// threshold, a 10% relaxation per round — with blocked candidate
+// evaluation (DefaultBlock) as the default execution strategy. At the
+// paper's 40-VM scale the block covers every candidate, so results are
+// exactly Fig. 2; set Block = 0 to force exact evaluation at any scale.
 func DefaultConfig() Config {
-	return Config{Pctl: 1, THCost: 1.15, Alpha: 0.9, Block: DefaultBlock}
+	return Config{THCost: 1.15, Alpha: 0.9, Block: DefaultBlock}
 }
 
 // Allocator is the paper's correlation-aware VM placement (Fig. 2). It
 // implements model.Policy so the simulator can swap it against the
 // baselines.
 //
-// Pairwise costs come from Matrix when it is set and tracks the same VM
-// count as the request slice (the simulator feeds it one sample at a time,
-// the UPDATE phase of Fig. 2); otherwise they are computed batch-style from
-// each request's Window, so the allocator also works standalone.
+// Cost scores each pair of VMs, indexed as the requests are. In a run it
+// is the shared cost matrix's Cost: the simulator feeds the matrix every
+// sample (the UPDATE phase of Fig. 2), so it holds samples at every
+// placement — the period-0 bootstrap, then the previous period. The
+// Pearson-affinity ablation (A4 in DESIGN.md) swaps in a rescaled
+// Pearson correlation instead.
 //
-// Place works from its arguments alone, as Fig. 2 does every tperiod, and
-// keeps nothing between calls: the caller-fed Matrix is the only state an
-// Allocator holds.
+// Place works from its arguments and Cost alone, as Fig. 2 does every
+// tperiod, and keeps nothing between calls.
 type Allocator struct {
 	Config
-	Matrix model.CostSource
-	// CostFn, when set, overrides the pairwise cost source entirely.
-	// The Pearson-affinity ablation (A4 in DESIGN.md) uses this to swap
-	// Eqn 1 for a rescaled Pearson correlation.
-	CostFn model.PairCostFunc
+	Cost model.PairCostFunc
 }
-
-// NewAllocator returns an allocator with the given config and no matrix.
-func NewAllocator(cfg Config) *Allocator { return &Allocator{Config: cfg} }
 
 // Name implements model.Policy.
 func (a *Allocator) Name() string { return "CorrAware" }
-
-// unsetCost marks an uncomputed entry in the batch fallback's flat cost
-// cache. It is a quiet-NaN bit pattern no arithmetic in CostOf produces,
-// so it cannot collide with a real cached cost.
-const unsetCost = 0x7FF8_0000_DEAD_C0DE
-
-// costFunc picks the pairwise cost source for this request set.
-func (a *Allocator) costFunc(reqs []model.Request) model.PairCostFunc {
-	if a.CostFn != nil {
-		return a.CostFn
-	}
-	if a.Matrix != nil && a.Matrix.N() == len(reqs) && a.Matrix.Samples() > 0 {
-		return a.Matrix.Cost
-	}
-	pctl := a.Pctl
-	if pctl <= 0 {
-		pctl = 1
-	}
-	// Batch fallback: memoized pairwise costs over the request windows in
-	// a flat upper-triangle slice (same indexing as CostMatrix.pairIndex).
-	// A map[[2]int]float64 here showed up in exact-mode profiles as pure
-	// hash overhead; the flat slice is one multiply away from the entry.
-	n := len(reqs)
-	cache := make([]uint64, n*(n-1)/2)
-	for i := range cache {
-		cache[i] = unsetCost
-	}
-	return func(i, j int) float64 {
-		if i == j {
-			return 1
-		}
-		if i > j {
-			i, j = j, i
-		}
-		k := i*n - i*(i+1)/2 + (j - i - 1)
-		if bits := cache[k]; bits != unsetCost {
-			return math.Float64frombits(bits)
-		}
-		c := 1.0
-		if reqs[i].Window != nil && reqs[j].Window != nil {
-			c = CostOf(reqs[i].Window.Samples(), reqs[j].Window.Samples(), pctl)
-		}
-		cache[k] = math.Float64bits(c)
-		return c
-	}
-}
 
 // EstimateServers is Eqn (3): the minimum number of servers needed to host
 // the given reference utilizations at full capacity.
@@ -163,7 +109,10 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cost := a.costFunc(reqs)
+	if a.Cost == nil {
+		return nil, errors.New("core: Allocator has no Cost")
+	}
+	cost := a.Cost
 	refs := make([]float64, len(reqs))
 	for i, r := range reqs {
 		refs[i] = r.Ref

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -30,6 +29,21 @@ func phasedWindow(phase int, n int, seed int64) *model.Series {
 	}
 	return s
 }
+
+// windowCost scores pairs as Eqn 1 at the peak over the two requests'
+// windows: the costs a matrix fed those windows would hold.
+func windowCost(reqs []model.Request) model.PairCostFunc {
+	return func(i, j int) float64 {
+		if i == j {
+			return 1
+		}
+		return CostOf(reqs[i].Window.Samples(), reqs[j].Window.Samples(), 1)
+	}
+}
+
+// unitCost scores every pair as perfectly correlated, for requests without
+// windows.
+func unitCost(i, j int) float64 { return 1 }
 
 func TestEstimateServers(t *testing.T) {
 	if got := EstimateServers([]float64{4, 4, 4}, 8); got != 2 {
@@ -61,7 +75,7 @@ func TestAllocatorSeparatesCorrelatedVMs(t *testing.T) {
 			})
 		}
 	}
-	a := NewAllocator(DefaultConfig())
+	a := &Allocator{Config: DefaultConfig(), Cost: windowCost(reqs)}
 	p, err := a.Place(reqs, spec8(), 10)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +99,7 @@ func TestAllocatorUsesEstimatedServerCount(t *testing.T) {
 		w := phasedWindow(i%2, 100, int64(i))
 		reqs = append(reqs, model.Request{Ref: 3.5, OffPeak: 3, Window: w})
 	}
-	a := NewAllocator(DefaultConfig())
+	a := &Allocator{Config: DefaultConfig(), Cost: windowCost(reqs)}
 	p, err := a.Place(reqs, spec8(), 20)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +114,7 @@ func TestAllocatorOvercommitsWhenCapped(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		reqs = append(reqs, model.Request{Ref: 6})
 	}
-	a := NewAllocator(DefaultConfig())
+	a := &Allocator{Config: DefaultConfig(), Cost: unitCost}
 	p, err := a.Place(reqs, spec8(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +128,7 @@ func TestAllocatorOvercommitsWhenCapped(t *testing.T) {
 }
 
 func TestAllocatorRejectsZeroServers(t *testing.T) {
-	a := NewAllocator(DefaultConfig())
+	a := &Allocator{Config: DefaultConfig(), Cost: unitCost}
 	if _, err := a.Place(nil, spec8(), 0); err == nil {
 		t.Fatal("maxServers=0 should error")
 	}
@@ -134,7 +148,7 @@ func TestAllocatorWithStreamingMatrix(t *testing.T) {
 		}
 	}
 	reqs := []model.Request{{Ref: 3.5}, {Ref: 3.5}, {Ref: 3.5}, {Ref: 3.5}}
-	a := &Allocator{Config: DefaultConfig(), Matrix: m}
+	a := &Allocator{Config: DefaultConfig(), Cost: m.Cost}
 	p, err := a.Place(reqs, spec8(), 10)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +159,7 @@ func TestAllocatorWithStreamingMatrix(t *testing.T) {
 }
 
 func TestAllocatorPlacesEverythingProperty(t *testing.T) {
-	a := NewAllocator(DefaultConfig())
+	a := &Allocator{Config: DefaultConfig(), Cost: unitCost}
 	f := func(rawRefs []uint8, maxRaw uint8) bool {
 		if len(rawRefs) > 30 {
 			rawRefs = rawRefs[:30]
@@ -166,39 +180,13 @@ func TestAllocatorPlacesEverythingProperty(t *testing.T) {
 	}
 }
 
-// TestCostFuncFallbackMatchesCostOf pins the batch fallback's flat memo:
-// every pair, looked up in either order and again after it is cached,
-// returns exactly the CostOf value of the two windows.
-func TestCostFuncFallbackMatchesCostOf(t *testing.T) {
-	const n = 12
-	var reqs []model.Request
-	for i := 0; i < n; i++ {
-		w := phasedWindow(i%2, 60, int64(5+i))
-		reqs = append(reqs, model.Request{Ref: w.Max(), Window: w})
-	}
-	cost := NewAllocator(DefaultConfig()).costFunc(reqs)
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				want := 1.0
-				if i != j {
-					want = CostOf(reqs[i].Window.Samples(), reqs[j].Window.Samples(), 1)
-				}
-				if got := cost(i, j); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("pass %d: cost(%d,%d) = %v, want %v", pass, i, j, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestAllocatorDeterministic(t *testing.T) {
 	var reqs []model.Request
 	for i := 0; i < 12; i++ {
 		w := phasedWindow(i%2, 120, int64(i))
 		reqs = append(reqs, model.Request{Ref: w.Max(), Window: w})
 	}
-	a := NewAllocator(DefaultConfig())
+	a := &Allocator{Config: DefaultConfig(), Cost: windowCost(reqs)}
 	p1, err := a.Place(reqs, spec8(), 10)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +225,7 @@ func TestAllocatorPartitionsVMs(t *testing.T) {
 		for i, r := range rawRefs {
 			reqs[i] = model.Request{Ref: float64(r)/50 + 0.1}
 		}
-		a := NewAllocator(DefaultConfig())
+		a := &Allocator{Config: DefaultConfig(), Cost: unitCost}
 		p, err := a.Place(reqs, spec8(), 10)
 		if err != nil {
 			return false
@@ -268,7 +256,7 @@ func TestAllocatorThresholdRelaxation(t *testing.T) {
 	// terminate and place everything (eventually threshold-free).
 	cfg := DefaultConfig()
 	cfg.THCost = 50
-	a := NewAllocator(cfg)
+	a := &Allocator{Config: cfg, Cost: unitCost}
 	reqs := []model.Request{{Ref: 4}, {Ref: 4}, {Ref: 4}, {Ref: 4}}
 	p, err := a.Place(reqs, spec8(), 4)
 	if err != nil {
@@ -293,9 +281,9 @@ func TestAllocatorBlockAtLeastNMatchesExact(t *testing.T) {
 	// the candidate suffix then contains every fitting VM.
 	for _, n := range []int{17, 60, 200} {
 		reqs := scaleReqs(n, int64(n))
-		exact := &Allocator{Config: DefaultConfig(), CostFn: SyntheticPairCost}
+		exact := &Allocator{Config: DefaultConfig(), Cost: SyntheticPairCost}
 		exact.Block = 0
-		blocked := &Allocator{Config: DefaultConfig(), CostFn: SyntheticPairCost}
+		blocked := &Allocator{Config: DefaultConfig(), Cost: SyntheticPairCost}
 		blocked.Block = n + 5
 		pe, err := exact.Place(reqs, spec8(), n)
 		if err != nil {
@@ -328,9 +316,9 @@ func TestBlockedDefaultQualityDelta(t *testing.T) {
 	}
 	for _, n := range []int{1000, 2000} {
 		reqs := scaleReqs(n, int64(n))
-		exact := &Allocator{Config: DefaultConfig(), CostFn: SyntheticPairCost}
+		exact := &Allocator{Config: DefaultConfig(), Cost: SyntheticPairCost}
 		exact.Block = 0
-		blocked := &Allocator{Config: DefaultConfig(), CostFn: SyntheticPairCost}
+		blocked := &Allocator{Config: DefaultConfig(), Cost: SyntheticPairCost}
 		pe, err := exact.Place(reqs, spec8(), n)
 		if err != nil {
 			t.Fatal(err)
@@ -354,7 +342,7 @@ func TestAllocatorBlockedPlacesEverything(t *testing.T) {
 	// placement at scale.
 	const n = 3000
 	reqs := scaleReqs(n, 7)
-	a := &Allocator{Config: DefaultConfig(), CostFn: SyntheticPairCost}
+	a := &Allocator{Config: DefaultConfig(), Cost: SyntheticPairCost}
 	a.Block = 64
 	p, err := a.Place(reqs, spec8(), n)
 	if err != nil {

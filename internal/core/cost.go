@@ -218,8 +218,8 @@ func (m *CostMatrix) Reset() {
 
 // CostOf computes the Eqn-1 cost of two demand slices directly (batch
 // form), using the given reference percentile. It is the reference
-// implementation the streaming matrix is validated against, and what the
-// allocator falls back to when no streaming matrix is available.
+// implementation the streaming matrix is validated against, and Fig. 3's
+// cost of each group's windows.
 func CostOf(a, b []float64, pctl float64) float64 {
 	n := len(a)
 	if len(b) < n {

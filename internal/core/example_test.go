@@ -39,7 +39,7 @@ func ExampleAllocator() {
 		{ID: "a1", Ref: 3.5}, {ID: "a2", Ref: 3.5},
 		{ID: "b1", Ref: 3.5}, {ID: "b2", Ref: 3.5},
 	}
-	alloc := &core.Allocator{Config: core.DefaultConfig(), Matrix: m}
+	alloc := &core.Allocator{Config: core.DefaultConfig(), Cost: m.Cost}
 	spec := server.XeonE5410()
 	p, err := alloc.Place(reqs, spec, 4)
 	if err != nil {

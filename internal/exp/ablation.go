@@ -9,53 +9,18 @@ import (
 	"repro/internal/stats"
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/model"
-	"repro/pkg/dcsim/report"
 	"repro/pkg/dcsim/sweep"
 )
-
-// AblationRow is one configuration of an ablation sweep.
-type AblationRow struct {
-	Label           string
-	NormalizedPower float64 // vs the BFD baseline of the same traces
-	MaxViolationPct float64
-	MeanActive      float64
-}
 
 // AblationResult is a generic sweep outcome.
 type AblationResult struct {
 	Title string
-	Rows  []AblationRow
+	Rows  []Row
 }
 
 // String implements fmt.Stringer.
 func (r *AblationResult) String() string {
-	t := report.NewTable("config", "normalized power", "max violations (%)", "mean active")
-	for _, row := range r.Rows {
-		t.AddRow(row.Label,
-			fmt.Sprintf("%.3f", row.NormalizedPower),
-			fmt.Sprintf("%.1f", row.MaxViolationPct),
-			fmt.Sprintf("%.1f", row.MeanActive))
-	}
-	return r.Title + "\n" + t.String()
-}
-
-// sweepRows converts a sweep's completed cells into ablation rows (in
-// canonical grid order), normalizing energy against the shared baseline.
-func sweepRows(res *sweep.Result, baselineEnergyJ float64, label func(c sweep.CellResult) string) []AblationRow {
-	rows := make([]AblationRow, 0, len(res.Cells))
-	for _, c := range res.Cells {
-		norm := 0.0
-		if baselineEnergyJ > 0 {
-			norm = c.EnergyJ.Mean / baselineEnergyJ
-		}
-		rows = append(rows, AblationRow{
-			Label:           label(c),
-			NormalizedPower: norm,
-			MaxViolationPct: c.MaxViolationPct.Mean,
-			MeanActive:      c.MeanActive.Mean,
-		})
-	}
-	return rows
+	return r.Title + "\n" + rowTable("config", r.Rows, false)
 }
 
 // proposedBase is the correlation-aware base scenario the single-axis
@@ -144,24 +109,29 @@ func AblationPredictor(o model.RunOptions) (*AblationResult, error) {
 // cost range (corr -1..1 -> pseudo-cost 2..1) so the same allocator and
 // thresholds apply.
 func AblationMetric(o model.RunOptions) (*AblationResult, error) {
-	vms := datacenterVMs(o)
-	bfd, err := runPolicy(o, vms, "bfd", 0)
+	res, err := runGrid(o, sweep.Grid{
+		Name: "a4-metric",
+		Base: baseScenario(o),
+		Axes: []sweep.Axis{{Field: "policy", Values: []any{"bfd", "corr-aware"}}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	eqn1, err := runPolicy(o, vms, "corr", 0)
-	if err != nil {
-		return nil, err
-	}
+	bfdJ := res.Cells[0].EnergyJ.Mean
 	// The Pearson row is the one run a Scenario cannot express: the
 	// allocator scores pairs with a custom cost function, recomputed per
 	// placement, while the streaming matrix still drives Eqn 4 (the paper
 	// has no Pearson analogue for the frequency decision).
+	ds, err := dcsim.GenerateTraces(workload(o))
+	if err != nil {
+		return nil, err
+	}
+	vms := model.VMsFromSeries(ds.Names, ds.Fine)
 	m := core.NewCostMatrix(len(vms), 1)
 	pearson, err := sim.Run(vms, sim.Config{
 		Spec:          setup2Spec(),
 		Power:         setup2Power(),
-		Policy:        &core.Allocator{Config: core.DefaultConfig(), CostFn: pearsonAffinity(vms)},
+		Policy:        &core.Allocator{Config: core.DefaultConfig(), Cost: pearsonAffinity(vms)},
 		Governor:      sim.CorrAware{Matrix: m},
 		MaxServers:    o.MaxServers,
 		PeriodSamples: o.PeriodSamples,
@@ -172,17 +142,17 @@ func AblationMetric(o model.RunOptions) (*AblationResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: ablation A4 pearson: %w", err)
 	}
-	row := func(label string, r *model.Result) AblationRow {
-		return AblationRow{
-			Label:           label,
-			NormalizedPower: r.NormalizedPower(bfd),
-			MaxViolationPct: r.MaxViolationPct,
-			MeanActive:      r.MeanActive,
-		}
-	}
 	return &AblationResult{
 		Title: "Ablation A4 — placement affinity metric",
-		Rows:  []AblationRow{row("eqn1-cost", eqn1), row("pearson", pearson)},
+		Rows: []Row{
+			cellRow("eqn1-cost", res.Cells[1], bfdJ),
+			{
+				Label:           "pearson",
+				NormalizedPower: pearson.EnergyJ / bfdJ,
+				MaxViolationPct: pearson.MaxViolationPct,
+				MeanActive:      pearson.MeanActive,
+			},
+		},
 	}, nil
 }
 
@@ -255,26 +225,10 @@ func AblationCorrelationStructure(o model.RunOptions) (*AblationResult, error) {
 	}
 	out := &AblationResult{Title: "Ablation A5 — correlation structure in the traces"}
 	for i, kind := range []string{"grouped", "uncorrelated"} {
-		prop, bfd := res.Cell(2*i), res.Cell(2*i+1)
-		if prop == nil || bfd == nil {
-			return nil, fmt.Errorf("exp: A5 %s: sweep cells missing", kind)
-		}
-		norm := 0.0
-		if bfd.EnergyJ.Mean > 0 {
-			norm = prop.EnergyJ.Mean / bfd.EnergyJ.Mean
-		}
-		out.Rows = append(out.Rows, AblationRow{
-			Label:           kind,
-			NormalizedPower: norm,
-			MaxViolationPct: prop.MaxViolationPct.Mean,
-			MeanActive:      prop.MeanActive.Mean,
-		})
-		out.Rows = append(out.Rows, AblationRow{
-			Label:           kind + " (BFD ref)",
-			NormalizedPower: 1,
-			MaxViolationPct: bfd.MaxViolationPct.Mean,
-			MeanActive:      bfd.MeanActive.Mean,
-		})
+		prop, bfd := res.Cells[2*i], res.Cells[2*i+1]
+		out.Rows = append(out.Rows,
+			cellRow(kind, prop, bfd.EnergyJ.Mean),
+			cellRow(kind+" (BFD ref)", bfd, bfd.EnergyJ.Mean))
 	}
 	return out, nil
 }
@@ -298,20 +252,8 @@ func AblationLevels(o model.RunOptions) (*AblationResult, error) {
 	}
 	out := &AblationResult{Title: "Ablation A7 — DVFS level granularity"}
 	for i, label := range []string{"2 levels (E5410)", "6 levels"} {
-		bfd, prop := res.Cell(2*i), res.Cell(2*i+1)
-		if bfd == nil || prop == nil {
-			return nil, fmt.Errorf("exp: A7 %s: sweep cells missing", label)
-		}
-		norm := 0.0
-		if bfd.EnergyJ.Mean > 0 {
-			norm = prop.EnergyJ.Mean / bfd.EnergyJ.Mean
-		}
-		out.Rows = append(out.Rows, AblationRow{
-			Label:           label,
-			NormalizedPower: norm,
-			MaxViolationPct: prop.MaxViolationPct.Mean,
-			MeanActive:      prop.MeanActive.Mean,
-		})
+		bfd, prop := res.Cells[2*i], res.Cells[2*i+1]
+		out.Rows = append(out.Rows, cellRow(label, prop, bfd.EnergyJ.Mean))
 	}
 	return out, nil
 }
@@ -332,14 +274,10 @@ func AblationOracle(o model.RunOptions) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline := res.Cell(0)
-	if baseline == nil {
-		return nil, fmt.Errorf("exp: A8: baseline cell missing")
-	}
 	labels := []string{"BFD last-value", "BFD oracle", "Proposed last-value", "Proposed oracle"}
 	return &AblationResult{
 		Title: "Ablation A8 — prediction error vs placement",
-		Rows: sweepRows(res, baseline.EnergyJ.Mean, func(c sweep.CellResult) string {
+		Rows: sweepRows(res, res.Cells[0].EnergyJ.Mean, func(c sweep.CellResult) string {
 			return labels[c.Index]
 		}),
 	}, nil

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -191,6 +192,26 @@ func TestFig6(t *testing.T) {
 	}
 }
 
+func TestLevelResidency(t *testing.T) {
+	shares := levelResidency(&model.Result{FreqResidency: [][]int{
+		{30, 70},
+		{0, 0}, // never active: skipped
+		{100, 0},
+	}})
+	if len(shares) != 2 {
+		t.Fatalf("shares = %d, want 2 (idle server skipped)", len(shares))
+	}
+	if shares[0].Server != 0 || shares[1].Server != 2 {
+		t.Fatalf("server ids = %d, %d", shares[0].Server, shares[1].Server)
+	}
+	if math.Abs(shares[0].Fractions[0]-0.3) > 1e-12 || math.Abs(shares[0].Fractions[1]-0.7) > 1e-12 {
+		t.Fatalf("fractions = %v", shares[0].Fractions)
+	}
+	if shares[0].Samples != 100 {
+		t.Fatalf("samples = %d", shares[0].Samples)
+	}
+}
+
 func TestAblations(t *testing.T) {
 	o := Quick()
 	type run struct {
@@ -237,22 +258,22 @@ func TestQuickVsFullOptions(t *testing.T) {
 }
 
 func TestTableIIExtended(t *testing.T) {
-	r, err := TableIIExtended(Quick(), false)
+	r, err := TableIIExtended(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 policies", len(r.Rows))
 	}
-	if r.Rows[0].Policy != "BFD" || r.Rows[0].NormalizedPower != 1 {
+	if r.Rows[0].Label != "BFD" || r.Rows[0].NormalizedPower != 1 {
 		t.Fatalf("baseline row = %+v", r.Rows[0])
 	}
 	for _, row := range r.Rows {
 		if row.NormalizedPower <= 0 || row.NormalizedPower > 1.5 {
-			t.Fatalf("%s: implausible power %v", row.Policy, row.NormalizedPower)
+			t.Fatalf("%s: implausible power %v", row.Label, row.NormalizedPower)
 		}
 		if row.Migrations < 0 {
-			t.Fatalf("%s: negative migrations", row.Policy)
+			t.Fatalf("%s: negative migrations", row.Label)
 		}
 	}
 	if !strings.Contains(r.String(), "Extended") {

@@ -1,10 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/metrics"
+	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/report"
 )
@@ -14,37 +15,33 @@ import (
 // v/f scaling.
 type TableIIResult struct {
 	Dynamic bool
-	Rows    []metrics.Row
+	Rows    []Row
 	// SavingsPct and QoSImprovementPP are the paper's headline numbers:
-	// proposed versus the worst baseline.
+	// the proposed policy's power saving against BFD, in percent, and its
+	// fewer maximum violations, in percentage points.
 	SavingsPct       float64
 	QoSImprovementPP float64
 }
 
-// TableII runs the three policies on the Setup-2 traces. dynamic selects
-// Table II(b): v/f rescaling every 12 samples (1 min).
+// TableII runs the three policies on the Setup-2 traces as one grid.
+// dynamic selects Table II(b): v/f rescaling every 12 samples (1 min).
 func TableII(o model.RunOptions, dynamic bool) (*TableIIResult, error) {
-	vms := datacenterVMs(o)
 	rescale := 0
 	if dynamic {
 		rescale = 12
 	}
-	var results []*model.Result
-	for _, kind := range []string{"bfd", "pcp", "corr"} {
-		r, err := runPolicy(o, vms, kind, rescale)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", kind, err)
-		}
-		results = append(results, r)
+	rows, err := policyRows(o, "tableii", rescale,
+		[]string{"bfd", "pcp", "corr-aware"}, []string{"BFD", "PCP", "Proposed"})
+	if err != nil {
+		return nil, err
 	}
-	out := &TableIIResult{
-		Dynamic: dynamic,
-		Rows:    metrics.TableRows(results),
-	}
-	bfd, prop := results[0], results[2]
-	out.SavingsPct = metrics.SavingsPct(prop, bfd)
-	out.QoSImprovementPP = metrics.QoSImprovementPP(prop, bfd)
-	return out, nil
+	bfd, prop := rows[0], rows[2]
+	return &TableIIResult{
+		Dynamic:          dynamic,
+		Rows:             rows,
+		SavingsPct:       100 * (1 - prop.NormalizedPower),
+		QoSImprovementPP: bfd.MaxViolationPct - prop.MaxViolationPct,
+	}, nil
 }
 
 // String implements fmt.Stringer.
@@ -53,48 +50,67 @@ func (r *TableIIResult) String() string {
 	if r.Dynamic {
 		mode = "dynamic"
 	}
-	t := report.NewTable("policy", "normalized power", "max violations (%)", "mean active")
-	name := map[string]string{"BFD": "BFD", "PCP": "PCP", "CorrAware": "Proposed"}
-	for _, row := range r.Rows {
-		t.AddRow(name[row.Policy],
-			fmt.Sprintf("%.3f", row.NormalizedPower),
-			fmt.Sprintf("%.1f", row.MaxViolationPct),
-			fmt.Sprintf("%.1f", row.MeanActive))
-	}
-	return fmt.Sprintf("Table II(%s v/f scaling)\n", mode) + t.String() +
+	return fmt.Sprintf("Table II(%s v/f scaling)\n", mode) + rowTable("policy", r.Rows, false) +
 		fmt.Sprintf("Proposed vs BFD: %.1f%% power saving, %.1f pp fewer violations\n",
 			r.SavingsPct, r.QoSImprovementPP)
+}
+
+// LevelShare is the fraction of active time one server spent at each
+// frequency level (indexed as in the model.ServerSpec).
+type LevelShare struct {
+	Server    int
+	Fractions []float64
+	Samples   int
+}
+
+// levelResidency extracts per-server level shares from a simulation result,
+// skipping servers that were never active.
+func levelResidency(res *model.Result) []LevelShare {
+	var out []LevelShare
+	for s, counts := range res.FreqResidency {
+		total := 0
+		for _, c := range counts {
+			total += c
+		}
+		if total == 0 {
+			continue
+		}
+		fr := make([]float64, len(counts))
+		for i, c := range counts {
+			fr[i] = float64(c) / float64(total)
+		}
+		out = append(out, LevelShare{Server: s, Fractions: fr, Samples: total})
+	}
+	return out
 }
 
 // Fig6Result reproduces Fig. 6: frequency-level residency of BFD versus the
 // proposed policy on representative servers (static mode).
 type Fig6Result struct {
 	Freqs    []float64
-	BFD      []metrics.LevelShare
-	Proposed []metrics.LevelShare
-	// LowLevelShare aggregates the fraction of active server time spent
-	// at the lowest level under each policy.
+	BFD      []LevelShare
+	Proposed []LevelShare
+	// LowBFD and LowProposed aggregate the fraction of active server time
+	// spent at the lowest level under each policy.
 	LowBFD, LowProposed float64
 }
 
-// Fig6 runs the static Table-II(a) configuration and extracts residency.
+// Fig6 runs the static Table-II(a) configuration of BFD and the proposed
+// policy and extracts residency. It runs the two scenarios itself rather
+// than as a grid, because it reads each server's FreqResidency, which a
+// sweep cell does not carry.
 func Fig6(o model.RunOptions) (*Fig6Result, error) {
-	vms := datacenterVMs(o)
-	spec := setup2Spec()
-	bfd, err := runPolicy(o, vms, "bfd", 0)
-	if err != nil {
-		return nil, err
+	var shares [2][]LevelShare
+	for i, policy := range []string{"bfd", "corr-aware"} {
+		sc := baseScenario(o)
+		sc.Policy = policy
+		res, err := dcsim.Run(context.Background(), sc)
+		if err != nil {
+			return nil, err
+		}
+		shares[i] = levelResidency(res)
 	}
-	prop, err := runPolicy(o, vms, "corr", 0)
-	if err != nil {
-		return nil, err
-	}
-	out := &Fig6Result{
-		Freqs:    spec.Freqs,
-		BFD:      metrics.LevelResidency(bfd, spec),
-		Proposed: metrics.LevelResidency(prop, spec),
-	}
-	lowShare := func(shares []metrics.LevelShare) float64 {
+	lowShare := func(shares []LevelShare) float64 {
 		var low, total float64
 		for _, s := range shares {
 			low += s.Fractions[0] * float64(s.Samples)
@@ -105,9 +121,13 @@ func Fig6(o model.RunOptions) (*Fig6Result, error) {
 		}
 		return low / total
 	}
-	out.LowBFD = lowShare(out.BFD)
-	out.LowProposed = lowShare(out.Proposed)
-	return out, nil
+	return &Fig6Result{
+		Freqs:       setup2Spec().Freqs,
+		BFD:         shares[0],
+		Proposed:    shares[1],
+		LowBFD:      lowShare(shares[0]),
+		LowProposed: lowShare(shares[1]),
+	}, nil
 }
 
 // String implements fmt.Stringer; it prints the two representative servers
@@ -115,7 +135,7 @@ func Fig6(o model.RunOptions) (*Fig6Result, error) {
 func (r *Fig6Result) String() string {
 	var b strings.Builder
 	b.WriteString("Fig. 6 — frequency-level residency (static mode)\n")
-	show := func(name string, shares []metrics.LevelShare) {
+	show := func(name string, shares []LevelShare) {
 		picks := []int{0, 2} // Server1 and Server3, as in the paper
 		for _, p := range picks {
 			if p >= len(shares) {

@@ -524,7 +524,7 @@ func diffCases() []diffCase {
 						case "pcp":
 							cfg.Policy = place.PCP{}
 						case "corr-aware":
-							cfg.Policy = &core.Allocator{Config: core.DefaultConfig(), Matrix: m}
+							cfg.Policy = &core.Allocator{Config: core.DefaultConfig(), Cost: m.Cost}
 						}
 						if c.governor == "eqn4" {
 							cfg.Governor = CorrAware{Matrix: m}

@@ -114,7 +114,7 @@ func TestCumulativeMatrixRuns(t *testing.T) {
 	c := baseConfig()
 	m := core.NewCostMatrix(len(vms), 1)
 	c.Matrix = m
-	c.Policy = &core.Allocator{Config: core.DefaultConfig(), Matrix: m}
+	c.Policy = &core.Allocator{Config: core.DefaultConfig(), Cost: m.Cost}
 	c.Governor = CorrAware{Matrix: m}
 	c.CumulativeMatrix = true
 	res, err := Run(vms, c)

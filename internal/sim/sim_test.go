@@ -298,7 +298,7 @@ func TestEndToEndPoliciesOnSyntheticTraces(t *testing.T) {
 
 	bfd := run(place.BFD{}, WorstCase{}, nil)
 	m := core.NewCostMatrix(len(vms), 1)
-	prop := run(&core.Allocator{Config: core.DefaultConfig(), Matrix: m}, CorrAware{Matrix: m}, m)
+	prop := run(&core.Allocator{Config: core.DefaultConfig(), Cost: m.Cost}, CorrAware{Matrix: m}, m)
 
 	// Violations on this small scenario are near zero for both policies;
 	// allow a one-sample-scale tolerance (0.5pp of a 720-sample period).

@@ -149,9 +149,6 @@ func init() {
 	// correlation-aware allocator.
 	corrAware := func(b *Build) (model.Policy, error) {
 		cfg := core.DefaultConfig()
-		if b.Scenario.Pctl > 0 {
-			cfg.Pctl = b.Scenario.Pctl
-		}
 		cfg.THCost = b.Param("thcost", cfg.THCost)
 		cfg.Alpha = b.Param("alpha", cfg.Alpha)
 		// alloc_block bounds each server fill's candidate set. Blocked
@@ -164,7 +161,7 @@ func init() {
 			return nil, fmt.Errorf("dcsim: param %q must be a non-negative integer (0 = exact evaluation), got %v", "alloc_block", blk)
 		}
 		cfg.Block = int(blk)
-		return &core.Allocator{Config: cfg, Matrix: b.Matrix()}, nil
+		return &core.Allocator{Config: cfg, Cost: b.Matrix().Cost}, nil
 	}
 	RegisterPolicy("corr-aware", corrAware)
 	RegisterPolicy("corr", corrAware)

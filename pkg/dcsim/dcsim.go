@@ -117,9 +117,8 @@ func (s Scenario) lookupErr() error {
 // RunVMs is Run with a caller-supplied VM population instead of the
 // scenario's workload, which is ignored except as documentation of intent.
 // Run over a workload equals RunVMs over the Dataset GenerateTraces
-// returns for it (the tests hold them to that), and internal/exp uses
-// RunVMs to run several policies on one trace set. Recorded traces need
-// no hook: they are the "trace-dir" and "trace-obj" workload kinds.
+// returns for it (the tests hold them to that). Recorded traces need no
+// hook: they are the "trace-dir" and "trace-obj" workload kinds.
 func RunVMs(ctx context.Context, vms []*VM, sc Scenario, obs ...Observer) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {

@@ -71,7 +71,7 @@ func init() {
 	Register("tableiia", func(o model.RunOptions) (fmt.Stringer, error) { return exp.TableII(o, false) })
 	Register("tableiib", func(o model.RunOptions) (fmt.Stringer, error) { return exp.TableII(o, true) })
 	Register("fig6", func(o model.RunOptions) (fmt.Stringer, error) { return exp.Fig6(o) })
-	Register("extended", func(o model.RunOptions) (fmt.Stringer, error) { return exp.TableIIExtended(o, false) })
+	Register("extended", func(o model.RunOptions) (fmt.Stringer, error) { return exp.TableIIExtended(o) })
 	Register("gating", func(o model.RunOptions) (fmt.Stringer, error) { return exp.PowerGating(o) })
 	Register("a1", ablation(exp.AblationThreshold))
 	Register("a2", ablation(exp.AblationReference))

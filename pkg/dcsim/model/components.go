@@ -43,8 +43,6 @@ type CostSource interface {
 	N() int
 	// Samples returns how many samples the current window has seen.
 	Samples() int
-	// Ref returns the current reference utilization û of VM i.
-	Ref(i int) float64
 	// Cost returns the pairwise cost between VMs i and j: at least ~1,
 	// growing as the VMs' peaks interleave (higher cost = lower
 	// correlation = better co-location candidates). While the window is

@@ -27,7 +27,7 @@
 //   - Predictor: the per-VM next-period reference forecast.
 //   - CostSource and PairCostFunc: the streaming pairwise correlation
 //     costs (Eqn 1 of the paper) shared between a correlation-aware
-//     policy and governor.
+//     policy and governor, which read its Cost alone.
 //   - Workload and WorkloadSource: a serializable workload description
 //     and the backend that turns it into traces — Check to validate it
 //     without side effects, Load to return its Dataset.
