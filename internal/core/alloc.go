@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -108,9 +107,6 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if a.Cost == nil {
-		return nil, errors.New("core: Allocator has no Cost")
 	}
 	cost := a.Cost
 	refs := make([]float64, len(reqs))

@@ -110,9 +110,9 @@ func Fig6(o model.RunOptions) (*Fig6Result, error) {
 		}
 		shares[i] = levelResidency(res)
 	}
-	lowShare := func(shares []LevelShare) float64 {
+	lowShare := func(policy []LevelShare) float64 {
 		var low, total float64
-		for _, s := range shares {
+		for _, s := range policy {
 			low += s.Fractions[0] * float64(s.Samples)
 			total += float64(s.Samples)
 		}
