@@ -18,7 +18,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	quick := flag.Bool("quick", false, "run shortened horizons (smoke test)")
-	workers := flag.Int("workers", 1, "sweep-engine parallelism for the ablation studies (results are identical at any count)")
+	workers := flag.Int("workers", 1, "sweep-engine parallelism for Table II, the extended table and the ablation studies (results are identical at any count)")
 	only := flag.String("only", "", "comma-separated subset: "+
 		strings.Join(experiments.Names(), ",")+",ablations")
 	flag.Parse()

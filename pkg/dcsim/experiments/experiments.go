@@ -47,8 +47,9 @@ func Run(name string, quick bool) (fmt.Stringer, error) {
 }
 
 // RunOptions regenerates one artifact with explicit options — the way to
-// set sweep-engine parallelism (RunOptions.Workers) for the ablation
-// studies. Results do not depend on the worker count.
+// set sweep-engine parallelism (RunOptions.Workers) for Table II, the
+// extended table and the ablation studies. Results do not depend on the
+// worker count.
 func RunOptions(name string, o model.RunOptions) (fmt.Stringer, error) {
 	r, err := registry.Lookup(name)
 	if err != nil {

@@ -26,8 +26,9 @@ type RunOptions struct {
 	CacheMeasKI int `json:"cache_meas_ki,omitempty"`
 	// Fig3Groups is the number of random VM groups sampled for Fig. 3.
 	Fig3Groups int `json:"fig3_groups,omitempty"`
-	// Workers bounds the sweep-engine parallelism of the ablation
-	// studies; 0 runs them serially. Results are identical at any
-	// setting — the sweep merge is deterministic.
+	// Workers bounds the sweep-engine parallelism of Table II, the
+	// extended table and the ablation studies; 0 runs them serially.
+	// Results are identical at any setting — the sweep merge is
+	// deterministic.
 	Workers int `json:"workers,omitempty"`
 }
