@@ -62,11 +62,14 @@ test:
 # amd64. pkg/dcsim/model and internal/place run there too: the percentile's
 # bucket index is a float-to-int conversion, and int is 32 bits on 386, so
 # the select and PCP, which thresholds envelopes on it, are proved at that
-# width. pkg/dcsim/experiments holds every evaluation artifact on those
+# width. internal/trace and internal/tracedir run there for the same
+# reason: the recorded-trace decoder estimates a binary exponent in int
+# arithmetic (217706*exp10>>16), and bits.Mul64 takes its portable Go path
+# on 386. pkg/dcsim/experiments holds every evaluation artifact on those
 # fallbacks to the goldens amd64 prints, the Setup-2 tables at full scale
 # among them. arm64 is vetted, not run.
 test-generic:
-	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place ./pkg/dcsim/experiments
+	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place ./internal/trace ./internal/tracedir ./pkg/dcsim/experiments
 	GOARCH=arm64 $(GO) vet ./...
 
 # test-nofma runs internal/synth with the standard library's math.Exp on

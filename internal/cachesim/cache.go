@@ -40,9 +40,6 @@ func NewCache(sizeBytes, ways, lineSize int) (*Cache, error) {
 	return c, nil
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Access touches addr and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr / uint64(c.lineSize)
@@ -67,9 +64,6 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	return false
 }
-
-// Hits returns the hit count.
-func (c *Cache) Hits() int64 { return c.hits }
 
 // Misses returns the miss count.
 func (c *Cache) Misses() int64 { return c.misses }

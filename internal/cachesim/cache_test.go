@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// Sets returns the number of sets.
+func (c *Cache) Sets() int { return c.sets }
+
+// Hits returns the hit count.
+func (c *Cache) Hits() int64 { return c.hits }
+
 func mustCache(t *testing.T, size, ways int) *Cache {
 	t.Helper()
 	c, err := NewCache(size, ways, 64)

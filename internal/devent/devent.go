@@ -47,9 +47,6 @@ func New() *Sim { return &Sim{} }
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.pq) }
-
 // Schedule runs fn after the given delay. A negative delay panics; zero is
 // allowed and fires in FIFO order after already-scheduled same-time events.
 func (s *Sim) Schedule(delay float64, fn func()) {

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// Pending returns the number of scheduled events.
+func (s *Sim) Pending() int { return len(s.pq) }
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := New()
 	var order []int

@@ -45,27 +45,6 @@ func (e Envelope) Clone() Envelope {
 	return Envelope{bits: append([]uint64(nil), e.bits...), n: e.n}
 }
 
-// FromBools packs a boolean-slice envelope (the pre-bitset representation,
-// kept as the conversion boundary for callers and tests).
-func FromBools(bs []bool) Envelope {
-	e := New(len(bs))
-	for i, b := range bs {
-		if b {
-			e.Set(i)
-		}
-	}
-	return e
-}
-
-// Bools unpacks the envelope into a boolean slice.
-func (e Envelope) Bools() []bool {
-	out := make([]bool, e.n)
-	for i := range out {
-		out[i] = e.Bit(i)
-	}
-	return out
-}
-
 // Extract returns the binary envelope of a series against a threshold:
 // set where the sample exceeds the threshold.
 func Extract(s *model.Series, threshold float64) Envelope {

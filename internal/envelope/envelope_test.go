@@ -10,6 +10,27 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
+// FromBools packs a boolean-slice envelope, the pre-bitset representation
+// the tests state cases in.
+func FromBools(bs []bool) Envelope {
+	e := New(len(bs))
+	for i, b := range bs {
+		if b {
+			e.Set(i)
+		}
+	}
+	return e
+}
+
+// Bools unpacks the envelope into a boolean slice.
+func (e Envelope) Bools() []bool {
+	out := make([]bool, e.n)
+	for i := range out {
+		out[i] = e.Bit(i)
+	}
+	return out
+}
+
 func TestExtract(t *testing.T) {
 	s := model.SeriesFromSamples(time.Second, []float64{1, 5, 2, 8, 3})
 	env := Extract(s, 2.5)

@@ -3,6 +3,11 @@
 // ReadCSV and WriteCSV. The Series type itself, and the statistics over it
 // that consolidation policies consume, live in the public contract package
 // pkg/dcsim/model.
+//
+// ReadCSV decodes a plain decimal data field, such as the shortest forms
+// WriteCSV writes, with the Eisel–Lemire algorithm strconv itself runs, and
+// hands every field that path cannot settle to strconv.ParseFloat; either
+// way a sample gets the bits strconv.ParseFloat gives it.
 package trace
 
 import (
@@ -105,6 +110,14 @@ func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 // any column is allocated. The rows are decoded in up to GOMAXPROCS
 // contiguous ranges of at least minRangeBytes; when several rows are bad,
 // the error names the lowest one.
+//
+// A data field of the form -?digits[.digits], with at most 19 significant
+// digits and at most 64 after the point, is converted by Eisel–Lemire
+// straight from its bytes. Any other field (a sign "+", an exponent, hex,
+// "Inf" or "NaN", underscores, longer digit strings), and any field
+// Eisel–Lemire declines, as it does some fractions a float64 holds exactly
+// such as 0.5, goes to strconv.ParseFloat. Every sample gets
+// strconv.ParseFloat's bits, and every rejected field its error.
 func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 	cr := csv.NewReader(bytes.NewReader(data))
 	header, err := cr.Read()
@@ -291,7 +304,7 @@ func decodeRow(line []byte, r int, cols [][]float64) error {
 	}
 	for _, col := range cols {
 		f, row, _ = bytes.Cut(row, comma)
-		v, err := strconv.ParseFloat(string(f), 64)
+		v, err := parseSample(f)
 		if err != nil {
 			if bytes.IndexByte(f, '"') >= 0 {
 				return fmt.Errorf("trace: row %d: quoted field %q; data fields are bare numbers", r+1, f)
