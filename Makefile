@@ -54,8 +54,8 @@ test:
 
 # test-generic runs the Go code that stands in for amd64 assembly on every
 # other architecture (internal/core's per-sample peakRow loop, which feeds
-# the pair peaks in place of the AVX2 tile kernel and the SSE2 row kernel,
-# and internal/synth's Go exp, which refines without the vector kernel): a
+# the pair peaks in place of the AVX2 tile kernel, and internal/synth's Go
+# exp, which refines without the vector kernel): a
 # GOARCH=386 test binary builds them and runs on an amd64 host. The
 # packages are the CPU feature probe, the two kernels', and the two that
 # run them end to end; internal/synth checks the same pinned digests as on

@@ -32,11 +32,10 @@ import (
 // reference on an amd64 CPU with AVX2 it updates the pair peaks in tiles
 // of four triangle rows by eight columns, each tile's 32 peaks held in
 // registers across the whole chunk and stored once (tileAVX2 in
-// peak_amd64.s). Everywhere else it walks the triangle one row and one
-// sample at a time through peakRow: an SSE2 kernel on amd64 and the Go
-// loop peakRowGeneric on other architectures (peak_other.go). A peak only
-// rises from +0, so the order in which a chunk's sums reach it changes no
-// bit, and every path leaves every peak with the same bits.
+// peak_amd64.s); the last N mod 4 rows, and every row everywhere else,
+// go one sample at a time through the Go loop peakRow. A peak only rises
+// from +0, so the order in which a chunk's sums reach it changes no bit,
+// and both paths leave every peak with the same bits.
 type CostMatrix struct {
 	n       int
 	samples int // samples fed into the current window
@@ -161,16 +160,15 @@ func (m *CostMatrix) addP2(sample []float64) {
 func peakRows(tri, sample []float64) {
 	for i, v := range sample {
 		rest := sample[i+1:]
-		peakRow(tri[:len(rest)], rest, v)
+		peakRow(tri, rest, v)
 		tri = tri[len(rest):]
 	}
 }
 
-// peakRowGeneric is the Go form of peakRow: it raises each row[j] to
-// v + rest[j] where that sum is larger, keeping row[j] on ties and NaN.
-// It is peakRow on every architecture without a kernel, and the reference
-// the amd64 kernel is tested against bit for bit.
-func peakRowGeneric(row, rest []float64, v float64) {
+// peakRow raises row[j] to v + rest[j], for each j of rest, where that
+// sum is larger, keeping row[j] on ties (+0 against −0 included) and NaN.
+// It is the per-sample pair-peak update wherever tileAVX2 does not run.
+func peakRow(row, rest []float64, v float64) {
 	row = row[:len(rest)]
 	for j, w := range rest {
 		if s := v + w; s > row[j] {
@@ -189,9 +187,6 @@ func (m *CostMatrix) ref(k int) float64 {
 	}
 	return m.peak[k]
 }
-
-// Ref returns the current reference utilization û of VM i.
-func (m *CostMatrix) Ref(i int) float64 { return m.ref(i) }
 
 // Cost returns the Eqn-1 cost between VMs i and j. Before any samples, or
 // when the pair never exercises the CPU, the cost is 1 (assume perfect

@@ -10,6 +10,9 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
+// Ref returns the current reference utilization û of VM i.
+func (m *CostMatrix) Ref(i int) float64 { return m.ref(i) }
+
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 // antiPhased returns two series that peak at disjoint times.

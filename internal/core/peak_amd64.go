@@ -4,22 +4,13 @@ import "repro/internal/cpufeat"
 
 // useTile reports whether Add feeds a peak reference's chunks through
 // tileAVX2: the CPU has AVX2 and the operating system saves the YMM
-// registers. Without it Add runs peakRow one sample at a time. Tests
-// clear it to run that path on this host.
+// registers. Without it Add runs the Go loop peakRow one sample at a
+// time. Tests clear it to run that path on this host.
 var useTile = cpufeat.AVX2
 
-// peakRow raises each row[j] to v + rest[j] where that sum is larger,
-// exactly as peakRowGeneric does, in the SSE2 kernel of peak_amd64.s.
-// len(row) must be at least len(rest): the kernel reads rest and writes
-// row[:len(rest)] without a bounds check, so its one caller slices row to
-// len(rest) first.
-//
-//go:noescape
-func peakRow(row, rest []float64, v float64)
-
 // tileAVX2 feeds the triangle rows i..i+3 every sample of a chunk, in the
-// AVX2 kernel of peak_amd64.s, with exactly the bits peakRowGeneric leaves
-// when fed the samples one at a time. tri points at row i's first pair,
+// AVX2 kernel of peak_amd64.s, with exactly the bits peakRow leaves when
+// fed the samples one at a time. tri points at row i's first pair,
 // (i, i+1); x at VM i's value in the chunk's first sample; cols = n−i−4
 // is how many columns past i+3 each row pairs with; n is the VM count and
 // the samples' stride; and t ≥ 1 is the chunk's sample count. Nothing is

@@ -37,9 +37,6 @@ func (e Envelope) Len() int { return e.n }
 // Set marks position i.
 func (e Envelope) Set(i int) { e.bits[i>>6] |= 1 << (uint(i) & 63) }
 
-// Bit reports whether position i is marked.
-func (e Envelope) Bit(i int) bool { return e.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
-
 // Clone returns an independent copy.
 func (e Envelope) Clone() Envelope {
 	return Envelope{bits: append([]uint64(nil), e.bits...), n: e.n}

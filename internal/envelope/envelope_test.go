@@ -22,6 +22,9 @@ func FromBools(bs []bool) Envelope {
 	return e
 }
 
+// Bit reports whether position i is marked.
+func (e Envelope) Bit(i int) bool { return e.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
+
 // Bools unpacks the envelope into a boolean slice.
 func (e Envelope) Bools() []bool {
 	out := make([]bool, e.n)

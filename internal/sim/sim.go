@@ -8,7 +8,8 @@
 // Membership is fixed within a period, so the accounting is server-major:
 // for each chunk of samples up to the next rescale boundary, each active
 // server's members' demand is summed once, and the violation, power,
-// residency and rescale-peak accounting of every sample reads those sums.
+// residency and aggregate-peak accounting of every sample reads those
+// sums.
 // Each server's capacity, residency column and power line are resolved
 // when the governor sets its level, not per sample. Every sum adds the
 // members in placement order from 0.0, and every per-sample total adds the
@@ -21,7 +22,8 @@
 // it, as a per-sample feed leaves it. Each period's per-VM reference
 // measurements, which need no component, run over VM ranges on up to
 // GOMAXPROCS goroutines; every component call and observer callback stays
-// on the caller's goroutine.
+// on the caller's goroutine. Every per-VM reference (history, bootstrap,
+// Oracle and rescale) is VM.RefOver over its window.
 // A run whose components read no off-peak or no rescale references skips
 // measuring them (Config.SkipOffPeak, Config.SkipRecentRefs). The off-peak
 // is selected once per VM per period: the measurement over a request's
@@ -33,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -197,7 +198,7 @@ func (c *Config) validate(nVMs int) error {
 // block is the most samples the accounting loop sums per server at once.
 // Each VM's chunk is then a few cache lines read in one go, and every
 // active server's sums stay in cache while they are billed. A chunk also
-// ends at a rescale boundary, where the levels and window peaks change.
+// ends at a rescale boundary, where the levels and aggregate peaks change.
 const block = 64
 
 // Run simulates the given VMs under cfg. All VM demand traces must share
@@ -274,18 +275,12 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		chunk = make([]float64, block*len(vms))
 	}
 	// validate keeps a positive interval below the period, so rescale
-	// boundaries fall inside every period. With pctl >= 1 a rescale's
-	// per-VM references are the window's peaks, which the chunk sums carry
-	// in vpeak; otherwise they are measured into recentRefs. Skipped, they
-	// are recentRefs left zero.
+	// boundaries fall inside every period. Each rescale's per-VM
+	// references are measured into recentRefs, or, skipped, left zero.
 	rescales := rescale > 0
-	var vpeak, recentRefs []float64
+	var recentRefs []float64
 	if rescales {
-		if cfg.Pctl >= 1 && !cfg.SkipRecentRefs {
-			vpeak = make([]float64, len(vms))
-		} else {
-			recentRefs = make([]float64, len(vms))
-		}
+		recentRefs = make([]float64, len(vms))
 	}
 	// Residency accumulates in a per-period scratch merged at each period
 	// boundary, so a cancelled run's partial Result never counts samples
@@ -419,7 +414,6 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 		for s := range periodResidency {
 			clear(periodResidency[s])
 		}
-		resetPeaks(vpeak)
 		periodEnergy := 0.0
 
 		for k0 := start; k0 < end; {
@@ -437,21 +431,16 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 				return res, cfg.Ctx.Err()
 			}
 			if rescaled {
-				recent := vpeak
-				if recent == nil {
-					recent = recentRefs
-					if !cfg.SkipRecentRefs {
-						for i, v := range vms {
-							recent[i] = v.RefOver(k0-rescale, k0, cfg.Pctl)
-						}
+				if !cfg.SkipRecentRefs {
+					for i, v := range vms {
+						recentRefs[i] = v.RefOver(k0-rescale, k0, cfg.Pctl)
 					}
 				}
 				for a := range act {
 					sv := &act[a]
-					sv.setLevel(cfg.Governor.Rescale(sv.members, recent, sv.peak, cfg.Spec), &cfg)
+					sv.setLevel(cfg.Governor.Rescale(sv.members, recentRefs, sv.peak, cfg.Spec), &cfg)
 					sv.peak = 0
 				}
-				resetPeaks(vpeak)
 			}
 			if k0 == start || rescaled {
 				// Billing a server at a level the power model lacks fails
@@ -462,7 +451,7 @@ func Run(vms []*model.VM, cfg Config) (*model.Result, error) {
 					}
 				}
 			}
-			sumChunk(act, data, k0, k1, sums, vpeak)
+			sumChunk(act, data, k0, k1, sums)
 			bill(act, sums, k1-k0, power, viol, periodResidency)
 			if cfg.Matrix != nil {
 				feed(cfg.Matrix, chunk, data, k0, k1)
@@ -556,38 +545,18 @@ func (sv *host) setLevel(f float64, cfg *Config) {
 
 // sumChunk sums each active server's demand over samples [k0, k1) into
 // its row of sums, adding its members in order from 0.0 as a per-sample
-// loop does, so every sum keeps its bits. With vpeak set it also carries
-// each VM's running peak through the chunk.
-func sumChunk(act []host, data [][]float64, k0, k1 int, sums, vpeak []float64) {
+// loop does, so every sum keeps its bits.
+func sumChunk(act []host, data [][]float64, k0, k1 int, sums []float64) {
 	for a := range act {
 		row := sums[a*block : a*block+k1-k0]
 		clear(row)
 		for _, i := range act[a].members {
 			x := data[i][k0:k1]
 			x = x[:len(row)]
-			if vpeak == nil {
-				for j, v := range x {
-					row[j] += v
-				}
-				continue
-			}
-			pk := vpeak[i]
 			for j, v := range x {
 				row[j] += v
-				if v > pk {
-					pk = v
-				}
 			}
-			vpeak[i] = pk
 		}
-	}
-}
-
-// resetPeaks starts a window: from −Inf, its first sample is its peak so
-// far whatever its sign, as in Series.Max.
-func resetPeaks(vpeak []float64) {
-	for i := range vpeak {
-		vpeak[i] = math.Inf(-1)
 	}
 }
 

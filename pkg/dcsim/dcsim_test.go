@@ -438,7 +438,9 @@ func TestRunVMsRejectsOversizedCostMatrix(t *testing.T) {
 
 // TestPercentileFieldsValidated: a negative or non-finite pctl or off_pctl
 // fails validation with a dcsim: error instead of panicking in the cost
-// matrix or in Series.Percentile, or silently sizing VMs by their minimum.
+// matrix or in Series.Percentile, or silently sizing VMs by their minimum;
+// so does an off_pctl of 1 or more, which the simulator would replace with
+// its default 0.9.
 func TestPercentileFieldsValidated(t *testing.T) {
 	nan := math.NaN()
 	bad := []struct {
@@ -454,6 +456,8 @@ func TestPercentileFieldsValidated(t *testing.T) {
 		{name: "pctl +Inf", sc: New(WithVMs(4), WithHours(1), WithPctl(math.Inf(1)))},
 		{name: "off_pctl NaN", sc: New(WithVMs(4), WithHours(1), WithOffPctl(nan))},
 		{name: "off_pctl -Inf", sc: New(WithVMs(4), WithHours(1), WithOffPctl(math.Inf(-1)))},
+		{name: "off_pctl 1 (json)", json: `{"workload":{"vms":4,"groups":1,"hours":1},"policy":"pcp","off_pctl":1}`},
+		{name: "off_pctl 1.5", sc: New(WithVMs(4), WithHours(1), WithOffPctl(1.5))},
 	}
 	for _, c := range bad {
 		var err error
@@ -473,12 +477,11 @@ func TestPercentileFieldsValidated(t *testing.T) {
 			t.Errorf("%s: err = %v, want a dcsim: error naming the field", c.name, err)
 		}
 	}
-	// 0 keeps meaning "default", >= 1 is the peak, and off_pctl >= 1 still
-	// maps to 0.9 in the simulator.
+	// 0 keeps meaning "default", and a pctl >= 1 is the peak.
 	for _, sc := range []Scenario{
 		New(WithVMs(4), WithHours(1), WithPctl(0)),
 		New(WithVMs(4), WithHours(1), WithPctl(0.9), WithOffPctl(0.95)),
-		New(WithVMs(4), WithHours(1), WithPctl(2), WithOffPctl(1.5)),
+		New(WithVMs(4), WithHours(1), WithPctl(2)),
 	} {
 		if err := CheckScenario(sc); err != nil {
 			t.Errorf("pctl %v off_pctl %v: %v", sc.Pctl, sc.OffPctl, err)

@@ -50,7 +50,8 @@ type Scenario struct {
 	Pctl float64 `json:"pctl"`
 	// OffPctl is the off-peak percentile PCP provisions with and
 	// extracts its envelopes against, as in Verma et al. (0 -> 0.9).
-	// Validate rejects a negative or non-finite Pctl or OffPctl.
+	// Validate rejects a negative or non-finite Pctl, and an OffPctl
+	// outside [0, 1).
 	OffPctl float64 `json:"off_pctl,omitempty"`
 	// CumulativeMatrix keeps correlation statistics across period
 	// boundaries instead of resetting each monitoring window.
@@ -158,7 +159,8 @@ func WithRescaleEvery(n int) Option { return func(s *Scenario) { s.RescaleEvery 
 func WithPctl(p float64) Option { return func(s *Scenario) { s.Pctl = p } }
 
 // WithOffPctl sets PCP's off-peak percentile: the level it provisions
-// each VM at and the threshold of the VM's envelope.
+// each VM at and the threshold of the VM's envelope. It must lie below 1
+// (0 = the default 0.9).
 func WithOffPctl(p float64) Option { return func(s *Scenario) { s.OffPctl = p } }
 
 // WithCumulativeMatrix keeps correlation statistics across periods.
@@ -279,6 +281,11 @@ func (s Scenario) Validate() error {
 	}
 	if err := checkPercentile("OffPctl", s.OffPctl); err != nil {
 		return err
+	}
+	// An off-peak at or above the peak is no off-peak; the simulator
+	// would run PCP at the default instead of the value reported.
+	if s.OffPctl >= 1 {
+		return fmt.Errorf("dcsim: OffPctl is %v, want a value below 1 (0 = default)", s.OffPctl)
 	}
 	for name, v := range s.Params {
 		if name == "" {

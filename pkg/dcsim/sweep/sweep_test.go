@@ -144,6 +144,15 @@ func TestValidateCatchesBadCells(t *testing.T) {
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "warp-drive") {
 		t.Fatalf("err = %v, want unknown-policy failure", err)
 	}
+	// So does an off-peak percentile of 1, which would run PCP at the
+	// default 0.9 while the cell reports 1.
+	base := tinyBase()
+	base.Policy = "pcp"
+	g = Grid{Base: base, Axes: []Axis{{Field: "off_pctl", Values: []any{0.8, 1.0}}}}
+	err = g.Validate()
+	if err == nil || !strings.Contains(err.Error(), "cell 1 (off_pctl=1)") || !strings.Contains(err.Error(), "OffPctl") {
+		t.Fatalf("err = %v, want cell 1's off_pctl rejected", err)
+	}
 }
 
 func TestParseGridRejectsUnknownFields(t *testing.T) {
