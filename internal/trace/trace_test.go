@@ -172,6 +172,122 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRowErrorsPinned pins the exact error ReadCSV gives for a bad
+// data row. Rows are numbered from 1 after the header, blank rows not
+// counted. Within a row the field count is checked first, then the
+// timestamp for quotes, then each sample in column order; across rows the
+// lowest bad row is reported.
+func TestReadCSVRowErrorsPinned(t *testing.T) {
+	// Every body has four rows at 5 s, so the interval checks pass and
+	// only the data rows can fail.
+	const head = "t,a,b\n0,1.5,2.25\n5,1,2\n"
+	cases := []struct{ name, body, want string }{
+		{"too many fields", head + "10,1,2,3\n15,1,2\n",
+			"trace: row 3 has 4 fields, want 3"},
+		{"too few fields", head + "10,1\n15,1,2\n",
+			"trace: row 3 has 2 fields, want 3"},
+		{"timestamp alone", head + "10\n15,1,2\n",
+			"trace: row 3 has 1 fields, want 3"},
+		{"trailing comma", head + "10,1,2,\n15,1,2\n",
+			"trace: row 3 has 4 fields, want 3"},
+		{"count before a bad sample", head + "10,x,2,3\n15,1,2\n",
+			"trace: row 3 has 4 fields, want 3"},
+		{"count before a bad last sample", head + "10,x\n15,1,2\n",
+			"trace: row 3 has 2 fields, want 3"},
+		{"count before a quoted timestamp", head + "\"10\",1\n15,1,2\n",
+			"trace: row 3 has 2 fields, want 3"},
+		{"quoted timestamp", head + "\"10\",1,2\n15,1,2\n",
+			`trace: row 3: quoted field "\"10\""; data fields are bare numbers`},
+		{"quoted timestamp before a bad sample", head + "\"10\",x,2\n15,1,2\n",
+			`trace: row 3: quoted field "\"10\""; data fields are bare numbers`},
+		{"quoted data field", head + "10,\"1.5\",2\n15,1,2\n",
+			`trace: row 3: quoted field "\"1.5\""; data fields are bare numbers`},
+		{"quoted last field", head + "10,1,\"2\"\n15,1,2\n",
+			`trace: row 3: quoted field "\"2\""; data fields are bare numbers`},
+		{"bad sample before a quoted one", head + "10,x,\"2\"\n15,1,2\n",
+			`trace: row 3: bad sample "x": strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"one", head + "10,one,2\n15,1,2\n",
+			`trace: row 3: bad sample "one": strconv.ParseFloat: parsing "one": invalid syntax`},
+		{"1x5", head + "10,1,1x5\n15,1,2\n",
+			`trace: row 3: bad sample "1x5": strconv.ParseFloat: parsing "1x5": invalid syntax`},
+		{"empty field", head + "10,,2\n15,1,2\n",
+			`trace: row 3: bad sample "": strconv.ParseFloat: parsing "": invalid syntax`},
+		{"empty last field", head + "10,1,\n15,1,2\n",
+			`trace: row 3: bad sample "": strconv.ParseFloat: parsing "": invalid syntax`},
+		{"digits then junk", head + "10,12.5x,2\n15,1,2\n",
+			`trace: row 3: bad sample "12.5x": strconv.ParseFloat: parsing "12.5x": invalid syntax`},
+		{"two points", head + "10,1,1.2.3\n15,1,2\n",
+			`trace: row 3: bad sample "1.2.3": strconv.ParseFloat: parsing "1.2.3": invalid syntax`},
+		{"lone minus", head + "10,-,2\n15,1,2\n",
+			`trace: row 3: bad sample "-": strconv.ParseFloat: parsing "-": invalid syntax`},
+		{"out of range", head + "10,1e400,2\n15,1,2\n",
+			`trace: row 3: bad sample "1e400": strconv.ParseFloat: parsing "1e400": value out of range`},
+		{"bad last row", head + "10,1,2\n15,1,x\n",
+			`trace: row 4: bad sample "x": strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"CRLF rows", "t,a,b\r\n0,1.5,2.25\r\n5,1,2\r\n10,1,1x5\r\n15,1,2\r\n",
+			`trace: row 3: bad sample "1x5": strconv.ParseFloat: parsing "1x5": invalid syntax`},
+		{"blank rows are not counted", "t,a,b\n\n0,1.5,2.25\n\r\n5,1,2\n\n\n10,1,x\n15,1,2\n",
+			`trace: row 3: bad sample "x": strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"lowest of several bad rows", "t,a,b\n0,1,2\n5,1,x\n10,y,2\n15,1,2,3\n",
+			`trace: row 2: bad sample "x": strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"a count error in a lower row", "t,a,b\n0,1,2\n5,1\n10,y,2\n15,1,2\n",
+			"trace: row 2 has 2 fields, want 3"},
+	}
+	for _, c := range cases {
+		_, _, err := ReadCSV([]byte(c.body))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestReadCSVMixedFieldsMatchStrconv: fields the plain-decimal path
+// leaves to strconv, or declines, decode to strconv.ParseFloat's bits in
+// any column, between plain fields, across CRLF and blank rows.
+func TestReadCSVMixedFieldsMatchStrconv(t *testing.T) {
+	odd := []string{"0.5", "+1", "1e5", "-0", "5.", ".5", "12345678901234567890",
+		"0.0000000000000000012345678901234567", "-.5", "000123.4500", "9007199254740993"}
+	plain := []string{"1.25", "0.123456789012345", "42", "0.0625"}
+	var body strings.Builder
+	body.WriteString("t,a,b,c\r\n")
+	var want [3][]string
+	for i := 0; i < 3*len(odd); i++ {
+		row := []string{plain[i%4], plain[(i+1)%4], plain[(i+2)%4]}
+		row[i%3] = odd[i/3]
+		fmt.Fprintf(&body, "%d,%s", 5*i, strings.Join(row, ","))
+		switch i % 3 {
+		case 0:
+			body.WriteString("\r\n")
+		case 1:
+			body.WriteString("\n\n")
+		default:
+			body.WriteString("\r\n\r\n")
+		}
+		for j := range want {
+			want[j] = append(want[j], row[j])
+		}
+	}
+	_, series, err := ReadCSV([]byte(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, s := range series {
+		if s.Len() != len(want[j]) {
+			t.Fatalf("column %d: %d samples, want %d", j, s.Len(), len(want[j]))
+		}
+		for i, f := range want[j] {
+			w, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.At(i); math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("column %d row %d: %q decoded as %v (%#x), strconv %v (%#x)",
+					j, i+1, f, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
 // TestReadCSVShortRowsAllocateLittle: a wide header over as many
 // timestamp-only rows passes the interval checks, but the rows cannot hold
 // the header's fields. ReadCSV must reject it without allocating the
