@@ -8,7 +8,7 @@ import (
 	"strconv"
 )
 
-// minExp10 is the smallest decimal exponent parseDecimal converts. It
+// minExp10 is the smallest decimal exponent scanDecimal converts. It
 // reads no exponent, so it makes only exponents in [minExp10, 0], one per
 // digit after the point; 64 such digits hold the shortest 'f' form of
 // every value of at least 1e-48.
@@ -30,48 +30,91 @@ var pow10 = func() (t [1 - minExp10][2]uint64) {
 }()
 
 // parseSample decodes a data field as strconv.ParseFloat(string(f), 64)
-// does, with its bits and its error, through parseDecimal where that
-// answers.
+// does, with its bits and its error, through scanDecimal where that
+// answers for the whole of f.
 func parseSample(f []byte) (float64, error) {
-	if v, ok := parseDecimal(f); ok {
+	if v, n, ok := scanDecimal(f); ok && n == len(f) {
 		return v, nil
 	}
 	return strconv.ParseFloat(string(f), 64)
 }
 
-// parseDecimal decodes a field of the form -?digits[.digits] with at
-// least one digit, at most 19 significant digits and at most -minExp10
-// digits after the point, when Eisel–Lemire rounds it; ok is false for
-// every other field, which strconv.ParseFloat then decides. Where ok is
-// true, v has the bits strconv.ParseFloat returns.
-func parseDecimal(f []byte) (v float64, ok bool) {
-	neg := len(f) > 0 && f[0] == '-'
+// scanDecimal reads the field at the start of b, which ends at b's first
+// ',' or at the end of b, and returns its value and its length n when it
+// has the form -?digits[.digits] with at least one digit, at most 19
+// significant digits (leading zeros on either side of the point do not
+// count) and at most -minExp10 digits after the point, and Eisel–Lemire
+// rounds it. ok is false for every other field, which strconv.ParseFloat
+// then decides, and n is then no field's length. Where ok is true, v has
+// the bits strconv.ParseFloat returns for b[:n].
+func scanDecimal(b []byte) (v float64, n int, ok bool) {
+	i := 0
+	neg := len(b) > 0 && b[0] == '-'
 	if neg {
-		f = f[1:]
+		i++
 	}
-	var man uint64
-	sig, dot := 0, -1
-	for i, c := range f {
-		switch d := c - '0'; {
-		case d <= 9:
-			if man|uint64(d) != 0 { // leading zeros are not significant
-				man = man*10 + uint64(d)
-				sig++
+	start := i
+	for i < len(b) && b[i] == '0' {
+		i++
+	}
+	lead := i
+	i, man := digits(b, i, 0)
+	nd, sig, frac := i-start, i-lead, 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		point := i
+		if sig == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
 			}
-		case c == '.' && dot < 0:
-			dot = i
-		default:
-			return 0, false
 		}
+		lead = i
+		i, man = digits(b, i, man)
+		sig += i - lead
+		frac = i - point
+		nd += frac
 	}
-	digits, exp10 := len(f), 0
-	if dot >= 0 {
-		digits, exp10 = digits-1, dot+1-len(f)
+	if i < len(b) && b[i] != ',' || nd == 0 || sig > 19 || frac > -minExp10 {
+		return 0, i, false
 	}
-	if digits == 0 || sig > 19 || exp10 < minExp10 {
-		return 0, false
+	v, ok = eiselLemire64(man, -frac, neg)
+	return v, i, ok
+}
+
+// digits reads the digits of b from i on into man, eight at a time while
+// eight follow, and returns the index of the first byte past them. Past
+// 19 digits man wraps; scanDecimal then declines the field.
+func digits(b []byte, i int, man uint64) (int, uint64) {
+	for ; len(b)-i >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(w) {
+			break
+		}
+		man = man*1e8 + eightDigitsValue(w)
 	}
-	return eiselLemire64(man, exp10, neg)
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man
+}
+
+// eightDigits reports whether all eight bytes of w are ASCII digits: each
+// byte's high nibble is 3, and stays 3 when 6 is added. A byte whose +6
+// carries into the next has high nibble F and fails by itself.
+func eightDigits(w uint64) bool {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	return w&hi|(w+0x0606060606060606)&hi>>4 == 0x3333333333333333
+}
+
+// eightDigitsValue is the value of eight ASCII digits read little-endian,
+// the first digit in the lowest byte, in three multiplies: byte pairs
+// 10a+b, then the four pairs weighted by 10^6, 10^4, 10^2 and 1 in two
+// lanes of 32 bits, summed in the high lane.
+func eightDigitsValue(w uint64) uint64 {
+	const lanes = 0x000000FF000000FF
+	w -= 0x3030303030303030
+	w = w*10 + w>>8
+	return (w&lanes*(100+1000000<<32) + w>>16&lanes*(1+10000<<32)) >> 32
 }
 
 // eiselLemire64 is ported from the Go standard library's

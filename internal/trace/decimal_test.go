@@ -11,9 +11,9 @@ import (
 )
 
 // decimalSeeds are fields whose spelling or size sits at an edge of
-// parseDecimal's grammar or of Eisel–Lemire's rounding.
+// scanDecimal's grammar or of Eisel–Lemire's rounding.
 var decimalSeeds = []string{
-	// Spellings strconv accepts or rejects that parseDecimal must leave
+	// Spellings strconv accepts or rejects that scanDecimal must leave
 	// to it, or answer as strconv does.
 	"-0", "0", ".5", "-.5", "5.", "+1", "1e5", "0x1p-2", "1_0", "Inf", "-inf",
 	"NaN", "", "-", ".", "-.", "--1", "1.2.3", " 1", "1 ", "\"1.5\"", "0x10", "1e",
@@ -30,6 +30,13 @@ var decimalSeeds = []string{
 	"9223372036854776832",
 	// Eisel–Lemire's wider approximation decides this one.
 	"0.0127404192089070065",
+}
+
+// parseDecimal is the fast path alone on a whole field: ok where
+// scanDecimal reads all of f.
+func parseDecimal(f []byte) (v float64, ok bool) {
+	v, n, ok := scanDecimal(f)
+	return v, ok && n == len(f)
 }
 
 // sameAsStrconv returns an error when parseSample and strconv.ParseFloat
@@ -151,6 +158,42 @@ func FuzzParseDecimal(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		if err := sameAsStrconv(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzScanDecimal holds the scanner to where a field ends: for a field s
+// with no comma, scanning s alone and scanning s followed by a comma and
+// anything both stop at len(s) with parseSample(s)'s bits, or both
+// decline.
+func FuzzScanDecimal(f *testing.F) {
+	for _, s := range decimalSeeds {
+		f.Add(s, "1.5")
+	}
+	f.Add("12345678", "")
+	f.Add("0.1234567890123456", "7,8")
+	f.Add("-00000000.00000000123", ",")
+	f.Fuzz(func(t *testing.T, s, tail string) {
+		if strings.Contains(s, ",") {
+			return
+		}
+		v, n, ok := scanDecimal([]byte(s))
+		tv, tn, tok := scanDecimal([]byte(s + "," + tail))
+		if ok != tok {
+			t.Fatalf("%q: ok %v alone, %v followed by %q", s, ok, tok, ","+tail)
+		}
+		if !ok {
+			return
+		}
+		if n != len(s) || tn != len(s) {
+			t.Fatalf("%q: ends at %d alone and at %d followed by a comma, want %d", s, n, tn, len(s))
+		}
+		w, err := parseSample([]byte(s))
+		if err != nil || math.Float64bits(v) != math.Float64bits(w) || math.Float64bits(tv) != math.Float64bits(w) {
+			t.Fatalf("%q: %v alone, %v followed by a comma; parseSample %v, %v", s, v, tv, w, err)
+		}
 		if err := sameAsStrconv(s); err != nil {
 			t.Fatal(err)
 		}

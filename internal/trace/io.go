@@ -17,9 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/pkg/dcsim/model"
@@ -34,13 +32,6 @@ const timestampDecimals = 6
 // maxIntervalSeconds bounds the interval a file may claim: beyond this the
 // float→Duration conversion would overflow int64 nanoseconds.
 const maxIntervalSeconds = float64(math.MaxInt64) / float64(time.Second)
-
-// minRangeBytes is the smallest share of a chunk body ReadCSV decodes on
-// a goroutine of its own, so a small chunk (a test fixture, a short
-// recording) decodes serially. It is a floor, not a measured crossover: a
-// 64 KiB range holds a few thousand samples, far more parsing than the
-// microsecond or so a goroutine costs to start and join.
-const minRangeBytes = 64 << 10
 
 // WriteCSV writes a set of named series sharing interval and length as CSV:
 // a header row "t,<name>,<name>,..." followed by one row per sample with the
@@ -107,13 +98,13 @@ func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 // are bare numbers: a row ends at "\n" with one trailing "\r" dropped,
 // blank rows are skipped, and fields split at ",". A quoted data field is
 // rejected, and so is a body too short to hold its rows' fields, before
-// any column is allocated. The rows are decoded in up to GOMAXPROCS
-// contiguous ranges of at least minRangeBytes; when several rows are bad,
-// the error names the lowest one.
+// any column is allocated. The rows are decoded in order on the caller's
+// goroutine, each in one walk along its fields, and the first bad row is
+// the error.
 //
 // A data field of the form -?digits[.digits], with at most 19 significant
 // digits and at most 64 after the point, is converted by Eisel–Lemire
-// straight from its bytes. Any other field (a sign "+", an exponent, hex,
+// straight from its bytes in the scan that finds its end. Any other field (a sign "+", an exponent, hex,
 // "Inf" or "NaN", underscores, longer digit strings), and any field
 // Eisel–Lemire declines, as it does some fractions a float64 holds exactly
 // such as 0.5, goes to strconv.ParseFloat. Every sample gets
@@ -132,7 +123,7 @@ func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 	}
 	names = header[1:]
 	body := data[cr.InputOffset():]
-	rows := scanRows(body, max(1, min(runtime.GOMAXPROCS(0), len(body)/minRangeBytes)))
+	rows := scanRows(body)
 	if rows.n < 2 {
 		return nil, nil, fmt.Errorf("trace: need a header and at least two rows, got %d records", rows.n+1)
 	}
@@ -174,35 +165,18 @@ func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 		return nil, nil, fmt.Errorf("trace: %d rows of %d fields do not fit in %d bytes; rows are missing fields",
 			rows.n, len(names)+1, len(body))
 	}
+	// The columns are cut from one array, each capped at its own length
+	// so that Series.Append copies instead of writing into the next. An
+	// array of its own per column would be rounded up to whole 8 KiB
+	// pages once it outgrows Go's largest size class (32 KiB): a 6 h
+	// column of 4,320 samples (34,560 B) would take five pages, 40,960 B.
+	all := make([]float64, len(names)*rows.n)
 	cols := make([][]float64, len(names))
 	for j := range cols {
-		cols[j] = make([]float64, rows.n)
+		cols[j] = all[j*rows.n : (j+1)*rows.n : (j+1)*rows.n]
 	}
-	// Each range fills its own rows of the shared columns. Ranges are in
-	// row order and each stops at its first bad row, so the first error
-	// in range order is the lowest bad row at any GOMAXPROCS.
-	errs := make([]error, len(rows.ranges))
-	decode := func(k int) {
-		rg := rows.ranges[k]
-		errs[k] = decodeRows(body[rg.lo:rg.hi], rg.row, cols)
-	}
-	if len(rows.ranges) == 1 {
-		decode(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(rows.ranges))
-		for k := range rows.ranges {
-			go func() {
-				defer wg.Done()
-				decode(k)
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := decodeRows(body, cols); err != nil {
+		return nil, nil, err
 	}
 	series = make([]*model.Series, len(names))
 	for j := range names {
@@ -211,29 +185,17 @@ func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 	return names, series, nil
 }
 
-// rowScan is one pass over a chunk body: its row count, the three rows the
-// interval checks read, and the body cut at row starts into the ranges
-// ReadCSV decodes.
+// rowScan is one pass over a chunk body: its row count and the three rows
+// the interval checks read.
 type rowScan struct {
 	n                   int
 	first, second, last []byte
-	ranges              []rowRange
 }
 
-// rowRange is body[lo:hi]; its first row has index row in the chunk.
-type rowRange struct{ lo, hi, row int }
-
-// scanRows scans body once, cutting it into at most parts ranges of
-// roughly equal size.
-func scanRows(body []byte, parts int) rowScan {
-	s := rowScan{ranges: append(make([]rowRange, 0, parts), rowRange{})}
-	next := len(body) / parts // offset at which the next range may start
+// scanRows scans body once.
+func scanRows(body []byte) rowScan {
+	var s rowScan
 	for rest := body; len(rest) > 0; {
-		if off := len(body) - len(rest); off >= next && len(s.ranges) < parts {
-			s.ranges[len(s.ranges)-1].hi = off
-			s.ranges = append(s.ranges, rowRange{lo: off, row: s.n})
-			next = len(body) * len(s.ranges) / parts
-		}
 		var row []byte
 		row, rest = cutRow(rest)
 		if len(row) == 0 {
@@ -248,7 +210,6 @@ func scanRows(body []byte, parts int) rowScan {
 		s.last = row
 		s.n++
 	}
-	s.ranges[len(s.ranges)-1].hi = len(body)
 	return s
 }
 
@@ -273,12 +234,12 @@ func timestamp(row []byte) string {
 	return string(row)
 }
 
-// decodeRows decodes the rows of part, the first of which is row r of the
-// chunk, into cols, stopping at the first bad row.
-func decodeRows(part []byte, r int, cols [][]float64) error {
-	for len(part) > 0 {
+// decodeRows decodes body's rows into cols, stopping at the first bad
+// row.
+func decodeRows(body []byte, cols [][]float64) error {
+	for r := 0; len(body) > 0; {
 		var row []byte
-		row, part = cutRow(part)
+		row, body = cutRow(body)
 		if len(row) == 0 {
 			continue
 		}
@@ -290,30 +251,56 @@ func decodeRows(part []byte, r int, cols [][]float64) error {
 	return nil
 }
 
+// decodeRow stores row r's samples at index r of cols in one walk along
+// the row. The timestamp is read only by the interval checks, so here it
+// is only checked for quotes; each sample is scanned from the comma the
+// last one ended at, and one scanDecimal declines is cut at its own comma
+// and handed to parseSample.
+func decodeRow(line []byte, r int, cols [][]float64) error {
+	i := bytes.IndexByte(line, ',') // the comma ending the last field read
+	if i < 0 || bytes.IndexByte(line[:i], '"') >= 0 {
+		return rowError(line, r, len(cols)+1, nil, nil)
+	}
+	for _, col := range cols {
+		if i == len(line) { // the row has no field left
+			return rowError(line, r, len(cols)+1, nil, nil)
+		}
+		f := line[i+1:]
+		v, n, ok := scanDecimal(f)
+		if !ok {
+			if n = bytes.IndexByte(f, ','); n < 0 {
+				n = len(f)
+			}
+			var err error
+			if v, err = parseSample(f[:n]); err != nil {
+				return rowError(line, r, len(cols)+1, f[:n], err)
+			}
+		}
+		col[r] = v
+		i += 1 + n
+	}
+	if i != len(line) {
+		return rowError(line, r, len(cols)+1, nil, nil)
+	}
+	return nil
+}
+
 var comma = []byte{','}
 
-// decodeRow stores row r's samples at index r of cols. The timestamp is
-// read only by the interval checks, so here it is only checked for quotes.
-func decodeRow(line []byte, r int, cols [][]float64) error {
-	if n := 1 + bytes.Count(line, comma); n != len(cols)+1 {
-		return fmt.Errorf("trace: row %d has %d fields, want %d", r+1, n, len(cols)+1)
+// rowError reports the first fault of row r, which decodeRow stopped at,
+// in the order the row checks run: a field count other than want, then a
+// quoted timestamp, then the sample f, which failed with err.
+func rowError(line []byte, r, want int, f []byte, err error) error {
+	if n := 1 + bytes.Count(line, comma); n != want {
+		return fmt.Errorf("trace: row %d has %d fields, want %d", r+1, n, want)
 	}
-	f, row, _ := bytes.Cut(line, comma)
+	if ts, _, _ := bytes.Cut(line, comma); bytes.IndexByte(ts, '"') >= 0 {
+		f = ts
+	}
 	if bytes.IndexByte(f, '"') >= 0 {
 		return fmt.Errorf("trace: row %d: quoted field %q; data fields are bare numbers", r+1, f)
 	}
-	for _, col := range cols {
-		f, row, _ = bytes.Cut(row, comma)
-		v, err := parseSample(f)
-		if err != nil {
-			if bytes.IndexByte(f, '"') >= 0 {
-				return fmt.Errorf("trace: row %d: quoted field %q; data fields are bare numbers", r+1, f)
-			}
-			return fmt.Errorf("trace: row %d: bad sample %q: %w", r+1, f, err)
-		}
-		col[r] = v
-	}
-	return nil
+	return fmt.Errorf("trace: row %d: bad sample %q: %w", r+1, f, err)
 }
 
 // parseTimestamp parses one elapsed-seconds value, rejecting the

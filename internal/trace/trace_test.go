@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -315,70 +314,6 @@ func TestReadCSVShortRowsAllocateLittle(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32*uint64(len(data)) {
 		t.Errorf("ReadCSV allocated %d bytes rejecting a %d-byte input (%v)", alloc, len(data), err)
-	}
-}
-
-// TestReadCSVRangesAtAnyGOMAXPROCS: a body just above seven times the
-// split minimum decodes in up to GOMAXPROCS row ranges into the same
-// samples at every GOMAXPROCS. With a bad sample in any one range, or in
-// several at once, the error names the lowest bad row.
-func TestReadCSVRangesAtAnyGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	// Rows of one length, so a bad sample written in place moves no
-	// range boundary and row r starts at header + r*rowLen.
-	const header, rowLen = len("t,a,b\n"), len("0000000.000000,1.5,0.25\n")
-	var buf bytes.Buffer
-	buf.WriteString("t,a,b\n")
-	rows := 0
-	for ; buf.Len()-header <= 7*minRangeBytes; rows++ {
-		fmt.Fprintf(&buf, "%014.6f,1.5,%d.25\n", float64(rows)*5, rows%10)
-	}
-	clean := buf.Bytes()
-	// One bad row in the middle of each of the seven ranges.
-	split := scanRows(clean[header:], 7)
-	if len(split.ranges) != 7 {
-		t.Fatalf("body splits into %d ranges, want 7", len(split.ranges))
-	}
-	var bad []int
-	for k, rg := range split.ranges {
-		next := rows
-		if k+1 < len(split.ranges) {
-			next = split.ranges[k+1].row
-		}
-		bad = append(bad, (rg.row+next)/2)
-	}
-	withBad := func(rows ...int) []byte {
-		data := bytes.Clone(clean)
-		for _, r := range rows {
-			copy(data[header+r*rowLen+len("0000000.000000,"):], "1x5")
-		}
-		return data
-	}
-	cases := [][]int{bad, bad[1:], {bad[5], bad[3]}}
-	for _, r := range bad {
-		cases = append(cases, []int{r})
-	}
-	for _, procs := range []int{1, 2, 7} {
-		runtime.GOMAXPROCS(procs)
-		if got := len(scanRows(clean[header:], min(procs, (len(clean)-header)/minRangeBytes)).ranges); got != procs {
-			t.Fatalf("GOMAXPROCS %d: %d ranges", procs, got)
-		}
-		_, series, err := ReadCSV(clean)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
-		}
-		for i := 0; i < rows; i++ {
-			if a, b := series[0].At(i), series[1].At(i); a != 1.5 || b != float64(i%10)+0.25 {
-				t.Fatalf("GOMAXPROCS %d: row %d decoded as %v, %v", procs, i+1, a, b)
-			}
-		}
-		for _, c := range cases {
-			_, _, err := ReadCSV(withBad(c...))
-			want := fmt.Sprintf("trace: row %d: bad sample", slices.Min(c)+1)
-			if err == nil || !strings.HasPrefix(err.Error(), want) {
-				t.Errorf("GOMAXPROCS %d, bad rows %v: err = %v, want %q…", procs, c, err, want)
-			}
-		}
 	}
 }
 

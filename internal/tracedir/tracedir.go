@@ -17,9 +17,11 @@
 // sampling interval, the horizon, and the CSV files (each holding a chunk
 // of VM columns in WriteCSV format). Manifest decoding ignores keys it
 // does not know, so older recordings that also carry "coarse_factor" and
-// "groups" read the same fine series. Chunks are read one at a time into
-// one reused buffer, so memory stays bounded by one chunk's bytes plus
-// the assembled dataset.
+// "groups" read the same fine series. Chunks are fetched one at a time,
+// in file order, and each is decoded on a goroutine of its own while the
+// next is fetched; at most GOMAXPROCS chunks are in flight, and a chunk's
+// buffer serves a later fetch once its decode is done, so memory stays
+// bounded by GOMAXPROCS chunks' bytes plus the assembled dataset.
 package tracedir
 
 import (
@@ -29,8 +31,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -172,9 +177,11 @@ type ChunkFetcher interface {
 	Manifest(ctx context.Context) ([]byte, error)
 	// Chunk fetches one chunk file's raw bytes by its manifest name. It
 	// may read them into buf's storage, growing it as needed, and return
-	// that storage: LoadFrom passes the bytes of its previous chunk back
-	// as buf, so one buffer serves every chunk. The caller only reads
-	// the returned bytes, and only until its next Chunk call.
+	// that storage: LoadFrom passes the bytes of an earlier chunk back as
+	// buf once it has decoded them, so a few buffers serve every chunk.
+	// The caller only reads the returned bytes, and only until it passes
+	// them back as buf. LoadFrom makes every Chunk call from one
+	// goroutine, in file order.
 	Chunk(ctx context.Context, name string, buf []byte) ([]byte, error)
 	// Where describes the named object's location for error text — a
 	// joined filesystem path, a URL.
@@ -347,13 +354,17 @@ func (Source) Load(ctx context.Context, w model.Workload) (*model.Dataset, error
 // LoadFrom loads the recording behind the fetcher. The manifest is
 // fetched and validated, internally and against the workload, before any
 // chunk is read, so a truncated or inconsistent manifest fails before
-// trace bytes move. Then the chunks are read one at a time, each into the
-// previous chunk's buffer, and verified against the manifest's column
-// order, interval and sample count. It is the one read path every
-// recorded backend shares, so the dataset (and every validation error
-// past the transport) is identical whether the bytes came from a local
-// directory or an object store. ctx is passed to every fetch and checked
-// before each chunk.
+// trace bytes move. Then the chunks are fetched in file order on the
+// caller's goroutine, and each is decoded on a goroutine of its own and
+// verified against the manifest's column order, interval and sample
+// count. At most GOMAXPROCS chunks are in flight: a fetch waits for a
+// decode to finish and reads into its buffer. Fetching stops at the
+// first failed fetch or decode, and LoadFrom waits for every decode it
+// started and returns the first error in file order. It is the one read
+// path every recorded backend shares, so the dataset (and every
+// validation error past the transport) is identical whether the bytes
+// came from a local directory or an object store. ctx is passed to every
+// fetch and checked before each.
 func LoadFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dataset, error) {
 	m, err := ReadManifestFrom(ctx, f)
 	if err != nil {
@@ -366,43 +377,81 @@ func LoadFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dat
 	if err != nil {
 		return nil, err
 	}
-	ds := &model.Dataset{Names: m.Names, Fine: make([]*model.Series, 0, len(m.Names))}
-	var buf []byte // the last chunk's bytes, reused for the next
-	for _, entry := range m.Files {
+	chunks := make([][]*model.Series, len(m.Files))
+	errs := make([]error, len(m.Files))
+	// free holds the buffers no decode is reading, one per chunk that may
+	// be in flight; taking one is the wait for a decode to finish.
+	free := make(chan []byte, runtime.GOMAXPROCS(0))
+	for range cap(free) {
+		free <- nil
+	}
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for k, entry := range m.Files {
+		buf := <-free
+		if failed.Load() {
+			break
+		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("tracedir: %w", err)
+			errs[k] = fmt.Errorf("tracedir: %w", err)
+			break
 		}
-		if buf, err = f.Chunk(ctx, entry.File, buf); err != nil {
-			return nil, fmt.Errorf("tracedir: %w", err)
-		}
-		names, series, err := trace.ReadCSV(buf)
+		data, err := f.Chunk(ctx, entry.File, buf)
 		if err != nil {
-			return nil, fmt.Errorf("tracedir: read %s: %w", f.Where(entry.File), err)
+			errs[k] = fmt.Errorf("tracedir: %w", err)
+			break
 		}
-		if len(names) != len(entry.Names) {
-			return nil, fmt.Errorf("tracedir: %s holds %d VMs, manifest lists %d",
-				entry.File, len(names), len(entry.Names))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if chunks[k], errs[k] = readChunk(f, entry, data, iv, m.Samples); errs[k] != nil {
+				failed.Store(true)
+			}
+			free <- data
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		for i, n := range names {
-			if n != entry.Names[i] {
-				return nil, fmt.Errorf("tracedir: %s column %d is %q, manifest lists %q",
-					entry.File, i, n, entry.Names[i])
-			}
-		}
-		for _, s := range series {
-			if s.Interval() != iv {
-				return nil, fmt.Errorf("tracedir: %s sampled at %v, manifest claims %v",
-					entry.File, s.Interval(), iv)
-			}
-			if s.Len() != m.Samples {
-				return nil, fmt.Errorf("tracedir: %s holds %d samples per VM, manifest claims %d",
-					entry.File, s.Len(), m.Samples)
-			}
-			if err := s.Validate(); err != nil {
-				return nil, fmt.Errorf("tracedir: %s: %w", entry.File, err)
-			}
-		}
+	}
+	ds := &model.Dataset{Names: m.Names, Fine: make([]*model.Series, 0, len(m.Names))}
+	for _, series := range chunks {
 		ds.Fine = append(ds.Fine, series...)
 	}
 	return ds, nil
+}
+
+// readChunk decodes one chunk's bytes and verifies them against its
+// manifest entry, the manifest's interval iv and its sample count.
+func readChunk(f ChunkFetcher, entry FileEntry, data []byte, iv time.Duration, samples int) ([]*model.Series, error) {
+	names, series, err := trace.ReadCSV(data)
+	if err != nil {
+		return nil, fmt.Errorf("tracedir: read %s: %w", f.Where(entry.File), err)
+	}
+	if len(names) != len(entry.Names) {
+		return nil, fmt.Errorf("tracedir: %s holds %d VMs, manifest lists %d",
+			entry.File, len(names), len(entry.Names))
+	}
+	for i, n := range names {
+		if n != entry.Names[i] {
+			return nil, fmt.Errorf("tracedir: %s column %d is %q, manifest lists %q",
+				entry.File, i, n, entry.Names[i])
+		}
+	}
+	for _, s := range series {
+		if s.Interval() != iv {
+			return nil, fmt.Errorf("tracedir: %s sampled at %v, manifest claims %v",
+				entry.File, s.Interval(), iv)
+		}
+		if s.Len() != samples {
+			return nil, fmt.Errorf("tracedir: %s holds %d samples per VM, manifest claims %d",
+				entry.File, s.Len(), samples)
+		}
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("tracedir: %s: %w", entry.File, err)
+		}
+	}
+	return series, nil
 }

@@ -1,13 +1,20 @@
 package tracedir
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/datasettest"
 	"repro/pkg/dcsim/model"
 )
 
@@ -242,18 +249,30 @@ func TestWriteRejectsBadDatasets(t *testing.T) {
 	}
 }
 
-// bufFetcher is a DirFetcher that records the buffer each Chunk call is
-// handed and the bytes it returns.
+// bufFetcher is a DirFetcher that records, for each Chunk call, the
+// name asked for, the buffer handed in, the bytes returned and the
+// goroutine that called.
 type bufFetcher struct {
 	DirFetcher
+	names            []string
 	passed, returned [][]byte
+	callers          []string
 }
 
 func (f *bufFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
 	data, err := f.DirFetcher.Chunk(ctx, name, buf)
+	f.names = append(f.names, name)
 	f.passed = append(f.passed, buf)
 	f.returned = append(f.returned, data)
+	f.callers = append(f.callers, goroutine())
 	return data, err
+}
+
+// goroutine returns the calling goroutine's number, from the first line
+// of its stack trace ("goroutine 7 [running]:").
+func goroutine() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
 }
 
 // sameStorage reports whether two non-empty slices start at one address.
@@ -261,39 +280,197 @@ func sameStorage(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
-// TestStreamReusesChunkBuffer: LoadFrom hands each chunk's bytes back as
-// the buffer for the next, and reading chunk k+1 into that storage leaves
-// every name and sample of chunk k's traces unchanged.
+// TestStreamReusesChunkBuffer: LoadFrom fetches every chunk from the
+// goroutine that called it, in file order, and reads each chunk past the
+// first GOMAXPROCS into the buffer of one whose decode has finished, so
+// at most GOMAXPROCS buffers serve every chunk; at GOMAXPROCS 1, chunk 1
+// is read into chunk 0's buffer. Reading into a decoded chunk's storage
+// leaves every name and sample of its traces unchanged.
 func TestStreamReusesChunkBuffer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	dir := t.TempDir()
-	ds := testDataset(6) // two chunks of equal byte size
-	if err := Write(dir, ds, 3); err != nil {
+	ds := testDataset(9) // nine chunks of equal byte size
+	if err := Write(dir, ds, 1); err != nil {
 		t.Fatal(err)
 	}
-	f := &bufFetcher{DirFetcher: DirFetcher{Dir: dir}}
-	got, err := LoadFrom(context.Background(), f, model.Workload{Kind: "trace-dir"})
+	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.passed) != 2 {
-		t.Fatalf("%d Chunk calls, want 2", len(f.passed))
-	}
-	if f.passed[0] != nil {
-		t.Fatalf("first Chunk call handed a %d-byte buffer, want none", len(f.passed[0]))
-	}
-	if !sameStorage(f.passed[1], f.returned[0]) || !sameStorage(f.returned[1], f.returned[0]) {
-		t.Fatal("chunk 1 was not read into chunk 0's buffer")
-	}
-	if len(got.Names) != len(ds.Names) || len(got.Fine) != len(ds.Fine) {
-		t.Fatalf("loaded %d names and %d traces, wrote %d", len(got.Names), len(got.Fine), len(ds.Fine))
-	}
-	for i, s := range got.Fine {
-		if got.Names[i] != ds.Names[i] {
-			t.Errorf("VM %d named %q, want %q", i, got.Names[i], ds.Names[i])
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		f := &bufFetcher{DirFetcher: DirFetcher{Dir: dir}}
+		got, err := LoadFrom(context.Background(), f, model.Workload{Kind: "trace-dir"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j, v := range s.Samples() {
-			if v != ds.Fine[i].At(j) {
-				t.Fatalf("VM %d sample %d is %v after the next chunk loaded, wrote %v", i, j, v, ds.Fine[i].At(j))
+		if d := datasettest.Diff(got, ds); d != "" {
+			t.Fatalf("GOMAXPROCS %d: %s", procs, d)
+		}
+		if len(f.names) != len(m.Files) {
+			t.Fatalf("GOMAXPROCS %d: %d Chunk calls, want %d", procs, len(f.names), len(m.Files))
+		}
+		me := goroutine()
+		for k, entry := range m.Files {
+			if f.names[k] != entry.File || f.callers[k] != me {
+				t.Fatalf("GOMAXPROCS %d: Chunk call %d fetched %s on goroutine %s, want %s on %s",
+					procs, k, f.names[k], f.callers[k], entry.File, me)
+			}
+		}
+		if procs == 1 && (!sameStorage(f.passed[1], f.returned[0]) || !sameStorage(f.returned[1], f.returned[0])) {
+			t.Fatal("GOMAXPROCS 1: chunk 1 was not read into chunk 0's buffer")
+		}
+		var buffers [][]byte // the distinct storages returned
+		for k, buf := range f.passed {
+			if (buf == nil) != (k < procs) {
+				t.Fatalf("GOMAXPROCS %d: Chunk call %d handed a %d-byte buffer", procs, k, len(buf))
+			}
+			if buf != nil && !slices.ContainsFunc(f.returned[:k], func(b []byte) bool { return sameStorage(b, buf) }) {
+				t.Fatalf("GOMAXPROCS %d: Chunk call %d handed a buffer no earlier call returned", procs, k)
+			}
+			if !slices.ContainsFunc(buffers, func(b []byte) bool { return sameStorage(b, f.returned[k]) }) {
+				buffers = append(buffers, f.returned[k])
+			}
+		}
+		if len(buffers) > procs {
+			t.Fatalf("GOMAXPROCS %d: %d buffers served %d chunks", procs, len(buffers), len(m.Files))
+		}
+	}
+}
+
+// corruptRow writes a bad sample into data row r (counted from 1) of a
+// chunk file holding one VM.
+func corruptRow(t *testing.T, path string, r int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	ts, _, _ := strings.Cut(lines[r], ",")
+	lines[r] = ts + ",1x5"
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadFromLowestBadRowAtAnyGOMAXPROCS: chunks decode concurrently,
+// but a clean recording loads the same samples at every GOMAXPROCS, and
+// with bad rows in two chunks the error names the lower chunk and the
+// lowest bad row in it, even where the higher chunk fails sooner.
+func TestLoadFromLowestBadRowAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ds := testDataset(8)
+	clean := t.TempDir()
+	if err := Write(clean, ds, 1); err != nil {
+		t.Fatal(err)
+	}
+	rows := ds.Fine[0].Len()
+	cases := []struct {
+		bad      map[int][]int // chunk → its bad rows, counted from 1
+		chunk, r int           // the chunk and row the error names
+	}{
+		{map[int][]int{2: {rows, rows - 700}, 5: {1}}, 2, rows - 700},
+		{map[int][]int{0: {rows}, 7: {1, 2}}, 0, rows},
+		{map[int][]int{3: {9, 4}, 4: {1}}, 3, 4},
+	}
+	dirs := make([]string, len(cases))
+	for i, c := range cases {
+		dirs[i] = t.TempDir()
+		if err := Write(dirs[i], ds, 1); err != nil {
+			t.Fatal(err)
+		}
+		for chunk, rs := range c.bad {
+			for _, r := range rs {
+				corruptRow(t, filepath.Join(dirs[i], fmt.Sprintf("traces-%03d.csv", chunk)), r)
+			}
+		}
+	}
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		got, err := materialize(model.Workload{Kind: "trace-dir", Path: clean})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if d := datasettest.Diff(got, ds); d != "" {
+			t.Fatalf("GOMAXPROCS %d: %s", procs, d)
+		}
+		for i, c := range cases {
+			_, err := materialize(model.Workload{Kind: "trace-dir", Path: dirs[i]})
+			want := fmt.Sprintf("tracedir: read %s: trace: row %d: bad sample \"1x5\"",
+				filepath.Join(dirs[i], fmt.Sprintf("traces-%03d.csv", c.chunk)), c.r)
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("GOMAXPROCS %d, bad rows %v: err = %v, want %q…", procs, c.bad, err, want)
+			}
+		}
+	}
+}
+
+// failFetcher is a DirFetcher that, at its chunk named at, fails the
+// fetch or cancels the load's context.
+type failFetcher struct {
+	DirFetcher
+	at     string
+	cancel context.CancelFunc // nil: fail the fetch
+}
+
+var errFetch = errors.New("fetch failed")
+
+func (f failFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
+	if name == f.at {
+		if f.cancel == nil {
+			return nil, errFetch
+		}
+		f.cancel()
+	}
+	return f.DirFetcher.Chunk(ctx, name, buf)
+}
+
+// loadGoroutines counts the goroutines that are running a LoadFrom decode.
+func loadGoroutines() int {
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		panic(err)
+	}
+	return strings.Count(b.String(), "tracedir.LoadFrom.func")
+}
+
+// TestLoadFromLeavesNoGoroutine: a load that fails on a fetch, on a
+// decode or on its cancelled context returns the error, and once it has
+// returned no decode it started is still running.
+func TestLoadFromLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	dir := t.TempDir()
+	if err := Write(dir, testDataset(12), 1); err != nil {
+		t.Fatal(err)
+	}
+	bad := t.TempDir()
+	if err := Write(bad, testDataset(12), 1); err != nil {
+		t.Fatal(err)
+	}
+	corruptRow(t, filepath.Join(bad, "traces-005.csv"), 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		f    ChunkFetcher
+		want string
+	}{
+		{"fetch error", context.Background(), failFetcher{DirFetcher{dir}, "traces-006.csv", nil}, "tracedir: fetch failed"},
+		{"decode error", context.Background(), DirFetcher{bad}, "tracedir: read " + filepath.Join(bad, "traces-005.csv") + ": trace: row 3: bad sample"},
+		{"cancelled", ctx, failFetcher{DirFetcher{dir}, "traces-004.csv", cancel}, "tracedir: context canceled"},
+	}
+	for _, c := range cases {
+		_, err := LoadFrom(c.ctx, c.f, model.Workload{Kind: "trace-dir"})
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q…", c.name, err, c.want)
+		}
+		// A decode's goroutine may still be unwinding from its last
+		// deferred call when LoadFrom returns; give it a moment to exit.
+		for deadline := time.Now().Add(5 * time.Second); loadGoroutines() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d decodes still running after LoadFrom returned", c.name, loadGoroutines())
 			}
 		}
 	}
