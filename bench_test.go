@@ -28,6 +28,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/tracedir"
 	"repro/internal/websearch"
 	"repro/pkg/dcsim/model"
 )
@@ -459,14 +460,36 @@ func csvChunk(b *testing.B) (ds *model.Dataset, data []byte, samples int) {
 	return ds, buf.Bytes(), len(ds.Fine) * ds.Fine[0].Len()
 }
 
-// BenchmarkReadCSV measures decoding one trace-dir chunk, the per-chunk
-// cost of every recorded-workload ingest.
+// BenchmarkReadCSV measures decoding one trace-dir chunk on one
+// goroutine, the per-chunk cost of every recorded-workload ingest.
 func BenchmarkReadCSV(b *testing.B) {
 	_, data, samples := csvChunk(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := trace.ReadCSV(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+// BenchmarkLoadTraceDir measures loading a trace-dir recording of 128 VMs
+// over six hours, 16 VMs a chunk as tracegen -dir writes it: eight chunks
+// fetched in file order and decoded up to GOMAXPROCS at a time, the
+// ingest of every recorded-workload run.
+func BenchmarkLoadTraceDir(b *testing.B) {
+	ds := synth.Datacenter(ingestConfig(128))
+	dir := b.TempDir()
+	if err := tracedir.Write(dir, ds, 16); err != nil {
+		b.Fatal(err)
+	}
+	w := model.Workload{Kind: "trace-dir", Path: dir}
+	samples := len(ds.Fine) * ds.Fine[0].Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (tracedir.Source{}).Load(context.Background(), w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,8 +45,8 @@ func parseSample(f []byte) (float64, error) {
 // significant digits (leading zeros on either side of the point do not
 // count) and at most -minExp10 digits after the point, and Eisel–Lemire
 // rounds it. ok is false for every other field, which strconv.ParseFloat
-// then decides, and n is then no field's length. Where ok is true, v has
-// the bits strconv.ParseFloat returns for b[:n].
+// then decides, and n then means nothing. Where ok is true, v has the
+// bits strconv.ParseFloat returns for b[:n].
 func scanDecimal(b []byte) (v float64, n int, ok bool) {
 	i := 0
 	neg := len(b) > 0 && b[0] == '-'
@@ -58,7 +58,10 @@ func scanDecimal(b []byte) (v float64, n int, ok bool) {
 		i++
 	}
 	lead := i
-	i, man := digits(b, i, 0)
+	var man uint64
+	if i < len(b) && b[i]-'0' <= 9 { // most samples are below 1, "0.…"
+		i, man = digits(b, i, 0)
+	}
 	nd, sig, frac := i-start, i-lead, 0
 	if i < len(b) && b[i] == '.' {
 		i++
