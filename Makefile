@@ -82,9 +82,11 @@ race:
 	$(GO) test -race ./...
 
 # race-parallel runs the packages that split work over GOMAXPROCS under the
-# race detector: workload ingest (synthetic refinement, CSV decoding) and
-# the simulator's reference measurements. At one CPU they start no
-# goroutine; four oversubscribes a small runner's split.
+# race detector: workload ingest (synthetic refinement, the recorded-trace
+# chunk pipeline) and the simulator's reference measurements. At one CPU
+# the synthetic and simulator splits start no goroutine, and a recorded
+# load decodes one chunk at a time on a goroutine of its own; four
+# oversubscribes a small runner's split.
 race-parallel:
 	$(GO) test -race -cpu 1,4 ./internal/synth ./internal/trace ./internal/tracedir ./internal/objstore ./internal/sim ./pkg/dcsim
 

@@ -3,7 +3,8 @@
 // HTTP(S) object store instead of a local directory, so a fleet of
 // stateless workers can pull recorded production traces with no shared
 // filesystem. Source.Load reads a recording through tracedir.LoadFrom, the
-// read path the local "trace-dir" kind shares, one chunk at a time.
+// read path the local "trace-dir" kind shares: chunks are fetched one at
+// a time, in file order, and up to GOMAXPROCS of them decode at once.
 //
 // Fetcher implements tracedir.ChunkFetcher over a bucket/prefix base URL:
 // each object is identified with a HEAD request (ETag + size), then read

@@ -61,7 +61,8 @@ func (Source) Check(w model.Workload) error {
 
 // Load implements model.WorkloadSource: the recording read chunk by chunk
 // over HTTP through tracedir.LoadFrom. Besides the dataset, the Go heap
-// holds one chunk's bytes at a time; it is the local LRU chunk cache
+// holds at most GOMAXPROCS chunks' bytes at a time, the chunks being
+// decoded; it is the local LRU chunk cache
 // (OptCacheDir/OptCacheMB) that holds whatever longer-lived copies exist,
 // so the cache budget bounds what a diskless worker keeps on disk.
 func (Source) Load(ctx context.Context, w model.Workload) (*model.Dataset, error) {

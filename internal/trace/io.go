@@ -4,10 +4,13 @@
 // that consolidation policies consume, live in the public contract package
 // pkg/dcsim/model.
 //
-// ReadCSV decodes a plain decimal data field, such as the shortest forms
-// WriteCSV writes, with the Eisel–Lemire algorithm strconv itself runs, and
-// hands every field that path cannot settle to strconv.ParseFloat; either
-// way a sample gets the bits strconv.ParseFloat gives it.
+// ReadCSV decodes one chunk on the caller's goroutine, each data row in
+// one walk along its fields. A plain decimal field, such as the shortest
+// forms WriteCSV writes, is scanned to its comma and converted with the
+// Eisel–Lemire algorithm strconv itself runs; every field that path
+// cannot settle goes to strconv.ParseFloat. Either way a sample gets the
+// bits strconv.ParseFloat gives it. Callers that load many chunks, as
+// internal/tracedir does, decode them concurrently.
 package trace
 
 import (

@@ -355,9 +355,9 @@ func (Source) Load(ctx context.Context, w model.Workload) (*model.Dataset, error
 // fetched and validated, internally and against the workload, before any
 // chunk is read, so a truncated or inconsistent manifest fails before
 // trace bytes move. Then the chunks are fetched in file order on the
-// caller's goroutine, and each is decoded on a goroutine of its own and
-// verified against the manifest's column order, interval and sample
-// count. At most GOMAXPROCS chunks are in flight: a fetch waits for a
+// caller's goroutine, which makes every call to f, and each is decoded
+// on a goroutine of its own and verified against the manifest's column
+// order, interval and sample count. At most GOMAXPROCS chunks are in flight: a fetch waits for a
 // decode to finish and reads into its buffer. Fetching stops at the
 // first failed fetch or decode, and LoadFrom waits for every decode it
 // started and returns the first error in file order. It is the one read
@@ -401,10 +401,11 @@ func LoadFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dat
 			errs[k] = fmt.Errorf("tracedir: %w", err)
 			break
 		}
+		where := f.Where(entry.File)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if chunks[k], errs[k] = readChunk(f, entry, data, iv, m.Samples); errs[k] != nil {
+			if chunks[k], errs[k] = readChunk(data, entry, where, iv, m.Samples); errs[k] != nil {
 				failed.Store(true)
 			}
 			free <- data
@@ -423,12 +424,13 @@ func LoadFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dat
 	return ds, nil
 }
 
-// readChunk decodes one chunk's bytes and verifies them against its
-// manifest entry, the manifest's interval iv and its sample count.
-func readChunk(f ChunkFetcher, entry FileEntry, data []byte, iv time.Duration, samples int) ([]*model.Series, error) {
+// readChunk decodes one chunk's bytes, fetched from where, and verifies
+// them against its manifest entry, the manifest's interval iv and its
+// sample count.
+func readChunk(data []byte, entry FileEntry, where string, iv time.Duration, samples int) ([]*model.Series, error) {
 	names, series, err := trace.ReadCSV(data)
 	if err != nil {
-		return nil, fmt.Errorf("tracedir: read %s: %w", f.Where(entry.File), err)
+		return nil, fmt.Errorf("tracedir: read %s: %w", where, err)
 	}
 	if len(names) != len(entry.Names) {
 		return nil, fmt.Errorf("tracedir: %s holds %d VMs, manifest lists %d",
