@@ -175,6 +175,11 @@ func FuzzScanDecimal(f *testing.F) {
 	f.Add("12345678", "")
 	f.Add("0.1234567890123456", "7,8")
 	f.Add("-00000000.00000000123", ",")
+	// A byte just past '9' among eight digits, where the scan reads eight
+	// bytes as one word, and a byte just before '0'.
+	for _, s := range []string{"1234567:", "0.1234567;89", "12345678?", "0.12345678901234>5", "123/5678"} {
+		f.Add(s, "1")
+	}
 	f.Fuzz(func(t *testing.T, s, tail string) {
 		if strings.Contains(s, ",") {
 			return

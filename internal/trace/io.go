@@ -261,8 +261,11 @@ func decodeRows(body []byte, cols [][]float64) error {
 // and handed to parseSample.
 func decodeRow(line []byte, r int, cols [][]float64) error {
 	i := bytes.IndexByte(line, ',') // the comma ending the last field read
-	if i < 0 || bytes.IndexByte(line[:i], '"') >= 0 {
+	if i < 0 {
 		return rowError(line, r, len(cols)+1, nil, nil)
+	}
+	if ts := line[:i]; bytes.IndexByte(ts, '"') >= 0 {
+		return rowError(line, r, len(cols)+1, ts, nil)
 	}
 	for _, col := range cols {
 		if i == len(line) { // the row has no field left
@@ -291,14 +294,11 @@ func decodeRow(line []byte, r int, cols [][]float64) error {
 var comma = []byte{','}
 
 // rowError reports the first fault of row r, which decodeRow stopped at,
-// in the order the row checks run: a field count other than want, then a
-// quoted timestamp, then the sample f, which failed with err.
+// in the order the row checks run: a field count other than want, then
+// the field f, a quoted timestamp or a sample that failed with err.
 func rowError(line []byte, r, want int, f []byte, err error) error {
 	if n := 1 + bytes.Count(line, comma); n != want {
 		return fmt.Errorf("trace: row %d has %d fields, want %d", r+1, n, want)
-	}
-	if ts, _, _ := bytes.Cut(line, comma); bytes.IndexByte(ts, '"') >= 0 {
-		f = ts
 	}
 	if bytes.IndexByte(f, '"') >= 0 {
 		return fmt.Errorf("trace: row %d: quoted field %q; data fields are bare numbers", r+1, f)

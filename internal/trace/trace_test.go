@@ -287,6 +287,23 @@ func TestReadCSVMixedFieldsMatchStrconv(t *testing.T) {
 	}
 }
 
+// TestReadCSVAppendKeepsNeighbours: a chunk's columns share one array,
+// but appending to one series never writes into the next.
+func TestReadCSVAppendKeepsNeighbours(t *testing.T) {
+	_, series, err := ReadCSV([]byte("t,a,b,c\n0,1,2,3\n5,4,5,6\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, s := range series {
+		s.Append(-1, -1)
+		if j+1 < len(series) {
+			if got := series[j+1].Samples(); got[0] != float64(j+2) || got[1] != float64(j+5) {
+				t.Fatalf("appending to column %d changed column %d to %v", j, j+1, got)
+			}
+		}
+	}
+}
+
 // TestReadCSVShortRowsAllocateLittle: a wide header over as many
 // timestamp-only rows passes the interval checks, but the rows cannot hold
 // the header's fields. ReadCSV must reject it without allocating the

@@ -406,17 +406,19 @@ func TestLoadFromLowestBadRowAtAnyGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// failFetcher is a DirFetcher that, at its chunk named at, fails the
-// fetch or cancels the load's context.
+// failFetcher is a DirFetcher that counts its Chunk calls and, at the
+// chunk named at, fails the fetch or cancels the load's context.
 type failFetcher struct {
 	DirFetcher
 	at     string
 	cancel context.CancelFunc // nil: fail the fetch
+	calls  int
 }
 
 var errFetch = errors.New("fetch failed")
 
-func (f failFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
+func (f *failFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
+	f.calls++
 	if name == f.at {
 		if f.cancel == nil {
 			return nil, errFetch
@@ -436,10 +438,11 @@ func loadGoroutines() int {
 }
 
 // TestLoadFromLeavesNoGoroutine: a load that fails on a fetch, on a
-// decode or on its cancelled context returns the error, and once it has
-// returned no decode it started is still running.
+// decode or on its cancelled context returns the error and fetches no
+// chunk past the failure but those already in flight; once it has
+// returned, no decode it started is still running.
 func TestLoadFromLeavesNoGoroutine(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	dir := t.TempDir()
 	if err := Write(dir, testDataset(12), 1); err != nil {
 		t.Fatal(err)
@@ -449,29 +452,47 @@ func TestLoadFromLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptRow(t, filepath.Join(bad, "traces-005.csv"), 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cases := []struct {
-		name string
-		ctx  context.Context
-		f    ChunkFetcher
-		want string
-	}{
-		{"fetch error", context.Background(), failFetcher{DirFetcher{dir}, "traces-006.csv", nil}, "tracedir: fetch failed"},
-		{"decode error", context.Background(), DirFetcher{bad}, "tracedir: read " + filepath.Join(bad, "traces-005.csv") + ": trace: row 3: bad sample"},
-		{"cancelled", ctx, failFetcher{DirFetcher{dir}, "traces-004.csv", cancel}, "tracedir: context canceled"},
-	}
-	for _, c := range cases {
-		_, err := LoadFrom(c.ctx, c.f, model.Workload{Kind: "trace-dir"})
-		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want %q…", c.name, err, c.want)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		// At one CPU a fetch waits for the last decode, so the bad chunk
+		// is the last fetched. With more, later chunks may be fetched
+		// before its decode has run.
+		decodeMax := 6
+		if procs > 1 {
+			decodeMax = 12
 		}
-		// A decode's goroutine may still be unwinding from its last
-		// deferred call when LoadFrom returns; give it a moment to exit.
-		for deadline := time.Now().Add(5 * time.Second); loadGoroutines() > 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d decodes still running after LoadFrom returned", c.name, loadGoroutines())
+		cases := []struct {
+			name     string
+			ctx      context.Context
+			f        *failFetcher
+			want     string
+			min, max int // Chunk calls
+		}{
+			{"fetch error", context.Background(), &failFetcher{DirFetcher: DirFetcher{dir}, at: "traces-006.csv"},
+				"tracedir: fetch failed", 7, 7},
+			{"decode error", context.Background(), &failFetcher{DirFetcher: DirFetcher{bad}},
+				"tracedir: read " + filepath.Join(bad, "traces-005.csv") + ": trace: row 3: bad sample", 6, decodeMax},
+			{"cancelled", ctx, &failFetcher{DirFetcher: DirFetcher{dir}, at: "traces-004.csv", cancel: cancel},
+				"tracedir: context canceled", 5, 5},
+		}
+		for _, c := range cases {
+			_, err := LoadFrom(c.ctx, c.f, model.Workload{Kind: "trace-dir"})
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Errorf("GOMAXPROCS %d, %s: err = %v, want %q…", procs, c.name, err, c.want)
+			}
+			if c.f.calls < c.min || c.f.calls > c.max {
+				t.Errorf("GOMAXPROCS %d, %s: %d chunks fetched, want %d to %d", procs, c.name, c.f.calls, c.min, c.max)
+			}
+			// A decode's goroutine may still be unwinding from its last
+			// deferred call when LoadFrom returns; give it a moment to exit.
+			for deadline := time.Now().Add(5 * time.Second); loadGoroutines() > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("GOMAXPROCS %d, %s: %d decodes still running after LoadFrom returned",
+						procs, c.name, loadGoroutines())
+				}
 			}
 		}
+		cancel()
 	}
 }
