@@ -107,11 +107,12 @@ func WriteCSV(w io.Writer, names []string, series []*model.Series) error {
 //
 // A data field of the form -?digits[.digits], with at most 19 significant
 // digits and at most 64 after the point, is converted by Eisel–Lemire
-// straight from its bytes in the scan that finds its end. Any other field (a sign "+", an exponent, hex,
-// "Inf" or "NaN", underscores, longer digit strings), and any field
-// Eisel–Lemire declines, as it does some fractions a float64 holds exactly
-// such as 0.5, goes to strconv.ParseFloat. Every sample gets
-// strconv.ParseFloat's bits, and every rejected field its error.
+// straight from its bytes, in the scan that finds its end. Any other
+// field (a sign "+", an exponent, hex, "Inf" or "NaN", underscores,
+// longer digit strings), and any field Eisel–Lemire declines, as it does
+// some fractions a float64 holds exactly such as 0.5, goes to
+// strconv.ParseFloat. Every sample gets strconv.ParseFloat's bits, and
+// every rejected field its error.
 func ReadCSV(data []byte) (names []string, series []*model.Series, err error) {
 	cr := csv.NewReader(bytes.NewReader(data))
 	header, err := cr.Read()
@@ -257,8 +258,8 @@ func decodeRows(body []byte, cols [][]float64) error {
 // decodeRow stores row r's samples at index r of cols in one walk along
 // the row. The timestamp is read only by the interval checks, so here it
 // is only checked for quotes; each sample is scanned from the comma the
-// last one ended at, and one scanDecimal declines is cut at its own comma
-// and handed to parseSample.
+// last one ended at, and a field scanDecimal declines is cut at its own
+// comma and handed to parseSample.
 func decodeRow(line []byte, r int, cols [][]float64) error {
 	i := bytes.IndexByte(line, ',') // the comma ending the last field read
 	if i < 0 {

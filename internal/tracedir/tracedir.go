@@ -357,14 +357,15 @@ func (Source) Load(ctx context.Context, w model.Workload) (*model.Dataset, error
 // trace bytes move. Then the chunks are fetched in file order on the
 // caller's goroutine, which makes every call to f, and each is decoded
 // on a goroutine of its own and verified against the manifest's column
-// order, interval and sample count. At most GOMAXPROCS chunks are in flight: a fetch waits for a
-// decode to finish and reads into its buffer. Fetching stops at the
-// first failed fetch or decode, and LoadFrom waits for every decode it
-// started and returns the first error in file order. It is the one read
-// path every recorded backend shares, so the dataset (and every
-// validation error past the transport) is identical whether the bytes
-// came from a local directory or an object store. ctx is passed to every
-// fetch and checked before each.
+// order, interval and sample count. At most GOMAXPROCS chunks are in
+// flight: a fetch waits for a decode to finish and reads into its
+// buffer, so besides the dataset a load holds at most GOMAXPROCS chunks'
+// bytes. Fetching stops at the first failed fetch or decode, and
+// LoadFrom waits for every decode it started and returns the first error
+// in file order. It is the one read path every recorded backend shares,
+// so the dataset (and every validation error past the transport) is
+// identical whether the bytes came from a local directory or an object
+// store. ctx is passed to every fetch and checked before each.
 func LoadFrom(ctx context.Context, f ChunkFetcher, w model.Workload) (*model.Dataset, error) {
 	m, err := ReadManifestFrom(ctx, f)
 	if err != nil {
