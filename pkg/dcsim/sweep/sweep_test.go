@@ -102,6 +102,60 @@ func TestReplicaSeeds(t *testing.T) {
 	}
 }
 
+// TestApplyAxes pins every scalar axis name: Apply sets exactly the
+// field it names and nothing else, rejects a value of the wrong type, and
+// rejects the names of fields that are not scalars.
+func TestApplyAxes(t *testing.T) {
+	cases := []struct {
+		field string
+		v     any
+		set   func(*dcsim.Scenario)
+		bad   any    // a value of the wrong type
+		want  string // the error bad yields
+	}{
+		{"name", "n", func(sc *dcsim.Scenario) { sc.Name = "n" }, 1.0, "wants a string"},
+		{"server", "s", func(sc *dcsim.Scenario) { sc.Server = "s" }, true, "wants a string"},
+		{"policy", "bfd", func(sc *dcsim.Scenario) { sc.Policy = "bfd" }, 3.0, "wants a string"},
+		{"governor", "eqn4", func(sc *dcsim.Scenario) { sc.Governor = "eqn4" }, 2, "wants a string"},
+		{"predictor", "ewma", func(sc *dcsim.Scenario) { sc.Predictor = "ewma" }, false, "wants a string"},
+		{"max_servers", 9.0, func(sc *dcsim.Scenario) { sc.MaxServers = 9 }, "9", "wants a number"},
+		{"period_samples", 60, func(sc *dcsim.Scenario) { sc.PeriodSamples = 60 }, 60.5, "wants an integer"},
+		{"rescale_every", int64(12), func(sc *dcsim.Scenario) { sc.RescaleEvery = 12 }, true, "wants a number"},
+		{"pctl", 0.95, func(sc *dcsim.Scenario) { sc.Pctl = 0.95 }, "0.95", "wants a number"},
+		{"off_pctl", 1, func(sc *dcsim.Scenario) { sc.OffPctl = 1 }, false, "wants a number"},
+		{"cumulative_matrix", true, func(sc *dcsim.Scenario) { sc.CumulativeMatrix = true }, 1.0, "wants a bool"},
+		{"oracle", true, func(sc *dcsim.Scenario) { sc.Oracle = true }, "true", "wants a bool"},
+		{"kind", "trace-dir", func(sc *dcsim.Scenario) { sc.Workload.Kind = "trace-dir" }, 1.0, "wants a string"},
+		{"workload.kind", "uncorrelated", func(sc *dcsim.Scenario) { sc.Workload.Kind = "uncorrelated" }, true, "wants a string"},
+		{"path", "/p", func(sc *dcsim.Scenario) { sc.Workload.Path = "/p" }, 1.0, "wants a string"},
+		{"workload.path", "/q", func(sc *dcsim.Scenario) { sc.Workload.Path = "/q" }, 1.0, "wants a string"},
+		{"vms", 7.0, func(sc *dcsim.Scenario) { sc.Workload.VMs = 7 }, "7", "wants a number"},
+		{"groups", 3, func(sc *dcsim.Scenario) { sc.Workload.Groups = 3 }, 2.5, "wants an integer"},
+		{"hours", 5.0, func(sc *dcsim.Scenario) { sc.Workload.Hours = 5 }, false, "wants a number"},
+		{"seed", -4.0, func(sc *dcsim.Scenario) { sc.Workload.Seed = -4 }, 1.5, "wants an integer"},
+	}
+	for _, c := range cases {
+		sc, want := tinyBase(), tinyBase()
+		c.set(&want)
+		if err := Apply(&sc, c.field, c.v); err != nil {
+			t.Errorf("Apply(%q, %v): %v", c.field, c.v, err)
+		} else if !reflect.DeepEqual(sc, want) {
+			t.Errorf("Apply(%q, %v) = %+v, want %+v", c.field, c.v, sc, want)
+		}
+		if err := Apply(&sc, c.field, c.bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Apply(%q, %v) = %v, want %q", c.field, c.bad, err, c.want)
+		}
+	}
+	for _, field := range []string{"workload", "params", "options", "workload.options"} {
+		for _, v := range []any{"x", 1.0, true, map[string]any{}} {
+			sc := tinyBase()
+			if err := Apply(&sc, field, v); err == nil || !strings.Contains(err.Error(), "unknown axis field") {
+				t.Errorf("Apply(%q, %v) = %v, want unknown axis field", field, v, err)
+			}
+		}
+	}
+}
+
 func TestApplyRejects(t *testing.T) {
 	sc := tinyBase()
 	cases := []struct {
