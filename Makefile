@@ -67,9 +67,12 @@ test:
 # arithmetic (217706*exp10>>16), and bits.Mul64 takes its portable Go path
 # on 386. pkg/dcsim/experiments holds every evaluation artifact on those
 # fallbacks to the goldens amd64 prints, the Setup-2 tables at full scale
-# among them. arm64 is vetted, not run.
+# among them. pkg/dcsim/sweep range-checks each integer axis value
+# against its field's own width (int is 32 bits there, the seed's int64
+# is not), and internal/stats's P² estimator answers small windows
+# through the same percentile select. arm64 is vetted, not run.
 test-generic:
-	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place ./internal/trace ./internal/tracedir ./pkg/dcsim/experiments
+	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/core ./internal/sim ./internal/synth ./pkg/dcsim ./pkg/dcsim/model ./internal/place ./internal/trace ./internal/tracedir ./pkg/dcsim/experiments ./pkg/dcsim/sweep ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...
 
 # test-nofma runs internal/synth with the standard library's math.Exp on

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -265,11 +266,14 @@ func (g Grid) Runs() (int, error) {
 	return len(cells) * g.Replicas, nil
 }
 
-// Apply sets one scenario field by its grid-axis name. String fields take
-// strings, numeric fields JSON numbers (integral where the field is a
-// count), boolean fields bools; "param:<name>" writes the params map and
-// "workload.opt:<key>" the workload's kind-scoped options map, both
-// copy-on-write so cells sharing a base never alias.
+// Apply sets one scenario field by its grid-axis name: the JSON name of
+// any scalar Scenario field, or of any scalar Workload field alone or
+// after "workload." ("seed", "workload.seed"). String fields take
+// strings, numeric fields JSON numbers (integral, and within the field's
+// width, where the field is an integer), boolean fields bools;
+// "param:<name>" writes the params map and "workload.opt:<key>" the
+// workload's kind-scoped options map, both copy-on-write so cells sharing
+// a base never alias.
 func Apply(sc *dcsim.Scenario, field string, v any) error {
 	if name, ok := strings.CutPrefix(field, "param:"); ok {
 		f, err := wantFloat(field, v)
@@ -293,119 +297,72 @@ func Apply(sc *dcsim.Scenario, field string, v any) error {
 		sc.Workload.SetOption(key, s)
 		return nil
 	}
-	switch field {
-	case "name":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Name = s
-	case "policy":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Policy = s
-	case "governor":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Governor = s
-	case "predictor":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Predictor = s
-	case "server":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Server = s
-	case "workload.kind", "kind":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Kind = s
-	case "workload.path", "path":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Path = s
-	case "vms":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.VMs = n
-	case "groups":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Groups = n
-	case "hours":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Hours = n
-	case "seed":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Seed = int64(n)
-	case "max_servers":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.MaxServers = n
-	case "period_samples":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.PeriodSamples = n
-	case "rescale_every":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.RescaleEvery = n
-	case "pctl":
-		f, err := wantFloat(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Pctl = f
-	case "off_pctl":
-		f, err := wantFloat(field, v)
-		if err != nil {
-			return err
-		}
-		sc.OffPctl = f
-	case "cumulative_matrix":
-		b, err := wantBool(field, v)
-		if err != nil {
-			return err
-		}
-		sc.CumulativeMatrix = b
-	case "oracle":
-		b, err := wantBool(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Oracle = b
-	default:
+	index, ok := axes[field]
+	if !ok {
 		return fmt.Errorf("sweep: unknown axis field %q (scenario fields, param:<name>, or workload.opt:<key>)", field)
 	}
+	fv := reflect.ValueOf(sc).Elem().FieldByIndex(index)
+	switch fv.Kind() {
+	case reflect.String:
+		s, err := wantString(field, v)
+		if err != nil {
+			return err
+		}
+		fv.SetString(s)
+	case reflect.Float64:
+		f, err := wantFloat(field, v)
+		if err != nil {
+			return err
+		}
+		fv.SetFloat(f)
+	case reflect.Bool:
+		b, err := wantBool(field, v)
+		if err != nil {
+			return err
+		}
+		fv.SetBool(b)
+	default: // reflect.Int, reflect.Int64
+		n, err := wantInt(field, v, fv)
+		if err != nil {
+			return err
+		}
+		fv.SetInt(n)
+	}
 	return nil
+}
+
+// axes maps each axis name to the index path of the scalar field it sets
+// in a dcsim.Scenario, read once from the json tags: every string, int,
+// int64, float64 or bool field of the Scenario by its JSON name, and of
+// its Workload by its JSON name alone or after "workload.".
+var axes = func() map[string][]int {
+	m := map[string][]int{}
+	st := reflect.TypeFor[dcsim.Scenario]()
+	for i := range st.NumField() {
+		f := st.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Type == reflect.TypeFor[dcsim.Workload]() {
+			for j := range f.Type.NumField() {
+				if w := f.Type.Field(j); scalar(w.Type) {
+					wname, _, _ := strings.Cut(w.Tag.Get("json"), ",")
+					m[wname] = []int{i, j}
+					m[name+"."+wname] = []int{i, j}
+				}
+			}
+		} else if scalar(f.Type) {
+			m[name] = []int{i}
+		}
+	}
+	return m
+}()
+
+// scalar reports whether an axis can set a field of type t.
+func scalar(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.String, reflect.Int, reflect.Int64, reflect.Float64, reflect.Bool:
+		return true
+	}
+	return false
 }
 
 func wantString(field string, v any) (string, error) {
@@ -428,7 +385,8 @@ func wantFloat(field string, v any) (float64, error) {
 	return 0, fmt.Errorf("sweep: axis %q wants a number, got %v (%T)", field, v, v)
 }
 
-func wantInt(field string, v any) (int, error) {
+// wantInt reads an integral value that fits fv, the field it sets.
+func wantInt(field string, v any, fv reflect.Value) (int64, error) {
 	f, err := wantFloat(field, v)
 	if err != nil {
 		return 0, err
@@ -437,12 +395,12 @@ func wantInt(field string, v any) (int, error) {
 		return 0, fmt.Errorf("sweep: axis %q wants an integer, got %v", field, f)
 	}
 	// NaN failed the test above and ±Inf fails this one. The upper bound
-	// is exclusive because float64(MaxInt) rounds up to -MinInt, which int
-	// cannot hold.
-	if f < math.MinInt || f >= -math.MinInt {
+	// is exclusive because float64(MaxInt64) rounds up to -MinInt64,
+	// which int64 cannot hold; OverflowInt then checks the field's width.
+	if f < math.MinInt64 || f >= -math.MinInt64 || fv.OverflowInt(int64(f)) {
 		return 0, fmt.Errorf("sweep: axis %q value %v is out of range", field, f)
 	}
-	return int(f), nil
+	return int64(f), nil
 }
 
 func wantBool(field string, v any) (bool, error) {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,6 +135,29 @@ func TestApplyAxes(t *testing.T) {
 		{"groups", 3, func(sc *dcsim.Scenario) { sc.Workload.Groups = 3 }, 2.5, "wants an integer"},
 		{"hours", 5.0, func(sc *dcsim.Scenario) { sc.Workload.Hours = 5 }, false, "wants a number"},
 		{"seed", -4.0, func(sc *dcsim.Scenario) { sc.Workload.Seed = -4 }, 1.5, "wants an integer"},
+		{"workload.vms", 8, func(sc *dcsim.Scenario) { sc.Workload.VMs = 8 }, "8", "wants a number"},
+		{"workload.groups", 4.0, func(sc *dcsim.Scenario) { sc.Workload.Groups = 4 }, 4.5, "wants an integer"},
+		{"workload.hours", int64(2), func(sc *dcsim.Scenario) { sc.Workload.Hours = 2 }, true, "wants a number"},
+		{"workload.seed", 9.0, func(sc *dcsim.Scenario) { sc.Workload.Seed = 9 }, "9", "wants a number"},
+	}
+	if len(axes) != len(cases) {
+		t.Errorf("%d axis names, want the %d pinned here", len(axes), len(cases))
+	}
+	// No two fields share an axis name, which would leave one of them
+	// unreachable: the names reach one field per scalar field.
+	scalars, fields := 0, map[string]bool{}
+	for _, st := range []reflect.Type{reflect.TypeFor[dcsim.Scenario](), reflect.TypeFor[dcsim.Workload]()} {
+		for i := range st.NumField() {
+			if scalar(st.Field(i).Type) {
+				scalars++
+			}
+		}
+	}
+	for _, index := range axes {
+		fields[fmt.Sprint(index)] = true
+	}
+	if len(fields) != scalars {
+		t.Errorf("axis names reach %d fields, want all %d scalar fields", len(fields), scalars)
 	}
 	for _, c := range cases {
 		sc, want := tinyBase(), tinyBase()
@@ -153,6 +178,25 @@ func TestApplyAxes(t *testing.T) {
 				t.Errorf("Apply(%q, %v) = %v, want unknown axis field", field, v, err)
 			}
 		}
+	}
+}
+
+// TestApplyIntegerWidth: an integer is range-checked against its own
+// field's width, so the int64 seed axis takes any value ParseScenario
+// accepts into the same field, on every platform, while an int field
+// still rejects what int cannot hold.
+func TestApplyIntegerWidth(t *testing.T) {
+	parsed, err := dcsim.ParseScenario([]byte(`{"workload": {"seed": 3000000000}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyBase()
+	if err := Apply(&sc, "seed", 3e9); err != nil || sc.Workload.Seed != parsed.Workload.Seed {
+		t.Fatalf("Apply(seed, 3e9) = %v, seed %d, want seed %d", err, sc.Workload.Seed, parsed.Workload.Seed)
+	}
+	err = Apply(&sc, "vms", 3e9)
+	if fits := math.MaxInt >= 3e9; fits != (err == nil) || !fits && !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("Apply(vms, 3e9) = %v on a %d-bit int", err, strconv.IntSize)
 	}
 }
 
