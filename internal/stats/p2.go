@@ -1,5 +1,11 @@
 package stats
 
+import (
+	"time"
+
+	"repro/pkg/dcsim/model"
+)
+
 // P2Quantile is the Jain & Chlamtac P² on-line quantile estimator: it tracks
 // an arbitrary quantile of a stream in O(1) space using five markers whose
 // heights are adjusted with a piecewise-parabolic prediction.
@@ -108,11 +114,8 @@ func (p *P2Quantile) linear(i int, d float64) float64 {
 // Value returns the current quantile estimate. Before five observations the
 // estimate falls back to the exact quantile of what has been seen.
 func (p *P2Quantile) Value() float64 {
-	if p.n == 0 {
-		return 0
-	}
 	if p.n < 5 {
-		return QuantilesOf(p.initial[:p.n]).At(p.q)
+		return model.SeriesFromSamples(time.Second, p.initial[:p.n]).Percentile(p.q)
 	}
 	return p.heights[2]
 }

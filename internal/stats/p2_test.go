@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/pkg/dcsim/model"
 )
 
 func TestP2PanicsOnBadQuantile(t *testing.T) {
@@ -56,7 +59,7 @@ func TestP2NinetiethNormal(t *testing.T) {
 		p.Add(v)
 		xs = append(xs, v)
 	}
-	exact := QuantilesOf(xs).At(0.9)
+	exact := model.SeriesFromSamples(time.Second, xs).Percentile(0.9)
 	if math.Abs(p.Value()-exact) > 0.08 {
 		t.Fatalf("P² q90 = %v, exact = %v", p.Value(), exact)
 	}
@@ -74,7 +77,7 @@ func TestP2TracksExactWithinTolerance(t *testing.T) {
 				xs[i] = math.Exp(rng.NormFloat64() * 0.5) // lognormal
 				p.Add(xs[i])
 			}
-			exact := QuantilesOf(xs).At(q)
+			exact := model.SeriesFromSamples(time.Second, xs).Percentile(q)
 			if rel := math.Abs(p.Value()-exact) / exact; rel > 0.05 {
 				t.Errorf("q=%v seed=%d: P²=%v exact=%v rel=%v", q, seed, p.Value(), exact, rel)
 			}

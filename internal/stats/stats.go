@@ -7,10 +7,7 @@
 // cheaper to maintain than windowed Pearson correlation.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Running accumulates count, mean and variance using Welford's algorithm.
 // The zero value is ready to use.
@@ -174,43 +171,4 @@ func FitLinear(xs, ys []float64) Linear {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
 	return Linear{A: a, B: b, R2: r2}
-}
-
-// Quantiles answers many exact quantile queries over one sample window
-// from a single cached sorted copy: build once (O(n log n)), query in
-// O(1), wherever several percentiles of one window are reported together.
-// For p in (0, 1), At agrees bit for bit with model.Series.Percentile, the
-// single-quantile form, which selects instead of sorting.
-type Quantiles struct {
-	sorted []float64
-}
-
-// QuantilesOf sorts a copy of the window. An empty window is allowed; every
-// query on it returns 0.
-func QuantilesOf(xs []float64) Quantiles {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Quantiles{sorted: sorted}
-}
-
-// At returns the p-th quantile (p in [0,1]) of the window, linearly
-// interpolated between the closest ranks.
-func (q Quantiles) At(p float64) float64 {
-	n := len(q.sorted)
-	switch {
-	case n == 0:
-		return 0
-	case p <= 0:
-		return q.sorted[0]
-	case p >= 1:
-		return q.sorted[n-1]
-	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return q.sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return q.sorted[lo]*(1-frac) + q.sorted[hi]*frac
 }

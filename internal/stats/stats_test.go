@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"repro/pkg/dcsim/model"
 )
 
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -206,42 +203,5 @@ func TestFitLinearDegenerate(t *testing.T) {
 	}
 	if got := FitLinear(nil, nil); got != (Linear{}) {
 		t.Fatalf("empty fit = %+v", got)
-	}
-}
-
-func TestQuantileExact(t *testing.T) {
-	qs := QuantilesOf([]float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 0})
-	if got := qs.At(0); got != 0 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := qs.At(1); got != 9 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := qs.At(0.5); !approx(got, 4.5, 1e-12) {
-		t.Fatalf("median = %v, want 4.5", got)
-	}
-	if got := QuantilesOf(nil).At(0.5); got != 0 {
-		t.Fatalf("empty quantile = %v", got)
-	}
-}
-
-// TestQuantilesMatchesQuantile pins the cached-sorted-window form against
-// the single-quantile form, model.Series.Percentile.
-func TestQuantilesMatchesQuantile(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64()
-	}
-	qs := QuantilesOf(xs)
-	s := model.SeriesFromSamples(time.Second, xs)
-	for _, p := range []float64{-1, 0, 0.1, 0.5, 0.9, 0.99, 1, 2} {
-		if got, want := qs.At(p), s.Percentile(p); got != want {
-			t.Fatalf("At(%v) = %v, Series.Percentile = %v", p, got, want)
-		}
-	}
-	var empty Quantiles
-	if empty.At(0.5) != 0 || QuantilesOf(nil).At(0.9) != 0 {
-		t.Fatal("empty Quantiles must answer 0")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/devent"
-	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/pkg/dcsim/model"
 )
@@ -267,20 +266,13 @@ func Run(cfg Config, pl *model.WebSearchPlacement) (*model.WebSearchRun, error) 
 	sim.Run(cfg.Duration + 120)
 
 	for c := 0; c < nClusters; c++ {
-		res.Queries[c] = len(responses[c])
-		if len(responses[c]) == 0 {
-			continue
-		}
-		// One sorted copy serves both tail percentiles (identical
-		// values to per-call Quantile, which would re-sort each time).
-		qs := stats.QuantilesOf(responses[c])
-		res.P90[c] = qs.At(0.9)
-		res.P99[c] = qs.At(0.99)
-		sum := 0.0
-		for _, r := range responses[c] {
-			sum += r
-		}
-		res.Mean[c] = sum / float64(len(responses[c]))
+		// A view of the response times: Percentile and Mean read them in
+		// place, never the interval, and answer 0 for a cluster with none.
+		rt := model.SeriesFromSamples(time.Second, responses[c])
+		res.Queries[c] = rt.Len()
+		res.P90[c] = rt.Percentile(0.9)
+		res.P99[c] = rt.Percentile(0.99)
+		res.Mean[c] = rt.Mean()
 	}
 	return res, nil
 }
