@@ -55,7 +55,7 @@ func (j JointVM) Place(reqs []model.Request, spec model.ServerSpec, maxServers i
 			if reqs[i].Window == nil || reqs[k].Window == nil {
 				continue
 			}
-			joint, err := model.AddSeries(reqs[i].Window, reqs[k].Window)
+			joint, err := model.AggregateSeries(reqs[i].Window, reqs[k].Window)
 			if err != nil {
 				continue
 			}

@@ -267,22 +267,6 @@ func (s *Series) Ref(pctl float64) float64 {
 	return s.Percentile(pctl)
 }
 
-// AddSeries returns a new series that is the element-wise sum of s and t.
-// Both series must have the same interval and length.
-func AddSeries(s, t *Series) (*Series, error) {
-	if s.interval != t.interval {
-		return nil, fmt.Errorf("model: interval mismatch %v vs %v", s.interval, t.interval)
-	}
-	if len(s.samples) != len(t.samples) {
-		return nil, fmt.Errorf("model: length mismatch %d vs %d", len(s.samples), len(t.samples))
-	}
-	out := make([]float64, len(s.samples))
-	for i := range out {
-		out[i] = s.samples[i] + t.samples[i]
-	}
-	return &Series{interval: s.interval, samples: out}, nil
-}
-
 // AggregateSeries returns the element-wise sum of all the given series,
 // which must share interval and length. Aggregating zero series is an error.
 func AggregateSeries(series ...*Series) (*Series, error) {

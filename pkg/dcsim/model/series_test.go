@@ -109,12 +109,12 @@ func TestPercentileMonotone(t *testing.T) {
 func TestAddAndAggregate(t *testing.T) {
 	a := SeriesFromSamples(time.Second, []float64{1, 2})
 	b := SeriesFromSamples(time.Second, []float64{10, 20})
-	sum, err := AddSeries(a, b)
+	sum, err := AggregateSeries(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.At(0) != 11 || sum.At(1) != 22 {
-		t.Fatalf("AddSeries = %v", sum.Samples())
+		t.Fatalf("AggregateSeries(a, b) = %v", sum.Samples())
 	}
 	agg, err := AggregateSeries(a, b, a)
 	if err != nil {
@@ -127,12 +127,12 @@ func TestAddAndAggregate(t *testing.T) {
 		t.Fatal("AggregateSeries() of nothing should error")
 	}
 	c := SeriesFromSamples(2*time.Second, []float64{1, 2})
-	if _, err := AddSeries(a, c); err == nil {
-		t.Fatal("AddSeries with interval mismatch should error")
+	if _, err := AggregateSeries(a, c); err == nil {
+		t.Fatal("AggregateSeries with interval mismatch should error")
 	}
 	d := SeriesFromSamples(time.Second, []float64{1})
-	if _, err := AddSeries(a, d); err == nil {
-		t.Fatal("AddSeries with length mismatch should error")
+	if _, err := AggregateSeries(a, d); err == nil {
+		t.Fatal("AggregateSeries with length mismatch should error")
 	}
 }
 
@@ -200,7 +200,7 @@ func TestAggregateMaxSubadditive(t *testing.T) {
 		}
 		x := SeriesFromSamples(time.Second, sa)
 		y := SeriesFromSamples(time.Second, sb)
-		sum, err := AddSeries(x, y)
+		sum, err := AggregateSeries(x, y)
 		if err != nil {
 			return false
 		}
