@@ -46,7 +46,7 @@ func TestFleetJobSurvivesWorkerDeath(t *testing.T) {
 
 	exec, err := fleet.NewExecutor(reg,
 		fleet.WithInFlight(1), fleet.WithLocalSlots(1),
-		fleet.WithRetry(remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+		fleet.WithRetry(time.Millisecond, 4*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/backoff"
 	"repro/pkg/dcsim"
@@ -57,10 +58,13 @@ func WithInFlight(n int) Option { return func(c *config) { c.inFlight = n } }
 // with ErrNoWorkers.
 func WithLocalSlots(n int) Option { return func(c *config) { c.localSlots = n } }
 
-// WithRetry replaces the default retry policy (50ms base, 2s cap, seed 0)
-// shaping the backoff between a failed dispatch and its re-execution, and
-// capping the wait a busy worker's Retry-After asks for.
-func WithRetry(p remote.RetryPolicy) Option { return func(c *config) { c.retry = backoff.Policy(p) } }
+// WithRetry sets the base and cap of the backoff between a failed
+// dispatch and its re-execution; the cap also bounds the wait a busy
+// worker's Retry-After asks for. A zero keeps the default 50ms base or
+// 2s cap.
+func WithRetry(base, max time.Duration) Option {
+	return func(c *config) { c.retry = backoff.Policy{Base: base, Max: max} }
+}
 
 // NewExecutor builds a fleet executor over the registry. The fleet may be
 // empty at construction: dispatch waits for capacity, and only an

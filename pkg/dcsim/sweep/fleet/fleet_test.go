@@ -50,7 +50,7 @@ func localGolden(t *testing.T, g sweep.Grid) []byte {
 }
 
 // fastRetry keeps churn tests quick without disabling the backoff path.
-var fastRetry = remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}
+var fastRetry = WithRetry(time.Millisecond, 4*time.Millisecond)
 
 // testRegistry builds a registry whose members never expire on their own:
 // churn in these tests is injected, not accidental.
@@ -104,7 +104,7 @@ func TestFleetDeterminism(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		join(t, reg, startWorker(t, nil))
 	}
-	exec, err := NewExecutor(reg, WithInFlight(2), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(2), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestJoinMidSweepAbsorbsRuns(t *testing.T) {
 			}
 		}
 	}
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(1), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestWorkerKilledMidCellStolen(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}))
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(1), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAllWorkersLost(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}))
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(1), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestExpiryStealsFromBlackholedWorker(t *testing.T) {
 	if _, err := reg.Register(RegisterRequest{URL: startWorker(t, nil), IntervalMS: 60_000}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewExecutor(reg, WithInFlight(2), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(2), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestDrainingWorkerGetsNothingNew(t *testing.T) {
 	if _, err := reg.Register(RegisterRequest{URL: drainingURL, Status: StateDraining}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewExecutor(reg, WithInFlight(2), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(2), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestServerSideDrainReroutes(t *testing.T) {
 	t.Cleanup(ts.Close)
 	id := join(t, reg, ts.URL)
 	join(t, reg, startWorker(t, nil))
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithInFlight(1), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestMixedLocalFleetDegrade(t *testing.T) {
 	closedURL := closed.URL
 	closed.Close()
 	join(t, reg, closedURL)
-	exec, err := NewExecutor(reg, WithLocalSlots(2), WithRetry(fastRetry))
+	exec, err := NewExecutor(reg, WithLocalSlots(2), fastRetry)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/pkg/dcsim"
 )
 
@@ -100,29 +99,6 @@ func (e *TransportError) Error() string { return e.Err.Error() }
 
 // Unwrap exposes the underlying failure.
 func (e *TransportError) Unwrap() error { return e.Err }
-
-// RetryPolicy shapes the delay between a failed dispatch and its
-// re-execution: bounded exponential backoff with deterministic jitter, a
-// pure function of (Seed, cell, replica, attempt) — the policy the
-// trace-obj fetcher retries with too.
-type RetryPolicy struct {
-	// Base is the delay scale of the first retry; attempt k scales it by
-	// 2^k. 0 selects 50ms.
-	Base time.Duration
-	// Max caps the backoff however many attempts accumulate, and caps the
-	// wait a busy worker's Retry-After can ask for. 0 selects 2s.
-	Max time.Duration
-	// Seed keys the jitter hash. The zero seed is valid (and the default):
-	// determinism comes from the seed being fixed, not from its value.
-	Seed int64
-}
-
-// Delay returns the backoff before retry number attempt (0-based) of the
-// given cell-replica: half the capped exponential step plus a jittered
-// half, the jitter hashed from (Seed, cell, replica, attempt).
-func (p RetryPolicy) Delay(cell, replica, attempt int) time.Duration {
-	return backoff.Policy(p).Delay(attempt, uint64(cell), uint64(replica))
-}
 
 // Capabilities is a worker's registry listing — the component names its
 // process can resolve, including the workload kinds it can source traces

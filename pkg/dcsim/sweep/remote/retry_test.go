@@ -16,55 +16,6 @@ import (
 	"repro/pkg/dcsim/sweep/remote"
 )
 
-// TestRetryPolicyDeterministicAndBounded: Delay is a pure function of
-// (Seed, cell, replica, attempt), grows exponentially, caps at Max, and
-// distinct cell-replicas spread out instead of retrying in lockstep.
-func TestRetryPolicyDeterministicAndBounded(t *testing.T) {
-	p := remote.RetryPolicy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: 7}
-	for cell := 0; cell < 3; cell++ {
-		for replica := 0; replica < 2; replica++ {
-			for attempt := 0; attempt < 10; attempt++ {
-				d := p.Delay(cell, replica, attempt)
-				if d != p.Delay(cell, replica, attempt) {
-					t.Fatalf("Delay(%d,%d,%d) not deterministic", cell, replica, attempt)
-				}
-				// The capped exponential step for this attempt bounds the
-				// jittered delay from both sides: [step/2, step].
-				step := p.Base << attempt
-				if step > p.Max || step <= 0 {
-					step = p.Max
-				}
-				if d < step/2 || d > step {
-					t.Fatalf("Delay(%d,%d,%d) = %v outside [%v, %v]", cell, replica, attempt, d, step/2, step)
-				}
-			}
-		}
-	}
-	// Jitter separates identical attempts of different runs.
-	if p.Delay(0, 0, 3) == p.Delay(1, 0, 3) && p.Delay(0, 0, 3) == p.Delay(2, 0, 3) {
-		t.Fatal("three distinct cells share one retry delay: jitter is not keyed on the run")
-	}
-	// Reseeding moves at least some delays; a fixed seed reproduces them.
-	q := remote.RetryPolicy{Base: p.Base, Max: p.Max, Seed: 8}
-	same := 0
-	for cell := 0; cell < 8; cell++ {
-		if p.Delay(cell, 0, 2) == q.Delay(cell, 0, 2) {
-			same++
-		}
-	}
-	if same == 8 {
-		t.Fatal("reseeding the policy never moved a delay")
-	}
-	// The zero value is usable and stays within the documented defaults.
-	var zero remote.RetryPolicy
-	if d := zero.Delay(0, 0, 0); d < 25*time.Millisecond || d > 50*time.Millisecond {
-		t.Fatalf("zero-value first delay = %v, want within [25ms, 50ms]", d)
-	}
-	if d := zero.Delay(0, 0, 20); d > 2*time.Second {
-		t.Fatalf("zero-value delay after 20 attempts = %v, exceeds the 2s default cap", d)
-	}
-}
-
 // TestBusyWorkerRetriedNotBuried: a worker answering 503 busy stays in
 // the rotation — the run retries after the backoff instead of the worker
 // being marked dead — and the sweep bytes match the local run. With every
@@ -90,7 +41,7 @@ func TestBusyWorkerRetriedNotBuried(t *testing.T) {
 		})
 	})
 	exec := staticExec(t, urls, fleet.WithInFlight(2),
-		fleet.WithRetry(remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+		fleet.WithRetry(time.Millisecond, 4*time.Millisecond))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("sweep against busy workers: %v", err)
@@ -236,7 +187,7 @@ func TestDrainingWorkerRetiredWithoutDeath(t *testing.T) {
 	healthySrv := httptest.NewServer(&remote.Server{})
 	t.Cleanup(healthySrv.Close)
 	exec := staticExec(t, []string{drainSrv.URL, healthySrv.URL}, fleet.WithInFlight(2),
-		fleet.WithRetry(remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+		fleet.WithRetry(time.Millisecond, 4*time.Millisecond))
 	res, err := remoteRun(t, g, exec)
 	if err != nil {
 		t.Fatalf("sweep with a draining worker: %v", err)
@@ -272,7 +223,7 @@ func TestBusyRetryAfterCapped(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	exec := staticExec(t, urls, fleet.WithRetry(remote.RetryPolicy{Max: 50 * time.Millisecond}))
+	exec := staticExec(t, urls, fleet.WithRetry(0, 50*time.Millisecond))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	res, err := sweep.Run(ctx, g, sweep.Options{Workers: 4, Executor: exec})
