@@ -7,7 +7,8 @@
 // a time, in file order, and up to GOMAXPROCS of them decode at once.
 //
 // Fetcher implements tracedir.ChunkFetcher over a bucket/prefix base URL:
-// each object is identified with a HEAD request (ETag + size), then read
+// each object, the manifest like any chunk, is fetched by its name through
+// Chunk. It is identified with a HEAD request (ETag + size), then read
 // with one GET whose ETag must match the identifying one, so an object
 // replaced between the two fails deterministically instead of returning
 // bytes of an unknown version. Fetched objects land in a bounded,
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/tracedir"
 	"repro/pkg/dcsim/model"
 )
 
@@ -146,13 +146,8 @@ func NewFetcher(base string) *Fetcher {
 	return &Fetcher{Base: strings.TrimRight(base, "/")}
 }
 
-// Manifest implements tracedir.ChunkFetcher.
-func (f *Fetcher) Manifest(ctx context.Context) ([]byte, error) {
-	return f.fetch(ctx, tracedir.ManifestName)
-}
-
 // Chunk implements tracedir.ChunkFetcher. It leaves buf unused: every
-// chunk arrives in a fresh slice, from the response body or the cache.
+// object arrives in a fresh slice, from the response body or the cache.
 func (f *Fetcher) Chunk(ctx context.Context, name string, _ []byte) ([]byte, error) {
 	return f.fetch(ctx, name)
 }

@@ -11,13 +11,18 @@ import (
 	"repro/pkg/dcsim/model"
 )
 
-// memFetcher is an in-memory ChunkFetcher: one manifest, and the same
-// chunk bytes under every file name the manifest lists.
+// memFetcher is an in-memory ChunkFetcher: the manifest under
+// ManifestName, and the same chunk bytes under every other name.
 type memFetcher struct{ manifest, chunk []byte }
 
-func (f memFetcher) Manifest(context.Context) ([]byte, error)              { return f.manifest, nil }
-func (f memFetcher) Chunk(context.Context, string, []byte) ([]byte, error) { return f.chunk, nil }
-func (f memFetcher) Where(name string) string                              { return "mem/" + name }
+func (f memFetcher) Chunk(_ context.Context, name string, _ []byte) ([]byte, error) {
+	if name == ManifestName {
+		return f.manifest, nil
+	}
+	return f.chunk, nil
+}
+
+func (f memFetcher) Where(name string) string { return "mem/" + name }
 
 // FuzzManifest feeds arbitrary manifest and chunk bytes through the
 // recorded-trace read path — ReadManifestFrom, then LoadFrom. No input may

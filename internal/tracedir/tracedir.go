@@ -6,8 +6,9 @@
 // "trace-obj" kind (internal/objstore), which plugs a different transport
 // into the same assembly path.
 //
-// The transport seam is ChunkFetcher: fetch the manifest, fetch a named
-// chunk, and describe where an object lives for error text. Everything
+// The transport seam is ChunkFetcher: fetch a named object, the manifest
+// (by ManifestName) like any chunk, and describe where an object lives for
+// error text. Everything
 // after the bytes arrive — manifest validation, column-order checks,
 // interval and sample-count verification — is ChunkFetcher-independent
 // and runs verbatim for every backend, so a recording read from an object
@@ -160,7 +161,8 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 }
 
 // ChunkFetcher is the transport seam of the recorded-trace stack: how the
-// manifest and the chunk CSVs named by it are brought into memory. The
+// manifest and the chunk CSVs named by it are brought into memory, each
+// by its name (the manifest's is ManifestName). The
 // parse/validate/assemble path above the seam (ReadManifestFrom,
 // LoadFrom) is transport-independent — DirFetcher reads a local
 // directory through the OS, internal/objstore reads an HTTP object
@@ -173,15 +175,14 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 // identity (ETags) must fail deterministically when an object changes
 // between fetches instead of silently mixing versions.
 type ChunkFetcher interface {
-	// Manifest fetches the raw manifest bytes.
-	Manifest(ctx context.Context) ([]byte, error)
-	// Chunk fetches one chunk file's raw bytes by its manifest name. It
-	// may read them into buf's storage, growing it as needed, and return
-	// that storage: LoadFrom passes the bytes of an earlier chunk back as
-	// buf once it has decoded them, so a few buffers serve every chunk.
-	// The caller only reads the returned bytes, and only until it passes
-	// them back as buf. LoadFrom makes every Chunk call from one
-	// goroutine, in file order.
+	// Chunk fetches one object's raw bytes by name: ManifestName, or a
+	// chunk file's manifest name. It may read them into buf's storage,
+	// growing it as needed, and return that storage: LoadFrom passes the
+	// bytes of an earlier chunk back as buf once it has decoded them, so a
+	// few buffers serve every chunk. The caller only reads the returned
+	// bytes, and only until it passes them back as buf. LoadFrom makes
+	// every Chunk call from one goroutine: the manifest first, with a nil
+	// buf, then the chunks in file order.
 	Chunk(ctx context.Context, name string, buf []byte) ([]byte, error)
 	// Where describes the named object's location for error text — a
 	// joined filesystem path, a URL.
@@ -193,11 +194,6 @@ type ChunkFetcher interface {
 type DirFetcher struct {
 	// Dir is the recorded trace directory (holding ManifestName).
 	Dir string
-}
-
-// Manifest implements ChunkFetcher.
-func (f DirFetcher) Manifest(context.Context) ([]byte, error) {
-	return os.ReadFile(filepath.Join(f.Dir, ManifestName))
 }
 
 // Chunk implements ChunkFetcher: the file is read into buf's storage.
@@ -224,7 +220,7 @@ func (f DirFetcher) Where(name string) string { return filepath.Join(f.Dir, name
 // ReadManifestFrom fetches, parses, and validates a recording's manifest
 // through the given fetcher.
 func ReadManifestFrom(ctx context.Context, f ChunkFetcher) (*Manifest, error) {
-	data, err := f.Manifest(ctx)
+	data, err := f.Chunk(ctx, ManifestName, nil)
 	if err != nil {
 		return nil, fmt.Errorf("tracedir: %w", err)
 	}

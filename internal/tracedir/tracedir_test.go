@@ -249,11 +249,13 @@ func TestWriteRejectsBadDatasets(t *testing.T) {
 	}
 }
 
-// bufFetcher is a DirFetcher that records, for each Chunk call, the
+// bufFetcher is a DirFetcher that records, for each chunk fetch, the
 // name asked for, the buffer handed in, the bytes returned and the
-// goroutine that called.
+// goroutine that called. It records the manifest fetch apart: the
+// goroutine, the chunks fetched before it and whether it handed a buffer.
 type bufFetcher struct {
 	DirFetcher
+	manifest         []string
 	names            []string
 	passed, returned [][]byte
 	callers          []string
@@ -261,6 +263,10 @@ type bufFetcher struct {
 
 func (f *bufFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
 	data, err := f.DirFetcher.Chunk(ctx, name, buf)
+	if name == ManifestName {
+		f.manifest = append(f.manifest, fmt.Sprintf("goroutine %s after %d chunks, buffer %t", goroutine(), len(f.names), buf != nil))
+		return data, err
+	}
 	f.names = append(f.names, name)
 	f.passed = append(f.passed, buf)
 	f.returned = append(f.returned, data)
@@ -280,8 +286,9 @@ func sameStorage(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
-// TestStreamReusesChunkBuffer: LoadFrom fetches every chunk from the
-// goroutine that called it, in file order, and reads each chunk past the
+// TestStreamReusesChunkBuffer: LoadFrom fetches the manifest once, into
+// no buffer, then every chunk in file order, all from the goroutine that
+// called it, and reads each chunk past the
 // first GOMAXPROCS into the buffer of one whose decode has finished, so
 // at most GOMAXPROCS buffers serve every chunk; at GOMAXPROCS 1, chunk 1
 // is read into chunk 0's buffer. Reading into a decoded chunk's storage
@@ -311,6 +318,9 @@ func TestStreamReusesChunkBuffer(t *testing.T) {
 			t.Fatalf("GOMAXPROCS %d: %d Chunk calls, want %d", procs, len(f.names), len(m.Files))
 		}
 		me := goroutine()
+		if want := fmt.Sprintf("goroutine %s after 0 chunks, buffer false", me); len(f.manifest) != 1 || f.manifest[0] != want {
+			t.Fatalf("GOMAXPROCS %d: manifest fetches %q, want one, %q", procs, f.manifest, want)
+		}
 		for k, entry := range m.Files {
 			if f.names[k] != entry.File || f.callers[k] != me {
 				t.Fatalf("GOMAXPROCS %d: Chunk call %d fetched %s on goroutine %s, want %s on %s",
@@ -406,8 +416,9 @@ func TestLoadFromLowestBadRowAtAnyGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// failFetcher is a DirFetcher that counts its Chunk calls and, at the
-// chunk named at, fails the fetch or cancels the load's context.
+// failFetcher is a DirFetcher that counts its chunk fetches, the
+// manifest's not among them, and, at the chunk named at, fails the fetch
+// or cancels the load's context.
 type failFetcher struct {
 	DirFetcher
 	at     string
@@ -418,6 +429,9 @@ type failFetcher struct {
 var errFetch = errors.New("fetch failed")
 
 func (f *failFetcher) Chunk(ctx context.Context, name string, buf []byte) ([]byte, error) {
+	if name == ManifestName {
+		return f.DirFetcher.Chunk(ctx, name, buf)
+	}
 	f.calls++
 	if name == f.at {
 		if f.cancel == nil {
