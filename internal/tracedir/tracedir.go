@@ -6,13 +6,13 @@
 // "trace-obj" kind (internal/objstore), which plugs a different transport
 // into the same assembly path.
 //
-// The transport seam is ChunkFetcher: fetch a named object, the manifest
-// (by ManifestName) like any chunk, and describe where an object lives for
-// error text. Everything
-// after the bytes arrive — manifest validation, column-order checks,
-// interval and sample-count verification — is ChunkFetcher-independent
-// and runs verbatim for every backend, so a recording read from an object
-// store reproduces a local directory read bit for bit.
+// The transport seam is ChunkFetcher: fetch an object by name, the
+// manifest (ManifestName) like any chunk, and describe where an object
+// lives for error text. Everything after the bytes arrive — manifest
+// validation, column-order checks, interval and sample-count verification
+// — is ChunkFetcher-independent and runs verbatim for every backend, so a
+// recording read from an object store reproduces a local directory read
+// bit for bit.
 //
 // Layout: one manifest.json naming every VM in canonical order, the
 // sampling interval, the horizon, and the CSV files (each holding a chunk
@@ -162,12 +162,11 @@ func (m *Manifest) CheckWorkload(w model.Workload) error {
 
 // ChunkFetcher is the transport seam of the recorded-trace stack: how the
 // manifest and the chunk CSVs named by it are brought into memory, each
-// by its name (the manifest's is ManifestName). The
-// parse/validate/assemble path above the seam (ReadManifestFrom,
-// LoadFrom) is transport-independent — DirFetcher reads a local
-// directory through the OS, internal/objstore reads an HTTP object
-// store — so every backend reproduces the same dataset from the same
-// recorded bytes.
+// by its name. The parse/validate/assemble path above the seam
+// (ReadManifestFrom, LoadFrom) is transport-independent — DirFetcher
+// reads a local directory through the OS, internal/objstore reads an
+// HTTP object store — so every backend reproduces the same dataset from
+// the same recorded bytes.
 //
 // Implementations return their transport's natural errors (an *os.PathError,
 // an HTTP status error); the shared path wraps them in the package's
