@@ -288,11 +288,11 @@ func sameStorage(a, b []byte) bool {
 
 // TestStreamReusesChunkBuffer: LoadFrom fetches the manifest once, into
 // no buffer, then every chunk in file order, all from the goroutine that
-// called it, and reads each chunk past the
-// first GOMAXPROCS into the buffer of one whose decode has finished, so
-// at most GOMAXPROCS buffers serve every chunk; at GOMAXPROCS 1, chunk 1
-// is read into chunk 0's buffer. Reading into a decoded chunk's storage
-// leaves every name and sample of its traces unchanged.
+// called it, and reads each chunk past the first GOMAXPROCS into the
+// buffer of one whose decode has finished, so at most GOMAXPROCS buffers
+// serve every chunk; at GOMAXPROCS 1, chunk 1 is read into chunk 0's
+// buffer. Reading into a decoded chunk's storage leaves every name and
+// sample of its traces unchanged.
 func TestStreamReusesChunkBuffer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	dir := t.TempDir()
