@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -610,6 +611,30 @@ func TestHealthInfo(t *testing.T) {
 	}
 	if want := remote.LocalCapabilities().Fingerprint(); hi.Capabilities != want {
 		t.Fatalf("capabilities fingerprint = %q, want %q", hi.Capabilities, want)
+	}
+}
+
+// TestWorkerRoutes: an endpoint asked with the wrong method answers 405
+// with an Allow header naming the one it serves, and a path the worker
+// does not serve answers 404.
+func TestWorkerRoutes(t *testing.T) {
+	for _, c := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodPost, "/healthz", http.StatusMethodNotAllowed, http.MethodGet},
+		{http.MethodPost, "/capabilities", http.StatusMethodNotAllowed, http.MethodGet},
+		{http.MethodGet, "/run", http.StatusMethodNotAllowed, http.MethodPost},
+		{http.MethodGet, "/nope", http.StatusNotFound, ""},
+	} {
+		rec := httptest.NewRecorder()
+		(&remote.Server{}).ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		allow := strings.Split(rec.Header().Get("Allow"), ", ")
+		if rec.Code != c.status || (c.allow != "" && !slices.Contains(allow, c.allow)) {
+			t.Errorf("%s %s: status %d, Allow %q; want %d allowing %s",
+				c.method, c.path, rec.Code, rec.Header().Get("Allow"), c.status, c.allow)
+		}
 	}
 }
 
