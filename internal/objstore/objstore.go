@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim/model"
 )
 
@@ -121,19 +122,16 @@ func Stats() model.FetchStats {
 }
 
 // Fetcher is the object-store tracedir.ChunkFetcher: objects live under
-// Base ("<base>/manifest.json", "<base>/traces-000.csv", ...). The zero
-// values of the tuning fields select the package defaults; Cache nil
-// disables caching.
+// Base ("<base>/manifest.json", "<base>/traces-000.csv", ...). Requests go
+// through http.DefaultClient, each attempt bounded by Timeout, and
+// transient failures back off by backoff.Policy's defaults, keyed by the
+// object URL. The zero values of the tuning fields select the package
+// defaults; Cache nil disables caching.
 type Fetcher struct {
 	// Base is the bucket/prefix URL, no trailing slash.
 	Base string
-	// Client issues the requests (nil selects http.DefaultClient; each
-	// attempt is bounded by Timeout regardless of the client's own).
-	Client *http.Client
 	// Cache, when non-nil, holds fetched objects keyed by (URL, ETag).
 	Cache *Cache
-	// Retry shapes the transient-failure backoff, keyed by object URL.
-	Retry backoff.Policy
 	// Attempts bounds tries per HTTP operation (0 = DefaultAttempts).
 	Attempts int
 	// Timeout bounds each individual HTTP attempt (0 = DefaultTimeout).
@@ -155,16 +153,7 @@ func (f *Fetcher) Chunk(ctx context.Context, name string, _ []byte) ([]byte, err
 // Where implements tracedir.ChunkFetcher.
 func (f *Fetcher) Where(name string) string { return f.url(name) }
 
-func (f *Fetcher) url(name string) string {
-	return strings.TrimRight(f.Base, "/") + "/" + name
-}
-
-func (f *Fetcher) client() *http.Client {
-	if f.Client != nil {
-		return f.Client
-	}
-	return http.DefaultClient
-}
+func (f *Fetcher) url(name string) string { return f.Base + "/" + name }
 
 func (f *Fetcher) attempts() int {
 	if f.Attempts > 0 {
@@ -216,7 +205,7 @@ func (f *Fetcher) fetch(ctx context.Context, name string) ([]byte, error) {
 		return nil, err
 	}
 	if res.status != http.StatusOK {
-		return nil, &StatusError{URL: url, Status: res.status, Body: snippet(res.body)}
+		return nil, &StatusError{URL: url, Status: res.status, Body: httpjson.Snippet(res.body)}
 	}
 	if res.etag != etag {
 		return nil, &ChangedError{URL: url, Had: etag, Got: res.etag}
@@ -248,7 +237,7 @@ func (f *Fetcher) do(ctx context.Context, method, url string, check func(*httpRe
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			stats.retries.Add(1)
-			if err := backoff.Sleep(ctx, f.Retry.Delay(attempt-1, backoff.Key(url))); err != nil {
+			if err := backoff.Sleep(ctx, backoff.Policy{}.Delay(attempt-1, backoff.Key(url))); err != nil {
 				return nil, err
 			}
 		}
@@ -261,7 +250,7 @@ func (f *Fetcher) do(ctx context.Context, method, url string, check func(*httpRe
 			continue
 		}
 		if res.status >= http.StatusInternalServerError {
-			lastErr = fmt.Errorf("status %d: %s", res.status, snippet(res.body))
+			lastErr = fmt.Errorf("status %d: %s", res.status, httpjson.Snippet(res.body))
 			continue
 		}
 		if check != nil {
@@ -287,7 +276,7 @@ func (f *Fetcher) attempt(ctx context.Context, method, url string) (*httpResult,
 		return nil, err
 	}
 	req.Header.Set("Accept-Encoding", "identity")
-	resp, err := f.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -321,19 +310,7 @@ func (f *Fetcher) identify(ctx context.Context, url string) (etag string, size i
 		return "", 0, err
 	}
 	if res.status != http.StatusOK {
-		return "", 0, &StatusError{URL: url, Status: res.status, Body: snippet(res.body)}
+		return "", 0, &StatusError{URL: url, Status: res.status, Body: httpjson.Snippet(res.body)}
 	}
 	return res.etag, res.contentLen, nil
-}
-
-// snippet bounds an HTTP body for error messages.
-func snippet(b []byte) string {
-	s := strings.TrimSpace(string(b))
-	if len(s) > 200 {
-		s = s[:200] + "..."
-	}
-	if s == "" {
-		return "(empty body)"
-	}
-	return s
 }

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim/sweep"
 	"repro/pkg/dcsim/sweep/fleet"
 )
@@ -32,9 +32,11 @@ import (
 // GET /fleet — see sweep/fleet.NewHandler), and /metrics gains the
 // dcsim_fleet_* families.
 //
-// Failures use the envelope {"error":{"code":..., "message":...}} with
-// codes bad_request, bad_grid, queue_full, draining, not_found, and
-// no_result.
+// Failures use the envelope {"error":{"code":..., "message":...}} the
+// worker and the fleet endpoints share, with codes bad_request, bad_grid,
+// queue_full, draining, not_found, and no_result. POST /jobs reads at most
+// 8 MiB of grid and rejects unknown fields: a body that does not decode is
+// bad_request.
 type Server struct {
 	m   *Manager
 	mux *http.ServeMux
@@ -67,35 +69,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// maxGridBytes bounds a POST /jobs body; grids are small JSON documents.
-const maxGridBytes = 8 << 20
-
-// errorBody is the JSON failure envelope.
-type errorBody struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	var body errorBody
-	body.Error.Code = code
-	body.Error.Message = msg
-	writeJSON(w, status, body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	// The write goes straight to the peer; a failure leaves nothing
-	// useful to do.
-	_ = enc.Encode(v)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpjson.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -104,14 +79,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxGridBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error())
-		return
-	}
-	g, err := sweep.DecodeGrid(data)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	var g sweep.Grid
+	if err := httpjson.Decode(w, r, &g); err != nil {
+		httpjson.WriteError(w, http.StatusBadRequest, "bad_request", "sweep: parse grid: "+err.Error())
 		return
 	}
 	st, err := s.m.Submit(g)
@@ -119,22 +89,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "queue_full", err.Error())
+		httpjson.WriteError(w, http.StatusServiceUnavailable, "queue_full", err.Error())
 		return
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "draining", err.Error())
+		httpjson.WriteError(w, http.StatusServiceUnavailable, "draining", err.Error())
 		return
 	default:
 		// Grid validation: the submission itself is malformed.
-		writeError(w, http.StatusUnprocessableEntity, "bad_grid", err.Error())
+		httpjson.WriteError(w, http.StatusUnprocessableEntity, "bad_grid", err.Error())
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+st.ID)
-	writeJSON(w, http.StatusAccepted, st)
+	httpjson.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.m.List()})
+	httpjson.WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.m.List()})
 }
 
 // jobResponse is a Status with the sweep result embedded once one exists
@@ -149,33 +119,33 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, err := s.m.Status(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		httpjson.WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	}
 	resp := jobResponse{Status: st}
 	if res, _, err := s.m.Result(id); err == nil {
 		resp.Result = res
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.m.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		httpjson.WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpjson.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	_, data, err := s.m.Result(r.PathValue("id"))
 	switch {
 	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		httpjson.WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusConflict, "no_result", err.Error())
+		httpjson.WriteError(w, http.StatusConflict, "no_result", err.Error())
 		return
 	}
 	// The exact bytes `dcsim sweep` would have written for this grid —
@@ -187,7 +157,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sub, err := s.m.Subscribe(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		httpjson.WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	}
 	defer sub.Close()

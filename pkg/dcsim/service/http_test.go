@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim/sweep"
 	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
@@ -324,10 +325,10 @@ func TestHTTPErrorCases(t *testing.T) {
 	gate := newGateExecutor()
 	m, ts := newTestService(t, Config{QueueCapacity: 1, Concurrency: 1, Executor: gate})
 
-	readErr := func(resp *http.Response) errorBody {
+	readErr := func(resp *http.Response) httpjson.ErrorBody {
 		t.Helper()
 		defer resp.Body.Close()
-		var eb errorBody
+		var eb httpjson.ErrorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func TestHTTPDrainingRejectsSubmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb errorBody
+		var eb httpjson.ErrorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 			t.Fatal(err)
 		}

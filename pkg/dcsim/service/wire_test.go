@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
@@ -80,6 +82,69 @@ func TestFailureRepliesPinned(t *testing.T) {
 			}
 			if env.Error.Code != c.code || env.Error.Message != c.message {
 				t.Fatalf("envelope %+v, want code %q message %q", env.Error, c.code, c.message)
+			}
+		})
+	}
+}
+
+// longBody is a request body of size bytes, made as it is read: prefix,
+// then 'a' to the end, so the JSON string it opens never closes. It counts
+// the bytes read.
+type longBody struct {
+	prefix     string
+	size, read int
+}
+
+func (b *longBody) Read(p []byte) (int, error) {
+	if b.read >= b.size {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.size-b.read)
+	for i := range p[:n] {
+		if j := b.read + i; j < len(b.prefix) {
+			p[i] = b.prefix[j]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	b.read += n
+	return n, nil
+}
+
+// TestRequestBodiesBounded: every endpoint that decodes a request body
+// stops reading at the one bound and answers 400 bad_request with the
+// envelope, however long the body runs.
+func TestRequestBodiesBounded(t *testing.T) {
+	reg := fleet.NewRegistry(fleet.Config{DefaultInterval: time.Minute})
+	defer reg.Close()
+	member, err := reg.Register(fleet.RegisterRequest{URL: "http://w:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Executor: newGateExecutor()})
+	defer m.Close()
+	for _, c := range []struct {
+		name         string
+		h            http.Handler
+		method, path string
+	}{
+		{"worker run", &remote.Server{}, http.MethodPost, "/run"},
+		{"fleet register", fleet.NewHandler(reg), http.MethodPost, "/fleet/register"},
+		{"fleet heartbeat", fleet.NewHandler(reg), http.MethodPut, "/fleet/members/" + member.ID},
+		{"service submit", NewServer(m), http.MethodPost, "/jobs"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := &longBody{prefix: `{"url":"`, size: 32 << 20}
+			rec := httptest.NewRecorder()
+			c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, body))
+			if body.read > httpjson.MaxRequestBytes+1 {
+				t.Errorf("read %d bytes of a %d-byte body, past the %d-byte bound",
+					body.read, body.size, httpjson.MaxRequestBytes)
+			}
+			var env httpjson.ErrorBody
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+				env.Error.Code != "bad_request" {
+				t.Errorf("status %d, body %.200s; want 400 bad_request", rec.Code, rec.Body)
 			}
 		})
 	}

@@ -1,17 +1,14 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/httpjson"
 )
 
 // AgentConfig tells an Agent who it is and where the coordinator lives.
@@ -179,62 +176,18 @@ func (a *Agent) deregister(id string) {
 	a.logf("fleet: deregistered %s", id)
 }
 
-// statusError is a non-2xx coordinator response.
-type statusError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("fleet: coordinator status %d (%s): %s", e.status, e.code, e.msg)
-}
-
 // isUnknownMember reports whether err is the coordinator disowning our
 // member ID.
 func isUnknownMember(err error) bool {
-	var se *statusError
-	return errors.As(err, &se) && se.status == http.StatusNotFound
+	var se *httpjson.StatusError
+	return errors.As(err, &se) && se.Status == http.StatusNotFound
 }
 
 // call performs one JSON request against the coordinator, decoding a 2xx
-// body into out (when non-nil) and a failure envelope into a statusError.
+// body into out (when non-nil).
 func (a *Agent) call(ctx context.Context, method, url string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("fleet: marshal request: %w", err)
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return fmt.Errorf("fleet: build request: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("fleet: %s %s: %w", method, url, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return fmt.Errorf("fleet: %s %s: read response: %w", method, url, err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env fleetError
-		if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
-			return &statusError{status: resp.StatusCode, code: env.Error.Code, msg: env.Error.Message}
-		}
-		return &statusError{status: resp.StatusCode, code: "unexpected", msg: strings.TrimSpace(string(data))}
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("fleet: %s %s: decode response: %w", method, url, err)
-		}
+	if err := httpjson.Call(ctx, a.cfg.Client, method, url, in, out, 1<<20); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	return nil
 }

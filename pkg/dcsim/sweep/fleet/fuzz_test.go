@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/httpjson"
 )
 
 // FuzzFleetHandler feeds arbitrary register and heartbeat bodies to the
@@ -32,7 +34,7 @@ func FuzzFleetHandler(f *testing.F) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
 			if rec.Code < 200 || rec.Code > 299 {
-				var fe fleetError
+				var fe httpjson.ErrorBody
 				if err := json.Unmarshal(rec.Body.Bytes(), &fe); err != nil ||
 					fe.Error.Code == "" || fe.Error.Message == "" {
 					t.Fatalf("%s %s %q: status %d without the error envelope: %s",

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/httpjson"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -223,7 +225,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fe fleetError
+	var fe httpjson.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&fe); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +439,7 @@ func TestRegisterRejectsBadBodies(t *testing.T) {
 	defer reg.Close()
 	ts := httptest.NewServer(NewHandler(reg))
 	defer ts.Close()
-	do := func(method, path, body string) (int, fleetError) {
+	do := func(method, path, body string) (int, httpjson.ErrorBody) {
 		t.Helper()
 		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 		resp, err := http.DefaultClient.Do(req)
@@ -445,7 +447,7 @@ func TestRegisterRejectsBadBodies(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var fe fleetError
+		var fe httpjson.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&fe)
 		return resp.StatusCode, fe
 	}

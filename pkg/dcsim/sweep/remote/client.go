@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/sweep"
 )
@@ -76,7 +77,7 @@ func RunCell(ctx context.Context, client *http.Client, baseURL string, run sweep
 	default:
 		// 5xx, a truncated body, or a non-protocol response: treat the
 		// worker as broken and fail over.
-		return nil, &TransportError{fmt.Errorf("status %d: %s", resp.StatusCode, snippet(data))}
+		return nil, &TransportError{fmt.Errorf("status %d: %s", resp.StatusCode, httpjson.Snippet(data))}
 	}
 }
 
@@ -99,25 +100,15 @@ func parseRetryAfter(v string) time.Duration {
 // or hostile endpoint cannot balloon the sweep driver's memory.
 const maxBodyBytes = 64 << 20
 
-// snippet bounds an HTTP body for error messages.
-func snippet(b []byte) string {
-	s := strings.TrimSpace(string(b))
-	if len(s) > 200 {
-		s = s[:200] + "..."
-	}
-	if s == "" {
-		return "(empty body)"
-	}
-	return s
-}
-
 // FetchHealth retrieves one worker's /healthz payload: liveness plus the
 // in-flight run count and capabilities fingerprint (fields old workers
 // omit; they decode to zero values).
 func FetchHealth(ctx context.Context, client *http.Client, baseURL string) (HealthInfo, error) {
 	var info HealthInfo
-	err := getJSON(ctx, client, baseURL+healthPath, &info)
-	return info, err
+	if err := httpjson.Call(ctx, client, http.MethodGet, baseURL+healthPath, nil, &info, maxBodyBytes); err != nil {
+		return info, fmt.Errorf("remote: %w", err)
+	}
+	return info, nil
 }
 
 // Health checks one worker's liveness endpoint.
@@ -135,8 +126,10 @@ func Health(ctx context.Context, client *http.Client, baseURL string) error {
 // FetchCapabilities retrieves a worker's registry listing.
 func FetchCapabilities(ctx context.Context, client *http.Client, baseURL string) (Capabilities, error) {
 	var caps Capabilities
-	err := getJSON(ctx, client, baseURL+capabilitiesPath, &caps)
-	return caps, err
+	if err := httpjson.Call(ctx, client, http.MethodGet, baseURL+capabilitiesPath, nil, &caps, maxBodyBytes); err != nil {
+		return caps, fmt.Errorf("remote: %w", err)
+	}
+	return caps, nil
 }
 
 // Preflight health-checks every worker URL — concurrently, each under its
@@ -232,26 +225,4 @@ func eachWorker(ctx context.Context, urls []string, check func(ctx context.Conte
 		}
 	}
 	return bad
-}
-
-func getJSON(ctx context.Context, client *http.Client, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return fmt.Errorf("remote: build request: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("remote: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("remote: GET %s: status %d: %s", url, resp.StatusCode, snippet(data))
-	}
-	// The same body bound RunCell applies: an OK status from a confused
-	// endpoint must not stream an unbounded body into the decoder.
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(v); err != nil {
-		return fmt.Errorf("remote: GET %s: decode: %w", url, err)
-	}
-	return nil
 }

@@ -1,12 +1,13 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim"
 	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/sweep"
@@ -17,15 +18,20 @@ import (
 const statusClientClosedRequest = 499
 
 // Server is the HTTP worker: it executes cell-replicas shipped by a
-// fleet.Executor (or any RunCell caller) against this process's registries. The zero value is ready to
-// serve.
+// fleet.Executor (or any RunCell caller) against this process's
+// registries. The zero value is ready to serve.
 //
-// Endpoints:
+// Endpoints, routed by method and path:
 //
 //	GET  /healthz       liveness, {"status":"ok"}
 //	GET  /capabilities  the worker's registry listing (Capabilities)
 //	POST /run           execute one sweep.CellRun, answer {"result": ...}
 //	                    or a typed {"error": {code, message}}
+//
+// The GET endpoints answer HEAD too. Any other method on these paths
+// answers 405 with an Allow header naming the ones served, and any other
+// path 404. /run reads at most 8 MiB of body and rejects unknown fields: a
+// body that does not decode answers 400 bad_request.
 //
 // /run validates the scenario against the worker's own registries before
 // running, so a cell naming an out-of-tree component this process never
@@ -55,6 +61,9 @@ type Server struct {
 	inflight atomic.Int64
 	// draining reports the worker is winding down (its drain window).
 	draining atomic.Bool
+
+	once sync.Once
+	mux  *http.ServeMux
 }
 
 // Inflight is the number of runs executing right now — what a graceful
@@ -79,36 +88,25 @@ func (s *Server) logf(format string, args ...any) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case healthPath:
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		status := StatusOK
-		if s.draining.Load() {
-			status = StatusDraining
-		}
-		writeJSON(w, http.StatusOK, HealthInfo{
-			Status:       status,
-			Inflight:     s.inflight.Load(),
-			Capabilities: LocalCapabilities().Fingerprint(),
+	s.once.Do(func() {
+		s.mux = http.NewServeMux()
+		s.mux.HandleFunc("GET "+healthPath, func(w http.ResponseWriter, r *http.Request) {
+			status := StatusOK
+			if s.draining.Load() {
+				status = StatusDraining
+			}
+			httpjson.WriteJSON(w, http.StatusOK, HealthInfo{
+				Status:       status,
+				Inflight:     s.inflight.Load(),
+				Capabilities: LocalCapabilities().Fingerprint(),
+			})
 		})
-	case capabilitiesPath:
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		writeJSON(w, http.StatusOK, LocalCapabilities())
-	case runPath:
-		if r.Method != http.MethodPost {
-			methodNotAllowed(w, http.MethodPost)
-			return
-		}
-		s.handleRun(w, r)
-	default:
-		http.NotFound(w, r)
-	}
+		s.mux.HandleFunc("GET "+capabilitiesPath, func(w http.ResponseWriter, r *http.Request) {
+			httpjson.WriteJSON(w, http.StatusOK, LocalCapabilities())
+		})
+		s.mux.HandleFunc("POST "+runPath, s.handleRun)
+	})
+	s.mux.ServeHTTP(w, r)
 }
 
 // handleRun decodes one CellRun, validates it against this process's
@@ -129,10 +127,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Add(-1)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var run sweep.CellRun
-	if err := dec.Decode(&run); err != nil {
+	if err := httpjson.Decode(w, r, &run); err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decode cell run: "+err.Error())
 		return
 	}
@@ -157,25 +153,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logf("ran cell %d (%s) replica %d", run.Cell.Index, run.Cell.Name(), run.Replica)
-	writeJSON(w, http.StatusOK, runResponse{Result: res})
+	httpjson.WriteJSON(w, http.StatusOK, runResponse{Result: res})
 }
 
 // writeError sends a typed error envelope and logs it.
 func (s *Server) writeError(w http.ResponseWriter, status int, code Code, msg string) {
 	s.logf("error %s: %s", code, msg)
-	writeJSON(w, status, runResponse{Error: &Error{Code: code, Message: msg}})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	// The write goes straight to the peer; nothing useful is left to do
-	// with a failure, the client sees a truncated body and classifies it.
-	_ = enc.Encode(v)
-}
-
-func methodNotAllowed(w http.ResponseWriter, allow string) {
-	w.Header().Set("Allow", allow)
-	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	httpjson.WriteError(w, status, string(code), msg)
 }
