@@ -27,8 +27,9 @@ const (
 // 404 "unknown_member" — the Agent's cue to re-register — and a body that
 // does not decode (more than 8 MiB, an unknown field), or names a status
 // other than ok/alive/draining or an out-of-range interval, is 400
-// "bad_request". Mount it on the coordinator's listener (`dcsim sweep
-// -fleet` and `dcsim serve -fleet` do).
+// "bad_request". A heartbeat that names no status keeps the member's
+// state. Mount it on the coordinator's listener (`dcsim sweep -fleet` and
+// `dcsim serve -fleet` do).
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+registerPath, func(w http.ResponseWriter, r *http.Request) {

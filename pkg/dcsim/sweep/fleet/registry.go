@@ -164,8 +164,10 @@ func normalizeURL(raw string) (string, error) {
 // maxIntervalMS keeps an interval's watchdog deadline in Duration range.
 const maxIntervalMS = math.MaxInt64 / 2 / int64(time.Millisecond)
 
-// parseStatus parses a worker-reported status: "" or ok/alive is routable,
-// "draining" is not, and anything else is an error.
+// parseStatus parses a worker-reported status: ok/alive is routable,
+// "draining" is not, and anything else but "" is an error. "" is routable
+// at registration; a heartbeat that names no status keeps its member's
+// state.
 func parseStatus(status string) (bool, error) {
 	switch status {
 	case "", StateAlive, "ok":
@@ -260,7 +262,8 @@ func (r *Registry) addLocked(url, fingerprint string, interval time.Duration, dr
 // Heartbeat records one beat from a member: freshness, status, and the
 // worker's self-reported load. An unknown (typically expired) member gets
 // ErrUnknownMember — the cue to re-register; a status other than
-// ok/alive/draining is rejected and changes nothing.
+// ok/alive/draining is rejected and changes nothing, and no status ("")
+// keeps the member's state.
 func (r *Registry) Heartbeat(id string, hb HeartbeatRequest) error {
 	drain, err := parseStatus(hb.Status)
 	if err != nil {
@@ -278,7 +281,7 @@ func (r *Registry) Heartbeat(id string, hb HeartbeatRequest) error {
 	if m.timer != nil {
 		m.timer.Reset(watchdog(m.interval))
 	}
-	if drain != m.draining {
+	if hb.Status != "" && drain != m.draining {
 		m.draining = drain
 		if drain {
 			r.logf("fleet: member %s (%s) draining — no new runs routed to it", m.id, m.url)

@@ -126,25 +126,29 @@ func TestDeregisterAndFailureReport(t *testing.T) {
 }
 
 // TestHeartbeatStatusTransitions: heartbeats move a member between alive
-// and draining.
+// and draining, and a beat that names no status keeps the state it finds.
 func TestHeartbeatStatusTransitions(t *testing.T) {
 	reg := NewRegistry(Config{DefaultInterval: time.Minute})
 	defer reg.Close()
 	r, _ := reg.Register(RegisterRequest{URL: "http://w:1"})
-	if err := reg.Heartbeat(r.ID, HeartbeatRequest{Status: StateDraining}); err != nil {
-		t.Fatal(err)
-	}
-	if ms := reg.Members(); ms[0].State != StateDraining {
-		t.Fatalf("state = %q after draining beat", ms[0].State)
-	}
-	if s := reg.Stats(); s.Draining != 1 || s.Alive != 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if err := reg.Heartbeat(r.ID, HeartbeatRequest{Status: "ok"}); err != nil {
-		t.Fatal(err)
-	}
-	if ms := reg.Members(); ms[0].State != StateAlive {
-		t.Fatalf("state = %q after ok beat", ms[0].State)
+	for _, c := range []struct {
+		status, want string
+	}{
+		{"", StateAlive},
+		{StateDraining, StateDraining},
+		{"", StateDraining},
+		{"ok", StateAlive},
+		{"", StateAlive},
+	} {
+		if err := reg.Heartbeat(r.ID, HeartbeatRequest{Status: c.status}); err != nil {
+			t.Fatal(err)
+		}
+		if ms := reg.Members(); ms[0].State != c.want {
+			t.Fatalf("state = %q after a %q beat, want %q", ms[0].State, c.status, c.want)
+		}
+		if s := reg.Stats(); (s.Draining == 1) != (c.want == StateDraining) || s.Alive+s.Draining != 1 {
+			t.Fatalf("stats = %+v after a %q beat", s, c.status)
+		}
 	}
 }
 
