@@ -32,13 +32,17 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
+	"time"
 
 	"repro/pkg/dcsim"
 )
@@ -202,4 +206,34 @@ func (p prefixOnce) Write(line []byte) (int, error) {
 		return 0, err
 	}
 	return len(line), nil
+}
+
+// serveUntilInterrupt serves h on ln until the listener fails, which is
+// fatal, or SIGINT arrives. On SIGINT it runs drain, when set, while the
+// listener still answers, then shuts the server down, closing it if the
+// shutdown takes more than 2 s. worker, serve and objserve serve through
+// it.
+func serveUntilInterrupt(ln net.Listener, h http.Handler, drain func()) {
+	srv := &http.Server{Handler: h}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, http.ErrServerClosed) {
+			log.Fatal(err)
+		}
+		return
+	case <-ctx.Done():
+	}
+	if drain != nil {
+		drain()
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		log.Printf("shutdown: %v", err)
+		srv.Close()
+	}
 }

@@ -1,15 +1,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 
 	"repro/internal/objstore"
 )
@@ -54,17 +50,5 @@ func objserveMain(args []string) {
 	fmt.Printf("http://%s\n", ln.Addr())
 	log.Printf("objserve: serving %s on http://%s (fail-first=%d)", *dir, ln.Addr(), *failFirst)
 
-	srv := &http.Server{Handler: h}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	case <-ctx.Done():
-		srv.Close()
-	}
+	serveUntilInterrupt(ln, h, nil)
 }

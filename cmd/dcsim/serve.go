@@ -2,13 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"time"
 
 	"repro/pkg/dcsim"
@@ -80,7 +77,6 @@ func serveMain(args []string) {
 	}
 
 	mgr := service.NewManager(cfg)
-	httpSrv := &http.Server{Addr: *listen, Handler: service.NewServer(mgr)}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
@@ -92,20 +88,11 @@ func serveMain(args []string) {
 			ln.Addr().(*net.TCPAddr).Port)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	case <-ctx.Done():
-		// Graceful drain: reject new jobs, cancel the queue, give
-		// running jobs the -drain window, then tear the listener down.
-		// Nothing is persisted — results not fetched by now are gone,
-		// and the log says exactly what was dropped.
+	serveUntilInterrupt(ln, service.NewServer(mgr), func() {
+		// Graceful drain: reject new jobs, cancel the queue, give running
+		// jobs the -drain window. Nothing is persisted — results not
+		// fetched by now are gone, and the log says exactly what was
+		// dropped.
 		counts := map[service.State]int{}
 		for _, st := range mgr.List() {
 			counts[st.State]++
@@ -116,13 +103,8 @@ func serveMain(args []string) {
 		mgr.Drain(drainCtx)
 		cancel()
 		mgr.Close()
-		shutdownCtx, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel2()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			httpSrv.Close()
-		}
-		log.Print("drained, exiting")
-	}
+	})
+	log.Print("drained, exiting")
 }
 
 // jobExecutor is the executor serve runs its jobs on. Over an elastic

@@ -2,14 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -56,7 +52,6 @@ func workerMain(args []string) {
 	if !*quiet {
 		srv.Logf = log.Printf
 	}
-	httpSrv := &http.Server{Addr: *listen, Handler: srv}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -104,20 +99,11 @@ func workerMain(args []string) {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	case <-ctx.Done():
+	serveUntilInterrupt(ln, srv, func() {
 		// Graceful drain: flip to draining first — /healthz reports it, new
 		// /run requests get 503 draining, and the fleet heartbeat carries it
 		// immediately — then give in-flight runs the -drain window while the
-		// listener keeps answering, and only then tear it down.
+		// listener keeps answering.
 		srv.SetDraining(true)
 		if agent != nil {
 			agent.BeatNow()
@@ -127,13 +113,7 @@ func workerMain(args []string) {
 		for srv.Inflight() > 0 && time.Now().Before(deadline) {
 			time.Sleep(25 * time.Millisecond)
 		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "dcsim: worker shutdown: %v\n", err)
-			httpSrv.Close()
-		}
-	}
+	})
 	if agentCancel != nil {
 		// Ending the agent's context deregisters (best effort) on the way
 		// out, so the coordinator drops us now instead of expiring us later.
