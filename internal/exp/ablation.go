@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -23,85 +24,52 @@ func (r *AblationResult) String() string {
 	return r.Title + "\n" + rowTable("config", r.Rows, false)
 }
 
-// proposedBase is the correlation-aware base scenario the single-axis
-// ablation grids mutate.
-func proposedBase(o model.RunOptions) dcsim.Scenario {
+// axisAblation runs a single-axis ablation: one grid over the
+// correlation-aware scenario with the one axis, each cell's row labelled by
+// label and normalized against one BFD run on the same synthesized traces.
+func axisAblation(o model.RunOptions, name, title string, axis sweep.Axis, label func(sweep.CellResult) string) (*AblationResult, error) {
 	sc := baseScenario(o)
+	sc.Policy = "bfd"
+	bfd, err := dcsim.Run(context.Background(), sc)
+	if err != nil {
+		return nil, err
+	}
 	sc.Policy = "corr-aware"
-	return sc
+	res, err := runGrid(o, sweep.Grid{Name: name, Base: sc, Axes: []sweep.Axis{axis}})
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Title: title, Rows: sweepRows(res, bfd.EnergyJ, label)}, nil
 }
 
 // AblationThreshold sweeps the initial correlation threshold THcost (A1) —
 // pure config on the sweep engine since THcost is a scenario param.
 func AblationThreshold(o model.RunOptions) (*AblationResult, error) {
-	bfd, err := baselineBFD(o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runGrid(o, sweep.Grid{
-		Name: "a1-thcost",
-		Base: proposedBase(o),
-		Axes: []sweep.Axis{{Field: "param:thcost", Values: []any{1.0, 1.1, 1.15, 1.25, 1.4}}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{
-		Title: "Ablation A1 — initial threshold THcost (alpha=0.9)",
-		Rows: sweepRows(res, bfd.EnergyJ, func(c sweep.CellResult) string {
-			return fmt.Sprintf("THcost=%.2f", c.Scenario.Params["thcost"])
-		}),
-	}, nil
+	return axisAblation(o, "a1-thcost", "Ablation A1 — initial threshold THcost (alpha=0.9)",
+		sweep.Axis{Field: "param:thcost", Values: []any{1.0, 1.1, 1.15, 1.25, 1.4}},
+		func(c sweep.CellResult) string { return fmt.Sprintf("THcost=%.2f", c.Scenario.Params["thcost"]) })
 }
 
 // AblationReference sweeps the reference percentile û (A2). The matrix and
 // the placement references move together, as in the paper's QoS knob — the
 // façade wires both from Scenario.Pctl.
 func AblationReference(o model.RunOptions) (*AblationResult, error) {
-	bfd, err := baselineBFD(o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runGrid(o, sweep.Grid{
-		Name: "a2-reference",
-		Base: proposedBase(o),
-		Axes: []sweep.Axis{{Field: "pctl", Values: []any{1.0, 0.99, 0.95, 0.90}}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{
-		Title: "Ablation A2 — reference utilization percentile",
-		Rows: sweepRows(res, bfd.EnergyJ, func(c sweep.CellResult) string {
+	return axisAblation(o, "a2-reference", "Ablation A2 — reference utilization percentile",
+		sweep.Axis{Field: "pctl", Values: []any{1.0, 0.99, 0.95, 0.90}},
+		func(c sweep.CellResult) string {
 			if c.Scenario.Pctl >= 1 {
 				return "peak"
 			}
 			return fmt.Sprintf("p%.0f", c.Scenario.Pctl*100)
-		}),
-	}, nil
+		})
 }
 
 // AblationPredictor swaps the per-period workload predictor (A3) by
 // registry name.
 func AblationPredictor(o model.RunOptions) (*AblationResult, error) {
-	bfd, err := baselineBFD(o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runGrid(o, sweep.Grid{
-		Name: "a3-predictor",
-		Base: proposedBase(o),
-		Axes: []sweep.Axis{{Field: "predictor", Values: []any{"last-value", "moving-average", "ewma", "max-of"}}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{
-		Title: "Ablation A3 — workload predictor",
-		Rows: sweepRows(res, bfd.EnergyJ, func(c sweep.CellResult) string {
-			return c.Scenario.Predictor
-		}),
-	}, nil
+	return axisAblation(o, "a3-predictor", "Ablation A3 — workload predictor",
+		sweep.Axis{Field: "predictor", Values: []any{"last-value", "moving-average", "ewma", "max-of"}},
+		func(c sweep.CellResult) string { return c.Scenario.Predictor })
 }
 
 // AblationMetric compares the Eqn-1 cost against windowed Pearson
@@ -182,27 +150,14 @@ func pearsonAffinity(vms []*model.VM) model.PairCostFunc {
 // AblationMatrixWindow compares per-period matrix resets against cumulative
 // monitoring (A6 — the CumulativeMatrix switch in the simulator).
 func AblationMatrixWindow(o model.RunOptions) (*AblationResult, error) {
-	bfd, err := baselineBFD(o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runGrid(o, sweep.Grid{
-		Name: "a6-window",
-		Base: proposedBase(o),
-		Axes: []sweep.Axis{{Field: "cumulative_matrix", Values: []any{false, true}}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{
-		Title: "Ablation A6 — monitoring window",
-		Rows: sweepRows(res, bfd.EnergyJ, func(c sweep.CellResult) string {
+	return axisAblation(o, "a6-window", "Ablation A6 — monitoring window",
+		sweep.Axis{Field: "cumulative_matrix", Values: []any{false, true}},
+		func(c sweep.CellResult) string {
 			if c.Scenario.CumulativeMatrix {
 				return "cumulative"
 			}
 			return "per-period reset"
-		}),
-	}, nil
+		})
 }
 
 // AblationCorrelationStructure runs the proposed policy on traces with no

@@ -105,14 +105,6 @@ func runGrid(o model.RunOptions, g sweep.Grid) (*sweep.Result, error) {
 	return sweep.Run(context.Background(), g, sweep.Options{Workers: workers})
 }
 
-// baselineBFD runs the shared BFD reference the single-axis ablation rows
-// normalize against, on the same synthesized traces the grid cells use.
-func baselineBFD(o model.RunOptions) (*model.Result, error) {
-	sc := baseScenario(o)
-	sc.Policy = "bfd"
-	return dcsim.Run(context.Background(), sc)
-}
-
 // Row is one line of a Setup-2 table: a policy or configuration, its
 // energy normalized to a BFD run on the same traces, its maximum QoS
 // violations over periods and servers, its mean active servers and its VM
