@@ -16,6 +16,8 @@ import (
 // super-VMs are formed the scheme is blind to any further correlation
 // structure: pairs are placed like opaque boxes, and time-varying
 // correlations inside or across super-VMs are never revisited.
+//
+// BFD places the super-VMs, one request each.
 type JointVM struct {
 	// Pctl is the reference percentile for the joint sizing (>= 1 or 0
 	// means peak).
@@ -34,13 +36,6 @@ func (j JointVM) pctl() float64 {
 
 // Place implements model.Policy.
 func (j JointVM) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
-	if maxServers < 1 {
-		return nil, model.ErrNoServers
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-
 	// Pair selection: greedily match the pair with the largest sizing
 	// gain û_i + û_j − û(i+j). Without windows the gain is zero and the
 	// scheme degenerates to BFD on individual references.
@@ -59,7 +54,7 @@ func (j JointVM) Place(reqs []model.Request, spec model.ServerSpec, maxServers i
 			if err != nil {
 				continue
 			}
-			jr := joint.Ref(j.pctl())
+			jr := joint.Percentile(j.pctl())
 			g := reqs[i].Ref + reqs[k].Ref - jr
 			if g > 0 {
 				candidates = append(candidates, pair{i: i, j: k, gain: g, ref: jr})
@@ -68,58 +63,34 @@ func (j JointVM) Place(reqs []model.Request, spec model.ServerSpec, maxServers i
 	}
 	sort.SliceStable(candidates, func(a, b int) bool { return candidates[a].gain > candidates[b].gain })
 
+	// Each super-VM is one request to BFD, in the order they form: the
+	// matched pairs by gain, then the unpaired VMs by index.
 	paired := make([]bool, len(reqs))
-	type superVM struct {
-		members []int
-		ref     float64
-	}
-	var supers []superVM
+	var members [][]int
+	var supers []model.Request
 	for _, c := range candidates {
 		if paired[c.i] || paired[c.j] {
 			continue
 		}
 		paired[c.i], paired[c.j] = true, true
-		supers = append(supers, superVM{members: []int{c.i, c.j}, ref: c.ref})
+		members = append(members, []int{c.i, c.j})
+		supers = append(supers, model.Request{Ref: c.ref})
 	}
 	for i := range reqs {
 		if !paired[i] {
-			supers = append(supers, superVM{members: []int{i}, ref: reqs[i].Ref})
+			members = append(members, []int{i})
+			supers = append(supers, model.Request{Ref: reqs[i].Ref})
 		}
 	}
-
-	// Best-fit decreasing over super-VMs.
-	order := make([]int, len(supers))
-	for i := range order {
-		order[i] = i
+	p, err := BFD{}.Place(supers, spec, maxServers)
+	if err != nil {
+		return nil, err
 	}
-	sort.SliceStable(order, func(a, b int) bool { return supers[order[a]].ref > supers[order[b]].ref })
-
-	cap := spec.Capacity()
 	assign := make([]int, len(reqs))
-	var rem []float64
-	for _, si := range order {
-		s := supers[si]
-		best := -1
-		for srv := range rem {
-			if rem[srv] >= s.ref && (best == -1 || rem[srv] < rem[best]) {
-				best = srv
-			}
-		}
-		switch {
-		case best >= 0:
-			rem[best] -= s.ref
-		case len(rem) < maxServers:
-			rem = append(rem, cap-s.ref)
-			best = len(rem) - 1
-		default:
-			best = forceLeastLoaded(rem, s.ref)
-		}
-		for _, v := range s.members {
-			assign[v] = best
+	for s, vms := range members {
+		for _, v := range vms {
+			assign[v] = p.Assign[s]
 		}
 	}
-	if len(rem) == 0 {
-		rem = append(rem, cap)
-	}
-	return &model.Placement{NumServers: len(rem), Assign: assign}, nil
+	return &model.Placement{NumServers: p.NumServers, Assign: assign}, nil
 }

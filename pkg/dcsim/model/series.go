@@ -108,8 +108,9 @@ func (s *Series) Min() float64 {
 }
 
 // Percentile returns the p-th percentile (p in [0,1]) using linear
-// interpolation between closest ranks. Percentile(1) equals Max().
-// It returns 0 for an empty series.
+// interpolation between closest ranks: Max() for any p >= 1 and Min() for
+// any p <= 0, so it is also the paper's reference utilization û, the peak
+// at p = 1. It returns 0 for an empty series.
 //
 // The result is the interpolation of a fully sorted copy, but the window
 // is read in place and only the two order statistics it needs are found
@@ -256,15 +257,6 @@ func sortSelect(xs []float64, lo, hi int) (vlo, vhi float64) {
 	buf = append(buf, xs...)
 	sort.Float64s(buf)
 	return buf[lo], buf[hi]
-}
-
-// Ref returns the reference utilization û used throughout the paper: the
-// peak when pctl >= 1, otherwise the pctl-th percentile.
-func (s *Series) Ref(pctl float64) float64 {
-	if pctl >= 1 {
-		return s.Max()
-	}
-	return s.Percentile(pctl)
 }
 
 // AggregateSeries returns the element-wise sum of all the given series,

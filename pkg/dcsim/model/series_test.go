@@ -70,22 +70,12 @@ func TestPercentile(t *testing.T) {
 		p    float64
 		want float64
 	}{
-		{0, 1}, {1, 10}, {0.5, 5.5}, {0.9, 9.1}, {0.25, 3.25},
+		{0, 1}, {1, 10}, {1.5, 10}, {0.5, 5.5}, {0.9, 9.1}, {0.25, 3.25},
 	}
 	for _, c := range cases {
 		if got := s.Percentile(c.p); !approx(got, c.want, 1e-9) {
 			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
-	}
-}
-
-func TestRef(t *testing.T) {
-	s := SeriesFromSamples(time.Second, []float64{1, 5, 2, 9, 3})
-	if got := s.Ref(1); got != 9 {
-		t.Fatalf("Ref(1) = %v, want peak 9", got)
-	}
-	if got := s.Ref(0.5); got != s.Percentile(0.5) {
-		t.Fatalf("Ref(0.5) = %v, want %v", got, s.Percentile(0.5))
 	}
 }
 

@@ -25,7 +25,7 @@ func (v *VM) String() string {
 // RefOver returns the reference utilization û of the demand over the sample
 // window [from, to): the peak when pctl >= 1, otherwise the percentile.
 func (v *VM) RefOver(from, to int, pctl float64) float64 {
-	return v.Demand.Slice(from, to).Ref(pctl)
+	return v.Demand.Slice(from, to).Percentile(pctl)
 }
 
 // VMsFromSeries builds a VM slice from parallel name and series slices.
