@@ -17,7 +17,9 @@ import (
 // structure: pairs are placed like opaque boxes, and time-varying
 // correlations inside or across super-VMs are never revisited.
 //
-// BFD places the super-VMs, one request each.
+// Pctl sizes each super-VM at that percentile of its members' summed
+// window instead of at its peak; the "jointvm" policy of pkg/dcsim sets it
+// to the scenario's pctl. BFD places the super-VMs, one request each.
 type JointVM struct {
 	// Pctl is the reference percentile for the joint sizing (>= 1 or 0
 	// means peak).

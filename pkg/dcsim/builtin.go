@@ -174,7 +174,7 @@ func init() {
 		b.NeedOffPeak()
 		return place.PCP{}, nil
 	})
-	RegisterPolicy("jointvm", func(*Build) (model.Policy, error) { return place.JointVM{}, nil })
+	RegisterPolicy("jointvm", func(b *Build) (model.Policy, error) { return place.JointVM{Pctl: b.refPctl()}, nil })
 
 	// Frequency governors. "corr-aware" aliases the paper's Eqn-4 governor,
 	// which rescales from the per-VM references; "worst-case" reads only

@@ -195,6 +195,42 @@ func TestBuiltinsDeclareWhatTheyRead(t *testing.T) {
 	}
 }
 
+// TestJointVMSizesAtTheScenarioPctl: the jointvm policy sizes each
+// super-VM at the scenario's reference percentile, as place.JointVM with
+// that Pctl does in a simulation built by hand, and not at the peak.
+func TestJointVMSizesAtTheScenarioPctl(t *testing.T) {
+	ctx := context.Background()
+	sc := New(WithVMs(16), WithGroups(4), WithHours(6), WithMaxServers(16), WithSeed(5),
+		WithPolicy("jointvm"), WithPctl(0.9)).withDefaults()
+	res, err := Run(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := GenerateTraces(sc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(p model.Policy) string {
+		cfg, err := assemble(ctx, len(ds.Fine), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = p
+		r, err := sim.Run(model.VMsFromSeries(ds.Names, ds.Fine), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", r)
+	}
+	got := fmt.Sprintf("%+v", res)
+	if want := run(place.JointVM{Pctl: 0.9}); got != want {
+		t.Errorf("Run gave\n%s\nJointVM{Pctl: 0.9} gives\n%s", got, want)
+	}
+	if got == run(place.JointVM{}) {
+		t.Error("Run sized the super-VMs at their peaks")
+	}
+}
+
 // TestObserverStreams: a full run must deliver one OnSample per simulated
 // sample and one OnPeriod per period, in order.
 func TestObserverStreams(t *testing.T) {

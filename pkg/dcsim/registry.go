@@ -100,8 +100,9 @@ func (b *Build) Matrix() model.CostSource {
 	return b.matrix
 }
 
-// refPctl is the cost matrix's reference percentile: the scenario's, or
-// exact peaks when it is unset.
+// refPctl is the reference percentile of the cost matrix and of the
+// jointvm policy's joint sizing: the scenario's, or exact peaks when it is
+// unset.
 func (b *Build) refPctl() float64 {
 	if b.Scenario.Pctl == 0 {
 		return 1
