@@ -211,8 +211,7 @@ func (p prefixOnce) Write(line []byte) (int, error) {
 // serveUntilInterrupt serves h on ln until the listener fails, which is
 // fatal, or SIGINT arrives. On SIGINT it runs drain, when set, while the
 // listener still answers, then shuts the server down, closing it if the
-// shutdown takes more than 2 s. worker, serve and objserve serve through
-// it.
+// shutdown takes more than 2 s.
 func serveUntilInterrupt(ln net.Listener, h http.Handler, drain func()) {
 	srv := &http.Server{Handler: h}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

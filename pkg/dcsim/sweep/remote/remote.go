@@ -168,7 +168,8 @@ func LocalCapabilities() Capabilities {
 }
 
 // runResponse is the /run response envelope: exactly one of Result and
-// Error is set.
+// Error is set. A failure is written as httpjson's one envelope, whose
+// code and message Error decodes typed.
 type runResponse struct {
 	Result *dcsim.Result `json:"result,omitempty"`
 	Error  *Error        `json:"error,omitempty"`
