@@ -79,6 +79,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Submit fills the grid's defaults; a body that does not decode reads
+	// as a grid file's decode error does.
 	var g sweep.Grid
 	if err := httpjson.Decode(w, r, &g); err != nil {
 		httpjson.WriteError(w, http.StatusBadRequest, "bad_request", "sweep: parse grid: "+err.Error())
