@@ -236,7 +236,8 @@ func TestDatacenterPanics(t *testing.T) {
 // Every VM draws only from its own seed, so the traces, names and sample
 // bits, are the ones a serial refinement of each VM gives, and the ones
 // pinned before the worker pool and the vector exp, at every GOMAXPROCS,
-// with the kernel and with the Go exp. Workers sharing one rng fail.
+// with the kernel and with the Go exp. Workers sharing one rng fail. The
+// 67-VM population divides evenly by none of the worker counts.
 //
 // The pins hold on amd64 with or without FMA (CI also runs this under
 // GODEBUG=cpu.fma=off) and on 386 (make test-generic), whose math.Exp
@@ -253,9 +254,10 @@ func TestLoadAtAnyGOMAXPROCS(t *testing.T) {
 			2:  "b4669b254b85dde3",
 			5:  "fc94f8db375edbe0",
 			40: "5234c7330943bc75",
+			67: "2a9146ab13eec801",
 		}
 	}
-	for _, vms := range []int{1, 2, 5, 40} {
+	for _, vms := range []int{1, 2, 5, 40, 67} {
 		cfg := DefaultDatacenterConfig()
 		cfg.VMs, cfg.Groups, cfg.Day = vms, 3, 3*time.Hour
 		// Serial reference: each VM's coarse series in index order, each
