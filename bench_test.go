@@ -432,6 +432,7 @@ func BenchmarkPearson(b *testing.B) {
 
 // BenchmarkTraceGeneration measures the Setup-2 synthetic dataset build.
 func BenchmarkTraceGeneration(b *testing.B) {
+	b.ReportAllocs()
 	cfg := synth.DefaultDatacenterConfig()
 	for i := 0; i < b.N; i++ {
 		ds := synth.Datacenter(cfg)
@@ -517,6 +518,7 @@ func BenchmarkWriteCSV(b *testing.B) {
 // workload of 200 VMs over six hours: the ingest every synthetic run pays
 // before its first placement.
 func BenchmarkDatacenterStream(b *testing.B) {
+	b.ReportAllocs()
 	cfg := ingestConfig(200)
 	samples := 0
 	for i := 0; i < b.N; i++ {

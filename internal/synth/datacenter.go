@@ -74,7 +74,7 @@ func newGenerator(cfg DatacenterConfig) *generator {
 	if cfg.FineFactor <= 0 {
 		panic("synth: DatacenterConfig needs positive FineFactor")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newRand(cfg.Seed)
 	nCoarse := int(cfg.Day / cfg.CoarseInterval)
 	if nCoarse < 2 {
 		panic("synth: Day must cover at least two coarse samples")
@@ -147,12 +147,17 @@ func newGenerator(cfg DatacenterConfig) *generator {
 // Load generates the datacenter dataset cfg describes. Every VM's coarse
 // series comes from the generator rng in strict index order on the
 // caller's goroutine, ctx checked before each VM's draw. Then GOMAXPROCS
-// workers, the caller's goroutine one of them, take VMs in turn and
-// refine each from its own seed, ctx checked before each. A trace
-// depends only on its coarse series and its seed, so the traces are the
-// same at every GOMAXPROCS. Load waits for every worker, so no goroutine
-// outlives the call, and a cancelled ctx stops the load with ctx's
-// error.
+// workers, the caller's goroutine one of them, take blocks of consecutive
+// VMs in turn and refine each VM from its own seed, ctx checked before
+// each. A trace depends only on its coarse series and its seed, so the
+// traces are the same at every GOMAXPROCS. Load waits for every worker,
+// so no goroutine outlives the call, and a cancelled ctx stops the load
+// with ctx's error.
+//
+// Each worker draws from one LogNormal, re-seeded for each VM, and cuts
+// the fine series of a block from one array, each capped at its own
+// length so that Series.Append copies instead of writing into the next
+// VM's samples. A series kept alive keeps its whole block alive.
 func Load(ctx context.Context, cfg DatacenterConfig) (*model.Dataset, error) {
 	gen := newGenerator(cfg)
 	ds := &model.Dataset{Names: make([]string, cfg.VMs), Fine: make([]*model.Series, cfg.VMs)}
@@ -165,19 +170,35 @@ func Load(ctx context.Context, cfg DatacenterConfig) (*model.Dataset, error) {
 		}
 		ds.Names[i], coarse[i] = gen.drawCoarse(i)
 	}
+	n := gen.nCoarse * cfg.FineFactor
+	interval := cfg.CoarseInterval / time.Duration(cfg.FineFactor)
+	workers := runtime.GOMAXPROCS(0)
+	block := blockVMs(cfg.VMs, n, workers)
+	blocks := (cfg.VMs + block - 1) / block
 	var next atomic.Int64
 	refine := func() {
+		ln := NewLogNormal(cfg.Sigma, 0) // re-seeded for every VM
 		for {
-			i := int(next.Add(1) - 1)
-			if i >= cfg.VMs || ctx.Err() != nil {
+			first := int(next.Add(1)-1) * block
+			if first >= cfg.VMs {
 				return
 			}
-			ln := NewLogNormal(cfg.Sigma, cfg.Seed+int64(1000+i))
-			ds.Fine[i] = ln.Refine(coarse[i], cfg.FineFactor)
+			vms := min(block, cfg.VMs-first)
+			all := make([]float64, vms*n)
+			for j := range vms {
+				if ctx.Err() != nil {
+					return
+				}
+				i := first + j
+				fine := all[j*n : (j+1)*n : (j+1)*n]
+				ln.rng.Seed(cfg.Seed + int64(1000+i))
+				ln.refine(fine, coarse[i].Samples(), cfg.FineFactor)
+				ds.Fine[i] = model.SeriesFromSamples(interval, fine)
+			}
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), cfg.VMs) - 1 {
+	for range min(workers, blocks) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -190,6 +211,20 @@ func Load(ctx context.Context, cfg DatacenterConfig) (*model.Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
+}
+
+// blockBytes is about how much of the fine samples a worker cuts from one
+// array: a few 8 KiB pages over it round an array up, where each 6 h
+// series of its own (34,560 B, past Go's largest size class) took five.
+const blockBytes = 1 << 20
+
+// blockVMs is how many consecutive VMs of n fine samples each a Load
+// worker claims at once: about blockBytes of samples, and at most
+// vms/(4·workers) VMs, so that every worker claims several blocks and a
+// small population still spreads over the workers. A block holds at
+// least one VM.
+func blockVMs(vms, n, workers int) int {
+	return max(1, min(blockBytes/(8*n), vms/(4*workers)))
 }
 
 // drawCoarse draws VM i's name and coarse series from the generator rng:

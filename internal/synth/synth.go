@@ -35,12 +35,16 @@ type LogNormal struct {
 	rng   *rand.Rand
 }
 
-// NewLogNormal returns a generator with the given shape and seed.
+// NewLogNormal returns a generator with the given shape and seed. It
+// draws from the package's own copy of math/rand's source, seeded without
+// math/rand's chain of divisions, through rand.New, so its draws are
+// rand.New(rand.NewSource(seed))'s. Load keeps one per worker and
+// re-seeds it for each VM, as the Rand's Seed method does.
 func NewLogNormal(sigma float64, seed int64) *LogNormal {
 	if sigma < 0 {
 		panic("synth: negative lognormal sigma")
 	}
-	return &LogNormal{Sigma: sigma, rng: rand.New(rand.NewSource(seed))}
+	return &LogNormal{Sigma: sigma, rng: newRand(seed)}
 }
 
 // Sample draws one value with the given mean. A non-positive mean yields 0.
@@ -69,15 +73,22 @@ func (l *LogNormal) arg(mu float64) float64 {
 // Refine expands a coarse series into a fine-grained one with factor samples
 // per coarse sample, each drawn lognormally around the coarse mean. The
 // location is solved once per coarse sample; the draws are exactly the
-// ones factor calls to Sample would make. Each coarse sample's factor
-// exponents are drawn into the output first and exponentiated there in
-// one pass, four at a time where the CPU has the vector kernel.
+// ones factor calls to Sample would make.
 func (l *LogNormal) Refine(coarse *model.Series, factor int) *model.Series {
 	if factor <= 0 {
 		panic("synth: non-positive refinement factor")
 	}
 	out := make([]float64, coarse.Len()*factor)
-	for i, mean := range coarse.Samples() {
+	l.refine(out, coarse.Samples(), factor)
+	return model.SeriesFromSamples(coarse.Interval()/time.Duration(factor), out)
+}
+
+// refine fills out, len(coarse)·factor samples, with Refine's draws. Each
+// coarse sample's factor exponents are drawn into out first and
+// exponentiated there in one pass, four at a time where the CPU has the
+// vector kernel.
+func (l *LogNormal) refine(out, coarse []float64, factor int) {
+	for i, mean := range coarse {
 		fine := out[i*factor : (i+1)*factor]
 		if mean <= 0 || l.Sigma == 0 {
 			// Degenerate: every fine sample is Sample's constant, and
@@ -94,7 +105,6 @@ func (l *LogNormal) Refine(coarse *model.Series, factor int) *model.Series {
 		}
 		expInPlace(fine)
 	}
-	return model.SeriesFromSamples(coarse.Interval()/time.Duration(factor), out)
 }
 
 // Wave describes a sinusoidal client population, the shape the paper uses to

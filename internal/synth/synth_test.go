@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,7 +238,8 @@ func TestDatacenterPanics(t *testing.T) {
 // bits, are the ones a serial refinement of each VM gives, and the ones
 // pinned before the worker pool and the vector exp, at every GOMAXPROCS,
 // with the kernel and with the Go exp. Workers sharing one rng fail. The
-// 67-VM population divides evenly by none of the worker counts.
+// 67-VM population spans several blocks at every worker count and ends in
+// a partial one.
 //
 // The pins hold on amd64 with or without FMA (CI also runs this under
 // GODEBUG=cpu.fma=off) and on 386 (make test-generic), whose math.Exp
@@ -309,6 +311,62 @@ func TestLoadAtAnyGOMAXPROCS(t *testing.T) {
 			}
 			if !hasKernel {
 				break
+			}
+		}
+	}
+}
+
+// TestLoadAllocatesSamplesOnce: Load allocates each VM's fine samples once,
+// with little over them: no series of its own rounded up to whole pages,
+// and no source per VM. A 6 h series (34,560 B) of its own takes five
+// 8 KiB pages, and a math/rand source is 5,376 B, so a load that makes
+// either per VM allocates well over 2 KiB per VM past its samples.
+func TestLoadAllocatesSamplesOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := DefaultDatacenterConfig()
+	cfg.VMs, cfg.Day = 256, 6*time.Hour
+	samples := uint64(cfg.VMs) * uint64(cfg.Day/cfg.CoarseInterval) * uint64(cfg.FineFactor) * 8
+	const perVM = 2 << 10
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		before := heapAllocs()
+		ds, err := Load(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		over := int64(heapAllocs()-before) - int64(samples)
+		t.Logf("GOMAXPROCS %d: %d B per VM past the samples", procs, over/int64(cfg.VMs))
+		if over > int64(cfg.VMs)*perVM {
+			t.Errorf("GOMAXPROCS %d: Load allocated %d B past its %d B of samples, over %d B per VM",
+				procs, over, samples, perVM)
+		}
+		runtime.KeepAlive(ds)
+	}
+}
+
+// heapAllocs returns the bytes allocated on the heap so far. The GC first
+// flushes every P's cached spans, whose free slots count as allocated
+// until then.
+func heapAllocs() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestLoadSeriesKeepNeighbours: the fine series of a block share one
+// array, so each is capped at its length; appending to one VM's series
+// copies it and leaves the next VM's samples as they were.
+func TestLoadSeriesKeepNeighbours(t *testing.T) {
+	cfg := DefaultDatacenterConfig()
+	cfg.VMs, cfg.Day = 16, 3*time.Hour
+	ds := Datacenter(cfg)
+	for i := range cfg.VMs - 1 {
+		next := ds.Fine[i+1].Clone()
+		ds.Fine[i].Append(-1, -2, -3)
+		for j, v := range ds.Fine[i+1].Samples() {
+			if math.Float64bits(v) != math.Float64bits(next.At(j)) {
+				t.Fatalf("appending to VM %d's series set VM %d's sample %d to %v, was %v", i, i+1, j, v, next.At(j))
 			}
 		}
 	}
