@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,14 +48,32 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, body)
 }
 
-// Decode reads one JSON value from r's body into v, rejecting fields v
-// does not have. It reads at most MaxRequestBytes: a longer body fails
-// with an *http.MaxBytesError, and the server closes the connection once
-// it has replied.
+// Decode reads r's body into v with DecodeStrict. It reads at most
+// MaxRequestBytes: a longer body fails with an *http.MaxBytesError, and
+// the server closes the connection once it has replied.
 func Decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	return DecodeStrict(http.MaxBytesReader(w, r.Body, MaxRequestBytes), v)
+}
+
+// DecodeStrict reads one JSON value from r into v, rejecting fields v does
+// not have and anything but white space after the value: a second value
+// or trailing bytes are an error, not ignored. Scenario and grid files are
+// read through it too.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil || errors.As(err, new(*json.SyntaxError)):
+		return fmt.Errorf("data after the JSON value, which ends at offset %d", end)
+	}
+	return err
 }
 
 // StatusError is a reply outside 2xx: its status, and the code and message

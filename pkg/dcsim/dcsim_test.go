@@ -289,6 +289,20 @@ func TestObserverCancellation(t *testing.T) {
 	}
 }
 
+// TestParseScenarioRejectsTrailingData: a scenario file holds one JSON
+// object. A second value or junk after it is a parse error; white space
+// and a final newline are not.
+func TestParseScenarioRejectsTrailingData(t *testing.T) {
+	for _, in := range []string{`{"policy":"bfd"} {"policy":"pcp"} junk`, `{"policy":"bfd"}}`, `{"policy":"bfd"} 1`} {
+		if _, err := ParseScenario([]byte(in)); err == nil || !strings.HasPrefix(err.Error(), "dcsim: parse scenario: ") {
+			t.Errorf("ParseScenario(%q) = %v, want a parse error", in, err)
+		}
+	}
+	if _, err := ParseScenario([]byte("{\"policy\":\"bfd\"}\n \t\n")); err != nil {
+		t.Errorf("scenario followed by white space: %v", err)
+	}
+}
+
 func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseScenario([]byte(`{"policy": "bfd", "typo_field": 1}`)); err == nil {
 		t.Error("unknown field did not error")

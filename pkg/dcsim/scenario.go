@@ -2,12 +2,12 @@ package dcsim
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim/model"
 )
 
@@ -313,12 +313,11 @@ func checkPercentile(name string, v float64) error {
 }
 
 // ParseScenario decodes a JSON scenario, rejecting unknown fields and
-// filling unset ones with defaults.
+// anything after the scenario's object but white space, and filling unset
+// fields with defaults.
 func ParseScenario(data []byte) (Scenario, error) {
 	var sc Scenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), &sc); err != nil {
 		return Scenario{}, fmt.Errorf("dcsim: parse scenario: %w", err)
 	}
 	sc = sc.withDefaults()

@@ -149,3 +149,51 @@ func TestRequestBodiesBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestRequestBodiesHoldOneValue: every endpoint that decodes a request
+// body reads exactly one JSON value. A second value or junk after it
+// answers 400 bad_request with the envelope, and nothing is queued,
+// registered or run; white space after it is fine.
+func TestRequestBodiesHoldOneValue(t *testing.T) {
+	reg := fleet.NewRegistry(fleet.Config{DefaultInterval: time.Minute})
+	defer reg.Close()
+	member, err := reg.Register(fleet.RegisterRequest{URL: "http://w:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Executor: newGateExecutor()})
+	defer m.Close()
+	grid := string(gridJSON(t, tinyGrid()))
+	for _, c := range []struct {
+		name               string
+		h                  http.Handler
+		method, path, body string
+	}{
+		{"worker run", &remote.Server{}, http.MethodPost, "/run", `{} {}`},
+		{"fleet register", fleet.NewHandler(reg), http.MethodPost, "/fleet/register", `{"url":"http://w:2"} {"url":"http://w:3"}`},
+		{"fleet heartbeat", fleet.NewHandler(reg), http.MethodPut, "/fleet/members/" + member.ID, `{} junk`},
+		{"service submit of two grids", NewServer(m), http.MethodPost, "/jobs", grid + ` {"name":"second grid"}`},
+		{"service submit of a grid and junk", NewServer(m), http.MethodPost, "/jobs", grid + `trailing`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+			var env httpjson.ErrorBody
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+				env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "after the JSON value") {
+				t.Errorf("status %d, body %.200s; want 400 bad_request for the data after the value", rec.Code, rec.Body)
+			}
+		})
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("%d jobs queued from rejected bodies", len(jobs))
+	}
+	if members := reg.Members(); len(members) != 1 {
+		t.Fatalf("%d fleet members after a rejected register, want 1", len(members))
+	}
+	rec := httptest.NewRecorder()
+	NewServer(m).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(grid+"\n \t\n")))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("grid followed by white space: status %d, body %s; want 202", rec.Code, rec.Body)
+	}
+}

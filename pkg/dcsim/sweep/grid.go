@@ -17,13 +17,13 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
 	"strconv"
 	"strings"
 
+	"repro/internal/httpjson"
 	"repro/pkg/dcsim"
 )
 
@@ -442,21 +442,19 @@ func formatValue(v any) string {
 	return fmt.Sprint(v)
 }
 
-// DecodeGrid decodes a JSON grid, rejecting unknown fields, without
-// validating it — for callers that amend the grid (e.g. the sweep
-// command's -workload/-tracedir overrides) before validating themselves.
-// Most callers want ParseGrid.
+// DecodeGrid decodes a JSON grid, rejecting unknown fields and anything
+// after the grid's object but white space, without validating it — for
+// callers that amend the grid (e.g. the sweep command's -workload/-tracedir
+// overrides) before validating themselves. Most callers want ParseGrid.
 func DecodeGrid(data []byte) (Grid, error) {
 	var g Grid
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), &g); err != nil {
 		return Grid{}, fmt.Errorf("sweep: parse grid: %w", err)
 	}
 	return g.withDefaults(), nil
 }
 
-// ParseGrid decodes a JSON grid, rejecting unknown fields, and validates it.
+// ParseGrid decodes a JSON grid as DecodeGrid does and validates it.
 func ParseGrid(data []byte) (Grid, error) {
 	g, err := DecodeGrid(data)
 	if err != nil {

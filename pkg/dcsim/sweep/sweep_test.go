@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -257,6 +258,24 @@ func TestParseGridRejectsUnknownFields(t *testing.T) {
 	_, err := ParseGrid([]byte(`{"base": {}, "axis": []}`))
 	if err == nil || !strings.Contains(err.Error(), "axis") {
 		t.Fatalf("err = %v, want unknown-field rejection", err)
+	}
+}
+
+// TestDecodeGridRejectsTrailingData: a grid file holds one JSON object. A
+// second grid or junk after it is a parse error; white space and a final
+// newline are not.
+func TestDecodeGridRejectsTrailingData(t *testing.T) {
+	grid, err := json.Marshal(tinyGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" trailing", `{"name":"second grid"}`, "\n}"} {
+		if _, err := DecodeGrid(append(grid, tail...)); err == nil || !strings.HasPrefix(err.Error(), "sweep: parse grid: ") {
+			t.Errorf("grid followed by %q: %v, want a parse error", tail, err)
+		}
+	}
+	if _, err := ParseGrid(append(grid, "\n \t\n"...)); err != nil {
+		t.Errorf("grid followed by white space: %v", err)
 	}
 }
 
