@@ -213,9 +213,10 @@ func Load(ctx context.Context, cfg DatacenterConfig) (*model.Dataset, error) {
 	return ds, nil
 }
 
-// blockBytes is about how much of the fine samples a worker cuts from one
-// array: a few 8 KiB pages over it round an array up, where each 6 h
-// series of its own (34,560 B, past Go's largest size class) took five.
+// blockBytes is about how many bytes of fine samples a Load worker cuts
+// from one array. An array past Go's largest size class (32 KiB) is
+// rounded up to whole 8 KiB pages: under 1% of a 1 MiB block, where a 6 h
+// series of its own (34,560 B) took five pages, 40,960 B.
 const blockBytes = 1 << 20
 
 // blockVMs is how many consecutive VMs of n fine samples each a Load

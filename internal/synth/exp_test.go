@@ -95,7 +95,7 @@ func checkExp(t *testing.T, xs []float64) {
 // hasKernel reports whether this host runs the vector kernel at all.
 var hasKernel = useKernel
 
-// expArgs returns n exponents as Refine draws them: around the location of
+// expArgs returns n exponents as refine draws them: around the location of
 // a mean in [0.02, 5] with the default sigma.
 func expArgs(rng *rand.Rand, n int) []float64 {
 	ln := NewLogNormal(DefaultDatacenterConfig().Sigma, rng.Int63())

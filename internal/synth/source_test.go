@@ -64,8 +64,8 @@ func matchMathRand(t *testing.T, src *source, seed int64, n int) {
 }
 
 // TestSourceMatchesMathRand: the owned source draws math/rand's streams
-// bit for bit, seed after seed on one re-seeded source, as a Load worker
-// uses it, and a fresh source agrees with a used one.
+// bit for bit, seed after seed on one source re-seeded after use, as a
+// Load worker uses it, and freshly made.
 func TestSourceMatchesMathRand(t *testing.T) {
 	used := new(source)
 	for _, seed := range sourceSeeds() {

@@ -7,11 +7,16 @@
 // bit-identically. Load makes the datacenter workload: it draws every
 // VM's coarse series in index order, then GOMAXPROCS workers refine the
 // VMs, each from its own seed, so its traces are the same at every
-// GOMAXPROCS; Datacenter is Load without a context. Refinement
-// exponentiates with the package's own exp, the FMA path of Go's amd64
-// math.Exp, run four values at a time in AVX2 where the CPU has it and in
-// Go elsewhere, so a seed draws the same population on any amd64 CPU and
-// on 386.
+// GOMAXPROCS; Datacenter is Load without a context. Each worker has one
+// source, re-seeded per VM, and cuts the fine series of each block of
+// VMs it claims from one shared array, each series capped at its length,
+// so a series kept alive keeps its block alive. The source is the
+// package's own copy of math/rand's, which draws rand.NewSource's streams
+// but seeds from a table of powers instead of a chain of divisions.
+// Refinement exponentiates with the package's own exp, the FMA path of
+// Go's amd64 math.Exp, run four values at a time in AVX2 where the CPU
+// has it and in Go elsewhere, so a seed draws the same population on any
+// amd64 CPU and on 386.
 package synth
 
 import (
@@ -39,7 +44,7 @@ type LogNormal struct {
 // draws from the package's own copy of math/rand's source, seeded without
 // math/rand's chain of divisions, through rand.New, so its draws are
 // rand.New(rand.NewSource(seed))'s. Load keeps one per worker and
-// re-seeds it for each VM, as the Rand's Seed method does.
+// re-seeds it for each VM, which gives a fresh generator's draws.
 func NewLogNormal(sigma float64, seed int64) *LogNormal {
 	if sigma < 0 {
 		panic("synth: negative lognormal sigma")
@@ -70,23 +75,12 @@ func (l *LogNormal) arg(mu float64) float64 {
 	return mu + float64(l.Sigma*l.rng.NormFloat64())
 }
 
-// Refine expands a coarse series into a fine-grained one with factor samples
-// per coarse sample, each drawn lognormally around the coarse mean. The
-// location is solved once per coarse sample; the draws are exactly the
-// ones factor calls to Sample would make.
-func (l *LogNormal) Refine(coarse *model.Series, factor int) *model.Series {
-	if factor <= 0 {
-		panic("synth: non-positive refinement factor")
-	}
-	out := make([]float64, coarse.Len()*factor)
-	l.refine(out, coarse.Samples(), factor)
-	return model.SeriesFromSamples(coarse.Interval()/time.Duration(factor), out)
-}
-
-// refine fills out, len(coarse)·factor samples, with Refine's draws. Each
-// coarse sample's factor exponents are drawn into out first and
-// exponentiated there in one pass, four at a time where the CPU has the
-// vector kernel.
+// refine expands the coarse means into out, factor samples per coarse
+// sample, each drawn lognormally around its mean: len(coarse)·factor
+// samples. The location is solved once per coarse sample; the draws are
+// exactly the ones factor calls to Sample would make. Each coarse
+// sample's factor exponents are drawn into out first and exponentiated
+// there in one pass, four at a time where the CPU has the vector kernel.
 func (l *LogNormal) refine(out, coarse []float64, factor int) {
 	for i, mean := range coarse {
 		fine := out[i*factor : (i+1)*factor]
